@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +175,16 @@ def _load_merge_config(path) -> MergeConfig:
     if not path:
         return MergeConfig()
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: merge config must be a JSON object, got {type(doc).__name__}")
+    known = {f.name for f in fields(MergeConfig)}
+    for key, value in doc.items():
+        if key not in known:
+            raise ValueError(f"{path}: unknown merge config key '{key}' "
+                             f"(known: {', '.join(sorted(known))})")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{path}: merge config key '{key}' must be a number, "
+                             f"got {type(value).__name__}")
     return MergeConfig(**doc)
 
 

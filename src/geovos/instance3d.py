@@ -204,6 +204,116 @@ class UnionFind:
             self.parent[ry] = rx
 
 
+# Voxel columns per block of the fragment x voxel incidence: bounds the
+# dense block at about _BLOCK_CELLS cells whatever the scene size.
+_BLOCK_CELLS = 1 << 20
+
+
+def _voxel_ids(point_sets: list, voxel_size: float):
+    """Global voxel id of every point of several point sets.
+
+    Keys are those of voxel_set; ids number the distinct keys over all sets.
+    Returns (owning set index per point, voxel id per point, id count).
+    """
+    keys = [np.floor(np.asarray(p, dtype=np.float64).reshape(-1, 3) / voxel_size)
+            .astype(np.int64) for p in point_sets]
+    owner = np.repeat(np.arange(len(keys)), [len(k) for k in keys])
+    keys = np.concatenate(keys)
+    if len(keys):
+        low, high = keys.min(axis=0), keys.max(axis=0)
+        span = [int(h) - int(lo) + 1 for lo, h in zip(low, high)]  # python ints: no wrap
+        if span[0] * span[1] * span[2] < 2**62:
+            # row-major rank in the bounding box: one int64 per key sorts fastest
+            keys = ((keys[:, 0] - low[0]) * span[1] + keys[:, 1] - low[1]) * span[2] \
+                + keys[:, 2] - low[2]
+    distinct, ids = np.unique(keys, axis=0 if keys.ndim == 2 else None, return_inverse=True)
+    return owner, ids.reshape(-1), len(distinct)
+
+
+def _pair_intersections(frag: np.ndarray, vox: np.ndarray, n: int, n_vox: int) -> np.ndarray:
+    """Exact |Va & Vb| for all fragment pairs from distinct (fragment, voxel) pairs.
+
+    Sums dense 0/1 incidence blocks of voxel columns; every product and
+    partial sum is an integer below 2**24, so float32 BLAS is exact.
+    """
+    inter = np.zeros((n, n))
+    step = max(1, _BLOCK_CELLS // n)
+    order = np.argsort(vox, kind="stable")
+    frag, vox = frag[order], vox[order]
+    cuts = np.searchsorted(vox, np.arange(0, n_vox + step, step))
+    for lo, a, b in zip(range(0, n_vox, step), cuts[:-1], cuts[1:]):
+        block = np.zeros((n, min(step, n_vox - lo)), dtype=np.float32)
+        block[frag[a:b], vox[a:b] - lo] = 1.0
+        inter += block @ block.T
+    return inter
+
+
+def _frame_codes(tracks: list, t: int):
+    """Codes of the distinct visible masks (by identity) at frame t.
+
+    Returns (code per track, -1 where absent or not visible; the masks).
+    """
+    codes = np.full(len(tracks), -1, dtype=np.int64)
+    masks, seen = [], {}
+    for f, track in enumerate(tracks):
+        if track is None or t >= len(track) or track.masks[t] is None:
+            continue
+        m = track.masks[t]
+        if id(m) not in seen:
+            seen[id(m)] = len(masks) if np.any(m) else -1
+            if seen[id(m)] >= 0:
+                masks.append(m.astype(bool))
+        codes[f] = seen[id(m)]
+    return codes, masks
+
+
+def _temporal_means(tracks: list, pi: np.ndarray, pj: np.ndarray):
+    """temporal_overlap2d(tracks[i], tracks[j]) for every pair (pi, pj).
+
+    A pair's series is its co-visible frames with the pair of distinct
+    masks at each. Series are interned back to front, so each node is a
+    series suffix (its frame's mask pair, then the node of the rest) and
+    pairs sharing a suffix share its node. Masks are compared once per
+    node's mask pair per frame, and np.mean runs once per distinct series
+    on its values in frame order, as temporal_overlap2d does.
+    """
+    node = np.zeros(len(pi), dtype=np.int64)  # node 0: the empty series
+    iou_of, prec_of, rest_of = [0.0], [0.0], [0]
+    for t in reversed(range(max(len(tr) for tr in tracks if tr is not None))):
+        codes, masks = _frame_codes(tracks, t)
+        ca, cb = codes[pi], codes[pj]
+        both = (ca >= 0) & (cb >= 0)
+        if not both.any():
+            continue
+        d = len(masks)
+        key = (node[both] * d + np.minimum(ca, cb)[both]) * d + np.maximum(ca, cb)[both]
+        distinct, inv = np.unique(key, return_inverse=True)
+        node[both] = len(rest_of) + inv
+        stats = {}
+        for k in distinct.tolist():
+            rest, pair = divmod(k, d * d)
+            if pair not in stats:
+                a, b = masks[pair // d], masks[pair % d]
+                inter = int(np.count_nonzero(a & b))
+                union = int(np.count_nonzero(a | b))
+                stats[pair] = (inter / union, inter / min(int(np.count_nonzero(a)),
+                                                          int(np.count_nonzero(b))))
+            iou_of.append(stats[pair][0])
+            prec_of.append(stats[pair][1])
+            rest_of.append(rest)
+    finals, inv = np.unique(node, return_inverse=True)
+    means = []
+    for k in finals.tolist():
+        ious, precs = [], []
+        while k:
+            ious.append(iou_of[k])
+            precs.append(prec_of[k])
+            k = rest_of[k]
+        means.append((float(np.mean(ious)), float(np.mean(precs))) if ious else (0.0, 0.0))
+    means = np.array(means, dtype=np.float64).reshape(-1, 2)
+    return means[inv, 0], means[inv, 1]
+
+
 def merge_instances(fragments: list, cfg: MergeConfig) -> InstanceSet:
     """Group fragments into instances via union-find.
 
@@ -214,22 +324,43 @@ def merge_instances(fragments: list, cfg: MergeConfig) -> InstanceSet:
     normalized by the largest component's. Components are emitted ordered
     by their smallest member fragment index, so the result is deterministic
     given the input order and invariant to it up to relabeling.
+
+    The scores equal overlap3d and temporal_overlap2d pair by pair, and the
+    temporal ones are computed only for pairs whose 3D overlap did not fire.
+    Pairwise voxel overlaps come from one voxel index; temporal statistics
+    are computed per pair of distinct masks per frame.
+
+    Raises:
+        ValueError: if there are no fragments, one is empty, or two tracks
+        that need comparing differ in length.
     """
     if not fragments:
         raise ValueError("merge_instances requires at least one fragment")
     n = len(fragments)
-    voxels = [voxel_set(f.points.points, cfg.voxel_size) for f in fragments]
+    owner, vox, n_vox = _voxel_ids([f.points.points for f in fragments], cfg.voxel_size)
+    pairs = np.unique(owner * n_vox + vox)
+    frag, vox = pairs // n_vox, pairs % n_vox
+    sizes = np.bincount(frag, minlength=n)
+    if not sizes.all():
+        raise ValueError("merge_instances requires nonempty fragments")
+    inter = _pair_intersections(frag, vox, n, n_vox)
+    pi, pj = np.triu_indices(n, 1)
+    fired = inter[pi, pj] / np.minimum(sizes[pi], sizes[pj]) >= cfg.theta_3d
+
+    tracks = [f.track for f in fragments]
+    lengths = np.array([-1 if t is None else len(t) for t in tracks])
+    todo = np.flatnonzero(~fired & (lengths[pi] >= 0) & (lengths[pj] >= 0))
+    if todo.size:
+        bad = todo[lengths[pi[todo]] != lengths[pj[todo]]]
+        if bad.size:
+            i, j = pi[bad[0]], pj[bad[0]]
+            raise ValueError(f"track lengths differ: {lengths[i]} vs {lengths[j]}")
+        iou, prec = _temporal_means(tracks, pi[todo], pj[todo])
+        fired[todo] = (iou >= cfg.theta_iou) | (prec >= cfg.theta_prec)
+
     uf = UnionFind(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            score3d = len(voxels[i] & voxels[j]) / min(len(voxels[i]), len(voxels[j]))
-            if score3d >= cfg.theta_3d:
-                uf.union(i, j)
-                continue
-            if fragments[i].track is not None and fragments[j].track is not None:
-                iou, prec = temporal_overlap2d(fragments[i].track, fragments[j].track)
-                if iou >= cfg.theta_iou or prec >= cfg.theta_prec:
-                    uf.union(i, j)
+    for i, j in zip(pi[fired].tolist(), pj[fired].tolist()):
+        uf.union(i, j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
@@ -261,15 +392,26 @@ def assign_superpoints(instances: InstanceSet, partition: SuperpointPartition,
         )
     n_sp = partition.n_superpoints
     n_inst = len(instances)
-    point_voxels = [tuple(v) for v in
-                    np.floor(scene_points / voxel_size).astype(np.int64)]
+    members = [f for inst in instances.instances for f in inst.fragments]
+    inst_of = np.repeat(np.arange(n_inst), [len(inst.fragments) for inst in instances.instances])
+    owner, vox, n_vox = _voxel_ids([f.points.points for f in members] + [scene_points],
+                                   voxel_size)
+    n_frag_pts = len(owner) - len(scene_points)
     counts = np.zeros((n_sp, n_inst), dtype=np.int64)
-    for k, inst in enumerate(instances.instances):
-        frag_voxels = [voxel_set(f.points.points, voxel_size) for f in inst.fragments]
-        for p, (vox, sp) in enumerate(zip(point_voxels, partition.labels)):
-            for fv in frag_voxels:
-                if vox in fv:
-                    counts[sp, k] += 1
+    if n_inst:
+        # observers of each (voxel, instance): member fragments holding the voxel
+        frag_vox = np.unique(owner[:n_frag_pts] * n_vox + vox[:n_frag_pts])
+        obs_key, observers = np.unique((frag_vox % n_vox) * n_inst + inst_of[frag_vox // n_vox],
+                                       return_counts=True)
+        obs_vox, obs_inst = obs_key // n_inst, obs_key % n_inst
+        # scene points of each (superpoint, voxel), joined to that voxel's observers
+        sp_key, n_pts = np.unique(partition.labels * n_vox + vox[n_frag_pts:], return_counts=True)
+        sp, sp_vox = sp_key // n_vox, sp_key % n_vox
+        lo = np.searchsorted(obs_vox, sp_vox, "left")
+        width = np.searchsorted(obs_vox, sp_vox, "right") - lo
+        row = np.repeat(np.arange(len(sp_key)), width)
+        col = lo[row] + np.arange(len(row)) - np.repeat(np.cumsum(width) - width, width)
+        np.add.at(counts, (sp[row], obs_inst[col]), n_pts[row] * observers[col])
     assigned = np.full(n_sp, -1, dtype=np.int64)
     observed = counts.sum(axis=1) > 0
     assigned[observed] = np.argmax(counts[observed], axis=1)
@@ -364,7 +506,10 @@ class PipelineResult:
 def _thread_cap() -> int:
     raw = os.environ.get("GEOVOS_THREADS", "")
     if raw.strip():
-        return max(1, int(raw))
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            raise ValueError(f"GEOVOS_THREADS must be an integer, got {raw!r}") from None
     return min(8, os.cpu_count() or 1)
 
 
@@ -378,8 +523,15 @@ def run_pipeline(scene, tracks: dict, cfg: MergeConfig, keyframe_stride: int = 1
     against the later frames it appears in, as a diagnostic. Lifts fan out
     over GEOVOS_THREADS; merging and voting are single-threaded and
     deterministic.
+
+    Raises:
+        ValueError: if a track's length differs from the scene's frame count.
     """
     frames = scene.frames
+    for obj_id in sorted(tracks):
+        if len(tracks[obj_id]) != len(frames):
+            raise ValueError(f"track '{obj_id}' has {len(tracks[obj_id])} frames, "
+                             f"scene has {len(frames)}")
     jobs = []
     for k in range(0, len(frames), max(1, keyframe_stride)):
         frame = frames[k]
@@ -387,7 +539,7 @@ def run_pipeline(scene, tracks: dict, cfg: MergeConfig, keyframe_stride: int = 1
             continue
         for obj_id in sorted(tracks):
             track = tracks[obj_id]
-            if k < len(track) and track.visible(k):
+            if track.visible(k):
                 jobs.append((k, obj_id))
 
     def _lift(job):

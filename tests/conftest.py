@@ -124,3 +124,66 @@ def make_cluster_scene(width=32, fx=32.0):
         mask = np.ones((width, width), bool)
         frames.append(CameraFrame(fid, intr, pose, depth, {"wall": mask}))
     return Scene("cluster", frames)
+
+
+# ---------------------------------------------------------------------------
+# merge and voting oracles: the fragment-pair loop and the points x fragments
+# loop over python voxel sets
+
+
+def naive_merge_instances(fragments, cfg):
+    from geovos.instance3d import Instance, InstanceSet, UnionFind, temporal_overlap2d, voxel_set
+
+    if not fragments:
+        raise ValueError("merge_instances requires at least one fragment")
+    n = len(fragments)
+    voxels = [voxel_set(f.points.points, cfg.voxel_size) for f in fragments]
+    uf = UnionFind(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            score3d = len(voxels[i] & voxels[j]) / min(len(voxels[i]), len(voxels[j]))
+            if score3d >= cfg.theta_3d:
+                uf.union(i, j)
+                continue
+            if fragments[i].track is not None and fragments[j].track is not None:
+                iou, prec = temporal_overlap2d(fragments[i].track, fragments[j].track)
+                if iou >= cfg.theta_iou or prec >= cfg.theta_prec:
+                    uf.union(i, j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(uf.find(i), []).append(i)
+    ordered = sorted(groups.values(), key=min)
+    totals = [sum(fragments[i].n_points for i in grp) for grp in ordered]
+    top = max(totals)
+    return InstanceSet([
+        Instance(fragments=[fragments[i] for i in grp], confidence=total / top)
+        for grp, total in zip(ordered, totals)
+    ])
+
+
+def naive_assign_superpoints(instances, partition, scene_points, voxel_size):
+    from geovos.instance3d import Instance, InstanceSet, voxel_set
+
+    scene_points = np.asarray(scene_points, dtype=np.float64).reshape(-1, 3)
+    n_sp = partition.n_superpoints
+    n_inst = len(instances)
+    point_voxels = [tuple(v) for v in np.floor(scene_points / voxel_size).astype(np.int64)]
+    counts = np.zeros((n_sp, n_inst), dtype=np.int64)
+    for k, inst in enumerate(instances.instances):
+        frag_voxels = [voxel_set(f.points.points, voxel_size) for f in inst.fragments]
+        for vox, sp in zip(point_voxels, partition.labels):
+            for fv in frag_voxels:
+                if vox in fv:
+                    counts[sp, k] += 1
+    assigned = np.full(n_sp, -1, dtype=np.int64)
+    observed = counts.sum(axis=1) > 0
+    assigned[observed] = np.argmax(counts[observed], axis=1)
+    out = []
+    for k, inst in enumerate(instances.instances):
+        sp_ids = frozenset(int(s) for s in np.nonzero(assigned == k)[0])
+        member = (np.isin(partition.labels, sorted(sp_ids)) if sp_ids
+                  else np.zeros(len(partition.labels), bool))
+        out.append(Instance(fragments=inst.fragments, confidence=inst.confidence,
+                            superpoint_ids=sp_ids,
+                            point_ids=np.nonzero(member)[0].astype(np.int64)))
+    return InstanceSet(out)

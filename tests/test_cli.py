@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geovos.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
-from geovos.ingest import save_tracks
+from geovos.ingest import load_tracks, save_tracks
 from geovos.metrics import MaskTrack
 
 TINY_MERGER = {"selected_layers": ["encoder", 4], "c_in": 4, "c_mid": 4,
@@ -122,6 +122,39 @@ class TestPipeline:
         assert files
         pts = load_pointset(files[0])
         assert pts.shape[1] == 3 and pts.shape[0] > 0
+
+    @pytest.mark.parametrize("command", ["pipeline", "lift", "merge"])
+    def test_tracks_shorter_than_scene_exit_2(self, scene_dir, tmp_path, capsys, command):
+        tracks = load_tracks(scene_dir / "tracks" / "tracks.json")
+        short = save_tracks({k: MaskTrack(t.masks[:3]) for k, t in tracks.items()},
+                            tmp_path / "short")
+        code = main([command, "--scene", str(scene_dir / "manifest.json"),
+                     "--masks", str(short)])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"track '{sorted(tracks)[0]}' has 3 frames, scene has 6" in err[0]
+
+    @pytest.mark.parametrize("doc, named", [
+        ('{"voxel_sz": 0.1}', "'voxel_sz'"),
+        ("[1, 2]", "list"),
+        ('{"voxel_size": "0.1"}', "'voxel_size' must be a number"),
+    ])
+    def test_malformed_merge_config_exit_2(self, scene_dir, tmp_path, capsys, doc, named):
+        mc = tmp_path / "merge.json"
+        mc.write_text(doc)
+        code = main(["pipeline", "--scene", str(scene_dir / "manifest.json"),
+                     "--merge-config", str(mc)])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(mc) in err[0] and named in err[0]
+
+    def test_malformed_thread_count_exit_2(self, scene_dir, monkeypatch, capsys):
+        monkeypatch.setenv("GEOVOS_THREADS", "abc")
+        code = main(["pipeline", "--scene", str(scene_dir / "manifest.json")])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "GEOVOS_THREADS" in err[0] and "'abc'" in err[0]
 
     def test_eval_3d_self(self, scene_dir, tmp_path):
         out = tmp_path / "e.jsonl"

@@ -1,16 +1,18 @@
 """Erosion, lifting, fragment merging, superpoint voting, AP."""
 
+import math
+
 import numpy as np
 import pytest
 
-from conftest import make_intrinsics
-from geovos.cli import boxworld_preset
-from geovos.geometry import CameraPose, PointCloud
+from conftest import make_intrinsics, naive_assign_superpoints, naive_merge_instances
+from geovos.cli import _look_at_pose, boxworld_preset
+from geovos.geometry import CameraIntrinsics, CameraPose, PointCloud
 from geovos.ingest import Box, generate_boxworld
 from geovos.instance3d import (Fragment, Instance, InstanceSet, MergeConfig,
-                               SuperpointPartition, assign_superpoints, erode, eval_ap,
-                               lift_fragment, merge_instances, overlap3d, run_pipeline,
-                               temporal_overlap2d, voxel_set)
+                               SuperpointPartition, _temporal_means, assign_superpoints,
+                               erode, eval_ap, lift_fragment, merge_instances, overlap3d,
+                               run_pipeline, temporal_overlap2d, voxel_set)
 from geovos.metrics import MaskTrack
 
 
@@ -195,6 +197,154 @@ class TestMergeInstances:
     def test_requires_fragments(self):
         with pytest.raises(ValueError):
             merge_instances([], MergeConfig())
+        with pytest.raises(ValueError, match="nonempty"):
+            merge_instances([frag(centers([(0, 0, 0)])), frag(np.zeros((0, 3)))], MergeConfig())
+
+
+def dilate(mask, radius):
+    """4-connected dilation, the dual of erode; None stays None."""
+    if mask is None:
+        return None
+    out = mask.astype(bool)
+    for _ in range(radius):
+        p = np.pad(out, 1)
+        out = p[1:-1, 1:-1] | p[:-2, 1:-1] | p[2:, 1:-1] | p[1:-1, :-2] | p[1:-1, 2:]
+    return out
+
+
+@pytest.fixture(scope="module")
+def ring_world():
+    """8 cameras on a ring around 8 cubes at 48 px; dilated masks merge cubes."""
+    res = 48
+    intr = CameraIntrinsics(fx=float(res), fy=float(res), cx=(res - 1) / 2.0,
+                            cy=(res - 1) / 2.0, width=res, height=res)
+    boxes = [Box(((b % 4 - 1.5) * 1.2, (b // 4 - 0.5) * 1.2, 0.25), (0.5, 0.5, 0.5))
+             for b in range(8)]
+    cams = []
+    for i in range(8):
+        a = 0.3 + 2.0 * math.pi * i / 8
+        cams.append((_look_at_pose((6.0 * math.cos(a), 6.0 * math.sin(a), 2.5),
+                                   (0.0, 0.0, 0.25)), intr))
+    world = generate_boxworld(boxes, cams, resolution=(res, res))
+    fragments = {}
+    for r in range(4):
+        # one dilated array per (object, frame), shared by all its fragments
+        tracks = {k: MaskTrack([dilate(m, r) for m in t.masks])
+                  for k, t in world.gt_tracks.items()}
+        fragments[r] = run_pipeline(world.scene, tracks, MergeConfig()).fragments
+    return world.scene, fragments
+
+
+ORACLE_CONFIGS = {
+    "default": MergeConfig(),
+    "temporal-only": MergeConfig(theta_3d=1.0),
+    "lowered-temporal": MergeConfig(theta_3d=1.0, theta_iou=0.2, theta_prec=0.35),
+    "lowered-all": MergeConfig(theta_3d=0.4, theta_iou=0.4, theta_prec=0.7),
+}
+
+
+def assert_same_instances(new, old):
+    assert [i.sources for i in new.instances] == [i.sources for i in old.instances]
+    assert [i.confidence for i in new.instances] == [i.confidence for i in old.instances]
+    assert [i.superpoint_ids for i in new.instances] == [i.superpoint_ids for i in old.instances]
+    for a, b in zip(new.instances, old.instances):
+        if b.point_ids is None:
+            assert a.point_ids is None
+        else:
+            np.testing.assert_array_equal(a.point_ids, b.point_ids)
+
+
+def random_fragments(rng, lengths):
+    """Fragments around a few centres, with unshared random masks or no track."""
+    centres = rng.normal(scale=1.5, size=(3, 3))
+    frags = []
+    for i, length in enumerate(lengths):
+        pts = centres[rng.integers(3)] + rng.normal(scale=rng.uniform(0.2, 1.0),
+                                                    size=(int(rng.integers(1, 40)), 3))
+        track = None
+        if length is not None:
+            masks = []
+            for _ in range(length):
+                u = rng.random()
+                if u < 0.25:
+                    masks.append(None)
+                elif u < 0.35:
+                    masks.append(np.zeros((6, 6), np.uint8))
+                else:
+                    masks.append((rng.random((6, 6)) < rng.uniform(0.05, 0.6)).astype(np.uint8))
+            track = MaskTrack(masks)
+        frags.append(frag(pts, (i, "r"), track))
+    return frags
+
+
+def random_config(rng):
+    theta = rng.random(3)
+    theta[rng.random(3) < 0.15] = 0.0
+    return MergeConfig(voxel_size=float(rng.uniform(0.2, 1.0)), theta_3d=float(theta[0]),
+                       theta_iou=float(theta[1]), theta_prec=float(theta[2]))
+
+
+class TestMergeMatchesOracle:
+    """merge_instances and assign_superpoints equal the pair and point loops exactly."""
+
+    @pytest.mark.parametrize("config", sorted(ORACLE_CONFIGS))
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_dilated_pipeline_fragments(self, ring_world, radius, config):
+        scene, fragments = ring_world
+        frags, cfg = fragments[radius], ORACLE_CONFIGS[config]
+        new, old = merge_instances(frags, cfg), naive_merge_instances(frags, cfg)
+        assert_same_instances(new, old)
+        part = SuperpointPartition(scene.superpoints)
+        assert_same_instances(
+            assign_superpoints(new, part, scene.scene_points, cfg.voxel_size),
+            naive_assign_superpoints(old, part, scene.scene_points, cfg.voxel_size))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_fragment_sets(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n, length = int(rng.integers(2, 16)), int(rng.integers(1, 6))
+        frags = random_fragments(rng, [None if rng.random() < 0.3 else length
+                                       for _ in range(n)])
+        cfg = random_config(rng)
+        new, old = merge_instances(frags, cfg), naive_merge_instances(frags, cfg)
+        assert_same_instances(new, old)
+        # the per-pair means themselves are bit-identical, not only the edges
+        tracks = [f.track for f in frags]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if tracks[i] is not None and tracks[j] is not None]
+        if pairs:
+            iou, prec = _temporal_means(tracks, *np.array(pairs).T)
+            assert list(zip(iou.tolist(), prec.tolist())) == [
+                temporal_overlap2d(tracks[i], tracks[j]) for i, j in pairs]
+        scene_pts = rng.normal(scale=1.5, size=(200, 3))
+        labels = rng.integers(0, 12, size=200)
+        labels = np.unique(labels, return_inverse=True)[1]
+        part = SuperpointPartition(labels)
+        assert_same_instances(assign_superpoints(new, part, scene_pts, cfg.voxel_size),
+                              naive_assign_superpoints(old, part, scene_pts, cfg.voxel_size))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mismatched_track_lengths_raise_where_oracle_raises(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(2, 10))
+        frags = random_fragments(rng, [int(rng.integers(2, 4)) for _ in range(n)])
+        cfg = random_config(rng)
+        try:
+            old = naive_merge_instances(frags, cfg)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                merge_instances(frags, cfg)
+        else:
+            assert_same_instances(merge_instances(frags, cfg), old)
+
+    def test_pipeline_rejects_tracks_of_other_length(self):
+        boxes, cams = boxworld_preset("two-cubes", 32)
+        world = generate_boxworld(boxes, cams, resolution=(32, 32))
+        tracks = dict(world.gt_tracks)
+        obj = sorted(tracks)[-1]
+        tracks[obj] = MaskTrack(tracks[obj].masks[:3])
+        with pytest.raises(ValueError, match=f"track '{obj}' has 3 frames, scene has 6"):
+            run_pipeline(world.scene, tracks, MergeConfig())
 
 
 class TestAssignSuperpoints:
