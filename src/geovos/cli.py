@@ -147,6 +147,8 @@ def cmd_synth(args) -> int:
 
 def cmd_sample(args) -> int:
     t0 = time.perf_counter()
+    if args.draws < 1:
+        raise ValueError(f"--draws must be >= 1, got {args.draws}")
     scene = ingest.load_scene(args.scene)
     cfg = SamplerConfig(n_frames=args.n, tau=args.tau, p_fov=args.p_fov, seed=args.seed)
     rng = np.random.default_rng(args.seed)

@@ -10,7 +10,9 @@ Coordinate conventions
 * Frustum: positive-depth half-space (z > z_near) intersected with the
   image rectangle; no far plane.
 
-All operations are pure functions of their inputs.
+All operations are pure functions of their inputs, apart from the memo of
+back-projected masks that each ``CameraFrame`` keeps of its own read-only
+rasters.
 """
 
 from dataclasses import dataclass, field
@@ -106,13 +108,20 @@ class PointCloud:
 
 @dataclass
 class CameraFrame:
-    """One observation: intrinsics, pose, depth raster, per-object masks."""
+    """One observation: intrinsics, pose, depth raster, per-object masks.
+
+    The frame marks its depth raster and masks read-only, and memoises each
+    object's back-projected mask (:meth:`object_points`). A raster is
+    changed by replacing it (``frame.depth = ...``, ``frame.masks[k] = ...``),
+    never by writing into it.
+    """
 
     frame_id: int
     intrinsics: CameraIntrinsics
     pose: CameraPose
     depth: np.ndarray | None = None
     masks: dict = field(default_factory=dict)
+    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = (self.intrinsics.height, self.intrinsics.width)
@@ -125,6 +134,37 @@ class CameraFrame:
                 raise ValueError(
                     f"frame {self.frame_id}: mask '{obj}' shape {mask.shape} != intrinsics {shape}"
                 )
+        if self.depth is not None:
+            self.depth.setflags(write=False)
+        for mask in self.masks.values():
+            mask.setflags(write=False)
+
+    def object_points(self, obj_id):
+        """``(mask_nonempty, camera_points)`` of one object's mask, memoised.
+
+        ``camera_points`` is the :func:`back_project` cloud of the masked
+        valid-depth pixels, or None when the frame has no depth raster (or no
+        mask for the object). A memo entry is used only while the mask, the
+        depth raster and the intrinsics are the very objects it was computed
+        from, so a replaced or popped raster is seen at once; the rasters it
+        was computed from are made read-only, so they cannot change in place.
+        Concurrent callers may share a frame: a race only repeats the work.
+        """
+        mask, depth, intr = self.masks.get(obj_id), self.depth, self.intrinsics
+        if mask is None:
+            return False, None
+        entry = self._points.get(obj_id)
+        if entry is not None and entry[0] is mask and entry[1] is depth and entry[2] is intr:
+            return entry[3]
+        points = None
+        if depth is not None:
+            points = back_project(mask, depth, intr)[0].points
+            points.setflags(write=False)
+            depth.setflags(write=False)
+        mask.setflags(write=False)
+        result = (bool(mask.any()), points)
+        self._points[obj_id] = (mask, depth, intr, result)
+        return result
 
 
 class OverlapRatio(NamedTuple):
@@ -259,6 +299,58 @@ def frustum_overlap_ratio(candidate: CameraFrame, obj_mask: np.ndarray,
         pc.points, rot, trans, ri.fx, ri.fy, ri.cx, ri.cy, ri.width, ri.height, z_near
     )
     return OverlapRatio(inside / n, inside, n)
+
+
+FRUSTUM_BLOCK = 1 << 20  # points per block of the batched frustum test
+
+
+def frustum_overlap_ratios(candidates, obj_id, reference: CameraFrame,
+                           z_near: float = DEFAULT_Z_NEAR) -> list:
+    """:func:`frustum_overlap_ratio` of many candidates against one reference.
+
+    Every candidate must hold a mask for ``obj_id``; its points come from
+    the frame's memo (:meth:`CameraFrame.object_points`). The candidate to
+    reference transforms are composed in one stacked matmul, and every
+    point is tested at once, in blocks of at most FRUSTUM_BLOCK points, with
+    the per-point expression of ``kernels.count_in_frustum``. The results
+    equal the per-pair function's bit for bit, in candidate order.
+
+    Raises:
+        ValueError: at the first candidate without a depth raster.
+    """
+    ri = reference.intrinsics
+    camera = tuple(float(c) for c in (ri.fx, ri.fy, ri.cx, ri.cy, ri.width, ri.height, z_near))
+    ref_rot, ref_trans = reference.pose.rotation, reference.pose.translation
+    clouds = []
+    for cand in candidates:
+        if cand.depth is None:
+            raise ValueError(f"frame {cand.frame_id} has no depth raster")
+        clouds.append(cand.object_points(obj_id)[1])
+    if not clouds:
+        return []
+    n = np.array([len(pts) for pts in clouds], np.int64)
+    cand_rot = np.array([c.pose.rotation for c in candidates])
+    cand_trans = np.array([c.pose.translation for c in candidates])
+    # a pixel's back-projection lies in its own frustum by construction;
+    # skipping the float round trip keeps the self-overlap exactly 1
+    same_camera = (np.array([c.intrinsics == ri for c in candidates], bool)
+                   & np.all(cand_rot == ref_rot, axis=(1, 2))
+                   & np.all(cand_trans == ref_trans, axis=1))
+    counted = (n > 0) & ~same_camera
+    inside = np.where(same_camera, n, 0)
+    if counted.any():
+        rot = np.matmul(ref_rot.T, cand_rot).transpose(1, 2, 0)
+        trans = np.matmul(ref_rot.T, (cand_trans - ref_trans)[..., None])[..., 0].T
+        # per-point coefficients (3, 3, P) and (3, P), gathered by candidate index
+        seg = np.repeat(np.arange(len(clouds)), np.where(counted, n, 0))
+        pts = np.concatenate([c for c, k in zip(clouds, counted) if k])
+        for lo in range(0, len(pts), FRUSTUM_BLOCK):
+            s = seg[lo:lo + FRUSTUM_BLOCK]
+            ok = kernels.frustum_mask(pts[lo:lo + FRUSTUM_BLOCK], rot[:, :, s], trans[:, s],
+                                      *camera)
+            inside += np.bincount(s[ok], minlength=len(clouds))
+    ratio = np.where(n == 0, 0.0, inside / np.maximum(n, 1))
+    return [OverlapRatio(*r) for r in zip(ratio.tolist(), inside.tolist(), n.tolist())]
 
 
 def depth_agreement_score(pc: PointCloud, ref_depth: np.ndarray, intr: CameraIntrinsics,

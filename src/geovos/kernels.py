@@ -4,6 +4,8 @@ Every kernel has a ``_numba``-jitted loop form and a ``_numpy`` vectorized
 form; the public name dispatches on :data:`geovos._accel.NUMBA_ENABLED`.
 The two lanes evaluate the same per-element expressions in the same order,
 so they agree bit-for-bit (benchmarks/bench_kernels.py compares them).
+``frustum_mask`` is the numpy lane's per-point frustum test on its own; the
+batched frustum-overlap ratios in ``geometry`` share it.
 
 Conventions: pixel (u, v) = (column, row), integer coordinates at pixel
 centers; rasters indexed ``[v, u]``; depths are metric and a depth value is
@@ -96,7 +98,13 @@ def _count_in_frustum_numba(pts, rot, trans, fx, fy, cx, cy, width, height, z_ne
     return n
 
 
-def _count_in_frustum_numpy(pts, rot, trans, fx, fy, cx, cy, width, height, z_near):
+def frustum_mask(pts, rot, trans, fx, fy, cx, cy, width, height, z_near):
+    """Per-point frustum membership after a rigid transform (numpy only).
+
+    ``rot`` is (3, 3) and ``trans`` (3,), or per-point coefficients of shape
+    (3, 3, N) and (3, N); either way every point is evaluated with the same
+    IEEE expression as :func:`count_in_frustum`.
+    """
     px, py, pz = pts[:, 0], pts[:, 1], pts[:, 2]
     x = rot[0, 0] * px + rot[0, 1] * py + rot[0, 2] * pz + trans[0]
     y = rot[1, 0] * px + rot[1, 1] * py + rot[1, 2] * pz + trans[1]
@@ -104,8 +112,12 @@ def _count_in_frustum_numpy(pts, rot, trans, fx, fy, cx, cy, width, height, z_ne
     with np.errstate(divide="ignore", invalid="ignore"):
         u = fx * x / z + cx
         v = fy * y / z + cy
-        ok = (z > z_near) & (u >= 0.0) & (u < width) & (v >= 0.0) & (v < height)
-    return int(np.count_nonzero(ok))
+        return (z > z_near) & (u >= 0.0) & (u < width) & (v >= 0.0) & (v < height)
+
+
+def _count_in_frustum_numpy(pts, rot, trans, fx, fy, cx, cy, width, height, z_near):
+    return int(np.count_nonzero(
+        frustum_mask(pts, rot, trans, fx, fy, cx, cy, width, height, z_near)))
 
 
 def count_in_frustum(pts, rot, trans, fx, fy, cx, cy, width, height, z_near):

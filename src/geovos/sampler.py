@@ -10,13 +10,24 @@ not visibility.
 
 Every sampler is deterministic given (scene, config, seed) and pure given
 an owned generator; concurrent callers need independent generator states.
+
+Cost: each frame's mask is back-projected once per process and object. The
+result is memoised on the frame (``CameraFrame.object_points``), and a FOV
+draw then tests every candidate's points against the reference frustum in
+one vectorised pass (``geometry.frustum_overlap_ratios``). The memo's
+contract: frame rasters are immutable (the frame marks its depth raster and
+masks read-only, so writing into one raises), a replaced or popped raster is
+detected by identity and recomputed, and concurrent callers may share a
+scene, since a race on the memo only repeats the same work.
+``frustum_overlap_ratio`` stays importable here as the per-pair reference.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import frustum_overlap_ratio
+from .geometry import frustum_overlap_ratio  # noqa: F401  (re-exported per-pair reference)
+from .geometry import frustum_overlap_ratios
 
 
 @dataclass(frozen=True)
@@ -36,8 +47,9 @@ class SamplerConfig:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
         if not 0.0 <= self.p_fov <= 1.0:
             raise ValueError(f"p_fov must be in [0, 1], got {self.p_fov}")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
+        if self.max_candidates < self.n_frames - 1:
+            raise ValueError(f"max_candidates must be >= n_frames - 1 = {self.n_frames - 1}, "
+                             f"got {self.max_candidates}")
 
 
 @dataclass
@@ -90,12 +102,7 @@ def _default_obj(scene, obj_id):
 
 def visible_frames(scene, obj_id) -> list:
     """Frame ids where the object's mask exists and is nonempty."""
-    out = []
-    for f in scene.frames:
-        mask = f.masks.get(obj_id)
-        if mask is not None and mask.any():
-            out.append(f.frame_id)
-    return out
+    return [f.frame_id for f in scene.frames if f.object_points(obj_id)[0]]
 
 
 def candidate_ratios(scene, obj_id, reference: int, cfg: SamplerConfig) -> dict:
@@ -103,18 +110,17 @@ def candidate_ratios(scene, obj_id, reference: int, cfg: SamplerConfig) -> dict:
 
     Long videos are capped at cfg.max_candidates uniformly strided
     candidates to bound cost.
+
+    Raises:
+        ValueError: at the first candidate without a depth raster.
     """
     by_id = {f.frame_id: f for f in scene.frames}
     cands = [fid for fid in visible_frames(scene, obj_id) if fid != reference]
     if len(cands) > cfg.max_candidates:
         idx = np.unique(np.linspace(0, len(cands) - 1, cfg.max_candidates).round().astype(int))
         cands = [cands[i] for i in idx]
-    ref_frame = by_id[reference]
-    out = {}
-    for fid in cands:
-        frame = by_id[fid]
-        out[fid] = frustum_overlap_ratio(frame, frame.masks[obj_id], ref_frame).ratio
-    return out
+    ratios = frustum_overlap_ratios([by_id[fid] for fid in cands], obj_id, by_id[reference])
+    return {fid: r.ratio for fid, r in zip(cands, ratios)}
 
 
 def sample_continuous(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult:
@@ -160,13 +166,14 @@ def sample_fov(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult
     ``fallback_frames``.
 
     Raises:
-        ValueError: when no frame shows the object.
+        ValueError: when fewer than n_frames visible frames exist (the
+        message carries the available count).
     """
     obj_id = _default_obj(scene, obj_id)
     rng = _as_rng(rng, cfg)
     visible = visible_frames(scene, obj_id)
-    if not visible:
-        raise ValueError(f"no object-visible frames for '{obj_id}'")
+    if len(visible) < cfg.n_frames:
+        raise ValueError(f"need {cfg.n_frames} object-visible frames, scene has {len(visible)}")
     reference = visible[int(rng.integers(0, len(visible)))]
     ratios = candidate_ratios(scene, obj_id, reference, cfg)
     pool = [fid for fid, r in ratios.items() if r > cfg.tau]

@@ -102,6 +102,71 @@ def naive_frustum_overlap(candidate: CameraFrame, mask, reference: CameraFrame,
     return (inside / n if n else 0.0), inside, n
 
 
+def naive_candidate_ratios(scene, obj_id, reference, cfg):
+    """The per-pair loop over ``frustum_overlap_ratio`` that the batched
+    ``sampler.candidate_ratios`` replaced: same candidates, same striding,
+    one back-projection per candidate per call."""
+    from geovos.geometry import frustum_overlap_ratio
+
+    by_id = {f.frame_id: f for f in scene.frames}
+    visible = [f.frame_id for f in scene.frames
+               if f.masks.get(obj_id) is not None and f.masks[obj_id].any()]
+    cands = [fid for fid in visible if fid != reference]
+    if len(cands) > cfg.max_candidates:
+        idx = np.unique(np.linspace(0, len(cands) - 1, cfg.max_candidates).round().astype(int))
+        cands = [cands[i] for i in idx]
+    out = {}
+    for fid in cands:
+        frame = by_id[fid]
+        out[fid] = frustum_overlap_ratio(frame, frame.masks[obj_id], by_id[reference]).ratio
+    return out
+
+
+def small_rotation(rng, max_angle) -> np.ndarray:
+    """Rodrigues rotation by a uniform angle in [0, max_angle) about a random axis."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    theta = rng.uniform(0.0, max_angle)
+    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+
+
+def random_sampler_scene(rng, n_frames=10, size=12):
+    """Frames around one view of a random depth field, for the FOV sampler.
+
+    Besides ordinary frames (partial overlaps, invalid depths) it mixes in
+    frames whose masked pixels all have invalid depth, frames sharing an
+    earlier frame's camera (by value, sometimes by identity), frames facing
+    anywhere, frames with an empty mask and frames with no mask.
+    """
+    from geovos.ingest import Scene
+
+    intr = make_intrinsics(width=size, height=size)
+    frames = []
+    for fid in range(n_frames):
+        depth = rng.uniform(0.5, 5.0, size=(size, size))
+        depth[rng.random(depth.shape) < 0.2] = rng.choice([0.0, np.nan, np.inf])
+        mask = rng.random(depth.shape) < rng.uniform(0.05, 0.6)
+        pose = CameraPose(small_rotation(rng, 0.6), rng.normal(scale=0.5, size=3))
+        frame_intr = intr
+        kind = int(rng.integers(0, 8))
+        if kind == 0:
+            mask = ~(np.isfinite(depth) & (depth > 0))
+        elif kind == 1 and frames:
+            twin = frames[int(rng.integers(0, len(frames)))]
+            pose = twin.pose
+            if rng.random() < 0.5:
+                pose = CameraPose(twin.pose.rotation.copy(), twin.pose.translation.copy())
+                frame_intr = CameraIntrinsics(**vars(twin.intrinsics))
+        elif kind == 2:
+            pose = random_pose(rng)
+        elif kind == 3:
+            mask[:] = False
+        masks = {} if kind == 4 else {"obj": mask}
+        frames.append(CameraFrame(fid, frame_intr, pose, depth.astype(np.float32), masks))
+    return Scene("random", frames)
+
+
 # ---------------------------------------------------------------------------
 # cluster scene: frames 0, 3, 5 share a view, frames 1, 2, 4 are far away
 

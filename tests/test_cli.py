@@ -51,6 +51,16 @@ class TestSample:
         assert code == EXIT_INPUT_ERROR
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("draws", ["0", "-1"])
+    def test_draws_below_one_exit_2(self, scene_dir, tmp_path, capsys, draws):
+        out = tmp_path / "r.jsonl"
+        code = main(["sample", "--scene", str(scene_dir / "manifest.json"), "--n", "3",
+                     "--draws", draws, "--out", str(out)])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: --draws must be >= 1, got {draws}"]
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_two_cube_scene_perfect_ap(self, scene_dir, tmp_path):

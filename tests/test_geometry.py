@@ -1,13 +1,16 @@
 """Geometry: back-projection, transforms, frustums, depth agreement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import (make_intrinsics, naive_frustum_overlap, random_pose,
-                      random_rotation, random_scene_frames)
+                      random_rotation, random_sampler_scene, random_scene_frames)
+from geovos import geometry, kernels
 from geovos.geometry import (CameraFrame, CameraIntrinsics, CameraPose, PointCloud,
                              back_project, depth_agreement_score, frustum_overlap_ratio,
-                             in_frustum, project, transform_points)
+                             frustum_overlap_ratios, in_frustum, project, transform_points)
 
 
 class TestTypes:
@@ -229,6 +232,104 @@ class TestFrustumOverlap:
             moved.append(CameraFrame(f.frame_id, f.intrinsics, pose, f.depth, f.masks))
         after = frustum_overlap_ratio(moved[0], cand.masks["obj"], moved[1])
         assert abs(after.ratio - base.ratio) < 1e-6
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 20])
+    def test_batched_matches_per_pair(self, monkeypatch, block):
+        monkeypatch.setattr(geometry, "FRUSTUM_BLOCK", block)
+        for seed in range(20):
+            scene = random_sampler_scene(np.random.default_rng(seed), n_frames=8)
+            cands = [f for f in scene.frames if "obj" in f.masks]
+            for ref in scene.frames:
+                want = [frustum_overlap_ratio(c, c.masks["obj"], ref) for c in cands]
+                assert frustum_overlap_ratios(cands, "obj", ref) == want, f"seed {seed}"
+        assert frustum_overlap_ratios([], "obj", scene.frames[0]) == []
+
+
+def masked_frame(seed=0, size=6):
+    rng = np.random.default_rng(seed)
+    depth = rng.uniform(0.5, 3.0, size=(size, size))
+    depth[0, :] = np.nan
+    mask = rng.random((size, size)) < 0.5
+    mask[1, 1] = True
+    intr = make_intrinsics(width=size, height=size)
+    return CameraFrame(0, intr, random_pose(rng), depth, {"o": mask})
+
+
+def uncached(frame, obj="o"):
+    mask = frame.masks.get(obj)
+    if mask is None:
+        return False, None
+    if frame.depth is None:
+        return bool(mask.any()), None
+    return bool(mask.any()), back_project(mask, frame.depth, frame.intrinsics)[0].points
+
+
+def assert_same_points(got, want):
+    assert got[0] == want[0]
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestFrameMemo:
+    def test_backprojects_once(self, monkeypatch):
+        calls = []
+        original = kernels.backproject_mask
+        monkeypatch.setattr(kernels, "backproject_mask",
+                            lambda *a: calls.append(1) or original(*a))
+        frame = masked_frame()
+        first = frame.object_points("o")
+        assert frame.object_points("o") is first
+        assert frame.object_points("missing") == (False, None)
+        assert len(calls) == 1
+        assert_same_points(first, uncached(frame))
+
+    def test_replaced_mask_seen(self):
+        frame = masked_frame()
+        frame.object_points("o")
+        frame.masks["o"] = np.roll(frame.masks["o"], 2, axis=0)
+        assert_same_points(frame.object_points("o"), uncached(frame))
+        frame.masks["o"] = np.zeros_like(frame.masks["o"])
+        got = frame.object_points("o")
+        assert got[0] is False and got[1].shape == (0, 3)
+
+    def test_popped_mask_seen(self):
+        frame = masked_frame()
+        frame.object_points("o")
+        frame.masks.pop("o")
+        assert frame.object_points("o") == (False, None)
+
+    def test_replaced_depth_seen(self):
+        frame = masked_frame()
+        frame.object_points("o")
+        frame.depth = frame.depth * 2.0
+        assert_same_points(frame.object_points("o"), uncached(frame))
+        frame.depth = None
+        assert frame.object_points("o") == (True, None)
+
+    def test_replaced_intrinsics_seen(self):
+        frame = masked_frame()
+        frame.object_points("o")
+        frame.intrinsics = dataclasses.replace(frame.intrinsics, fx=3.0 * frame.intrinsics.fx)
+        assert_same_points(frame.object_points("o"), uncached(frame))
+
+    def test_rasters_read_only(self):
+        depth = np.ones((4, 4))
+        mask = np.ones((4, 4), bool)
+        frame = CameraFrame(0, make_intrinsics(width=4, height=4), CameraPose.identity(),
+                            depth, {"o": mask})
+        with pytest.raises(ValueError, match="read-only"):
+            frame.depth[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = False
+        with pytest.raises(ValueError, match="read-only"):
+            frame.object_points("o")[1][0, 0] = 1.0
+        # a raster added later is frozen once the memo reads it
+        frame.masks["late"] = np.ones((4, 4), bool)
+        frame.object_points("late")
+        with pytest.raises(ValueError, match="read-only"):
+            frame.masks["late"][0, 0] = False
 
 
 class TestDepthAgreement:

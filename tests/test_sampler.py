@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import make_cluster_scene, make_intrinsics, naive_frustum_overlap, random_scene_frames
+from conftest import (make_cluster_scene, make_intrinsics, naive_candidate_ratios,
+                      naive_frustum_overlap, random_sampler_scene, random_scene_frames)
+from geovos import sampler
 from geovos.geometry import CameraFrame, CameraPose
 from geovos.ingest import Scene
 from geovos.sampler import (SamplerConfig, candidate_ratios, sample_continuous,
@@ -169,6 +171,25 @@ class TestFov:
         with pytest.raises(ValueError):
             sample_fov(scene, SamplerConfig(n_frames=3), rng=0, obj_id="obj")
 
+    def test_too_few_visible_frames_error_reports_count(self):
+        # 5 visible frames cannot fill an 8-frame batch, through either entry point
+        scene = make_gapped_scene(range(5), n_frames=12)
+        cfg = SamplerConfig(n_frames=8, p_fov=1.0)
+        for fn in (sample_fov, sample_mixed):
+            with pytest.raises(ValueError, match="need 8 object-visible frames, scene has 5"):
+                fn(scene, cfg, rng=0, obj_id="obj")
+
+    def test_max_candidates_must_fill_a_batch(self):
+        with pytest.raises(ValueError, match="max_candidates must be >= n_frames - 1 = 7, got 2"):
+            SamplerConfig(n_frames=8, max_candidates=2)
+        scene = make_gapped_scene(range(20), n_frames=20)
+        cfg = SamplerConfig(n_frames=8, max_candidates=7, p_fov=1.0)
+        rng = np.random.default_rng(0)
+        for fn in (sample_fov, sample_mixed):
+            for _ in range(10):
+                res = fn(scene, cfg, rng, obj_id="obj")
+                assert len(res.frames) == 8 and len(res.ratios) == 7
+
     def test_deterministic(self):
         scene = make_cluster_scene()
         cfg = SamplerConfig(n_frames=3, seed=4)
@@ -208,3 +229,87 @@ class TestVisibility:
         scene = make_gapped_scene({1}, n_frames=3)
         scene.frames[1].masks["obj"] = np.zeros((8, 8), bool)
         assert visible_frames(scene, "obj") == []
+
+
+class TestBatchedRatios:
+    """The batched candidate_ratios against the per-pair loop and the
+    pure-python oracle, on seeded random scenes."""
+
+    SEEDS = range(60)
+
+    def test_ratios_match_per_pair_loop_and_oracle(self):
+        seen = dict(same_camera=0, same_camera_no_points=0, no_points=0, partial=0, strided=0)
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            scene = random_sampler_scene(rng, n_frames=int(rng.integers(4, 13)))
+            by_id = {f.frame_id: f for f in scene.frames}
+            visible = visible_frames(scene, "obj")
+            cfg = SamplerConfig(n_frames=2, max_candidates=int(rng.integers(1, len(scene.frames))))
+            seen["strided"] += len(visible) - 1 > cfg.max_candidates
+            for ref in visible:
+                got = candidate_ratios(scene, "obj", ref, cfg)
+                want = naive_candidate_ratios(scene, "obj", ref, cfg)
+                assert list(got.items()) == list(want.items()), f"seed {seed}, reference {ref}"
+                for fid, ratio in got.items():
+                    cand = by_id[fid]
+                    oracle, inside, n = naive_frustum_overlap(cand, cand.masks["obj"], by_id[ref])
+                    assert ratio == oracle, f"seed {seed}, candidate {fid}, reference {ref}"
+                    same = (cand.intrinsics == by_id[ref].intrinsics
+                            and np.array_equal(cand.pose.rotation, by_id[ref].pose.rotation)
+                            and np.array_equal(cand.pose.translation,
+                                               by_id[ref].pose.translation))
+                    seen["same_camera"] += same and n > 0
+                    seen["same_camera_no_points"] += same and n == 0
+                    seen["no_points"] += n == 0
+                    seen["partial"] += 0.0 < ratio < 1.0
+        assert all(seen.values()), seen
+
+    def test_draws_match_per_pair_loop(self, monkeypatch):
+        cfg = SamplerConfig(n_frames=3, max_candidates=4, p_fov=0.7)
+
+        def draws():
+            out = []
+            for seed in self.SEEDS:
+                scene = random_sampler_scene(np.random.default_rng(seed), n_frames=9)
+                rng = np.random.default_rng(seed)
+                for fn in (sample_fov, sample_mixed):
+                    try:
+                        out += [fn(scene, cfg, rng, "obj").to_dict() for _ in range(4)]
+                    except ValueError as e:
+                        out.append(str(e))
+            return out
+
+        batched = draws()
+        monkeypatch.setattr(sampler, "candidate_ratios", naive_candidate_ratios)
+        looped = draws()
+        assert batched == looped
+        assert sum(isinstance(d, dict) and d["mode"] == "fov" for d in batched) > 100
+
+    def test_candidate_without_depth_raises_same_message(self):
+        scene = make_cluster_scene(width=8, fx=8.0)
+        for fid in (3, 5):
+            scene.frames[fid].depth = None
+        cfg = SamplerConfig(n_frames=3)
+        with pytest.raises(ValueError) as want:
+            naive_candidate_ratios(scene, "wall", 0, cfg)
+        with pytest.raises(ValueError, match="^frame 3 has no depth raster$") as got:
+            candidate_ratios(scene, "wall", 0, cfg)
+        assert str(got.value) == str(want.value)
+        # the reference itself needs no depth
+        scene.frames[5].depth = scene.frames[0].depth
+        assert list(candidate_ratios(scene, "wall", 3, cfg).items()) == \
+            list(naive_candidate_ratios(scene, "wall", 3, cfg).items())
+
+    def test_replaced_rasters_seen_between_calls(self):
+        rng = np.random.default_rng(3)
+        scene = random_sampler_scene(rng, n_frames=8)
+        cfg = SamplerConfig(n_frames=2)
+        ref = visible_frames(scene, "obj")[0]
+        candidate_ratios(scene, "obj", ref, cfg)  # fill every memo
+        for frame in scene.frames[1:]:
+            if "obj" in frame.masks:
+                frame.masks["obj"] = np.roll(frame.masks["obj"], 1, axis=1)
+        scene.frames[2].depth = np.flipud(scene.frames[2].depth)
+        scene.frames[3].masks.pop("obj", None)
+        assert list(candidate_ratios(scene, "obj", ref, cfg).items()) == \
+            list(naive_candidate_ratios(scene, "obj", ref, cfg).items())
