@@ -10,9 +10,9 @@ Coordinate conventions
 * Frustum: positive-depth half-space (z > z_near) intersected with the
   image rectangle; no far plane.
 
-All operations are pure functions of their inputs, apart from the memo of
-back-projected masks that each ``CameraFrame`` keeps of its own read-only
-rasters.
+All operations are pure functions of their inputs, apart from the memos
+(mask emptiness, back-projected masks) that each ``CameraFrame`` keeps of
+its own read-only rasters.
 """
 
 from dataclasses import dataclass, field
@@ -106,14 +106,26 @@ class PointCloud:
         return self.points.shape[0]
 
 
+def _read_only(raster: np.ndarray) -> np.ndarray:
+    """``raster`` marked read-only; a view of another array is copied first,
+    so that no write through the array it views can reach it."""
+    if raster.base is not None:
+        raster = raster.copy()
+    raster.setflags(write=False)
+    return raster
+
+
 @dataclass
 class CameraFrame:
     """One observation: intrinsics, pose, depth raster, per-object masks.
 
-    The frame marks its depth raster and masks read-only, and memoises each
-    object's back-projected mask (:meth:`object_points`). A raster is
-    changed by replacing it (``frame.depth = ...``, ``frame.masks[k] = ...``),
-    never by writing into it.
+    The frame holds its depth raster and masks read-only (a view is replaced
+    by a copy first) and memoises, per object, whether the mask is nonempty
+    (:meth:`mask_nonempty`) and its back-projected points
+    (:meth:`object_points`). A raster is changed by replacing it
+    (``frame.depth = ...``, ``frame.masks[k] = ...``), never by writing into
+    it. Not covered: a write through some other view of a raster's memory
+    made before the raster was handed to the frame.
     """
 
     frame_id: int
@@ -121,6 +133,7 @@ class CameraFrame:
     pose: CameraPose
     depth: np.ndarray | None = None
     masks: dict = field(default_factory=dict)
+    _nonempty: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -135,36 +148,48 @@ class CameraFrame:
                     f"frame {self.frame_id}: mask '{obj}' shape {mask.shape} != intrinsics {shape}"
                 )
         if self.depth is not None:
-            self.depth.setflags(write=False)
-        for mask in self.masks.values():
-            mask.setflags(write=False)
+            self.depth = _read_only(self.depth)
+        self.masks = {obj: _read_only(mask) for obj, mask in self.masks.items()}
+
+    def mask_nonempty(self, obj_id) -> bool:
+        """Whether the frame holds a nonempty mask for the object, memoised.
+
+        The memo entry is used only while the mask is the very object it was
+        computed from. A mask put into ``masks`` later is made read-only
+        (replaced by a read-only copy if it is a view) when first read here.
+        """
+        mask = self.masks.get(obj_id)
+        if mask is None:
+            return False
+        entry = self._nonempty.get(obj_id)
+        if entry is None or entry[0] is not mask:
+            mask = self.masks[obj_id] = _read_only(mask)
+            entry = self._nonempty[obj_id] = (mask, bool(mask.any()))
+        return entry[1]
 
     def object_points(self, obj_id):
         """``(mask_nonempty, camera_points)`` of one object's mask, memoised.
 
         ``camera_points`` is the :func:`back_project` cloud of the masked
         valid-depth pixels, or None when the frame has no depth raster (or no
-        mask for the object). A memo entry is used only while the mask, the
-        depth raster and the intrinsics are the very objects it was computed
-        from, so a replaced or popped raster is seen at once; the rasters it
-        was computed from are made read-only, so they cannot change in place.
+        mask for the object). It is computed on the first call and kept for
+        the frame's lifetime, 24 bytes per point, and used only while the
+        mask, the depth raster and the intrinsics are the very objects it was
+        computed from, so a replaced or popped raster is seen at once. A
+        depth raster set later is made read-only here like a late mask.
         Concurrent callers may share a frame: a race only repeats the work.
         """
+        nonempty = self.mask_nonempty(obj_id)
         mask, depth, intr = self.masks.get(obj_id), self.depth, self.intrinsics
-        if mask is None:
-            return False, None
+        if mask is None or depth is None:
+            return nonempty, None
         entry = self._points.get(obj_id)
-        if entry is not None and entry[0] is mask and entry[1] is depth and entry[2] is intr:
-            return entry[3]
-        points = None
-        if depth is not None:
+        if entry is None or entry[0] is not mask or entry[1] is not depth or entry[2] is not intr:
+            depth = self.depth = _read_only(depth)
             points = back_project(mask, depth, intr)[0].points
             points.setflags(write=False)
-            depth.setflags(write=False)
-        mask.setflags(write=False)
-        result = (bool(mask.any()), points)
-        self._points[obj_id] = (mask, depth, intr, result)
-        return result
+            entry = self._points[obj_id] = (mask, depth, intr, points)
+        return nonempty, entry[3]
 
 
 class OverlapRatio(NamedTuple):
@@ -301,25 +326,32 @@ def frustum_overlap_ratio(candidate: CameraFrame, obj_mask: np.ndarray,
     return OverlapRatio(inside / n, inside, n)
 
 
-FRUSTUM_BLOCK = 1 << 20  # points per block of the batched frustum test
+FRUSTUM_BLOCK = 1 << 16  # points per block of the shared frustum pass
+# A cloud of at least this many points is tested on its own, with scalar
+# coefficients. Per-point coefficients cost ~85 ns a point in the shared
+# pass; a call of its own costs ~25 us plus ~20 ns a point, so the two
+# break even near 600 points (measured on a 2-vCPU x86 VM, numpy 2.4).
+FRUSTUM_SOLO_POINTS = 512
 
 
-def frustum_overlap_ratios(candidates, obj_id, reference: CameraFrame,
-                           z_near: float = DEFAULT_Z_NEAR) -> list:
+def frustum_overlap_ratios(candidates, obj_id, reference: CameraFrame) -> list:
     """:func:`frustum_overlap_ratio` of many candidates against one reference.
 
     Every candidate must hold a mask for ``obj_id``; its points come from
     the frame's memo (:meth:`CameraFrame.object_points`). The candidate to
-    reference transforms are composed in one stacked matmul, and every
-    point is tested at once, in blocks of at most FRUSTUM_BLOCK points, with
-    the per-point expression of ``kernels.count_in_frustum``. The results
-    equal the per-pair function's bit for bit, in candidate order.
+    reference transforms are composed in one stacked matmul. Clouds of at
+    least FRUSTUM_SOLO_POINTS points are tested one by one; all smaller
+    clouds are tested in one shared pass with per-point coefficients, in
+    blocks of at most FRUSTUM_BLOCK points. Both evaluate the per-point
+    expression of ``kernels.count_in_frustum``, so the results equal the
+    per-pair function's bit for bit, in candidate order.
 
     Raises:
         ValueError: at the first candidate without a depth raster.
     """
     ri = reference.intrinsics
-    camera = tuple(float(c) for c in (ri.fx, ri.fy, ri.cx, ri.cy, ri.width, ri.height, z_near))
+    camera = tuple(float(c) for c in (ri.fx, ri.fy, ri.cx, ri.cy, ri.width, ri.height,
+                                        DEFAULT_Z_NEAR))
     ref_rot, ref_trans = reference.pose.rotation, reference.pose.translation
     clouds = []
     for cand in candidates:
@@ -339,16 +371,23 @@ def frustum_overlap_ratios(candidates, obj_id, reference: CameraFrame,
     counted = (n > 0) & ~same_camera
     inside = np.where(same_camera, n, 0)
     if counted.any():
-        rot = np.matmul(ref_rot.T, cand_rot).transpose(1, 2, 0)
-        trans = np.matmul(ref_rot.T, (cand_trans - ref_trans)[..., None])[..., 0].T
-        # per-point coefficients (3, 3, P) and (3, P), gathered by candidate index
-        seg = np.repeat(np.arange(len(clouds)), np.where(counted, n, 0))
-        pts = np.concatenate([c for c, k in zip(clouds, counted) if k])
-        for lo in range(0, len(pts), FRUSTUM_BLOCK):
-            s = seg[lo:lo + FRUSTUM_BLOCK]
-            ok = kernels.frustum_mask(pts[lo:lo + FRUSTUM_BLOCK], rot[:, :, s], trans[:, s],
-                                      *camera)
-            inside += np.bincount(s[ok], minlength=len(clouds))
+        rot = np.matmul(ref_rot.T, cand_rot)
+        trans = np.matmul(ref_rot.T, (cand_trans - ref_trans)[..., None])[..., 0]
+        solo = counted & (n >= FRUSTUM_SOLO_POINTS)
+        for i in np.flatnonzero(solo):
+            inside[i] = np.count_nonzero(kernels.frustum_mask(clouds[i], rot[i], trans[i],
+                                                              *camera))
+        shared = counted & ~solo
+        if shared.any():
+            # per-point coefficients (3, 3, P) and (3, P), gathered by candidate index
+            rot, trans = rot.transpose(1, 2, 0), trans.T
+            seg = np.repeat(np.arange(len(clouds)), np.where(shared, n, 0))
+            pts = np.concatenate([c for c, k in zip(clouds, shared) if k])
+            for lo in range(0, len(pts), FRUSTUM_BLOCK):
+                s = seg[lo:lo + FRUSTUM_BLOCK]
+                ok = kernels.frustum_mask(pts[lo:lo + FRUSTUM_BLOCK], rot[:, :, s], trans[:, s],
+                                          *camera)
+                inside += np.bincount(s[ok], minlength=len(clouds))
     ratio = np.where(n == 0, 0.0, inside / np.maximum(n, 1))
     return [OverlapRatio(*r) for r in zip(ratio.tolist(), inside.tolist(), n.tolist())]
 

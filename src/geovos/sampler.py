@@ -11,14 +11,18 @@ not visibility.
 Every sampler is deterministic given (scene, config, seed) and pure given
 an owned generator; concurrent callers need independent generator states.
 
-Cost: each frame's mask is back-projected once per process and object. The
-result is memoised on the frame (``CameraFrame.object_points``), and a FOV
-draw then tests every candidate's points against the reference frustum in
-one vectorised pass (``geometry.frustum_overlap_ratios``). The memo's
-contract: frame rasters are immutable (the frame marks its depth raster and
-masks read-only, so writing into one raises), a replaced or popped raster is
-detected by identity and recomputed, and concurrent callers may share a
-scene, since a race on the memo only repeats the same work.
+Cost: whether a frame shows the object is memoised on the frame
+(``CameraFrame.mask_nonempty``), so continuous and random draws never
+back-project. A FOV draw back-projects each candidate frame's mask the first
+time that frame is a candidate, once per process and object, and keeps the
+points on the frame (``CameraFrame.object_points``, 24 bytes per masked
+valid-depth pixel); it then tests every candidate's points against the
+reference frustum in one vectorised pass
+(``geometry.frustum_overlap_ratios``). The memo's contract: frame rasters
+are immutable (the frame holds its depth raster and masks read-only, so
+writing into one raises), a replaced or popped raster is detected by
+identity and recomputed, and concurrent callers may share a scene, since a
+race on the memo only repeats the same work.
 ``frustum_overlap_ratio`` stays importable here as the per-pair reference.
 """
 
@@ -47,9 +51,6 @@ class SamplerConfig:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
         if not 0.0 <= self.p_fov <= 1.0:
             raise ValueError(f"p_fov must be in [0, 1], got {self.p_fov}")
-        if self.max_candidates < self.n_frames - 1:
-            raise ValueError(f"max_candidates must be >= n_frames - 1 = {self.n_frames - 1}, "
-                             f"got {self.max_candidates}")
 
 
 @dataclass
@@ -102,7 +103,7 @@ def _default_obj(scene, obj_id):
 
 def visible_frames(scene, obj_id) -> list:
     """Frame ids where the object's mask exists and is nonempty."""
-    return [f.frame_id for f in scene.frames if f.object_points(obj_id)[0]]
+    return [f.frame_id for f in scene.frames if f.mask_nonempty(obj_id)]
 
 
 def candidate_ratios(scene, obj_id, reference: int, cfg: SamplerConfig) -> dict:
@@ -166,9 +167,13 @@ def sample_fov(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult
     ``fallback_frames``.
 
     Raises:
-        ValueError: when fewer than n_frames visible frames exist (the
-        message carries the available count).
+        ValueError: when cfg.max_candidates < n_frames - 1 (too few
+        candidates to fill a batch), or when fewer than n_frames visible
+        frames exist (the message carries the available count).
     """
+    if cfg.max_candidates < cfg.n_frames - 1:
+        raise ValueError(f"FOV draws need max_candidates >= n_frames - 1 = {cfg.n_frames - 1}, "
+                         f"got {cfg.max_candidates}")
     obj_id = _default_obj(scene, obj_id)
     rng = _as_rng(rng, cfg)
     visible = visible_frames(scene, obj_id)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import make_intrinsics
 from geovos.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
-from geovos.ingest import load_tracks, save_tracks
+from geovos.geometry import CameraFrame, CameraPose
+from geovos.ingest import Scene, load_tracks, save_scene, save_tracks
 from geovos.metrics import MaskTrack
 
 TINY_MERGER = {"selected_layers": ["encoder", 4], "c_in": 4, "c_mid": 4,
@@ -60,6 +62,22 @@ class TestSample:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: --draws must be >= 1, got {draws}"]
         assert not out.exists()
+
+    def test_batch_above_default_max_candidates(self, tmp_path, capsys):
+        # 520 frames need 519 candidates, above the default cap of 512: a
+        # continuous draw works, a FOV draw exits 2 naming the cap
+        intr = make_intrinsics(width=2, height=2)
+        frames = [CameraFrame(fid, intr, CameraPose.identity(), np.full((2, 2), 2.0, np.float32),
+                              {"obj": np.ones((2, 2), bool)}) for fid in range(520)]
+        manifest = save_scene(Scene("long", frames), tmp_path / "scene")
+        out = tmp_path / "r.jsonl"
+        assert main(["sample", "--scene", str(manifest), "--n", "520", "--mode", "continuous",
+                     "--out", str(out)]) == EXIT_OK
+        assert read_lines(out)[1]["item"]["frames"] == list(range(520))
+        code = main(["sample", "--scene", str(manifest), "--n", "520", "--mode", "fov"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: FOV draws need max_candidates >= n_frames - 1 = 519, got 512"]
 
 
 class TestPipeline:

@@ -233,9 +233,11 @@ class TestFrustumOverlap:
         after = frustum_overlap_ratio(moved[0], cand.masks["obj"], moved[1])
         assert abs(after.ratio - base.ratio) < 1e-6
 
-    @pytest.mark.parametrize("block", [1, 7, 1 << 20])
-    def test_batched_matches_per_pair(self, monkeypatch, block):
+    @pytest.mark.parametrize("block, solo", [(1, 1 << 40), (7, 1 << 40), (1 << 20, 1 << 40),
+                                             (7, 1), (7, 3), (1 << 16, 512)])
+    def test_batched_matches_per_pair(self, monkeypatch, block, solo):
         monkeypatch.setattr(geometry, "FRUSTUM_BLOCK", block)
+        monkeypatch.setattr(geometry, "FRUSTUM_SOLO_POINTS", solo)
         for seed in range(20):
             scene = random_sampler_scene(np.random.default_rng(seed), n_frames=8)
             cands = [f for f in scene.frames if "obj" in f.masks]
@@ -280,7 +282,7 @@ class TestFrameMemo:
                             lambda *a: calls.append(1) or original(*a))
         frame = masked_frame()
         first = frame.object_points("o")
-        assert frame.object_points("o") is first
+        assert frame.object_points("o")[1] is first[1]
         assert frame.object_points("missing") == (False, None)
         assert len(calls) == 1
         assert_same_points(first, uncached(frame))
@@ -328,6 +330,35 @@ class TestFrameMemo:
         # a raster added later is frozen once the memo reads it
         frame.masks["late"] = np.ones((4, 4), bool)
         frame.object_points("late")
+        with pytest.raises(ValueError, match="read-only"):
+            frame.masks["late"][0, 0] = False
+
+    def test_views_are_copied(self):
+        # rasters handed over as views of larger buffers: writes through the
+        # buffers must not reach the frame, and the buffers stay writable
+        depth_stack = np.random.default_rng(1).uniform(0.5, 3.0, size=(3, 6, 6))
+        mask_buf = np.random.default_rng(2).random((3, 6, 6)) < 0.5
+        frame = CameraFrame(0, make_intrinsics(width=6, height=6), CameraPose.identity(),
+                            depth_stack[0], {"o": mask_buf[0]})
+        before = frame.object_points("o")
+        want = uncached(frame)
+        assert_same_points(before, want)
+        depth_stack *= 2.0
+        mask_buf[:] = ~mask_buf
+        assert_same_points(frame.object_points("o"), want)
+        assert_same_points(uncached(frame), want)
+        assert depth_stack.flags.writeable and mask_buf.flags.writeable
+        # the same for a mask and a depth raster put in after construction
+        frame.masks["late"] = mask_buf[1]
+        frame.depth = depth_stack[1]
+        want = uncached(frame, "late")
+        assert_same_points(frame.object_points("late"), want)
+        depth_stack *= 2.0
+        mask_buf[:] = ~mask_buf
+        assert_same_points(frame.object_points("late"), want)
+        assert_same_points(uncached(frame, "late"), want)
+        with pytest.raises(ValueError, match="read-only"):
+            frame.depth[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             frame.masks["late"][0, 0] = False
 

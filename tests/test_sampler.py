@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (make_cluster_scene, make_intrinsics, naive_candidate_ratios,
                       naive_frustum_overlap, random_sampler_scene, random_scene_frames)
-from geovos import sampler
+from geovos import geometry, kernels, sampler
 from geovos.geometry import CameraFrame, CameraPose
 from geovos.ingest import Scene
 from geovos.sampler import (SamplerConfig, candidate_ratios, sample_continuous,
@@ -180,15 +180,30 @@ class TestFov:
                 fn(scene, cfg, rng=0, obj_id="obj")
 
     def test_max_candidates_must_fill_a_batch(self):
-        with pytest.raises(ValueError, match="max_candidates must be >= n_frames - 1 = 7, got 2"):
-            SamplerConfig(n_frames=8, max_candidates=2)
         scene = make_gapped_scene(range(20), n_frames=20)
+        short = SamplerConfig(n_frames=8, max_candidates=2, p_fov=1.0)
+        for fn in (sample_fov, sample_mixed):
+            with pytest.raises(ValueError, match="FOV draws need max_candidates >= "
+                                                 "n_frames - 1 = 7, got 2"):
+                fn(scene, short, rng=0, obj_id="obj")
+        # continuous and random draws never read max_candidates
+        for fn in (sample_continuous, sample_random):
+            assert len(fn(scene, short, rng=0, obj_id="obj").frames) == 8
         cfg = SamplerConfig(n_frames=8, max_candidates=7, p_fov=1.0)
         rng = np.random.default_rng(0)
         for fn in (sample_fov, sample_mixed):
             for _ in range(10):
                 res = fn(scene, cfg, rng, obj_id="obj")
                 assert len(res.frames) == 8 and len(res.ratios) == 7
+
+    def test_batch_larger_than_default_max_candidates(self):
+        # 600 frames exceed the default cap of 512 candidates: only FOV draws refuse
+        scene = make_gapped_scene(range(600), n_frames=600, width=2)
+        cfg = SamplerConfig(n_frames=600)
+        assert sample_continuous(scene, cfg, rng=0, obj_id="obj").frames == list(range(600))
+        assert sorted(sample_random(scene, cfg, rng=0, obj_id="obj").frames) == list(range(600))
+        with pytest.raises(ValueError, match="max_candidates >= n_frames - 1 = 599, got 512"):
+            sample_fov(scene, cfg, rng=0, obj_id="obj")
 
     def test_deterministic(self):
         scene = make_cluster_scene()
@@ -230,6 +245,16 @@ class TestVisibility:
         scene.frames[1].masks["obj"] = np.zeros((8, 8), bool)
         assert visible_frames(scene, "obj") == []
 
+    def test_never_back_projects(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernels, "backproject_mask", lambda *a: calls.append(a))
+        scene = random_sampler_scene(np.random.default_rng(5), n_frames=10)
+        cfg = SamplerConfig(n_frames=2)
+        assert visible_frames(scene, "obj")
+        sample_continuous(scene, cfg, rng=0, obj_id="obj")
+        sample_random(scene, cfg, rng=0, obj_id="obj")
+        assert calls == []
+
 
 class TestBatchedRatios:
     """The batched candidate_ratios against the per-pair loop and the
@@ -237,7 +262,10 @@ class TestBatchedRatios:
 
     SEEDS = range(60)
 
-    def test_ratios_match_per_pair_loop_and_oracle(self):
+    @pytest.mark.parametrize("solo", [geometry.FRUSTUM_SOLO_POINTS, 20])
+    def test_ratios_match_per_pair_loop_and_oracle(self, monkeypatch, solo):
+        # at 20 points, clouds go both to the shared pass and to calls of their own
+        monkeypatch.setattr(geometry, "FRUSTUM_SOLO_POINTS", solo)
         seen = dict(same_camera=0, same_camera_no_points=0, no_points=0, partial=0, strided=0)
         for seed in self.SEEDS:
             rng = np.random.default_rng(seed)
@@ -264,7 +292,9 @@ class TestBatchedRatios:
                     seen["partial"] += 0.0 < ratio < 1.0
         assert all(seen.values()), seen
 
-    def test_draws_match_per_pair_loop(self, monkeypatch):
+    @pytest.mark.parametrize("solo", [geometry.FRUSTUM_SOLO_POINTS, 20])
+    def test_draws_match_per_pair_loop(self, monkeypatch, solo):
+        monkeypatch.setattr(geometry, "FRUSTUM_SOLO_POINTS", solo)
         cfg = SamplerConfig(n_frames=3, max_candidates=4, p_fov=0.7)
 
         def draws():
@@ -299,6 +329,18 @@ class TestBatchedRatios:
         scene.frames[5].depth = scene.frames[0].depth
         assert list(candidate_ratios(scene, "wall", 3, cfg).items()) == \
             list(naive_candidate_ratios(scene, "wall", 3, cfg).items())
+
+    def test_back_projects_only_strided_candidates(self, monkeypatch):
+        scene = make_gapped_scene(range(12), n_frames=12)
+        calls = []
+        original = kernels.backproject_mask
+        monkeypatch.setattr(kernels, "backproject_mask",
+                            lambda *a: calls.append(1) or original(*a))
+        cfg = SamplerConfig(n_frames=2, max_candidates=3)
+        ratios = candidate_ratios(scene, "obj", 0, cfg)
+        assert len(ratios) == 3 and len(calls) == 3
+        candidate_ratios(scene, "obj", 0, cfg)
+        assert len(calls) == 3
 
     def test_replaced_rasters_seen_between_calls(self):
         rng = np.random.default_rng(3)
