@@ -10,6 +10,4 @@ generator for exact oracles.
 
 __version__ = "0.1.0"
 
-from ._accel import HAVE_NUMBA, NUMBA_ENABLED
-
-__all__ = ["HAVE_NUMBA", "NUMBA_ENABLED", "__version__"]
+__all__ = ["__version__"]

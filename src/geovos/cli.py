@@ -5,6 +5,10 @@ selection), ``lift`` / ``merge`` / ``eval-3d`` / ``pipeline`` (3D instance
 construction and scoring), ``eval-vos`` (track metrics), ``gradcheck``
 (feature-merger derivative verification).
 
+The 3D commands run only the stages their reports need: ``lift`` lifts and
+scores depth agreement, ``merge`` lifts, merges and votes, and ``pipeline``
+adds AP to that.
+
 Reports are line-oriented JSON with a versioned schema: a header line
 (schema, command, config echo), one line per item, one aggregate line.
 Lines are serialized with sorted keys, so a seeded run is reproducible
@@ -20,7 +24,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +32,7 @@ import numpy as np
 from . import ingest
 from .geometry import CameraIntrinsics, CameraPose
 from .ingest import Box, generate_boxworld
-from .instance3d import MergeConfig, eval_ap, run_pipeline
+from .instance3d import MergeConfig, eval_ap, lift_all, run_pipeline, score_depth, voxel_keys
 from .merger import MergerConfig, grad_check
 from .metrics import MaskTrack, SubsetConfig, pick_conditioning_frame, select_subset, track_metrics
 from .sampler import SamplerConfig, sample_continuous, sample_fov, sample_mixed, sample_random
@@ -190,10 +194,15 @@ def _load_merge_config(path) -> MergeConfig:
     return MergeConfig(**doc)
 
 
-def _merge_config_echo(cfg: MergeConfig) -> dict:
-    return {"voxel_size": cfg.voxel_size, "theta_3d": cfg.theta_3d,
-            "theta_iou": cfg.theta_iou, "theta_prec": cfg.theta_prec,
-            "erosion_radius": cfg.erosion_radius, "eps_rel": cfg.eps_rel}
+def _pipeline_inputs(args):
+    """Scene, tracks (the scene's own without --masks), merge config and
+    config echo of a lift, merge or pipeline run."""
+    scene = ingest.load_scene(args.scene)
+    tracks = ingest.load_tracks(args.masks) if args.masks else scene.tracks()
+    cfg = _load_merge_config(args.merge_config)
+    echo = {"scene": str(args.scene), "masks": str(args.masks) if args.masks else None,
+            "stride": args.stride, "merge_config": asdict(cfg)}
+    return scene, tracks, cfg, echo
 
 
 def _fragment_record(frag) -> dict:
@@ -206,7 +215,6 @@ def _fragment_record(frag) -> dict:
 
 
 def _instance_records(instances, cfg: MergeConfig, voted: bool):
-    from .instance3d import voxel_set
     records = []
     for inst in instances.instances:
         rec = {
@@ -217,33 +225,30 @@ def _instance_records(instances, cfg: MergeConfig, voted: bool):
             rec["superpoint_ids"] = sorted(inst.superpoint_ids or ())
             rec["point_ids"] = [int(i) for i in inst.point_ids]
         else:
-            vox = set()
-            for f in inst.fragments:
-                vox |= voxel_set(f.points.points, cfg.voxel_size)
-            rec["voxels"] = sorted([int(a), int(b), int(c)] for a, b, c in vox)
+            keys = np.concatenate([voxel_keys(f.points.points, cfg.voxel_size)
+                                   for f in inst.fragments])
+            rec["voxels"] = np.unique(keys, axis=0).tolist()
         records.append(rec)
     return records
 
 
 def cmd_lift(args) -> int:
     t0 = time.perf_counter()
-    scene = ingest.load_scene(args.scene)
-    tracks = ingest.load_tracks(args.masks)
-    cfg = _load_merge_config(args.merge_config)
-    result = run_pipeline(scene, tracks, cfg, keyframe_stride=args.stride)
-    report = RunReport("lift", {"scene": str(args.scene), "masks": str(args.masks),
-                                "stride": args.stride, "merge_config": _merge_config_echo(cfg)})
-    report.items = [_fragment_record(f) for f in result.fragments]
+    scene, tracks, cfg, echo = _pipeline_inputs(args)
+    fragments, rejections = lift_all(scene, tracks, cfg, keyframe_stride=args.stride)
+    score_depth(scene.frames, fragments, cfg.eps_rel)
+    report = RunReport("lift", echo)
+    report.items = [_fragment_record(f) for f in fragments]
     if args.points_dir:
         points_dir = Path(args.points_dir)
         points_dir.mkdir(parents=True, exist_ok=True)
-        for f in result.fragments:
+        for f in fragments:
             ingest.save_pointset(points_dir / f"{f.source[0]:04d}_{f.source[1]}.json",
                                  f.points.points)
     report.aggregate = {
-        "n_fragments": len(result.fragments),
+        "n_fragments": len(fragments),
         "rejections": [{"keyframe": int(k), "obj": str(o), "reason": r}
-                       for (k, o), r in result.rejections],
+                       for (k, o), r in rejections],
     }
     _finish(report, args.out, t0)
     return EXIT_OK
@@ -251,12 +256,9 @@ def cmd_lift(args) -> int:
 
 def cmd_merge(args) -> int:
     t0 = time.perf_counter()
-    scene = ingest.load_scene(args.scene)
-    tracks = ingest.load_tracks(args.masks)
-    cfg = _load_merge_config(args.merge_config)
+    scene, tracks, cfg, echo = _pipeline_inputs(args)
     result = run_pipeline(scene, tracks, cfg, keyframe_stride=args.stride)
-    report = RunReport("merge", {"scene": str(args.scene), "masks": str(args.masks),
-                                 "stride": args.stride, "merge_config": _merge_config_echo(cfg)})
+    report = RunReport("merge", echo)
     if result.instances is None:
         report.aggregate = {"n_instances": 0, "voted": False, "warnings": result.warnings}
         _finish(report, args.out, t0)
@@ -283,14 +285,9 @@ def cmd_eval_3d(args) -> int:
 
 def cmd_pipeline(args) -> int:
     t0 = time.perf_counter()
-    scene = ingest.load_scene(args.scene)
-    tracks = ingest.load_tracks(args.masks) if args.masks else scene.tracks()
-    cfg = _load_merge_config(args.merge_config)
+    scene, tracks, cfg, echo = _pipeline_inputs(args)
     result = run_pipeline(scene, tracks, cfg, keyframe_stride=args.stride)
-    report = RunReport("pipeline", {
-        "scene": str(args.scene), "masks": str(args.masks) if args.masks else None,
-        "stride": args.stride, "merge_config": _merge_config_echo(cfg),
-    })
+    report = RunReport("pipeline", echo)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     agg = {

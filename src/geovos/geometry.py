@@ -207,8 +207,8 @@ class OverlapRatio(NamedTuple):
 def apply_rigid(points: np.ndarray, rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
     """Apply ``p' = rot @ p + trans`` to (N, 3) points.
 
-    Written elementwise (not matmul) so both kernel lanes and the python
-    oracles used in tests evaluate the identical IEEE expression.
+    Written elementwise (not matmul) so the kernels and the python oracles
+    used in tests evaluate the identical IEEE expression.
     """
     points = np.asarray(points, dtype=np.float64)
     squeeze = points.ndim == 1

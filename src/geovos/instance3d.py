@@ -1,10 +1,18 @@
 """Class-agnostic 3D instances from tracked 2D masks.
 
-Pipeline: erode each keyframe mask, lift it through depth and pose into a
-world-frame fragment, merge fragments whose 3D voxel overlap or temporal
-2D overlap is high enough (union-find, OR across criteria), then resolve
-duplicate geometry by majority voting at the superpoint level. Evaluation
-follows the usual scan-benchmark AP protocol on point sets.
+The pipeline is a chain of stages that callers compose as they need:
+
+* ``lift_all`` erodes each keyframe mask and lifts it through depth and
+  pose into a world-frame fragment;
+* ``score_depth`` scores each fragment against the later depth rasters
+  (a diagnostic that only ``geovos lift`` reports);
+* ``merge_instances`` joins fragments whose 3D voxel overlap or temporal
+  2D overlap is high enough (union-find, OR across criteria);
+* ``assign_superpoints`` resolves duplicate geometry by majority voting at
+  the superpoint level.
+
+``run_pipeline`` is lift, merge and vote. Evaluation follows the usual
+scan-benchmark AP protocol on point sets.
 """
 
 import os
@@ -121,10 +129,15 @@ def erode(mask: np.ndarray, radius: int) -> np.ndarray:
     return kernels.erode_mask(mask, radius)
 
 
+def voxel_keys(points: np.ndarray, voxel_size: float) -> np.ndarray:
+    """(N, 3) int64 voxel key of every point: floor(coordinate / voxel_size) per axis."""
+    return np.floor(np.asarray(points, dtype=np.float64).reshape(-1, 3) / voxel_size) \
+        .astype(np.int64)
+
+
 def voxel_set(points: np.ndarray, voxel_size: float) -> set:
-    """Voxel keys (floor of coordinate / voxel_size per axis) of a point set."""
-    idx = np.floor(np.asarray(points, dtype=np.float64) / voxel_size).astype(np.int64)
-    return set(map(tuple, idx))
+    """The distinct voxel keys of a point set, as tuples."""
+    return set(map(tuple, voxel_keys(points, voxel_size)))
 
 
 def lift_fragment(mask: np.ndarray, depth: np.ndarray, pose: CameraPose,
@@ -212,11 +225,10 @@ _BLOCK_CELLS = 1 << 20
 def _voxel_ids(point_sets: list, voxel_size: float):
     """Global voxel id of every point of several point sets.
 
-    Keys are those of voxel_set; ids number the distinct keys over all sets.
+    Keys are those of voxel_keys; ids number the distinct keys over all sets.
     Returns (owning set index per point, voxel id per point, id count).
     """
-    keys = [np.floor(np.asarray(p, dtype=np.float64).reshape(-1, 3) / voxel_size)
-            .astype(np.int64) for p in point_sets]
+    keys = [voxel_keys(p, voxel_size) for p in point_sets]
     owner = np.repeat(np.arange(len(keys)), [len(k) for k in keys])
     keys = np.concatenate(keys)
     if len(keys):
@@ -513,19 +525,21 @@ def _thread_cap() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def run_pipeline(scene, tracks: dict, cfg: MergeConfig, keyframe_stride: int = 1) -> PipelineResult:
-    """Lift + merge + vote over a scene and its propagated mask tracks.
+def lift_all(scene, tracks: dict, cfg: MergeConfig, keyframe_stride: int = 1):
+    """Lift every track visible at a keyframe into a fragment.
 
-    For every keyframe (frames strided by ``keyframe_stride``) and every
-    track visible there, the keyframe mask is lifted into a fragment whose
-    temporal track keeps only the forward frames (propagation is
-    forward-only). Each fragment also gets a mean depth-agreement score
-    against the later frames it appears in, as a diagnostic. Lifts fan out
-    over GEOVOS_THREADS; merging and voting are single-threaded and
-    deterministic.
+    For every keyframe (frames strided by ``keyframe_stride``, skipping
+    frames without depth) and every track visible there, the keyframe mask
+    is lifted into a fragment whose temporal track keeps only the forward
+    frames (propagation is forward-only). Lifts fan out over
+    GEOVOS_THREADS; the output order is that of the jobs either way.
+
+    Returns ``(fragments, rejections)``, a rejection being
+    ``((keyframe, obj_id), reason)``.
 
     Raises:
-        ValueError: if a track's length differs from the scene's frame count.
+        ValueError: if a track's length differs from the scene's frame
+        count, or GEOVOS_THREADS is not an integer.
     """
     frames = scene.frames
     for obj_id in sorted(tracks):
@@ -563,7 +577,17 @@ def run_pipeline(scene, tracks: dict, cfg: MergeConfig, keyframe_stride: int = 1
             fragments.append(res.fragment)
         else:
             rejections.append((job, res.reason))
+    return fragments, rejections
 
+
+def score_depth(frames: list, fragments: list, eps_rel: float) -> None:
+    """Set each fragment's ``depth_agreement``.
+
+    The score is the mean depth_agreement_score of the fragment's points
+    against every frame after its keyframe that has depth and, when the
+    fragment has a track, where the track is visible; None when there is
+    no such frame.
+    """
     for frag in fragments:
         k, _ = frag.source
         scores = []
@@ -573,18 +597,27 @@ def run_pipeline(scene, tracks: dict, cfg: MergeConfig, keyframe_stride: int = 1
                 continue
             cam_pts = ref.pose.to_camera(frag.points.points)
             scores.append(depth_agreement_score(
-                PointCloud(cam_pts, "camera"), ref.depth, ref.intrinsics, cfg.eps_rel))
+                PointCloud(cam_pts, "camera"), ref.depth, ref.intrinsics, eps_rel))
         frag.depth_agreement = float(np.mean(scores)) if scores else None
 
-    warnings = []
+
+def run_pipeline(scene, tracks: dict, cfg: MergeConfig, keyframe_stride: int = 1) -> PipelineResult:
+    """lift_all, then merge_instances, then assign_superpoints when the
+    scene has superpoints.
+
+    Depth agreement is not scored here (see score_depth). Merging and
+    voting are single-threaded and deterministic.
+
+    Raises:
+        ValueError: as lift_all.
+    """
+    fragments, rejections = lift_all(scene, tracks, cfg, keyframe_stride)
     if not fragments:
         return PipelineResult([], rejections, None, False, ["no fragments lifted"])
     instances = merge_instances(fragments, cfg)
-    voted = False
-    if getattr(scene, "superpoints", None) is not None and getattr(scene, "scene_points", None) is not None:
-        instances = assign_superpoints(instances, SuperpointPartition(scene.superpoints),
-                                       scene.scene_points, cfg.voxel_size)
-        voted = True
-    else:
-        warnings.append("scene has no superpoints; voting skipped, voxel labels emitted")
-    return PipelineResult(fragments, rejections, instances, voted, warnings)
+    if getattr(scene, "superpoints", None) is None or getattr(scene, "scene_points", None) is None:
+        return PipelineResult(fragments, rejections, instances, False,
+                              ["scene has no superpoints; voting skipped, voxel labels emitted"])
+    instances = assign_superpoints(instances, SuperpointPartition(scene.superpoints),
+                                   scene.scene_points, cfg.voxel_size)
+    return PipelineResult(fragments, rejections, instances, True, [])

@@ -106,17 +106,21 @@ def visible_frames(scene, obj_id) -> list:
     return [f.frame_id for f in scene.frames if f.mask_nonempty(obj_id)]
 
 
-def candidate_ratios(scene, obj_id, reference: int, cfg: SamplerConfig) -> dict:
+def candidate_ratios(scene, obj_id, reference: int, cfg: SamplerConfig, *,
+                     visible: list | None = None) -> dict:
     """Frustum-overlap ratio of every other visible frame w.r.t. a reference.
 
     Long videos are capped at cfg.max_candidates uniformly strided
-    candidates to bound cost.
+    candidates to bound cost. ``visible`` is ``visible_frames(scene,
+    obj_id)`` when the caller already has it.
 
     Raises:
         ValueError: at the first candidate without a depth raster.
     """
     by_id = {f.frame_id: f for f in scene.frames}
-    cands = [fid for fid in visible_frames(scene, obj_id) if fid != reference]
+    if visible is None:
+        visible = visible_frames(scene, obj_id)
+    cands = [fid for fid in visible if fid != reference]
     if len(cands) > cfg.max_candidates:
         idx = np.unique(np.linspace(0, len(cands) - 1, cfg.max_candidates).round().astype(int))
         cands = [cands[i] for i in idx]
@@ -180,7 +184,7 @@ def sample_fov(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult
     if len(visible) < cfg.n_frames:
         raise ValueError(f"need {cfg.n_frames} object-visible frames, scene has {len(visible)}")
     reference = visible[int(rng.integers(0, len(visible)))]
-    ratios = candidate_ratios(scene, obj_id, reference, cfg)
+    ratios = candidate_ratios(scene, obj_id, reference, cfg, visible=visible)
     pool = [fid for fid, r in ratios.items() if r > cfg.tau]
     need = cfg.n_frames - 1
     if len(pool) >= need:

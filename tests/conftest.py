@@ -1,7 +1,7 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here are deliberately plain python loops (or set arithmetic)
-kept separate from the library's vectorized/jitted paths; they share only
+kept separate from the library's vectorized paths; they share only
 the algebraic form of each per-point expression so bitwise comparisons are
 meaningful.
 """
@@ -9,15 +9,8 @@ meaningful.
 import math
 
 import numpy as np
-import pytest
 
-from geovos import kernels
 from geovos.geometry import CameraFrame, CameraIntrinsics, CameraPose
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    kernels.warmup()
 
 
 def make_intrinsics(fx=20.0, fy=20.0, width=16, height=16, cx=None, cy=None):
@@ -102,10 +95,11 @@ def naive_frustum_overlap(candidate: CameraFrame, mask, reference: CameraFrame,
     return (inside / n if n else 0.0), inside, n
 
 
-def naive_candidate_ratios(scene, obj_id, reference, cfg):
+def naive_candidate_ratios(scene, obj_id, reference, cfg, *, visible=None):
     """The per-pair loop over ``frustum_overlap_ratio`` that the batched
     ``sampler.candidate_ratios`` replaced: same candidates, same striding,
-    one back-projection per candidate per call."""
+    one back-projection per candidate per call. A caller's ``visible`` list
+    is ignored: the loop finds the visible frames itself."""
     from geovos.geometry import frustum_overlap_ratio
 
     by_id = {f.frame_id: f for f in scene.frames}

@@ -10,7 +10,6 @@ import pytest
 
 from conftest import (make_cluster_scene, make_intrinsics, naive_frustum_overlap,
                       random_scene_frames)
-from geovos import kernels
 from geovos.cli import boxworld_preset
 from geovos.geometry import frustum_overlap_ratio
 from geovos.ingest import (BadMagicError, BadMaskError, BadPoseError,
@@ -34,7 +33,6 @@ def _report(num, name, ok, detail=""):
 
 
 def test_criterion_1_geometry_oracle_equivalence():
-    kernels.warmup()
     rng = np.random.default_rng(2024)
     t0 = time.perf_counter()
     checked = 0

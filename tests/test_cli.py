@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import make_intrinsics
+from geovos import instance3d
 from geovos.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
-from geovos.geometry import CameraFrame, CameraPose
-from geovos.ingest import Scene, load_tracks, save_scene, save_tracks
+from geovos.geometry import CameraFrame, CameraPose, PointCloud, depth_agreement_score
+from geovos.ingest import Scene, load_scene, load_tracks, save_scene, save_tracks
+from geovos.instance3d import MergeConfig, run_pipeline, voxel_set
 from geovos.metrics import MaskTrack
 
 TINY_MERGER = {"selected_layers": ["encoder", 4], "c_in": 4, "c_mid": 4,
@@ -105,11 +107,7 @@ class TestPipeline:
         assert agg["ap"] == 0.0 and agg["ap50"] == 0.0
 
     def test_missing_superpoints_warns_and_emits_voxels(self, scene_dir, tmp_path, capsys):
-        doc = json.loads((scene_dir / "manifest.json").read_text())
-        doc["superpoints"] = None
-        doc["gt_instances"] = None
-        stripped = scene_dir / "stripped.json"  # same dir: relative paths resolve
-        stripped.write_text(json.dumps(doc))
+        stripped = _strip_superpoints(scene_dir)
         out = tmp_path / "p.jsonl"
         code = main(["pipeline", "--scene", str(stripped),
                      "--masks", str(scene_dir / "tracks" / "tracks.json"),
@@ -191,6 +189,96 @@ class TestPipeline:
         assert code == EXIT_OK
         agg = read_lines(out)[-1]["aggregate"]
         assert agg == {"ap": 1.0, "ap50": 1.0, "ap25": 1.0}
+
+
+def _strip_superpoints(scene_dir):
+    """A manifest of the same scene without superpoints or ground truth."""
+    doc = json.loads((scene_dir / "manifest.json").read_text())
+    doc["superpoints"] = None
+    doc["gt_instances"] = None
+    stripped = scene_dir / "stripped.json"  # same dir: relative paths resolve
+    stripped.write_text(json.dumps(doc))
+    return stripped
+
+
+class TestStages:
+    """Each 3D command runs the stages its report needs and no others."""
+
+    def _count_stages(self, monkeypatch):
+        calls = {"merge_instances": 0, "assign_superpoints": 0, "depth_agreement_score": 0}
+        for name in calls:
+            original = getattr(instance3d, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(instance3d, name, counted)
+        return calls
+
+    def test_lift_reports_depth_agreement_of_plain_loop(self, scene_dir, tmp_path):
+        tracks = load_tracks(scene_dir / "tracks" / "tracks.json")
+        # box1 leaves frame 3: fragments keyed before it skip that frame
+        tracks["box1"] = MaskTrack([None if t == 3 else m
+                                    for t, m in enumerate(tracks["box1"].masks)])
+        masks = save_tracks(tracks, tmp_path / "gap")
+        mc = tmp_path / "merge.json"
+        mc.write_text(json.dumps({"eps_rel": 0.002}))
+        out = tmp_path / "frags.jsonl"
+        assert main(["lift", "--scene", str(scene_dir / "manifest.json"), "--masks", str(masks),
+                     "--merge-config", str(mc), "--out", str(out)]) == EXIT_OK
+        frames = load_scene(scene_dir / "manifest.json").frames
+        items = [line["item"] for line in read_lines(out)[1:-1]]
+        assert items
+        seen_none = seen_gap = False
+        for item in items:
+            k, obj = item["source"]
+            pts = np.array(item["points"])
+            scores = []
+            for t in range(k + 1, len(frames)):
+                ref = frames[t]
+                if ref.depth is None or not tracks[obj].visible(t):
+                    seen_gap |= t == 3
+                    continue
+                scores.append(depth_agreement_score(PointCloud(ref.pose.to_camera(pts), "camera"),
+                                                    ref.depth, ref.intrinsics, 0.002))
+            want = float(np.mean(scores)) if scores else None
+            assert item["depth_agreement"] == want, item["source"]
+            seen_none |= want is None
+        assert seen_none and seen_gap
+        assert len({item["depth_agreement"] for item in items}) > 3
+
+    def test_lift_neither_merges_nor_votes(self, scene_dir, monkeypatch):
+        calls = self._count_stages(monkeypatch)
+        assert main(["lift", "--scene", str(scene_dir / "manifest.json"),
+                     "--masks", str(scene_dir / "tracks" / "tracks.json")]) == EXIT_OK
+        assert calls["merge_instances"] == calls["assign_superpoints"] == 0
+        assert calls["depth_agreement_score"] > 0
+
+    @pytest.mark.parametrize("command", ["merge", "pipeline"])
+    def test_merge_and_pipeline_score_no_depth(self, scene_dir, monkeypatch, command):
+        calls = self._count_stages(monkeypatch)
+        assert main([command, "--scene", str(scene_dir / "manifest.json"),
+                     "--masks", str(scene_dir / "tracks" / "tracks.json")]) == EXIT_OK
+        assert calls == {"merge_instances": 1, "assign_superpoints": 1,
+                         "depth_agreement_score": 0}
+
+    def test_voxel_records_equal_voxel_set_union(self, scene_dir, tmp_path):
+        stripped = _strip_superpoints(scene_dir)
+        out = tmp_path / "m.jsonl"
+        assert main(["merge", "--scene", str(stripped),
+                     "--masks", str(scene_dir / "tracks" / "tracks.json"),
+                     "--out", str(out)]) == EXIT_OK
+        records = [line["item"] for line in read_lines(out)[1:-1]]
+        cfg = MergeConfig()
+        result = run_pipeline(load_scene(stripped),
+                              load_tracks(scene_dir / "tracks" / "tracks.json"), cfg)
+        assert not result.voted and len(records) == len(result.instances) == 2
+        for rec, inst in zip(records, result.instances.instances):
+            union = set().union(*(voxel_set(f.points.points, cfg.voxel_size)
+                                  for f in inst.fragments))
+            assert rec["voxels"] == sorted([int(a), int(b), int(c)] for a, b, c in union)
+        assert any(c < 0 for rec in records for key in rec["voxels"] for c in key)
 
 
 class TestEvalVos:

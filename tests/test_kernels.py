@@ -1,118 +1,19 @@
-"""Numba and numpy kernel lanes must agree bit-for-bit."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Kernel behaviour that no geometry oracle covers."""
 
 import numpy as np
 import pytest
 
-from conftest import make_intrinsics, random_pose, random_scene_frames
-import geovos
-from geovos import _accel, kernels
-from geovos._accel import HAVE_NUMBA
-
-numba_only = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
+from geovos import kernels
 
 
-def _random_inputs(seed):
-    rng = np.random.default_rng(seed)
-    intr = make_intrinsics()
-    frame = random_scene_frames(rng, 1, intr)[0]
-    pts = rng.normal(size=(80, 3)) + [0, 0, 2.0]
-    pose = random_pose(rng)
-    return intr, frame, pts, pose
-
-
-@numba_only
-class TestLaneEquivalence:
-    def test_backproject(self):
-        for seed in range(5):
-            _, frame, _, _ = _random_inputs(seed)
-            mask = frame.masks["obj"]
-            depth = frame.depth.astype(np.float64)
-            a_pts, a_sk = kernels._backproject_mask_numba(
-                mask, depth, 20.0, 20.0, 7.5, 7.5)
-            b_pts, b_sk = kernels._backproject_mask_numpy(
-                mask, depth, 20.0, 20.0, 7.5, 7.5)
-            assert a_sk == b_sk
-            np.testing.assert_array_equal(a_pts, b_pts)
-
-    def test_count_in_frustum(self):
-        for seed in range(5):
-            intr, _, pts, pose = _random_inputs(seed)
-            rot, trans = pose.rotation, pose.translation
-            args = (pts, rot, trans, intr.fx, intr.fy, intr.cx, intr.cy,
-                    float(intr.width), float(intr.height), 1e-4)
-            assert kernels._count_in_frustum_numba(*args) == \
-                kernels._count_in_frustum_numpy(*args)
-
-    def test_depth_agreement(self):
-        for seed in range(5):
-            intr, frame, pts, _ = _random_inputs(seed)
-            depth = frame.depth.astype(np.float64)
-            args = (pts, depth, intr.fx, intr.fy, intr.cx, intr.cy, 0.05)
-            assert kernels._depth_agreement_numba(*args) == \
-                kernels._depth_agreement_numpy(*args)
-
-    def test_erode_step(self):
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            mask = rng.random((20, 20)) < 0.6
-            np.testing.assert_array_equal(
-                kernels._erode_once_numba(mask), kernels._erode_once_numpy(mask))
-
-    def test_render_boxes(self):
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            origin = rng.normal(size=3) * 3.0
-            dirs = rng.normal(size=(12, 12, 3))
-            lo = rng.uniform(-1, 0, size=(3, 3))
-            boxes = np.concatenate([lo, lo + rng.uniform(0.2, 1.0, size=(3, 3))], axis=1)
-            d_a, o_a = kernels._render_boxes_numba(origin, dirs, boxes, 1e-9)
-            d_b, o_b = kernels._render_boxes_numpy(origin, dirs, boxes, 1e-9)
-            np.testing.assert_array_equal(d_a, d_b)
-            np.testing.assert_array_equal(o_a, o_b)
-
-    def test_render_axis_parallel_rays(self):
-        # rays with exact zero components exercise the parallel-slab branch
-        origin = np.array([0.5, 0.5, -2.0])
-        dirs = np.zeros((2, 2, 3))
-        dirs[..., 2] = 1.0
-        boxes = np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
-        d_a, o_a = kernels._render_boxes_numba(origin, dirs, boxes, 1e-9)
-        d_b, o_b = kernels._render_boxes_numpy(origin, dirs, boxes, 1e-9)
-        np.testing.assert_array_equal(d_a, d_b)
-        np.testing.assert_array_equal(o_a, o_b)
-        assert np.all(d_a == 2.0) and np.all(o_a == 0)
-
-
-def test_env_flag_selects_numpy_lane(monkeypatch):
-    # Control: with the flag unset the environment asks for numba, so the
-    # child's assertion below can only pass if GEOVOS_NUMBA=0 is honoured.
-    monkeypatch.delenv("GEOVOS_NUMBA", raising=False)
-    assert _accel._env_wants_numba()
-
-    code = (
-        "import geovos, geovos.kernels as k, numpy as np\n"
-        "from geovos import _accel\n"
-        "assert not _accel._env_wants_numba()\n"
-        "assert not geovos.NUMBA_ENABLED\n"
-        "pts, sk = k.backproject_mask(np.ones((2,2),bool), np.ones((2,2)), 1, 1, .5, .5)\n"
-        "assert pts.shape == (4, 3) and sk == 0\n"
-        "print('ok')\n"
-    )
-    # The child inherits the caller's environment and imports the same
-    # geovos as this process, however pytest was started.
-    src_dir = str(Path(geovos.__file__).resolve().parents[1])
-    python_path = os.pathsep.join(
-        p for p in (src_dir, os.environ.get("PYTHONPATH", "")) if p)
-    env = {**os.environ, "GEOVOS_NUMBA": "0", "PYTHONPATH": python_path}
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+def test_render_axis_parallel_rays():
+    # rays with exact zero components exercise the parallel-slab branch
+    origin = np.array([0.5, 0.5, -2.0])
+    dirs = np.zeros((2, 2, 3))
+    dirs[..., 2] = 1.0
+    boxes = np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
+    depth, owner = kernels.render_boxes(origin, dirs, boxes, 1e-9)
+    assert np.all(depth == 2.0) and np.all(owner == 0)
 
 
 def test_erode_radius_validation():
