@@ -17,7 +17,6 @@ the report.
 
 Exit codes: 0 success, 1 metric/check failure, 2 input error.
 All paths are relative to the current working directory unless absolute.
-The env var GEOVOS_THREADS caps pipeline fan-out.
 """
 
 import argparse
@@ -198,7 +197,7 @@ def _pipeline_inputs(args):
     """Scene, tracks (the scene's own without --masks), merge config and
     config echo of a lift, merge or pipeline run."""
     scene = ingest.load_scene(args.scene)
-    tracks = ingest.load_tracks(args.masks) if args.masks else scene.tracks()
+    tracks = ingest.load_tracks(args.masks, scene) if args.masks else scene.tracks()
     cfg = _load_merge_config(args.merge_config)
     echo = {"scene": str(args.scene), "masks": str(args.masks) if args.masks else None,
             "stride": args.stride, "merge_config": asdict(cfg)}
@@ -210,7 +209,7 @@ def _fragment_record(frag) -> dict:
         "source": [int(frag.source[0]), str(frag.source[1])],
         "n_points": frag.n_points,
         "depth_agreement": frag.depth_agreement,
-        "points": [[float(c) for c in p] for p in frag.points.points],
+        "points": frag.points.points.tolist(),
     }
 
 

@@ -10,12 +10,13 @@ Coordinate conventions
 * Frustum: positive-depth half-space (z > z_near) intersected with the
   image rectangle; no far plane.
 
-All operations are pure functions of their inputs, apart from the memos
-(mask emptiness, back-projected masks) that each ``CameraFrame`` keeps of
-its own read-only rasters.
+All operations are pure functions of their inputs, apart from the memo of
+back-projected masks that each immutable ``CameraFrame`` keeps.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -115,25 +116,27 @@ def _read_only(raster: np.ndarray) -> np.ndarray:
     return raster
 
 
-@dataclass
+@dataclass(frozen=True)
 class CameraFrame:
     """One observation: intrinsics, pose, depth raster, per-object masks.
 
-    The frame holds its depth raster and masks read-only (a view is replaced
-    by a copy first) and memoises, per object, whether the mask is nonempty
-    (:meth:`mask_nonempty`) and its back-projected points
-    (:meth:`object_points`). A raster is changed by replacing it
-    (``frame.depth = ...``, ``frame.masks[k] = ...``), never by writing into
-    it. Not covered: a write through some other view of a raster's memory
-    made before the raster was handed to the frame.
+    A frame is immutable: its fields cannot be reassigned, ``masks`` is a
+    read-only mapping, and the depth raster and masks are read-only arrays
+    (a view of another array is copied first). A changed frame is a new
+    frame (``dataclasses.replace``) with memos of its own. Which objects
+    have a nonempty mask is found once, at construction
+    (:meth:`mask_nonempty`); each object's back-projected points are
+    memoised on first use (:meth:`object_points`). Not covered: a write
+    through some other view of a raster's memory made before the raster was
+    handed to the frame.
     """
 
     frame_id: int
     intrinsics: CameraIntrinsics
     pose: CameraPose
     depth: np.ndarray | None = None
-    masks: dict = field(default_factory=dict)
-    _nonempty: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    masks: Mapping = field(default_factory=dict)
+    _visible: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
     _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -147,49 +150,40 @@ class CameraFrame:
                 raise ValueError(
                     f"frame {self.frame_id}: mask '{obj}' shape {mask.shape} != intrinsics {shape}"
                 )
+        masks = {obj: _read_only(mask) for obj, mask in self.masks.items()}
         if self.depth is not None:
-            self.depth = _read_only(self.depth)
-        self.masks = {obj: _read_only(mask) for obj, mask in self.masks.items()}
+            object.__setattr__(self, "depth", _read_only(self.depth))
+        object.__setattr__(self, "masks", MappingProxyType(masks))
+        object.__setattr__(self, "_visible", frozenset(obj for obj, m in masks.items() if m.any()))
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled or copied: rebuild from a plain dict
+        return type(self), (self.frame_id, self.intrinsics, self.pose, self.depth,
+                            dict(self.masks))
 
     def mask_nonempty(self, obj_id) -> bool:
-        """Whether the frame holds a nonempty mask for the object, memoised.
-
-        The memo entry is used only while the mask is the very object it was
-        computed from. A mask put into ``masks`` later is made read-only
-        (replaced by a read-only copy if it is a view) when first read here.
-        """
-        mask = self.masks.get(obj_id)
-        if mask is None:
-            return False
-        entry = self._nonempty.get(obj_id)
-        if entry is None or entry[0] is not mask:
-            mask = self.masks[obj_id] = _read_only(mask)
-            entry = self._nonempty[obj_id] = (mask, bool(mask.any()))
-        return entry[1]
+        """Whether the frame holds a nonempty mask for the object."""
+        return obj_id in self._visible
 
     def object_points(self, obj_id):
         """``(mask_nonempty, camera_points)`` of one object's mask, memoised.
 
         ``camera_points`` is the :func:`back_project` cloud of the masked
-        valid-depth pixels, or None when the frame has no depth raster (or no
-        mask for the object). It is computed on the first call and kept for
-        the frame's lifetime, 24 bytes per point, and used only while the
-        mask, the depth raster and the intrinsics are the very objects it was
-        computed from, so a replaced or popped raster is seen at once. A
-        depth raster set later is made read-only here like a late mask.
-        Concurrent callers may share a frame: a race only repeats the work.
+        valid-depth pixels (read-only), or None when the frame has no depth
+        raster or no mask for the object. It is computed on the first call
+        and kept for the frame's lifetime, 24 bytes per point. Concurrent
+        callers may share a frame: a race only repeats the work.
         """
-        nonempty = self.mask_nonempty(obj_id)
-        mask, depth, intr = self.masks.get(obj_id), self.depth, self.intrinsics
-        if mask is None or depth is None:
+        nonempty = obj_id in self._visible
+        mask = self.masks.get(obj_id)
+        if mask is None or self.depth is None:
             return nonempty, None
-        entry = self._points.get(obj_id)
-        if entry is None or entry[0] is not mask or entry[1] is not depth or entry[2] is not intr:
-            depth = self.depth = _read_only(depth)
-            points = back_project(mask, depth, intr)[0].points
+        points = self._points.get(obj_id)
+        if points is None:
+            points = back_project(mask, self.depth, self.intrinsics)[0].points
             points.setflags(write=False)
-            entry = self._points[obj_id] = (mask, depth, intr, points)
-        return nonempty, entry[3]
+            self._points[obj_id] = points
+        return nonempty, points
 
 
 class OverlapRatio(NamedTuple):
@@ -219,11 +213,6 @@ def apply_rigid(points: np.ndarray, rot: np.ndarray, trans: np.ndarray) -> np.nd
     out[:, 1] = rot[1, 0] * px + rot[1, 1] * py + rot[1, 2] * pz + trans[1]
     out[:, 2] = rot[2, 0] * px + rot[2, 1] * py + rot[2, 2] * pz + trans[2]
     return out[0] if squeeze else out
-
-
-def valid_depth_mask(depth: np.ndarray) -> np.ndarray:
-    """True where a depth raster holds a valid (finite, positive) value."""
-    return np.isfinite(depth) & (depth > 0)
 
 
 def back_project(mask: np.ndarray, depth: np.ndarray, intr: CameraIntrinsics,

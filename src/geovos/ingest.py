@@ -211,7 +211,7 @@ def _read_json(path, what: str):
 def save_superpoints(path, points: np.ndarray, labels: np.ndarray):
     _write_json(path, {
         "schema": SUPERPOINTS_SCHEMA,
-        "points": [[float(c) for c in p] for p in np.asarray(points).reshape(-1, 3)],
+        "points": np.asarray(points, dtype=np.float64).reshape(-1, 3).tolist(),
         "labels": [int(x) for x in np.asarray(labels).reshape(-1)],
     })
 
@@ -261,7 +261,7 @@ def save_pointset(path, points: np.ndarray):
     """Write a bare world-frame point set (the fragment exchange format)."""
     _write_json(path, {
         "schema": POINTSET_SCHEMA,
-        "points": [[float(c) for c in p] for p in np.asarray(points).reshape(-1, 3)],
+        "points": np.asarray(points, dtype=np.float64).reshape(-1, 3).tolist(),
     })
 
 
@@ -316,18 +316,31 @@ def save_tracks(tracks: dict, out_dir, name="tracks.json"):
     return path
 
 
-def load_tracks(path) -> dict:
+def load_tracks(path, scene=None) -> dict:
+    """Load mask tracks written by save_tracks.
+
+    With a ``scene``, every mask at a frame the scene has must match that
+    frame's intrinsics; a mismatch raises BadMaskError naming the tracks
+    file, the object, the frame and both sizes.
+    """
     path = Path(path)
     doc = _read_json(path, "tracks")
     if doc.get("schema") != TRACKS_SCHEMA:
         raise ManifestError(f"{path}: schema must be {TRACKS_SCHEMA}")
     length = int(doc.get("length", 0))
+    frames = scene.frames if scene is not None else []
     tracks = {}
     for obj_id, entries in doc.get("tracks", {}).items():
         if len(entries) != length:
             raise ManifestError(f"{path}: track '{obj_id}' has {len(entries)} frames, "
                                 f"manifest says {length}")
         masks = [None if rel is None else load_mask_pgm(path.parent / rel) for rel in entries]
+        for t, (mask, frame) in enumerate(zip(masks, frames)):
+            intr = frame.intrinsics
+            if mask is not None and mask.shape != (intr.height, intr.width):
+                raise BadMaskError(f"{path}: track '{obj_id}' frame {t}: mask is "
+                                   f"{mask.shape[1]}x{mask.shape[0]}, frame is "
+                                   f"{intr.width}x{intr.height}")
         tracks[obj_id] = MaskTrack(masks)
     return tracks
 

@@ -15,8 +15,6 @@ The pipeline is a chain of stages that callers compose as they need:
 scan-benchmark AP protocol on point sets.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -447,16 +445,16 @@ def _point_iou(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union if union else 0.0
 
 
-def _ap_at(pred, gt_sets, threshold: float) -> float:
-    n_gt = len(gt_sets)
+def _ap_at(ious: list, n_gt: int, threshold: float) -> float:
+    """AP at one IoU threshold; ``ious[i][j]`` is prediction i's IoU with
+    ground truth j, predictions in matching order."""
     matched = [False] * n_gt
     tp = []
-    for pset in pred:
+    for row in ious:
         best_iou, best_j = 0.0, -1
-        for j, gset in enumerate(gt_sets):
+        for j, iou in enumerate(row):
             if matched[j]:
                 continue
-            iou = _point_iou(pset, gset)
             if iou > best_iou:
                 best_iou, best_j = iou, j
         if best_j >= 0 and best_iou >= threshold:
@@ -481,8 +479,10 @@ def eval_ap(pred: InstanceSet, gt: InstanceSet, band=AP_BAND) -> dict:
     """Class-agnostic AP of predicted vs ground-truth instances.
 
     Predictions are sorted by confidence (descending, stable) and greedily
-    matched one-to-one to ground truth at point-set IoU >= t. Returns
-    {"ap": mean over ``band``, "ap50": t=0.5, "ap25": t=0.25}.
+    matched one-to-one to ground truth at point-set IoU >= t. Each
+    prediction x ground-truth IoU is computed once and read at every
+    threshold. Returns {"ap": mean over ``band``, "ap50": t=0.5,
+    "ap25": t=0.25}.
 
     Raises:
         ValueError: if the ground-truth set is empty or point ids are
@@ -498,7 +498,8 @@ def eval_ap(pred: InstanceSet, gt: InstanceSet, band=AP_BAND) -> dict:
     gt_sets = [np.unique(i.point_ids) for i in gt.instances]
     order = sorted(range(len(pred)), key=lambda k: (-pred.instances[k].confidence, k))
     pred_sets = [np.unique(pred.instances[k].point_ids) for k in order]
-    aps = {t: _ap_at(pred_sets, gt_sets, t) for t in set(band) | {0.5, 0.25}}
+    ious = [[_point_iou(p, g) for g in gt_sets] for p in pred_sets]
+    aps = {t: _ap_at(ious, len(gt_sets), t) for t in set(band) | {0.5, 0.25}}
     return {
         "ap": float(np.mean([aps[t] for t in band])),
         "ap50": aps[0.5],
@@ -515,68 +516,41 @@ class PipelineResult:
     warnings: list
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("GEOVOS_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(f"GEOVOS_THREADS must be an integer, got {raw!r}") from None
-    return min(8, os.cpu_count() or 1)
-
-
 def lift_all(scene, tracks: dict, cfg: MergeConfig, keyframe_stride: int = 1):
     """Lift every track visible at a keyframe into a fragment.
 
     For every keyframe (frames strided by ``keyframe_stride``, skipping
-    frames without depth) and every track visible there, the keyframe mask
-    is lifted into a fragment whose temporal track keeps only the forward
-    frames (propagation is forward-only). Lifts fan out over
-    GEOVOS_THREADS; the output order is that of the jobs either way.
+    frames without depth) and every track visible there, in that order, the
+    keyframe mask is lifted into a fragment whose temporal track keeps only
+    the forward frames (propagation is forward-only).
 
     Returns ``(fragments, rejections)``, a rejection being
     ``((keyframe, obj_id), reason)``.
 
     Raises:
-        ValueError: if a track's length differs from the scene's frame
-        count, or GEOVOS_THREADS is not an integer.
+        ValueError: if a track's length differs from the scene's frame count.
     """
     frames = scene.frames
     for obj_id in sorted(tracks):
         if len(tracks[obj_id]) != len(frames):
             raise ValueError(f"track '{obj_id}' has {len(tracks[obj_id])} frames, "
                              f"scene has {len(frames)}")
-    jobs = []
+    fragments, rejections = [], []
     for k in range(0, len(frames), max(1, keyframe_stride)):
         frame = frames[k]
         if frame.depth is None:
             continue
         for obj_id in sorted(tracks):
             track = tracks[obj_id]
-            if track.visible(k):
-                jobs.append((k, obj_id))
-
-    def _lift(job):
-        k, obj_id = job
-        frame = frames[k]
-        track = tracks[obj_id]
-        fwd = MaskTrack([None] * k + list(track.masks[k:]))
-        return lift_fragment(track.masks[k], frame.depth, frame.pose,
-                             frame.intrinsics, cfg, source=(k, obj_id), track=fwd)
-
-    workers = _thread_cap()
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_lift, jobs))
-    else:
-        results = [_lift(j) for j in jobs]
-
-    fragments, rejections = [], []
-    for job, res in zip(jobs, results):
-        if res.ok:
-            fragments.append(res.fragment)
-        else:
-            rejections.append((job, res.reason))
+            if not track.visible(k):
+                continue
+            fwd = MaskTrack([None] * k + list(track.masks[k:]))
+            res = lift_fragment(track.masks[k], frame.depth, frame.pose,
+                                frame.intrinsics, cfg, source=(k, obj_id), track=fwd)
+            if res.ok:
+                fragments.append(res.fragment)
+            else:
+                rejections.append(((k, obj_id), res.reason))
     return fragments, rejections
 
 

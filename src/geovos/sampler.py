@@ -11,18 +11,15 @@ not visibility.
 Every sampler is deterministic given (scene, config, seed) and pure given
 an owned generator; concurrent callers need independent generator states.
 
-Cost: whether a frame shows the object is memoised on the frame
-(``CameraFrame.mask_nonempty``), so continuous and random draws never
-back-project. A FOV draw back-projects each candidate frame's mask the first
-time that frame is a candidate, once per process and object, and keeps the
-points on the frame (``CameraFrame.object_points``, 24 bytes per masked
-valid-depth pixel); it then tests every candidate's points against the
-reference frustum in one vectorised pass
-(``geometry.frustum_overlap_ratios``). The memo's contract: frame rasters
-are immutable (the frame holds its depth raster and masks read-only, so
-writing into one raises), a replaced or popped raster is detected by
-identity and recomputed, and concurrent callers may share a scene, since a
-race on the memo only repeats the same work.
+Cost: frames are immutable, so whether a frame shows the object is found
+once, when the frame is built (``CameraFrame.mask_nonempty``), and
+continuous and random draws never back-project. A FOV draw back-projects
+each candidate frame's mask the first time that frame is a candidate, once
+per frame and object, and keeps the points on the frame
+(``CameraFrame.object_points``, 24 bytes per masked valid-depth pixel); it
+then tests every candidate's points against the reference frustum in one
+vectorised pass (``geometry.frustum_overlap_ratios``). Concurrent callers
+may share a scene: a race on the memo only repeats the same work.
 ``frustum_overlap_ratio`` stays importable here as the per-pair reference.
 """
 

@@ -52,6 +52,27 @@ def random_scene_frames(rng, n_frames, intr, max_masked=100, invalid_frac=0.2):
 
 
 # ---------------------------------------------------------------------------
+# back-projection oracle: pure python per-pixel loop
+
+
+def naive_back_project(mask, depth, intr):
+    """``(points, skipped)`` of the masked pixels in row-major order: each
+    valid (finite, positive) depth d gives ``((u - cx) * d / fx,
+    (v - cy) * d / fy, d)``, each invalid one is skipped and counted."""
+    points, skipped = [], 0
+    for v in range(intr.height):
+        for u in range(intr.width):
+            if not mask[v, u]:
+                continue
+            d = float(depth[v, u])
+            if not (math.isfinite(d) and d > 0.0):
+                skipped += 1
+                continue
+            points.append(((u - intr.cx) * d / intr.fx, (v - intr.cy) * d / intr.fy, d))
+    return np.array(points, np.float64).reshape(-1, 3), skipped
+
+
+# ---------------------------------------------------------------------------
 # frustum-overlap oracle: pure python per-point loop
 
 
@@ -246,3 +267,52 @@ def naive_assign_superpoints(instances, partition, scene_points, voxel_size):
                             superpoint_ids=sp_ids,
                             point_ids=np.nonzero(member)[0].astype(np.int64)))
     return InstanceSet(out)
+
+
+# ---------------------------------------------------------------------------
+# AP oracle: the greedy matching loop run afresh at every threshold, each
+# IoU computed where the loop needs it
+
+
+def naive_eval_ap(pred, gt, band=None):
+    from geovos.instance3d import AP_BAND
+
+    band = AP_BAND if band is None else band
+
+    def point_iou(a, b):
+        inter = np.intersect1d(a, b, assume_unique=True).size
+        union = a.size + b.size - inter
+        return inter / union if union else 0.0
+
+    def ap_at(pred_sets, gt_sets, threshold):
+        matched = [False] * len(gt_sets)
+        tp = []
+        for pset in pred_sets:
+            best_iou, best_j = 0.0, -1
+            for j, gset in enumerate(gt_sets):
+                if matched[j]:
+                    continue
+                iou = point_iou(pset, gset)
+                if iou > best_iou:
+                    best_iou, best_j = iou, j
+            if best_j >= 0 and best_iou >= threshold:
+                matched[best_j] = True
+                tp.append(1)
+            else:
+                tp.append(0)
+        if not tp:
+            return 0.0
+        cum = np.cumsum(tp)
+        recall = cum / len(gt_sets)
+        precision = cum / np.arange(1, len(tp) + 1)
+        mrec = np.concatenate([[0.0], recall])
+        mpre = np.concatenate([[1.0], precision])
+        for i in range(len(mpre) - 2, -1, -1):
+            mpre[i] = max(mpre[i], mpre[i + 1])
+        return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
+
+    gt_sets = [np.unique(i.point_ids) for i in gt.instances]
+    order = sorted(range(len(pred)), key=lambda k: (-pred.instances[k].confidence, k))
+    pred_sets = [np.unique(pred.instances[k].point_ids) for k in order]
+    aps = {t: ap_at(pred_sets, gt_sets, t) for t in set(band) | {0.5, 0.25}}
+    return {"ap": float(np.mean([aps[t] for t in band])), "ap50": aps[0.5], "ap25": aps[0.25]}

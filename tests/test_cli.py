@@ -175,12 +175,20 @@ class TestPipeline:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and str(mc) in err[0] and named in err[0]
 
-    def test_malformed_thread_count_exit_2(self, scene_dir, monkeypatch, capsys):
-        monkeypatch.setenv("GEOVOS_THREADS", "abc")
-        code = main(["pipeline", "--scene", str(scene_dir / "manifest.json")])
+    @pytest.mark.parametrize("command", ["pipeline", "lift", "merge"])
+    def test_track_mask_of_wrong_size_exit_2(self, scene_dir, tmp_path, capsys, command):
+        tracks = load_tracks(scene_dir / "tracks" / "tracks.json")
+        obj = sorted(tracks)[-1]
+        t = max(k for k, m in enumerate(tracks[obj].masks) if m is not None)
+        masks = list(tracks[obj].masks)
+        masks[t] = np.ones((40, 40), bool)
+        path = save_tracks({**tracks, obj: MaskTrack(masks)}, tmp_path / "big")
+        code = main([command, "--scene", str(scene_dir / "manifest.json"),
+                     "--masks", str(path)])
         assert code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "GEOVOS_THREADS" in err[0] and "'abc'" in err[0]
+        assert err == [f"error: {path}: track '{obj}' frame {t}: mask is 40x40, "
+                       f"frame is 32x32"]
 
     def test_eval_3d_self(self, scene_dir, tmp_path):
         out = tmp_path / "e.jsonl"

@@ -1,11 +1,13 @@
 """Geometry: back-projection, transforms, frustums, depth agreement."""
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
-from conftest import (make_intrinsics, naive_frustum_overlap, random_pose,
+from conftest import (make_intrinsics, naive_back_project, naive_frustum_overlap, random_pose,
                       random_rotation, random_sampler_scene, random_scene_frames)
 from geovos import geometry, kernels
 from geovos.geometry import (CameraFrame, CameraIntrinsics, CameraPose, PointCloud,
@@ -99,6 +101,42 @@ class TestBackProject:
             back_project(np.ones((5, 4), bool), np.ones((5, 4)), intr)
         with pytest.raises(ValueError):
             back_project(np.ones((4, 4), bool), np.ones((4, 5)), intr)
+
+    def test_matches_per_pixel_loop(self):
+        # bit for bit and in row-major order, on masks of every memory layout
+        # and on float32 / float64 depths holding NaN, +-inf, 0 and negatives
+        specials = np.array([np.nan, np.inf, -np.inf, 0.0, -1.5])
+        layouts = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            h, w = (int(x) for x in rng.integers(1, 24, size=2))
+            intr = make_intrinsics(fx=float(rng.uniform(5, 40)), fy=float(rng.uniform(5, 40)),
+                                   width=w, height=h, cx=float(rng.uniform(-2, w + 2)),
+                                   cy=float(rng.uniform(-2, h + 2)))
+            depth = rng.uniform(0.1, 8.0, size=(h, w))
+            bad = rng.random((h, w)) < 0.3
+            depth[bad] = rng.choice(specials, size=int(bad.sum()))
+            depth = depth.astype(rng.choice([np.float32, np.float64]))
+            mask = rng.random((h, w)) < rng.uniform(0.0, 1.0)
+            layout = seed % 4
+            if layout == 1:  # Fortran order
+                mask, depth = np.asfortranarray(mask), np.asfortranarray(depth)
+            elif layout == 2:  # strided views into larger buffers
+                mask_buf = np.zeros((2 * h, 3 * w), bool)
+                mask_buf[::2, ::3] = mask
+                depth_buf = np.zeros((2 * h, 3 * w), depth.dtype)
+                depth_buf[::2, ::3] = depth
+                mask, depth = mask_buf[::2, ::3], depth_buf[::2, ::3]
+            elif layout == 3:  # transposed views
+                mask, depth = np.ascontiguousarray(mask.T).T, np.ascontiguousarray(depth.T).T
+            layouts.add((layout, mask.flags.c_contiguous, depth.dtype.name))
+            pc, skipped = back_project(mask, depth, intr)
+            want, want_skipped = naive_back_project(mask, depth, intr)
+            assert skipped == want_skipped, f"seed {seed}"
+            assert pc.points.dtype == np.float64 and pc.points.shape == want.shape
+            assert pc.points.tobytes() == want.tobytes(), f"seed {seed}"
+        assert {layout for layout, _, _ in layouts} == {0, 1, 2, 3}
+        assert {dtype for _, _, dtype in layouts} == {"float32", "float64"}
 
     def test_project_roundtrip_identity(self):
         # back_project then project returns the pixel centers within 1e-5 px
@@ -287,34 +325,60 @@ class TestFrameMemo:
         assert len(calls) == 1
         assert_same_points(first, uncached(frame))
 
-    def test_replaced_mask_seen(self):
-        frame = masked_frame()
-        frame.object_points("o")
-        frame.masks["o"] = np.roll(frame.masks["o"], 2, axis=0)
-        assert_same_points(frame.object_points("o"), uncached(frame))
-        frame.masks["o"] = np.zeros_like(frame.masks["o"])
-        got = frame.object_points("o")
-        assert got[0] is False and got[1].shape == (0, 3)
+    def test_visibility_found_at_construction(self):
+        mask = np.zeros((4, 4), bool)
+        pixel = mask.copy()
+        pixel[3, 0] = True
+        frame = CameraFrame(0, make_intrinsics(width=4, height=4), CameraPose.identity(),
+                            None, {"full": ~mask, "empty": mask, "pixel": pixel})
+        assert frame.mask_nonempty("full") and frame.mask_nonempty("pixel")
+        assert not frame.mask_nonempty("empty") and not frame.mask_nonempty("missing")
+        assert frame.object_points("full") == (True, None)  # no depth raster
 
-    def test_popped_mask_seen(self):
+    @pytest.mark.parametrize("change", [
+        lambda f: {"masks": {"o": np.roll(f.masks["o"], 2, axis=0)}},
+        lambda f: {"masks": {"o": np.zeros_like(f.masks["o"])}},
+        lambda f: {"masks": {}},
+        lambda f: {"depth": f.depth * 2.0},
+        lambda f: {"depth": None},
+        lambda f: {"intrinsics": dataclasses.replace(f.intrinsics, fx=3.0 * f.intrinsics.fx)},
+    ], ids=["mask-moved", "mask-emptied", "mask-dropped", "depth-scaled", "depth-dropped",
+            "intrinsics"])
+    def test_replace_gives_fresh_memo(self, change):
         frame = masked_frame()
-        frame.object_points("o")
-        frame.masks.pop("o")
-        assert frame.object_points("o") == (False, None)
+        before = frame.object_points("o")
+        changed = dataclasses.replace(frame, **change(frame))
+        assert changed.mask_nonempty("o") == changed.object_points("o")[0]
+        assert_same_points(changed.object_points("o"), uncached(changed))
+        # the original frame and its memo are untouched
+        assert frame.object_points("o")[1] is before[1]
+        assert_same_points(before, uncached(frame))
 
-    def test_replaced_depth_seen(self):
+    def test_frozen(self):
         frame = masked_frame()
-        frame.object_points("o")
-        frame.depth = frame.depth * 2.0
-        assert_same_points(frame.object_points("o"), uncached(frame))
-        frame.depth = None
-        assert frame.object_points("o") == (True, None)
+        for name, value in [("depth", None), ("masks", {}), ("frame_id", 1),
+                            ("intrinsics", make_intrinsics(width=6, height=6))]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(frame, name, value)
+        with pytest.raises(TypeError):
+            frame.masks["o"] = np.ones((6, 6), bool)
+        with pytest.raises(TypeError):
+            frame.masks["late"] = np.ones((6, 6), bool)
+        with pytest.raises(TypeError):
+            del frame.masks["o"]
+        assert list(frame.masks) == ["o"]
 
-    def test_replaced_intrinsics_seen(self):
+    def test_pickles_and_copies(self):
         frame = masked_frame()
         frame.object_points("o")
-        frame.intrinsics = dataclasses.replace(frame.intrinsics, fx=3.0 * frame.intrinsics.fx)
-        assert_same_points(frame.object_points("o"), uncached(frame))
+        for twin in (pickle.loads(pickle.dumps(frame)), copy.deepcopy(frame), copy.copy(frame)):
+            assert twin.frame_id == frame.frame_id and twin.intrinsics == frame.intrinsics
+            np.testing.assert_array_equal(twin.pose.matrix(), frame.pose.matrix())
+            np.testing.assert_array_equal(twin.depth, frame.depth)
+            assert list(twin.masks) == ["o"] and twin._points == {}
+            assert_same_points(twin.object_points("o"), uncached(frame))
+            with pytest.raises(TypeError):
+                twin.masks["o"] = None
 
     def test_rasters_read_only(self):
         depth = np.ones((4, 4))
@@ -327,11 +391,6 @@ class TestFrameMemo:
             mask[0, 0] = False
         with pytest.raises(ValueError, match="read-only"):
             frame.object_points("o")[1][0, 0] = 1.0
-        # a raster added later is frozen once the memo reads it
-        frame.masks["late"] = np.ones((4, 4), bool)
-        frame.object_points("late")
-        with pytest.raises(ValueError, match="read-only"):
-            frame.masks["late"][0, 0] = False
 
     def test_views_are_copied(self):
         # rasters handed over as views of larger buffers: writes through the
@@ -348,9 +407,8 @@ class TestFrameMemo:
         assert_same_points(frame.object_points("o"), want)
         assert_same_points(uncached(frame), want)
         assert depth_stack.flags.writeable and mask_buf.flags.writeable
-        # the same for a mask and a depth raster put in after construction
-        frame.masks["late"] = mask_buf[1]
-        frame.depth = depth_stack[1]
+        # the same for views handed to dataclasses.replace
+        frame = dataclasses.replace(frame, depth=depth_stack[1], masks={"late": mask_buf[1]})
         want = uncached(frame, "late")
         assert_same_points(frame.object_points("late"), want)
         depth_stack *= 2.0

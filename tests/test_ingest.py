@@ -5,10 +5,10 @@ import pytest
 
 from conftest import make_intrinsics, random_pose
 from geovos.cli import boxworld_preset
-from geovos.geometry import CameraPose, back_project
+from geovos.geometry import CameraFrame, CameraPose, back_project
 from geovos.ingest import (BadMagicError, BadMaskError, BadPoseError, Box,
                            FormatVersionError, LengthMismatchError, ManifestError,
-                           MissingFileError, generate_boxworld, load_dmap, load_instances,
+                           MissingFileError, Scene, generate_boxworld, load_dmap, load_instances,
                            load_mask_pgm, load_pose, load_scene, load_tracks, save_dmap,
                            save_instances, save_mask_pgm, save_pose, save_scene,
                            save_tracks)
@@ -218,6 +218,19 @@ class TestTracksFile:
                 else:
                     np.testing.assert_array_equal(got, want)
 
+    def test_masks_checked_against_scene(self, tmp_path):
+        intr = make_intrinsics(width=5, height=5)
+        frames = [CameraFrame(t, intr, CameraPose.identity()) for t in range(3)]
+        good, bad = np.ones((5, 5), bool), np.ones((4, 6), bool)
+        path = save_tracks({"a": MaskTrack([good, None, good]),
+                            "b": MaskTrack([None, good, bad])}, tmp_path / "tr")
+        assert sorted(load_tracks(path)) == ["a", "b"]  # no scene, no check
+        with pytest.raises(BadMaskError) as err:
+            load_tracks(path, Scene("s", frames))
+        assert str(err.value) == f"{path}: track 'b' frame 2: mask is 6x4, frame is 5x5"
+        # frames past the scene's end are left to the length check of the lift
+        assert sorted(load_tracks(path, Scene("s", frames[:2]))) == ["a", "b"]
+
     def test_instances_roundtrip(self, tmp_path):
         from geovos.instance3d import Instance, InstanceSet
         inst = InstanceSet([Instance(confidence=0.25,
@@ -244,6 +257,23 @@ class TestTracksFile:
         save_pointset(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
         np.testing.assert_array_equal(loaded, pts)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_point_lists_as_written_elementwise(self, tmp_path, dtype):
+        # tolist() writes the same bytes as converting coordinate by coordinate
+        import json
+
+        from geovos.ingest import save_pointset, save_superpoints
+        pts = (np.random.default_rng(7).normal(size=(11, 3)) * 100).astype(dtype)
+        labels = np.arange(11) % 4
+        save_pointset(tmp_path / "p.json", pts)
+        save_superpoints(tmp_path / "s.json", pts, labels)
+        elementwise = [[float(c) for c in p] for p in pts]
+        want_p = {"schema": "geovos.points/1", "points": elementwise}
+        want_s = {"schema": "geovos.superpoints/1", "points": elementwise,
+                  "labels": [int(x) for x in labels]}
+        for name, want in (("p.json", want_p), ("s.json", want_s)):
+            assert (tmp_path / name).read_text() == json.dumps(want, indent=2) + "\n"
 
     def test_feature_stack_roundtrip(self, tmp_path):
         from geovos.ingest import load_feature_stack, save_feature_stack

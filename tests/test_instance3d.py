@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_intrinsics, naive_assign_superpoints, naive_merge_instances
+from conftest import (make_intrinsics, naive_assign_superpoints, naive_eval_ap,
+                      naive_merge_instances)
 from geovos.cli import _look_at_pose, boxworld_preset
 from geovos.geometry import CameraIntrinsics, CameraPose, PointCloud
 from geovos.ingest import Box, generate_boxworld
@@ -456,3 +457,35 @@ class TestEvalAp:
         # running-max envelope lifts precision at recall 1/2 to 2/3, so
         # AP50 = 1/2 * 2/3 + 1/2 * 2/3 = 2/3
         assert abs(scores["ap50"] - 2 / 3) < 1e-12
+
+    def test_matches_per_threshold_oracle(self):
+        # one IoU table read at every threshold gives the oracle's scores bit
+        # for bit: overlapping instances on both sides, tied confidences,
+        # empty point sets and empty prediction sets
+        seen = dict(gt_overlap=0, pred_overlap=0, tie=0, empty_set=0, no_pred=0, partial=0)
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(5, 80))
+
+            def random_sets(k):
+                return [np.flatnonzero(rng.random(n) < rng.uniform(0.0, 0.5)) for _ in range(k)]
+
+            gt_sets = random_sets(int(rng.integers(1, 6)))
+            pred_sets = random_sets(int(rng.integers(0, 9)))
+            # perturbed copies of ground truth, so some IoUs sit mid-band
+            for g in gt_sets:
+                if rng.random() < 0.6:
+                    keep = g[rng.random(g.size) < rng.uniform(0.5, 1.0)]
+                    pred_sets.append(np.union1d(keep, rng.integers(0, n, size=2)))
+            conf = rng.choice([0.25, 0.5, 1.0], size=len(pred_sets)).tolist()
+            pred, gt = labeled(pred_sets, conf), labeled(gt_sets)
+            assert eval_ap(pred, gt) == naive_eval_ap(pred, gt), f"seed {seed}"
+            seen["gt_overlap"] += any(np.intersect1d(a, b).size
+                                      for i, a in enumerate(gt_sets) for b in gt_sets[i + 1:])
+            seen["pred_overlap"] += any(np.intersect1d(a, b).size for i, a in enumerate(pred_sets)
+                                        for b in pred_sets[i + 1:])
+            seen["tie"] += len(set(conf)) < len(conf)
+            seen["empty_set"] += any(s.size == 0 for s in pred_sets + gt_sets)
+            seen["no_pred"] += not pred_sets
+            seen["partial"] += 0.0 < eval_ap(pred, gt)["ap"] < 1.0
+        assert all(seen.values()), seen

@@ -1,5 +1,7 @@
 """Frame sampling strategies: continuous, random, FOV-aware, mixed."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -131,7 +133,7 @@ class TestFov:
         scene = make_cluster_scene()
         small = np.zeros((32, 32), bool)
         small[10:12, 10:12] = True
-        scene.frames[3].masks["wall"] = small
+        scene.frames[3] = dataclasses.replace(scene.frames[3], masks={"wall": small})
         cfg = SamplerConfig(n_frames=3, tau=0.25)
         ratios = candidate_ratios(scene, "wall", 0, cfg)
         assert ratios[3] == 1.0
@@ -139,9 +141,8 @@ class TestFov:
     def test_fallback_fill_flagged_and_ordered(self):
         scene = make_cluster_scene()
         # only frames 0, 1, 2 visible: 0 overlaps nothing in {1, 2}
-        for f in scene.frames:
-            if f.frame_id in (3, 4, 5):
-                f.masks.pop("wall")
+        for fid in (3, 4, 5):
+            scene.frames[fid] = dataclasses.replace(scene.frames[fid], masks={})
         cfg = SamplerConfig(n_frames=3, tau=0.25)
         rng = np.random.default_rng(7)
         res = sample_fov(scene, cfg, rng, obj_id="wall")
@@ -242,7 +243,8 @@ class TestVisibility:
 
     def test_empty_mask_not_visible(self):
         scene = make_gapped_scene({1}, n_frames=3)
-        scene.frames[1].masks["obj"] = np.zeros((8, 8), bool)
+        empty = {"obj": np.zeros((8, 8), bool)}
+        scene.frames[1] = dataclasses.replace(scene.frames[1], masks=empty)
         assert visible_frames(scene, "obj") == []
 
     def test_never_back_projects(self, monkeypatch):
@@ -318,7 +320,7 @@ class TestBatchedRatios:
     def test_candidate_without_depth_raises_same_message(self):
         scene = make_cluster_scene(width=8, fx=8.0)
         for fid in (3, 5):
-            scene.frames[fid].depth = None
+            scene.frames[fid] = dataclasses.replace(scene.frames[fid], depth=None)
         cfg = SamplerConfig(n_frames=3)
         with pytest.raises(ValueError) as want:
             naive_candidate_ratios(scene, "wall", 0, cfg)
@@ -326,7 +328,7 @@ class TestBatchedRatios:
             candidate_ratios(scene, "wall", 0, cfg)
         assert str(got.value) == str(want.value)
         # the reference itself needs no depth
-        scene.frames[5].depth = scene.frames[0].depth
+        scene.frames[5] = dataclasses.replace(scene.frames[5], depth=scene.frames[0].depth)
         assert list(candidate_ratios(scene, "wall", 3, cfg).items()) == \
             list(naive_candidate_ratios(scene, "wall", 3, cfg).items())
 
@@ -342,16 +344,18 @@ class TestBatchedRatios:
         candidate_ratios(scene, "obj", 0, cfg)
         assert len(calls) == 3
 
-    def test_replaced_rasters_seen_between_calls(self):
+    def test_replaced_frames_seen_between_calls(self):
         rng = np.random.default_rng(3)
         scene = random_sampler_scene(rng, n_frames=8)
         cfg = SamplerConfig(n_frames=2)
         ref = visible_frames(scene, "obj")[0]
         candidate_ratios(scene, "obj", ref, cfg)  # fill every memo
-        for frame in scene.frames[1:]:
+        for i, frame in enumerate(scene.frames[1:], 1):
             if "obj" in frame.masks:
-                frame.masks["obj"] = np.roll(frame.masks["obj"], 1, axis=1)
-        scene.frames[2].depth = np.flipud(scene.frames[2].depth)
-        scene.frames[3].masks.pop("obj", None)
+                moved = {"obj": np.roll(frame.masks["obj"], 1, axis=1)}
+                scene.frames[i] = dataclasses.replace(frame, masks=moved)
+        scene.frames[2] = dataclasses.replace(scene.frames[2],
+                                              depth=np.flipud(scene.frames[2].depth))
+        scene.frames[3] = dataclasses.replace(scene.frames[3], masks={})
         assert list(candidate_ratios(scene, "obj", ref, cfg).items()) == \
             list(naive_candidate_ratios(scene, "obj", ref, cfg).items())
