@@ -190,7 +190,10 @@ def _load_merge_config(path) -> MergeConfig:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{path}: merge config key '{key}' must be a number, "
                              f"got {type(value).__name__}")
-    return MergeConfig(**doc)
+    try:
+        return MergeConfig(**doc)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _pipeline_inputs(args):

@@ -92,10 +92,9 @@ class CameraPose:
 
 @dataclass
 class PointCloud:
-    """3D points with the frame they live in ("world" or a camera id)."""
+    """Finite 3D points, (N, 3) float64."""
 
     points: np.ndarray
-    frame_of_reference: str = "world"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -166,24 +165,23 @@ class CameraFrame:
         return obj_id in self._visible
 
     def object_points(self, obj_id):
-        """``(mask_nonempty, camera_points)`` of one object's mask, memoised.
+        """Camera-frame points of one object's mask, memoised.
 
-        ``camera_points`` is the :func:`back_project` cloud of the masked
+        The points are the :func:`back_project` cloud of the masked
         valid-depth pixels (read-only), or None when the frame has no depth
-        raster or no mask for the object. It is computed on the first call
-        and kept for the frame's lifetime, 24 bytes per point. Concurrent
-        callers may share a frame: a race only repeats the work.
+        raster or no mask for the object. They are computed on the first
+        call and kept for the frame's lifetime, 24 bytes per point.
+        Concurrent callers may share a frame: a race only repeats the work.
         """
-        nonempty = obj_id in self._visible
         mask = self.masks.get(obj_id)
         if mask is None or self.depth is None:
-            return nonempty, None
+            return None
         points = self._points.get(obj_id)
         if points is None:
             points = back_project(mask, self.depth, self.intrinsics)[0].points
             points.setflags(write=False)
             self._points[obj_id] = points
-        return nonempty, points
+        return points
 
 
 class OverlapRatio(NamedTuple):
@@ -204,19 +202,16 @@ def apply_rigid(points: np.ndarray, rot: np.ndarray, trans: np.ndarray) -> np.nd
     Written elementwise (not matmul) so the kernels and the python oracles
     used in tests evaluate the identical IEEE expression.
     """
-    points = np.asarray(points, dtype=np.float64)
-    squeeze = points.ndim == 1
-    pts = points.reshape(-1, 3)
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     out = np.empty_like(pts)
     px, py, pz = pts[:, 0], pts[:, 1], pts[:, 2]
     out[:, 0] = rot[0, 0] * px + rot[0, 1] * py + rot[0, 2] * pz + trans[0]
     out[:, 1] = rot[1, 0] * px + rot[1, 1] * py + rot[1, 2] * pz + trans[1]
     out[:, 2] = rot[2, 0] * px + rot[2, 1] * py + rot[2, 2] * pz + trans[2]
-    return out[0] if squeeze else out
+    return out
 
 
-def back_project(mask: np.ndarray, depth: np.ndarray, intr: CameraIntrinsics,
-                 frame_of_reference: str = "camera"):
+def back_project(mask: np.ndarray, depth: np.ndarray, intr: CameraIntrinsics):
     """Back-project masked valid-depth pixels into the camera frame.
 
     Each masked pixel (u, v) with valid depth z yields
@@ -235,50 +230,7 @@ def back_project(mask: np.ndarray, depth: np.ndarray, intr: CameraIntrinsics,
     if depth.shape != expected:
         raise ValueError(f"depth shape {depth.shape} != intrinsics {expected}")
     pts, skipped = kernels.backproject_mask(mask, depth, intr.fx, intr.fy, intr.cx, intr.cy)
-    return PointCloud(pts, frame_of_reference), skipped
-
-
-def project(points: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
-    """Project camera-frame points to continuous pixel coordinates (N, 2)."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = intr.fx * pts[:, 0] / pts[:, 2] + intr.cx
-        v = intr.fy * pts[:, 1] / pts[:, 2] + intr.cy
-    return np.stack([u, v], axis=1)
-
-
-def transform_points(pc: PointCloud, src: CameraPose, dst: CameraPose) -> PointCloud:
-    """Re-express a camera-frame cloud in another camera's frame.
-
-    ``p' = R_dst^T @ (R_src @ p + t_src - t_dst)``; count and order are
-    preserved.
-    """
-    rot = dst.rotation.T @ src.rotation
-    trans = dst.rotation.T @ (src.translation - dst.translation)
-    return PointCloud(apply_rigid(pc.points, rot, trans), pc.frame_of_reference)
-
-
-def in_frustum(points: np.ndarray, intr: CameraIntrinsics, z_near: float = DEFAULT_Z_NEAR):
-    """Frustum membership for camera-frame point(s).
-
-    True iff z > z_near and the projection lands inside the half-open
-    image rectangle. Non-finite points are False. Accepts one (3,) point
-    or an (N, 3) array.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = pts.reshape(-1, 3)
-    uv = project(pts, intr)
-    with np.errstate(invalid="ignore"):
-        ok = (
-            np.all(np.isfinite(pts), axis=1)
-            & (pts[:, 2] > z_near)
-            & (uv[:, 0] >= 0.0)
-            & (uv[:, 0] < intr.width)
-            & (uv[:, 1] >= 0.0)
-            & (uv[:, 1] < intr.height)
-        )
-    return bool(ok[0]) if single else ok
+    return PointCloud(pts), skipped
 
 
 def frustum_overlap_ratio(candidate: CameraFrame, obj_mask: np.ndarray,
@@ -290,6 +242,9 @@ def frustum_overlap_ratio(candidate: CameraFrame, obj_mask: np.ndarray,
     into the reference camera frame and tested against its frustum. The
     denominator counts only valid-depth masked pixels; with an empty
     denominator the ratio is 0.0 and ``defined`` is False.
+
+    This per-pair form is the reference that :func:`frustum_overlap_ratios`,
+    which the sampler runs, equals bit for bit.
     """
     if candidate.depth is None:
         raise ValueError(f"frame {candidate.frame_id} has no depth raster")
@@ -346,7 +301,7 @@ def frustum_overlap_ratios(candidates, obj_id, reference: CameraFrame) -> list:
     for cand in candidates:
         if cand.depth is None:
             raise ValueError(f"frame {cand.frame_id} has no depth raster")
-        clouds.append(cand.object_points(obj_id)[1])
+        clouds.append(cand.object_points(obj_id))
     if not clouds:
         return []
     n = np.array([len(pts) for pts in clouds], np.int64)

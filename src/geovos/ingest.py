@@ -21,6 +21,7 @@ points, and per-box mask tracks. It is fully deterministic.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -203,9 +204,13 @@ def _read_json(path, what: str):
     if not path.is_file():
         raise MissingFileError(f"{what} file not found: {path}")
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ManifestError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{path}: {what} file must hold a JSON object, "
+                            f"got {type(doc).__name__}")
+    return doc
 
 
 def save_superpoints(path, points: np.ndarray, labels: np.ndarray):
@@ -241,19 +246,61 @@ def save_instances(path, instances: InstanceSet):
     })
 
 
+def _point_ids(ids) -> np.ndarray | None:
+    """``ids`` as an int64 array when it is a flat list of non-negative
+    integers that fit int64, else None. Checked on the whole array at once:
+    numpy infers an integer dtype only when every entry is an integer."""
+    if not isinstance(ids, list):
+        return None
+    try:
+        arr = np.asarray(ids)
+    except ValueError:  # ragged nesting
+        return None
+    if arr.size == 0:
+        return np.zeros(0, np.int64)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu" or arr.min() < 0 \
+            or arr.max() > np.iinfo(np.int64).max:
+        return None
+    return arr.astype(np.int64, copy=False)
+
+
+def _finite_number(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def load_instances(path) -> InstanceSet:
+    """Load instances written by save_instances.
+
+    Every ``point_ids`` must be a flat list of non-negative integers that
+    fit int64 and every ``confidence`` a finite number; otherwise
+    ManifestError names the file, the instance and the field. Ids are not
+    checked against any scene here (load_scene does that for ground truth).
+    """
     doc = _read_json(path, "instances")
     if doc.get("schema") != INSTANCES_SCHEMA:
         raise ManifestError(f"{path}: schema must be {INSTANCES_SCHEMA}")
+    records = doc.get("instances", [])
+    if not isinstance(records, list):
+        raise ManifestError(f"{path}: field 'instances' must be a list")
     out = []
-    for k, rec in enumerate(doc.get("instances", [])):
-        if "point_ids" not in rec:
-            raise ManifestError(f"{path}: instances[{k}] missing field 'point_ids'")
-        out.append(Instance(
-            fragments=[],
-            confidence=float(rec.get("confidence", 1.0)),
-            point_ids=np.asarray(rec["point_ids"], dtype=np.int64),
-        ))
+    for k, rec in enumerate(records):
+        where = f"{path}: instances[{k}]"
+        if not isinstance(rec, dict) or "point_ids" not in rec:
+            raise ManifestError(f"{where} missing field 'point_ids'")
+        point_ids = _point_ids(rec["point_ids"])
+        if point_ids is None:
+            raise ManifestError(f"{where}: field 'point_ids' must be a flat list of "
+                                f"non-negative integers that fit int64")
+        confidence = rec.get("confidence", 1.0)
+        if not _finite_number(confidence):
+            raise ManifestError(f"{where}: field 'confidence' must be a finite number, "
+                                f"got {confidence!r}")
+        out.append(Instance(fragments=[], confidence=float(confidence), point_ids=point_ids))
     return InstanceSet(out)
 
 
@@ -270,26 +317,6 @@ def load_pointset(path) -> np.ndarray:
     if doc.get("schema") != POINTSET_SCHEMA:
         raise ManifestError(f"{path}: schema must be {POINTSET_SCHEMA}")
     return np.asarray(doc.get("points", []), dtype=np.float64).reshape(-1, 3)
-
-
-def save_feature_stack(paths, values: np.ndarray):
-    """Write an (H, W, C) feature raster as one DMAP file per channel."""
-    values = np.asarray(values)
-    if values.ndim != 3 or len(paths) != values.shape[2]:
-        raise ValueError(f"need one path per channel: {len(paths)} paths for "
-                         f"shape {values.shape}")
-    for c, path in enumerate(paths):
-        save_dmap(path, values[:, :, c].astype(np.float32))
-
-
-def load_feature_stack(paths) -> np.ndarray:
-    """Load per-channel DMAP files back into an (H, W, C) float raster."""
-    channels = [load_dmap(p) for p in paths]
-    shapes = {c.shape for c in channels}
-    if len(shapes) > 1:
-        raise LengthMismatchError(f"feature channels disagree on raster size: "
-                                  f"{sorted(shapes)}")
-    return np.stack(channels, axis=2).astype(np.float64)
 
 
 def save_tracks(tracks: dict, out_dir, name="tracks.json"):
@@ -567,17 +594,14 @@ def generate_boxworld(boxes, cameras, resolution=None) -> BoxWorld:
         masks = {}
         for b in range(len(boxes)):
             m = owner == b
-            if m.any():
-                masks[f"box{b}"] = m
-        frames.append(CameraFrame(fid, intr, pose, depth, masks))
-        owners.append(owner)
-        for b in range(len(boxes)):
-            m = owner == b
             if not m.any():
                 continue
+            masks[f"box{b}"] = m
             pc, _ = back_project(m, depth, intr)
             all_points.append(pose.to_world(pc.points))
             all_owner_ids.append(np.full(len(pc), b, np.int64))
+        frames.append(CameraFrame(fid, intr, pose, depth, masks))
+        owners.append(owner)
     if all_points:
         scene_points = np.concatenate(all_points)
         owner_ids = np.concatenate(all_owner_ids)

@@ -133,11 +133,6 @@ def voxel_keys(points: np.ndarray, voxel_size: float) -> np.ndarray:
         .astype(np.int64)
 
 
-def voxel_set(points: np.ndarray, voxel_size: float) -> set:
-    """The distinct voxel keys of a point set, as tuples."""
-    return set(map(tuple, voxel_keys(points, voxel_size)))
-
-
 def lift_fragment(mask: np.ndarray, depth: np.ndarray, pose: CameraPose,
                   intr: CameraIntrinsics, cfg: MergeConfig,
                   source: tuple = (0, "obj"), track: MaskTrack | None = None) -> LiftResult:
@@ -152,21 +147,8 @@ def lift_fragment(mask: np.ndarray, depth: np.ndarray, pose: CameraPose,
     pc, skipped = back_project(eroded, depth, intr)
     if len(pc) == 0:
         return LiftResult(None, "no valid depth under eroded mask", skipped)
-    world = PointCloud(pose.to_world(pc.points), "world")
+    world = PointCloud(pose.to_world(pc.points))
     return LiftResult(Fragment(world, source, track), None, skipped)
-
-
-def overlap3d(a: Fragment, b: Fragment, voxel_size: float) -> float:
-    """Voxel-set overlap |Va & Vb| / min(|Va|, |Vb|).
-
-    Raises:
-        ValueError: if either fragment is empty.
-    """
-    if a.n_points == 0 or b.n_points == 0:
-        raise ValueError("overlap3d requires nonempty fragments")
-    va = voxel_set(a.points.points, voxel_size)
-    vb = voxel_set(b.points.points, voxel_size)
-    return len(va & vb) / min(len(va), len(vb))
 
 
 def temporal_overlap2d(track_a: MaskTrack, track_b: MaskTrack):
@@ -335,8 +317,9 @@ def merge_instances(fragments: list, cfg: MergeConfig) -> InstanceSet:
     by their smallest member fragment index, so the result is deterministic
     given the input order and invariant to it up to relabeling.
 
-    The scores equal overlap3d and temporal_overlap2d pair by pair, and the
-    temporal ones are computed only for pairs whose 3D overlap did not fire.
+    The scores equal, pair by pair, the voxel-set overlap
+    |Va & Vb| / min(|Va|, |Vb|) and temporal_overlap2d, and the temporal
+    ones are computed only for pairs whose 3D overlap did not fire.
     Pairwise voxel overlaps come from one voxel index; temporal statistics
     are computed per pair of distinct masks per frame.
 
@@ -571,7 +554,7 @@ def score_depth(frames: list, fragments: list, eps_rel: float) -> None:
                 continue
             cam_pts = ref.pose.to_camera(frag.points.points)
             scores.append(depth_agreement_score(
-                PointCloud(cam_pts, "camera"), ref.depth, ref.intrinsics, eps_rel))
+                PointCloud(cam_pts), ref.depth, ref.intrinsics, eps_rel))
         frag.depth_agreement = float(np.mean(scores)) if scores else None
 
 

@@ -154,14 +154,3 @@ def pick_conditioning_frame(gt: MaskTrack) -> int:
     if best_t < 0:
         raise ValueError("track has no visible frame")
     return best_t
-
-
-def split_directions(cond: int, n_frames: int):
-    """Forward and backward tracking ranges from a conditioning frame.
-
-    Both include the conditioning frame: forward cond..T-1, backward
-    cond..0.
-    """
-    if not 0 <= cond < n_frames:
-        raise ValueError(f"conditioning frame {cond} outside 0..{n_frames - 1}")
-    return list(range(cond, n_frames)), list(range(cond, -1, -1))

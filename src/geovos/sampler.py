@@ -20,7 +20,8 @@ per frame and object, and keeps the points on the frame
 then tests every candidate's points against the reference frustum in one
 vectorised pass (``geometry.frustum_overlap_ratios``). Concurrent callers
 may share a scene: a race on the memo only repeats the same work.
-``frustum_overlap_ratio`` stays importable here as the per-pair reference.
+``frustum_overlap_ratio`` stays importable here as the per-pair reference,
+the name the benchmark's tracer (``perfbench/tracer.py``) wraps.
 """
 
 from dataclasses import dataclass, field
@@ -66,10 +67,6 @@ class SampleResult:
             raise ValueError("sampled frames must be distinct")
         if self.reference_frame not in self.frames:
             raise ValueError("reference frame must be among the sampled frames")
-
-    @property
-    def used_fallback(self) -> bool:
-        return bool(self.fallback_frames)
 
     def to_dict(self) -> dict:
         return {

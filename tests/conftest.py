@@ -211,8 +211,29 @@ def make_cluster_scene(width=32, fx=32.0):
 # loop over python voxel sets
 
 
+def voxel_set(points, voxel_size) -> set:
+    """The distinct voxel keys of a point set, as tuples."""
+    from geovos.instance3d import voxel_keys
+
+    return set(map(tuple, voxel_keys(points, voxel_size)))
+
+
+def overlap3d(a, b, voxel_size) -> float:
+    """Voxel-set overlap |Va & Vb| / min(|Va|, |Vb|) of two fragments, the
+    pairwise 3D score that ``merge_instances`` computes for all pairs at once.
+
+    Raises:
+        ValueError: if either fragment is empty.
+    """
+    if a.n_points == 0 or b.n_points == 0:
+        raise ValueError("overlap3d requires nonempty fragments")
+    va = voxel_set(a.points.points, voxel_size)
+    vb = voxel_set(b.points.points, voxel_size)
+    return len(va & vb) / min(len(va), len(vb))
+
+
 def naive_merge_instances(fragments, cfg):
-    from geovos.instance3d import Instance, InstanceSet, UnionFind, temporal_overlap2d, voxel_set
+    from geovos.instance3d import Instance, InstanceSet, UnionFind, temporal_overlap2d
 
     if not fragments:
         raise ValueError("merge_instances requires at least one fragment")
@@ -242,7 +263,7 @@ def naive_merge_instances(fragments, cfg):
 
 
 def naive_assign_superpoints(instances, partition, scene_points, voxel_size):
-    from geovos.instance3d import Instance, InstanceSet, voxel_set
+    from geovos.instance3d import Instance, InstanceSet
 
     scene_points = np.asarray(scene_points, dtype=np.float64).reshape(-1, 3)
     n_sp = partition.n_superpoints

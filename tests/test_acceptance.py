@@ -8,17 +8,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (make_cluster_scene, make_intrinsics, naive_frustum_overlap,
+from conftest import (make_cluster_scene, make_intrinsics, naive_frustum_overlap, overlap3d,
                       random_scene_frames)
 from geovos.cli import boxworld_preset
-from geovos.geometry import frustum_overlap_ratio
+from geovos.geometry import frustum_overlap_ratio, frustum_overlap_ratios
 from geovos.ingest import (BadMagicError, BadMaskError, BadPoseError,
                            FormatVersionError, LengthMismatchError, ManifestError,
                            MissingFileError, generate_boxworld, load_dmap,
                            load_mask_pgm, load_pose, load_scene, save_dmap,
                            load_instances, save_mask_pgm, save_pose, save_scene)
-from geovos.instance3d import (Instance, InstanceSet, MergeConfig, eval_ap,
-                               overlap3d, run_pipeline)
+from geovos.instance3d import Instance, InstanceSet, MergeConfig, eval_ap, run_pipeline
 from geovos.merger import (AttnParams, MergerConfig, attention, grad_check,
                            softmax_rows)
 from geovos.metrics import SubsetConfig
@@ -33,6 +32,8 @@ def _report(num, name, ok, detail=""):
 
 
 def test_criterion_1_geometry_oracle_equivalence():
+    # the batched function the sampler runs and the per-pair reference both
+    # equal the per-point loop on every pair
     rng = np.random.default_rng(2024)
     t0 = time.perf_counter()
     checked = 0
@@ -43,15 +44,15 @@ def test_criterion_1_geometry_oracle_equivalence():
         for _ in range(3):
             i, j = rng.choice(n_frames, size=2, replace=False)
             cand, ref = frames[int(i)], frames[int(j)]
-            got = frustum_overlap_ratio(cand, cand.masks["obj"], ref)
-            want, inside, n = naive_frustum_overlap(cand, cand.masks["obj"], ref)
-            assert got.ratio == want, (got, want)
-            assert (got.n_inside, got.n_points) == (inside, n)
+            want = naive_frustum_overlap(cand, cand.masks["obj"], ref)
+            (batched,) = frustum_overlap_ratios([cand], "obj", ref)
+            assert tuple(batched) == want, (batched, want)
+            assert tuple(frustum_overlap_ratio(cand, cand.masks["obj"], ref)) == want
             checked += 1
     elapsed = time.perf_counter() - t0
     _report(1, "geometry oracle equivalence",
             checked == 600 and elapsed < 5.0,
-            f"{checked} exact comparisons in {elapsed:.2f}s")
+            f"{checked} pairs, batched and per-pair exact, in {elapsed:.2f}s")
 
 
 def test_criterion_2_fov_sampler():

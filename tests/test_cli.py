@@ -1,16 +1,22 @@
 """End-to-end command-line runs in temp directories."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_intrinsics
+from conftest import make_intrinsics, voxel_set
+import geovos
 from geovos import instance3d
 from geovos.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from geovos.geometry import CameraFrame, CameraPose, PointCloud, depth_agreement_score
 from geovos.ingest import Scene, load_scene, load_tracks, save_scene, save_tracks
-from geovos.instance3d import MergeConfig, run_pipeline, voxel_set
+from geovos.instance3d import MergeConfig, run_pipeline
 from geovos.metrics import MaskTrack
 
 TINY_MERGER = {"selected_layers": ["encoder", 4], "c_in": 4, "c_mid": 4,
@@ -161,34 +167,19 @@ class TestPipeline:
         assert len(err) == 1
         assert f"track '{sorted(tracks)[0]}' has 3 frames, scene has 6" in err[0]
 
-    @pytest.mark.parametrize("doc, named", [
-        ('{"voxel_sz": 0.1}', "'voxel_sz'"),
-        ("[1, 2]", "list"),
-        ('{"voxel_size": "0.1"}', "'voxel_size' must be a number"),
-    ])
-    def test_malformed_merge_config_exit_2(self, scene_dir, tmp_path, capsys, doc, named):
-        mc = tmp_path / "merge.json"
-        mc.write_text(doc)
-        code = main(["pipeline", "--scene", str(scene_dir / "manifest.json"),
-                     "--merge-config", str(mc)])
-        assert code == EXIT_INPUT_ERROR
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and str(mc) in err[0] and named in err[0]
-
-    @pytest.mark.parametrize("command", ["pipeline", "lift", "merge"])
-    def test_track_mask_of_wrong_size_exit_2(self, scene_dir, tmp_path, capsys, command):
-        tracks = load_tracks(scene_dir / "tracks" / "tracks.json")
-        obj = sorted(tracks)[-1]
-        t = max(k for k, m in enumerate(tracks[obj].masks) if m is not None)
-        masks = list(tracks[obj].masks)
-        masks[t] = np.ones((40, 40), bool)
-        path = save_tracks({**tracks, obj: MaskTrack(masks)}, tmp_path / "big")
-        code = main([command, "--scene", str(scene_dir / "manifest.json"),
-                     "--masks", str(path)])
-        assert code == EXIT_INPUT_ERROR
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: {path}: track '{obj}' frame {t}: mask is 40x40, "
-                       f"frame is 32x32"]
+    def test_eval_3d_accepts_any_int64_id(self, tmp_path):
+        # without a scene nothing bounds a predicted id: 10**9 is a label
+        # that matches no ground truth, not an input error
+        gt, pred = tmp_path / "gt.json", tmp_path / "pred.json"
+        gt.write_text(json.dumps({"schema": "geovos.instances/1",
+                                  "instances": [{"point_ids": [0, 1, 2]}]}))
+        pred.write_text(json.dumps({"schema": "geovos.instances/1",
+                                    "instances": [{"point_ids": [0, 1, 2, 10**9]}]}))
+        out = tmp_path / "e.jsonl"
+        assert main(["eval-3d", "--pred", str(pred), "--gt", str(gt),
+                     "--out", str(out)]) == EXIT_OK
+        # IoU 3/4 clears the thresholds 0.50 to 0.75: six of the ten
+        assert read_lines(out)[-1]["aggregate"] == {"ap": 0.6, "ap50": 1.0, "ap25": 1.0}
 
     def test_eval_3d_self(self, scene_dir, tmp_path):
         out = tmp_path / "e.jsonl"
@@ -248,7 +239,7 @@ class TestStages:
                 if ref.depth is None or not tracks[obj].visible(t):
                     seen_gap |= t == 3
                     continue
-                scores.append(depth_agreement_score(PointCloud(ref.pose.to_camera(pts), "camera"),
+                scores.append(depth_agreement_score(PointCloud(ref.pose.to_camera(pts)),
                                                     ref.depth, ref.intrinsics, 0.002))
             want = float(np.mean(scores)) if scores else None
             assert item["depth_agreement"] == want, item["source"]
@@ -287,6 +278,156 @@ class TestStages:
                                   for f in inst.fragments))
             assert rec["voxels"] == sorted([int(a), int(b), int(c)] for a, b, c in union)
         assert any(c < 0 for rec in records for key in rec["voxels"] for c in key)
+
+
+# ---------------------------------------------------------------------------
+# corrupt inputs: every case gets its own copy of the scene and returns the
+# command line plus the strings its one stderr line must name
+
+
+def _instances_file(path, point_ids, **fields):
+    path.write_text(json.dumps({"schema": "geovos.instances/1",
+                                "instances": [{"point_ids": point_ids, **fields}]}))
+    return path
+
+
+def _eval_3d(pred_ids, **fields):
+    """eval-3d of a predicted file holding ``pred_ids`` against GT [0, 1, 2]."""
+    def run(d):
+        pred = _instances_file(d / "pred.json", pred_ids, **fields)
+        gt = _instances_file(d / "gt.json", [0, 1, 2])
+        field = "confidence" if fields else "point_ids"
+        return (["eval-3d", "--pred", str(pred), "--gt", str(gt)],
+                [f"{pred}: instances[0]: field '{field}'"])
+    return run
+
+
+def _scene_args(command, d, masks=None):
+    args = [command, "--scene", str(d / "manifest.json")]
+    if command == "sample":
+        return args + ["--n", "3", "--mode", "fov"]
+    return args + ["--masks", str(masks or d / "tracks" / "tracks.json")]
+
+
+def _short_dmap(command):
+    def run(d):
+        depth = d / "depth" / "0002.dmap"
+        depth.write_bytes(depth.read_bytes()[:-4])
+        return _scene_args(command, d), [str(depth)]
+    return run
+
+
+def _edit_json(rel, edit, named):
+    """pipeline on the scene after ``edit`` changed its JSON file ``rel``;
+    the error names the file ``named`` and the text ``detail``."""
+    def run(d):
+        path = d / rel
+        doc = json.loads(path.read_text())
+        detail = edit(doc)
+        path.write_text(json.dumps(doc))
+        return _scene_args("pipeline", d), [str(d / named), detail]
+    return run
+
+
+def _json_list(rel, what):
+    """pipeline on the scene after its JSON file ``rel`` became a list."""
+    def run(d):
+        (d / rel).write_text("[1]")
+        return _scene_args("pipeline", d), [f"{d / rel}: {what} file must hold a JSON object"]
+    return run
+
+
+def _negative_label(doc):
+    doc["labels"][0] = -1
+    return "superpoint labels must be >= 0"
+
+
+def _short_label_list(doc):
+    doc["labels"].pop()
+    return "field 'labels'"
+
+
+def _dangling_gt_id(doc):
+    doc["instances"][0]["point_ids"].append(10**6)
+    return "gt_instances[0] references point 1000000"
+
+
+def _fractional_gt_id(doc):
+    doc["instances"][0]["point_ids"] = [0.5]
+    return "instances[0]: field 'point_ids'"
+
+
+def _big_track_mask(command):
+    def run(d):
+        tracks = load_tracks(d / "tracks" / "tracks.json")
+        obj = sorted(tracks)[-1]
+        masks = list(tracks[obj].masks)
+        masks[1] = np.ones((40, 40), bool)
+        path = save_tracks({**tracks, obj: MaskTrack(masks)}, d / "big")
+        return (_scene_args(command, d, masks=path),
+                [f"{path}: track '{obj}' frame 1: mask is 40x40, frame is 32x32"])
+    return run
+
+
+def _merge_config(command, doc, detail):
+    def run(d):
+        mc = d / "merge.json"
+        mc.write_text(doc)
+        return _scene_args(command, d) + ["--merge-config", str(mc)], [f"{mc}: ", detail]
+    return run
+
+
+_3D = ("pipeline", "lift", "merge")
+
+CORRUPTIONS = {
+    "eval-3d-fractional-ids": _eval_3d([0.5, 1.7, 2.2]),
+    "eval-3d-negative-id": _eval_3d([-1, 0, 1]),
+    "eval-3d-nested-ids": _eval_3d([[0, 1], [2, 3]]),
+    "eval-3d-id-past-int64": _eval_3d([10**30]),
+    "eval-3d-string-id": _eval_3d(["a"]),
+    "eval-3d-string-confidence": _eval_3d([0, 1], confidence="x"),
+    "eval-3d-nan-confidence": _eval_3d([0, 1], confidence=float("nan")),
+    **{f"{c}-short-dmap": _short_dmap(c) for c in _3D + ("sample",)},
+    "pipeline-negative-superpoint-label": _edit_json("superpoints.json", _negative_label,
+                                                     "manifest.json"),
+    "pipeline-short-label-list": _edit_json("superpoints.json", _short_label_list,
+                                            "superpoints.json"),
+    "pipeline-dangling-gt-point-id": _edit_json("instances.json", _dangling_gt_id,
+                                                "manifest.json"),
+    "pipeline-fractional-gt-id": _edit_json("instances.json", _fractional_gt_id,
+                                            "instances.json"),
+    "pipeline-manifest-not-object": _json_list("manifest.json", "manifest"),
+    "pipeline-superpoints-not-object": _json_list("superpoints.json", "superpoints"),
+    "pipeline-tracks-not-object": _json_list("tracks/tracks.json", "tracks"),
+    **{f"{c}-track-mask-wrong-size": _big_track_mask(c) for c in _3D},
+    **{f"{c}-merge-config-out-of-range": _merge_config(c, '{"theta_3d": 2.0}', "theta_3d")
+       for c in _3D},
+    "pipeline-merge-config-unknown-key": _merge_config("pipeline", '{"voxel_sz": 0.1}',
+                                                       "'voxel_sz'"),
+    "pipeline-merge-config-list": _merge_config("pipeline", "[1, 2]", "list"),
+    "pipeline-merge-config-string-value": _merge_config("pipeline", '{"voxel_size": "0.1"}',
+                                                        "'voxel_size' must be a number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupt_input_exit_2(scene_dir, tmp_path, case):
+    """Each subcommand x corruption exits 2 with one stderr line naming the
+    path or field, and no traceback."""
+    d = tmp_path / "scene"
+    shutil.copytree(scene_dir, d)
+    argv, named = CORRUPTIONS[case](d)
+    src = str(Path(geovos.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    proc = subprocess.run([sys.executable, "-m", "geovos.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
+    assert "Traceback" not in proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    for name in named:
+        assert name in err[0], (name, err[0])
 
 
 class TestEvalVos:

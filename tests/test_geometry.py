@@ -1,4 +1,4 @@
-"""Geometry: back-projection, transforms, frustums, depth agreement."""
+"""Geometry: back-projection, frustum overlap, the frame memo, depth agreement."""
 
 import copy
 import dataclasses
@@ -12,7 +12,7 @@ from conftest import (make_intrinsics, naive_back_project, naive_frustum_overlap
 from geovos import geometry, kernels
 from geovos.geometry import (CameraFrame, CameraIntrinsics, CameraPose, PointCloud,
                              back_project, depth_agreement_score, frustum_overlap_ratio,
-                             frustum_overlap_ratios, in_frustum, project, transform_points)
+                             frustum_overlap_ratios)
 
 
 class TestTypes:
@@ -139,69 +139,18 @@ class TestBackProject:
         assert {dtype for _, _, dtype in layouts} == {"float32", "float64"}
 
     def test_project_roundtrip_identity(self):
-        # back_project then project returns the pixel centers within 1e-5 px
+        # back_project then the pinhole projection returns the pixel centers
+        # within 1e-5 px
         rng = np.random.default_rng(7)
         intr = make_intrinsics(fx=17.3, fy=23.1, width=12, height=10)
         depth = rng.uniform(0.5, 4.0, size=(10, 12))
         mask = rng.random((10, 12)) < 0.5
         pc, _ = back_project(mask, depth, intr)
-        uv = project(pc.points, intr)
+        x, y, z = pc.points.T
+        uv = np.stack([intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy], axis=1)
         vs, us = np.nonzero(mask)
         np.testing.assert_allclose(uv[:, 0], us, atol=1e-5)
         np.testing.assert_allclose(uv[:, 1], vs, atol=1e-5)
-
-
-class TestTransformPoints:
-    def test_identity_pair(self):
-        rng = np.random.default_rng(0)
-        pose = random_pose(rng)
-        pc = PointCloud(rng.normal(size=(50, 3)))
-        out = transform_points(pc, pose, pose)
-        assert np.max(np.abs(out.points - pc.points)) < 1e-7
-
-    def test_pure_translation(self):
-        src = CameraPose.identity()
-        dst = CameraPose(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        out = transform_points(PointCloud([[0.0, 0.0, 1.0]]), src, dst)
-        np.testing.assert_allclose(out.points, [[-1.0, 0.0, 1.0]])
-
-    def test_matches_two_step_world_roundtrip(self):
-        rng = np.random.default_rng(11)
-        src, dst = random_pose(rng), random_pose(rng)
-        pts = rng.normal(size=(100, 3))
-        out = transform_points(PointCloud(pts), src, dst)
-        world = pts @ src.rotation.T + src.translation
-        expected = (world - dst.translation) @ dst.rotation
-        np.testing.assert_allclose(out.points, expected, atol=1e-9)
-        assert len(out) == 100
-
-
-class TestInFrustum:
-    def test_center_point(self):
-        intr = make_intrinsics(width=8, height=8, cx=4.0, cy=4.0)
-        assert in_frustum(np.array([0.0, 0.0, 1.0]), intr) is True
-
-    def test_behind_camera(self):
-        intr = make_intrinsics(width=8, height=8)
-        assert in_frustum(np.array([0.0, 0.0, -1.0]), intr) is False
-
-    def test_half_open_right_edge(self):
-        # point projecting to u == width exactly is out
-        intr = make_intrinsics(fx=8.0, fy=8.0, width=8, height=8, cx=0.0, cy=0.0)
-        p = np.array([1.0, 0.0, 1.0])  # u = 8.0 == width
-        assert in_frustum(p, intr) is False
-        p_in = np.array([7.9 / 8.0, 0.0, 1.0])
-        assert in_frustum(p_in, intr) is True
-
-    def test_nonfinite_is_false(self):
-        intr = make_intrinsics(width=8, height=8)
-        assert in_frustum(np.array([np.nan, 0.0, 1.0]), intr) is False
-        assert in_frustum(np.array([0.0, 0.0, np.inf]), intr) is False
-
-    def test_vectorized(self):
-        intr = make_intrinsics(width=8, height=8, cx=4.0, cy=4.0)
-        pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-        np.testing.assert_array_equal(in_frustum(pts, intr), [True, False])
 
 
 class TestFrustumOverlap:
@@ -297,19 +246,16 @@ def masked_frame(seed=0, size=6):
 
 def uncached(frame, obj="o"):
     mask = frame.masks.get(obj)
-    if mask is None:
-        return False, None
-    if frame.depth is None:
-        return bool(mask.any()), None
-    return bool(mask.any()), back_project(mask, frame.depth, frame.intrinsics)[0].points
+    if mask is None or frame.depth is None:
+        return None
+    return back_project(mask, frame.depth, frame.intrinsics)[0].points
 
 
 def assert_same_points(got, want):
-    assert got[0] == want[0]
-    if want[1] is None:
-        assert got[1] is None
+    if want is None:
+        assert got is None
     else:
-        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got, want)
 
 
 class TestFrameMemo:
@@ -320,8 +266,8 @@ class TestFrameMemo:
                             lambda *a: calls.append(1) or original(*a))
         frame = masked_frame()
         first = frame.object_points("o")
-        assert frame.object_points("o")[1] is first[1]
-        assert frame.object_points("missing") == (False, None)
+        assert frame.object_points("o") is first
+        assert frame.object_points("missing") is None
         assert len(calls) == 1
         assert_same_points(first, uncached(frame))
 
@@ -333,7 +279,7 @@ class TestFrameMemo:
                             None, {"full": ~mask, "empty": mask, "pixel": pixel})
         assert frame.mask_nonempty("full") and frame.mask_nonempty("pixel")
         assert not frame.mask_nonempty("empty") and not frame.mask_nonempty("missing")
-        assert frame.object_points("full") == (True, None)  # no depth raster
+        assert frame.object_points("full") is None  # no depth raster
 
     @pytest.mark.parametrize("change", [
         lambda f: {"masks": {"o": np.roll(f.masks["o"], 2, axis=0)}},
@@ -348,10 +294,12 @@ class TestFrameMemo:
         frame = masked_frame()
         before = frame.object_points("o")
         changed = dataclasses.replace(frame, **change(frame))
-        assert changed.mask_nonempty("o") == changed.object_points("o")[0]
+        mask = changed.masks.get("o")
+        assert changed.mask_nonempty("o") == (mask is not None and bool(mask.any()))
         assert_same_points(changed.object_points("o"), uncached(changed))
         # the original frame and its memo are untouched
-        assert frame.object_points("o")[1] is before[1]
+        assert frame.mask_nonempty("o")
+        assert frame.object_points("o") is before
         assert_same_points(before, uncached(frame))
 
     def test_frozen(self):
@@ -390,7 +338,7 @@ class TestFrameMemo:
         with pytest.raises(ValueError, match="read-only"):
             mask[0, 0] = False
         with pytest.raises(ValueError, match="read-only"):
-            frame.object_points("o")[1][0, 0] = 1.0
+            frame.object_points("o")[0, 0] = 1.0
 
     def test_views_are_copied(self):
         # rasters handed over as views of larger buffers: writes through the

@@ -1,5 +1,8 @@
 """File formats, manifests, and the synthetic box world."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -247,6 +250,65 @@ class TestTracksFile:
         with pytest.raises(ManifestError, match="point_ids"):
             load_instances(p)
 
+    @pytest.mark.parametrize("field, value", [
+        ("point_ids", [0.5, 1.7, 2.2]),
+        ("point_ids", [1.0]),
+        ("point_ids", [-1, 0, 1]),
+        ("point_ids", [[0, 1], [2, 3]]),
+        ("point_ids", [[0], [1, 2]]),
+        ("point_ids", [10**30]),
+        ("point_ids", [2**63]),
+        ("point_ids", ["a"]),
+        ("point_ids", [None]),
+        ("point_ids", [True]),
+        ("point_ids", 3),
+        ("point_ids", "012"),
+        ("confidence", "x"),
+        ("confidence", None),
+        ("confidence", True),
+        ("confidence", float("nan")),
+        ("confidence", float("inf")),
+        ("confidence", 10**400),
+    ], ids=["fractional", "float", "negative", "nested", "ragged", "past-int64", "2**63",
+            "string", "null", "bool", "scalar", "string-list", "conf-string", "conf-null",
+            "conf-bool", "conf-nan", "conf-inf", "conf-past-float"])
+    def test_instances_malformed_field(self, tmp_path, field, value):
+        rec = {"point_ids": [0, 1], "confidence": 0.5, field: value}
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps({"schema": "geovos.instances/1",
+                                 "instances": [{"point_ids": [2]}, rec]}))
+        with pytest.raises(ManifestError) as err:
+            load_instances(p)
+        msg = str(err.value)
+        assert msg.startswith(f"{p}: instances[1]: field '{field}' must be ")
+        assert "\n" not in msg
+
+    def test_instances_accepted_ids(self, tmp_path):
+        # any non-negative int64 is an id: no scene bounds them here
+        p = tmp_path / "inst.json"
+        biggest = 2**63 - 1
+        p.write_text(json.dumps({"schema": "geovos.instances/1", "instances": [
+            {"point_ids": [5, 5, 0, 10**9, biggest], "confidence": 2},
+            {"point_ids": []},
+        ]}))
+        loaded = load_instances(p).instances
+        assert loaded[0].point_ids.dtype == np.int64
+        assert loaded[0].point_ids.tolist() == [5, 5, 0, 10**9, biggest]
+        assert loaded[0].confidence == 2.0 and type(loaded[0].confidence) is float
+        assert loaded[1].point_ids.dtype == np.int64 and loaded[1].point_ids.size == 0
+        assert loaded[1].confidence == 1.0
+
+    @pytest.mark.parametrize("doc, named", [
+        ([], "must hold a JSON object, got list"),
+        ({"schema": "geovos.instances/1", "instances": {"a": 1}}, "field 'instances'"),
+        ({"schema": "geovos.instances/1", "instances": [[0, 1]]}, "instances[0] missing"),
+    ], ids=["list-document", "instances-object", "instance-list"])
+    def test_instances_malformed_document(self, tmp_path, doc, named):
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match=re.escape(named)):
+            load_instances(p)
+
     def test_pointset_roundtrip(self, tmp_path):
         from geovos.ingest import load_pointset, save_pointset
         rng = np.random.default_rng(5)
@@ -274,23 +336,6 @@ class TestTracksFile:
                   "labels": [int(x) for x in labels]}
         for name, want in (("p.json", want_p), ("s.json", want_s)):
             assert (tmp_path / name).read_text() == json.dumps(want, indent=2) + "\n"
-
-    def test_feature_stack_roundtrip(self, tmp_path):
-        from geovos.ingest import load_feature_stack, save_feature_stack
-        rng = np.random.default_rng(6)
-        feat = rng.normal(size=(5, 7, 3)).astype(np.float32)
-        paths = [tmp_path / f"c{i}.dmap" for i in range(3)]
-        save_feature_stack(paths, feat)
-        loaded = load_feature_stack(paths)
-        assert loaded.shape == (5, 7, 3)
-        np.testing.assert_array_equal(loaded.astype(np.float32), feat)
-
-    def test_feature_stack_shape_mismatch(self, tmp_path):
-        from geovos.ingest import load_feature_stack
-        save_dmap(tmp_path / "a.dmap", np.ones((2, 2), np.float32))
-        save_dmap(tmp_path / "b.dmap", np.ones((3, 2), np.float32))
-        with pytest.raises(LengthMismatchError):
-            load_feature_stack([tmp_path / "a.dmap", tmp_path / "b.dmap"])
 
 
 class TestBoxWorld:

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import (make_intrinsics, naive_assign_superpoints, naive_eval_ap,
-                      naive_merge_instances)
+                      naive_merge_instances, overlap3d, voxel_set)
 from geovos.cli import _look_at_pose, boxworld_preset
 from geovos.geometry import CameraIntrinsics, CameraPose, PointCloud
 from geovos.ingest import Box, generate_boxworld
 from geovos.instance3d import (Fragment, Instance, InstanceSet, MergeConfig,
                                SuperpointPartition, _temporal_means, assign_superpoints,
-                               erode, eval_ap, lift_fragment, merge_instances, overlap3d,
-                               run_pipeline, temporal_overlap2d, voxel_set)
+                               erode, eval_ap, lift_fragment, merge_instances,
+                               run_pipeline, temporal_overlap2d)
 from geovos.metrics import MaskTrack
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from geovos.metrics import (MaskTrack, SubsetConfig, TrackLengthMismatchError,
                             count_visible_segments, frame_iou, pick_conditioning_frame,
-                            select_subset, split_directions, track_metrics)
+                            select_subset, track_metrics)
 
 
 def random_track(rng, n_frames=20, shape=(6, 6), p_absent=0.3):
@@ -244,21 +244,3 @@ class TestConditioningFrame:
                 continue
             assert pick_conditioning_frame(gt) == naive_conditioning(gt)
 
-
-class TestSplitDirections:
-    def test_cond_zero(self):
-        fwd, bwd = split_directions(0, 5)
-        assert bwd == [0] and fwd == [0, 1, 2, 3, 4]
-
-    def test_cond_last(self):
-        fwd, bwd = split_directions(4, 5)
-        assert fwd == [4] and bwd == [4, 3, 2, 1, 0]
-
-    def test_middle(self):
-        fwd, bwd = split_directions(3, 7)
-        assert fwd == [3, 4, 5, 6]
-        assert bwd == [3, 2, 1, 0]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            split_directions(7, 7)

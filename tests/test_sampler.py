@@ -108,7 +108,7 @@ class TestFov:
             non_fallback = [f for f in res.frames if f not in res.fallback_frames]
             if res.reference_frame in CLUSTER:
                 saw_cluster_ref = True
-                assert not res.used_fallback
+                assert not res.fallback_frames
                 assert set(non_fallback) <= CLUSTER
             else:
                 saw_stray_ref = True
@@ -124,7 +124,7 @@ class TestFov:
         rng = np.random.default_rng(1)
         res = sample_fov(cluster_only, cfg, rng, obj_id="wall")
         assert set(res.ratios) == CLUSTER - {res.reference_frame}
-        assert not res.used_fallback
+        assert not res.fallback_frames
         assert set(res.frames) == CLUSTER
 
     def test_occluded_but_overlapping_retained(self):
@@ -146,7 +146,7 @@ class TestFov:
         cfg = SamplerConfig(n_frames=3, tau=0.25)
         rng = np.random.default_rng(7)
         res = sample_fov(scene, cfg, rng, obj_id="wall")
-        assert res.used_fallback
+        assert res.fallback_frames
         assert len(res.frames) == 3
         for fid in res.fallback_frames:
             assert res.ratios[fid] <= cfg.tau
