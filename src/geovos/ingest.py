@@ -249,7 +249,9 @@ def save_instances(path, instances: InstanceSet):
 def _point_ids(ids) -> np.ndarray | None:
     """``ids`` as an int64 array when it is a flat list of non-negative
     integers that fit int64, else None. Checked on the whole array at once:
-    numpy infers an integer dtype only when every entry is an integer."""
+    numpy infers an integer dtype only when every entry is an integer or a
+    bool, so bools are found from the set of entry types, which map and set
+    build without a python-level loop."""
     if not isinstance(ids, list):
         return None
     try:
@@ -259,7 +261,7 @@ def _point_ids(ids) -> np.ndarray | None:
     if arr.size == 0:
         return np.zeros(0, np.int64)
     if arr.ndim != 1 or arr.dtype.kind not in "iu" or arr.min() < 0 \
-            or arr.max() > np.iinfo(np.int64).max:
+            or arr.max() > np.iinfo(np.int64).max or bool in set(map(type, ids)):
         return None
     return arr.astype(np.int64, copy=False)
 
@@ -346,18 +348,32 @@ def save_tracks(tracks: dict, out_dir, name="tracks.json"):
 def load_tracks(path, scene=None) -> dict:
     """Load mask tracks written by save_tracks.
 
-    With a ``scene``, every mask at a frame the scene has must match that
-    frame's intrinsics; a mismatch raises BadMaskError naming the tracks
-    file, the object, the frame and both sizes.
+    ``tracks`` must be an object of lists of null or file names and
+    ``length`` an integer; otherwise ManifestError names the file and the
+    field. With a ``scene``, ``length`` must be the scene's frame count and
+    every mask must match its frame's intrinsics; a size mismatch raises
+    BadMaskError naming the tracks file, the object, the frame and both
+    sizes.
     """
     path = Path(path)
     doc = _read_json(path, "tracks")
     if doc.get("schema") != TRACKS_SCHEMA:
         raise ManifestError(f"{path}: schema must be {TRACKS_SCHEMA}")
-    length = int(doc.get("length", 0))
+    length, records = doc.get("length", 0), doc.get("tracks", {})
+    if isinstance(length, bool) or not isinstance(length, int):
+        raise ManifestError(f"{path}: field 'length' must be an integer, got {length!r}")
+    if not isinstance(records, dict):
+        raise ManifestError(f"{path}: field 'tracks' must be an object")
     frames = scene.frames if scene is not None else []
+    if scene is not None and length != len(frames):
+        raise ManifestError(f"{path}: field 'length' is {length}, scene has "
+                            f"{len(frames)} frames")
     tracks = {}
-    for obj_id, entries in doc.get("tracks", {}).items():
+    for obj_id, entries in records.items():
+        if not isinstance(entries, list) or \
+                not all(rel is None or isinstance(rel, str) for rel in entries):
+            raise ManifestError(f"{path}: field 'tracks': track '{obj_id}' must be a list "
+                                f"of null or file names")
         if len(entries) != length:
             raise ManifestError(f"{path}: track '{obj_id}' has {len(entries)} frames, "
                                 f"manifest says {length}")
@@ -426,6 +442,11 @@ def load_scene(manifest_path) -> Scene:
                             f"got {doc.get('schema')!r}")
     if "frames" not in doc:
         raise ManifestError(f"{manifest_path}: missing field 'frames'")
+    if not isinstance(doc["frames"], list) or not all(isinstance(r, dict) for r in doc["frames"]):
+        raise ManifestError(f"{manifest_path}: field 'frames' must be a list of objects")
+    for key in ("superpoints", "gt_instances"):
+        if doc.get(key) is not None and not isinstance(doc[key], str):
+            raise ManifestError(f"{manifest_path}: field '{key}' must be a file name or null")
     root = manifest_path.parent
     frames = []
     for i, rec in enumerate(doc["frames"]):
@@ -433,6 +454,13 @@ def load_scene(manifest_path) -> Scene:
         for key in ("depth", "pose", "intrinsics"):
             if key not in rec:
                 raise ManifestError(f"{where}: missing field '{key}'")
+        for key in ("depth", "pose"):
+            if not isinstance(rec[key], str):
+                raise ManifestError(f"{where}: field '{key}' must be a file name")
+        mask_files = rec.get("masks", {})
+        if not isinstance(mask_files, dict) or \
+                not all(isinstance(rel, str) for rel in mask_files.values()):
+            raise ManifestError(f"{where}: field 'masks' must be an object of file names")
         intr = _intrinsics_from_record(rec["intrinsics"], where)
         depth = load_dmap(root / rec["depth"])
         if depth.shape != (intr.height, intr.width):
@@ -440,7 +468,7 @@ def load_scene(manifest_path) -> Scene:
                                 f"intrinsics say {intr.width}x{intr.height}")
         pose = load_pose(root / rec["pose"])
         masks = {}
-        for obj_id, rel in sorted(rec.get("masks", {}).items()):
+        for obj_id, rel in sorted(mask_files.items()):
             mask = load_mask_pgm(root / rel)
             if mask.shape != (intr.height, intr.width):
                 raise BadMaskError(f"{where}: mask '{obj_id}' is {mask.shape[1]}x{mask.shape[0]}, "

@@ -7,7 +7,8 @@ The pipeline is a chain of stages that callers compose as they need:
 * ``score_depth`` scores each fragment against the later depth rasters
   (a diagnostic that only ``geovos lift`` reports);
 * ``merge_instances`` joins fragments whose 3D voxel overlap or temporal
-  2D overlap is high enough (union-find, OR across criteria);
+  2D overlap from the later keyframe on is high enough (union-find, OR
+  across criteria);
 * ``assign_superpoints`` resolves duplicate geometry by majority voting at
   the superpoint level.
 
@@ -52,8 +53,9 @@ class MergeConfig:
 class Fragment:
     """World-frame points lifted from one keyframe mask.
 
-    ``source`` is (keyframe id, mask id); ``track`` holds the per-frame
-    masks propagated forward from the keyframe (None before it).
+    ``source`` is (keyframe id, mask id); ``track`` is the object's whole
+    track, shared by its fragments; the merge reads it from the keyframe
+    ``source[0]`` on (propagation is forward-only).
     """
 
     points: PointCloud
@@ -240,69 +242,42 @@ def _pair_intersections(frag: np.ndarray, vox: np.ndarray, n: int, n_vox: int) -
     return inter
 
 
-def _frame_codes(tracks: list, t: int):
-    """Codes of the distinct visible masks (by identity) at frame t.
+def _temporal_means(fragments: list, pi: np.ndarray, pj: np.ndarray):
+    """temporal_overlap2d of every fragment pair (pi, pj), each track read
+    from its fragment's keyframe ``source[0]`` on.
 
-    Returns (code per track, -1 where absent or not visible; the masks).
+    A pair's series depends only on its two track objects and the later
+    keyframe: each needed track pair is compared once per co-visible frame,
+    and np.mean runs once per distinct (track pair, start) on a contiguous
+    array of the values in frame order, as temporal_overlap2d does.
     """
-    codes = np.full(len(tracks), -1, dtype=np.int64)
-    masks, seen = [], {}
-    for f, track in enumerate(tracks):
-        if track is None or t >= len(track) or track.masks[t] is None:
-            continue
-        m = track.masks[t]
-        if id(m) not in seen:
-            seen[id(m)] = len(masks) if np.any(m) else -1
-            if seen[id(m)] >= 0:
-                masks.append(m.astype(bool))
-        codes[f] = seen[id(m)]
-    return codes, masks
-
-
-def _temporal_means(tracks: list, pi: np.ndarray, pj: np.ndarray):
-    """temporal_overlap2d(tracks[i], tracks[j]) for every pair (pi, pj).
-
-    A pair's series is its co-visible frames with the pair of distinct
-    masks at each. Series are interned back to front, so each node is a
-    series suffix (its frame's mask pair, then the node of the rest) and
-    pairs sharing a suffix share its node. Masks are compared once per
-    node's mask pair per frame, and np.mean runs once per distinct series
-    on its values in frame order, as temporal_overlap2d does.
-    """
-    node = np.zeros(len(pi), dtype=np.int64)  # node 0: the empty series
-    iou_of, prec_of, rest_of = [0.0], [0.0], [0]
-    for t in reversed(range(max(len(tr) for tr in tracks if tr is not None))):
-        codes, masks = _frame_codes(tracks, t)
-        ca, cb = codes[pi], codes[pj]
-        both = (ca >= 0) & (cb >= 0)
-        if not both.any():
-            continue
-        d = len(masks)
-        key = (node[both] * d + np.minimum(ca, cb)[both]) * d + np.maximum(ca, cb)[both]
-        distinct, inv = np.unique(key, return_inverse=True)
-        node[both] = len(rest_of) + inv
-        stats = {}
-        for k in distinct.tolist():
-            rest, pair = divmod(k, d * d)
-            if pair not in stats:
-                a, b = masks[pair // d], masks[pair % d]
-                inter = int(np.count_nonzero(a & b))
-                union = int(np.count_nonzero(a | b))
-                stats[pair] = (inter / union, inter / min(int(np.count_nonzero(a)),
-                                                          int(np.count_nonzero(b))))
-            iou_of.append(stats[pair][0])
-            prec_of.append(stats[pair][1])
-            rest_of.append(rest)
-    finals, inv = np.unique(node, return_inverse=True)
-    means = []
-    for k in finals.tolist():
-        ious, precs = [], []
-        while k:
-            ious.append(iou_of[k])
-            precs.append(prec_of[k])
-            k = rest_of[k]
-        means.append((float(np.mean(ious)), float(np.mean(precs))) if ious else (0.0, 0.0))
-    means = np.array(means, dtype=np.float64).reshape(-1, 2)
+    tracks = list({id(f.track): f.track for f in fragments if f.track is not None}.values())
+    slot = {id(t): s for s, t in enumerate(tracks)}
+    code = np.array([slot.get(id(f.track), -1) for f in fragments])
+    # a keyframe past the track's end leaves an empty series
+    start = np.array([0 if f.track is None else min(max(f.source[0], 0), len(f.track))
+                      for f in fragments])
+    n_t, n_s = len(tracks), max(len(t) for t in tracks) + 1
+    lo, hi = np.minimum(code[pi], code[pj]), np.maximum(code[pi], code[pj])
+    keys, inv = np.unique((lo * n_t + hi) * n_s + np.maximum(start[pi], start[pj]),
+                          return_inverse=True)
+    series, means = {}, np.zeros((len(keys), 2))
+    for k, (pair, s) in enumerate(divmod(key, n_s) for key in keys.tolist()):
+        if pair not in series:
+            a, b = tracks[pair // n_t], tracks[pair % n_t]
+            rows = []
+            for t in range(len(a)):
+                if a.visible(t) and b.visible(t):
+                    ma, mb = a.masks[t].astype(bool), b.masks[t].astype(bool)
+                    inter = int(np.count_nonzero(ma & mb))
+                    rows.append((t, inter / int(np.count_nonzero(ma | mb)),
+                                 inter / min(int(np.count_nonzero(ma)),
+                                             int(np.count_nonzero(mb)))))
+            series[pair] = np.array(rows, np.float64).reshape(-1, 3).T.copy()
+        frames, ious, precs = series[pair]
+        first = np.searchsorted(frames, s)
+        if first < len(frames):
+            means[k] = np.mean(ious[first:]), np.mean(precs[first:])
     return means[inv, 0], means[inv, 1]
 
 
@@ -320,8 +295,9 @@ def merge_instances(fragments: list, cfg: MergeConfig) -> InstanceSet:
     The scores equal, pair by pair, the voxel-set overlap
     |Va & Vb| / min(|Va|, |Vb|) and temporal_overlap2d, and the temporal
     ones are computed only for pairs whose 3D overlap did not fire.
-    Pairwise voxel overlaps come from one voxel index; temporal statistics
-    are computed per pair of distinct masks per frame.
+    Pairwise voxel overlaps come from one voxel index; a pair's temporal
+    series is its two tracks from the later keyframe ``source[0]`` on, computed
+    once per distinct (pair of track objects, start frame).
 
     Raises:
         ValueError: if there are no fragments, one is empty, or two tracks
@@ -340,15 +316,14 @@ def merge_instances(fragments: list, cfg: MergeConfig) -> InstanceSet:
     pi, pj = np.triu_indices(n, 1)
     fired = inter[pi, pj] / np.minimum(sizes[pi], sizes[pj]) >= cfg.theta_3d
 
-    tracks = [f.track for f in fragments]
-    lengths = np.array([-1 if t is None else len(t) for t in tracks])
+    lengths = np.array([-1 if f.track is None else len(f.track) for f in fragments])
     todo = np.flatnonzero(~fired & (lengths[pi] >= 0) & (lengths[pj] >= 0))
     if todo.size:
         bad = todo[lengths[pi[todo]] != lengths[pj[todo]]]
         if bad.size:
             i, j = pi[bad[0]], pj[bad[0]]
             raise ValueError(f"track lengths differ: {lengths[i]} vs {lengths[j]}")
-        iou, prec = _temporal_means(tracks, pi[todo], pj[todo])
+        iou, prec = _temporal_means(fragments, pi[todo], pj[todo])
         fired[todo] = (iou >= cfg.theta_iou) | (prec >= cfg.theta_prec)
 
     uf = UnionFind(n)
@@ -504,8 +479,8 @@ def lift_all(scene, tracks: dict, cfg: MergeConfig, keyframe_stride: int = 1):
 
     For every keyframe (frames strided by ``keyframe_stride``, skipping
     frames without depth) and every track visible there, in that order, the
-    keyframe mask is lifted into a fragment whose temporal track keeps only
-    the forward frames (propagation is forward-only).
+    keyframe mask is lifted into a fragment that keeps a reference to the
+    whole track; the merge reads it from the keyframe on.
 
     Returns ``(fragments, rejections)``, a rejection being
     ``((keyframe, obj_id), reason)``.
@@ -527,9 +502,8 @@ def lift_all(scene, tracks: dict, cfg: MergeConfig, keyframe_stride: int = 1):
             track = tracks[obj_id]
             if not track.visible(k):
                 continue
-            fwd = MaskTrack([None] * k + list(track.masks[k:]))
             res = lift_fragment(track.masks[k], frame.depth, frame.pose,
-                                frame.intrinsics, cfg, source=(k, obj_id), track=fwd)
+                                frame.intrinsics, cfg, source=(k, obj_id), track=track)
             if res.ok:
                 fragments.append(res.fragment)
             else:

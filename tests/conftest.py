@@ -232,6 +232,17 @@ def overlap3d(a, b, voxel_size) -> float:
     return len(va & vb) / min(len(va), len(vb))
 
 
+def forward_track(fragment):
+    """The fragment's track with every frame before its keyframe
+    ``source[0]`` set to None: the padded view of the track that the merge's
+    temporal criterion reads (a keyframe past the end leaves no frame)."""
+    from geovos.metrics import MaskTrack
+
+    masks = fragment.track.masks
+    k = min(max(fragment.source[0], 0), len(masks))
+    return MaskTrack([None] * k + masks[k:])
+
+
 def naive_merge_instances(fragments, cfg):
     from geovos.instance3d import Instance, InstanceSet, UnionFind, temporal_overlap2d
 
@@ -247,7 +258,8 @@ def naive_merge_instances(fragments, cfg):
                 uf.union(i, j)
                 continue
             if fragments[i].track is not None and fragments[j].track is not None:
-                iou, prec = temporal_overlap2d(fragments[i].track, fragments[j].track)
+                iou, prec = temporal_overlap2d(forward_track(fragments[i]),
+                                               forward_track(fragments[j]))
                 if iou >= cfg.theta_iou or prec >= cfg.theta_prec:
                     uf.union(i, j)
     groups = {}

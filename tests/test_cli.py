@@ -155,18 +155,6 @@ class TestPipeline:
         pts = load_pointset(files[0])
         assert pts.shape[1] == 3 and pts.shape[0] > 0
 
-    @pytest.mark.parametrize("command", ["pipeline", "lift", "merge"])
-    def test_tracks_shorter_than_scene_exit_2(self, scene_dir, tmp_path, capsys, command):
-        tracks = load_tracks(scene_dir / "tracks" / "tracks.json")
-        short = save_tracks({k: MaskTrack(t.masks[:3]) for k, t in tracks.items()},
-                            tmp_path / "short")
-        code = main([command, "--scene", str(scene_dir / "manifest.json"),
-                     "--masks", str(short)])
-        assert code == EXIT_INPUT_ERROR
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert f"track '{sorted(tracks)[0]}' has 3 frames, scene has 6" in err[0]
-
     def test_eval_3d_accepts_any_int64_id(self, tmp_path):
         # without a scene nothing bounds a predicted id: 10**9 is a label
         # that matches no ground truth, not an input error
@@ -357,6 +345,74 @@ def _fractional_gt_id(doc):
     return "instances[0]: field 'point_ids'"
 
 
+def _tracks_field_list(doc):
+    doc["tracks"] = list(doc["tracks"].values())
+    return "field 'tracks' must be an object"
+
+
+def _track_entry_number(doc):
+    obj = sorted(doc["tracks"])[0]
+    doc["tracks"][obj] = 5
+    return f"track '{obj}' must be a list of null or file names"
+
+
+def _track_frame_number(doc):
+    obj = sorted(doc["tracks"])[-1]
+    doc["tracks"][obj][0] = 7
+    return f"track '{obj}' must be a list of null or file names"
+
+
+def _tracks_length_string(doc):
+    doc["length"] = str(doc["length"])
+    return "field 'length' must be an integer"
+
+
+def _frames_number(doc):
+    doc["frames"] = 5
+    return "field 'frames' must be a list of objects"
+
+
+def _frame_not_object(doc):
+    doc["frames"][1] = "depth/0001.dmap"
+    return "field 'frames' must be a list of objects"
+
+
+def _frame_masks_list(doc):
+    doc["frames"][2]["masks"] = list(doc["frames"][2]["masks"].values())
+    return "frames[2]: field 'masks' must be an object"
+
+
+def _frame_mask_number(doc):
+    obj = sorted(doc["frames"][2]["masks"])[0]
+    doc["frames"][2]["masks"][obj] = 3
+    return "frames[2]: field 'masks' must be an object of file names"
+
+
+def _frame_depth_number(doc):
+    doc["frames"][0]["depth"] = 0
+    return "frames[0]: field 'depth' must be a file name"
+
+
+def _superpoints_number(doc):
+    doc["superpoints"] = 5
+    return "field 'superpoints' must be a file name or null"
+
+
+def _gt_instances_list(doc):
+    doc["gt_instances"] = [doc["gt_instances"]]
+    return "field 'gt_instances' must be a file name or null"
+
+
+def _short_tracks(command):
+    """tracks of 3 frames on the 6-frame scene."""
+    def run(d):
+        tracks = load_tracks(d / "tracks" / "tracks.json")
+        path = save_tracks({k: MaskTrack(t.masks[:3]) for k, t in tracks.items()}, d / "short")
+        return (_scene_args(command, d, masks=path),
+                [f"{path}: field 'length' is 3, scene has 6 frames"])
+    return run
+
+
 def _big_track_mask(command):
     def run(d):
         tracks = load_tracks(d / "tracks" / "tracks.json")
@@ -399,6 +455,20 @@ CORRUPTIONS = {
     "pipeline-manifest-not-object": _json_list("manifest.json", "manifest"),
     "pipeline-superpoints-not-object": _json_list("superpoints.json", "superpoints"),
     "pipeline-tracks-not-object": _json_list("tracks/tracks.json", "tracks"),
+    **{f"pipeline-{name}": _edit_json("tracks/tracks.json", edit, "tracks/tracks.json")
+       for name, edit in [("tracks-field-list", _tracks_field_list),
+                          ("track-entry-number", _track_entry_number),
+                          ("track-frame-number", _track_frame_number),
+                          ("tracks-length-string", _tracks_length_string)]},
+    **{f"pipeline-{name}": _edit_json("manifest.json", edit, "manifest.json")
+       for name, edit in [("frames-number", _frames_number),
+                          ("frame-not-object", _frame_not_object),
+                          ("frame-masks-list", _frame_masks_list),
+                          ("frame-mask-number", _frame_mask_number),
+                          ("frame-depth-number", _frame_depth_number),
+                          ("superpoints-number", _superpoints_number),
+                          ("gt-instances-list", _gt_instances_list)]},
+    **{f"{c}-tracks-shorter-than-scene": _short_tracks(c) for c in _3D},
     **{f"{c}-track-mask-wrong-size": _big_track_mask(c) for c in _3D},
     **{f"{c}-merge-config-out-of-range": _merge_config(c, '{"theta_3d": 2.0}', "theta_3d")
        for c in _3D},

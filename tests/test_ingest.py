@@ -231,8 +231,10 @@ class TestTracksFile:
         with pytest.raises(BadMaskError) as err:
             load_tracks(path, Scene("s", frames))
         assert str(err.value) == f"{path}: track 'b' frame 2: mask is 6x4, frame is 5x5"
-        # frames past the scene's end are left to the length check of the lift
-        assert sorted(load_tracks(path, Scene("s", frames[:2]))) == ["a", "b"]
+        # a scene of another length is named by the file's 'length' field
+        with pytest.raises(ManifestError) as err:
+            load_tracks(path, Scene("s", frames[:2]))
+        assert str(err.value) == f"{path}: field 'length' is 3, scene has 2 frames"
 
     def test_instances_roundtrip(self, tmp_path):
         from geovos.instance3d import Instance, InstanceSet
@@ -261,6 +263,7 @@ class TestTracksFile:
         ("point_ids", ["a"]),
         ("point_ids", [None]),
         ("point_ids", [True]),
+        ("point_ids", [1, True]),
         ("point_ids", 3),
         ("point_ids", "012"),
         ("confidence", "x"),
@@ -270,7 +273,7 @@ class TestTracksFile:
         ("confidence", float("inf")),
         ("confidence", 10**400),
     ], ids=["fractional", "float", "negative", "nested", "ragged", "past-int64", "2**63",
-            "string", "null", "bool", "scalar", "string-list", "conf-string", "conf-null",
+            "string", "null", "bool", "int-and-bool", "scalar", "string-list", "conf-string", "conf-null",
             "conf-bool", "conf-nan", "conf-inf", "conf-past-float"])
     def test_instances_malformed_field(self, tmp_path, field, value):
         rec = {"point_ids": [0, 1], "confidence": 0.5, field: value}

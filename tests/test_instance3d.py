@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (make_intrinsics, naive_assign_superpoints, naive_eval_ap,
+from conftest import (forward_track, make_intrinsics, naive_assign_superpoints, naive_eval_ap,
                       naive_merge_instances, overlap3d, voxel_set)
 from geovos.cli import _look_at_pose, boxworld_preset
 from geovos.geometry import CameraIntrinsics, CameraPose, PointCloud
 from geovos.ingest import Box, generate_boxworld
 from geovos.instance3d import (Fragment, Instance, InstanceSet, MergeConfig,
                                SuperpointPartition, _temporal_means, assign_superpoints,
-                               erode, eval_ap, lift_fragment, merge_instances,
+                               erode, eval_ap, lift_all, lift_fragment, merge_instances,
                                run_pipeline, temporal_overlap2d)
 from geovos.metrics import MaskTrack
 
@@ -256,25 +256,38 @@ def assert_same_instances(new, old):
 
 
 def random_fragments(rng, lengths):
-    """Fragments around a few centres, with unshared random masks or no track."""
+    """Fragments around a few centres, with no track or a random track and a
+    keyframe inside it. A fragment's track is often an earlier fragment's
+    track object of the same length, sometimes a new track holding that
+    track's very mask arrays, otherwise freshly drawn."""
     centres = rng.normal(scale=1.5, size=(3, 3))
-    frags = []
+    frags, drawn = [], []
     for i, length in enumerate(lengths):
         pts = centres[rng.integers(3)] + rng.normal(scale=rng.uniform(0.2, 1.0),
                                                     size=(int(rng.integers(1, 40)), 3))
-        track = None
+        track, keyframe = None, 0
         if length is not None:
-            masks = []
-            for _ in range(length):
-                u = rng.random()
-                if u < 0.25:
-                    masks.append(None)
-                elif u < 0.35:
-                    masks.append(np.zeros((6, 6), np.uint8))
-                else:
-                    masks.append((rng.random((6, 6)) < rng.uniform(0.05, 0.6)).astype(np.uint8))
-            track = MaskTrack(masks)
-        frags.append(frag(pts, (i, "r"), track))
+            earlier = [t for t in drawn if len(t) == length]
+            u = rng.random()
+            if earlier and u < 0.5:
+                track = earlier[rng.integers(len(earlier))]
+            elif earlier and u < 0.6:
+                track = MaskTrack(earlier[rng.integers(len(earlier))].masks)
+            else:
+                masks = []
+                for _ in range(length):
+                    u = rng.random()
+                    if u < 0.25:
+                        masks.append(None)
+                    elif u < 0.35:
+                        masks.append(np.zeros((6, 6), np.uint8))
+                    else:
+                        masks.append((rng.random((6, 6)) < rng.uniform(0.05, 0.6))
+                                     .astype(np.uint8))
+                track = MaskTrack(masks)
+                drawn.append(track)
+            keyframe = int(rng.integers(length))
+        frags.append(frag(pts, (keyframe, f"r{i}"), track))
     return frags
 
 
@@ -310,13 +323,13 @@ class TestMergeMatchesOracle:
         new, old = merge_instances(frags, cfg), naive_merge_instances(frags, cfg)
         assert_same_instances(new, old)
         # the per-pair means themselves are bit-identical, not only the edges
-        tracks = [f.track for f in frags]
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if tracks[i] is not None and tracks[j] is not None]
+                 if frags[i].track is not None and frags[j].track is not None]
         if pairs:
-            iou, prec = _temporal_means(tracks, *np.array(pairs).T)
+            iou, prec = _temporal_means(frags, *np.array(pairs).T)
             assert list(zip(iou.tolist(), prec.tolist())) == [
-                temporal_overlap2d(tracks[i], tracks[j]) for i, j in pairs]
+                temporal_overlap2d(forward_track(frags[i]), forward_track(frags[j]))
+                for i, j in pairs]
         scene_pts = rng.normal(scale=1.5, size=(200, 3))
         labels = rng.integers(0, 12, size=200)
         labels = np.unique(labels, return_inverse=True)[1]
@@ -337,6 +350,34 @@ class TestMergeMatchesOracle:
                 merge_instances(frags, cfg)
         else:
             assert_same_instances(merge_instances(frags, cfg), old)
+
+    def test_lifted_fragments_share_their_objects_track(self):
+        boxes, cams = boxworld_preset("two-cubes", 32)
+        world = generate_boxworld(boxes, cams, resolution=(32, 32))
+        fragments, _ = lift_all(world.scene, world.gt_tracks, MergeConfig())
+        for obj, track in world.gt_tracks.items():
+            mine = [f for f in fragments if f.source[1] == obj]
+            assert len(mine) > 1 and all(f.track is track for f in mine)
+
+    def test_masks_before_the_keyframe_never_count(self):
+        same, left, right = (np.zeros((4, 4), bool) for _ in range(3))
+        same[:], left[:, :2], right[:, 2:] = True, True, True
+        a = MaskTrack([same] * 3 + [left] * 3)
+        b = MaskTrack([same] * 3 + [right] * 3)
+        cfg = MergeConfig(theta_3d=1.0)  # disjoint points: only the 2D criterion links
+
+        def linked(ka, kb):
+            frags = [frag(centers([(0, 0, 0)]), (ka, "a"), a),
+                     frag(centers([(5, 5, 5)]), (kb, "b"), b)]
+            iou, prec = _temporal_means(frags, np.array([0]), np.array([1]))
+            assert (iou[0], prec[0]) == temporal_overlap2d(*map(forward_track, frags))
+            return len(merge_instances(frags, cfg)) == 1
+
+        assert linked(0, 0)  # mean IoU over all six frames: (3 * 1 + 3 * 0) / 6 = 0.5
+        # a later keyframe on either side drops the identical frames 0-2;
+        # one past the end leaves no frame at all
+        for ka, kb in [(1, 0), (0, 2), (3, 3), (6, 0), (9, 9)]:
+            assert not linked(ka, kb)
 
     def test_pipeline_rejects_tracks_of_other_length(self):
         boxes, cams = boxworld_preset("two-cubes", 32)
