@@ -23,6 +23,7 @@ points, and per-box mask tracks. It is fully deterministic.
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -195,8 +196,42 @@ def load_pose(path) -> CameraPose:
 # JSON side files
 
 
+_SCALARS = {int, float, bool, type(None)}
+
+
+def _scalars(items) -> bool:
+    return set(map(type, items)) <= _SCALARS
+
+
+def _indented(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2)`` written at indentation ``pad``.
+
+    A list of non-string scalars, or of non-empty such rows, is one call of
+    the C encoder (``json.dumps`` without ``indent``) whose ``", "`` and
+    ``"], ["`` separators are swapped for the indented ones; no string can
+    contain them there. Other lists and str-keyed dicts recurse; every
+    other value is the plain encoder's output, re-indented to ``pad``.
+    """
+    inner = pad + "  "
+    if type(obj) is list and obj:
+        if _scalars(obj):
+            body = json.dumps(obj)[1:-1].replace(", ", "," + inner)
+        elif set(map(type, obj)) == {list} and all(obj) and _scalars(chain.from_iterable(obj)):
+            rows = json.dumps(obj)[2:-2].replace("], [", f"{inner}],{inner}[{inner}  ")
+            body = f"[{inner}  " + rows.replace(", ", f",{inner}  ") + f"{inner}]"
+        else:
+            body = ("," + inner).join(_indented(x, inner) for x in obj)
+        return f"[{inner}{body}{pad}]"
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        body = ("," + inner).join(f"{json.dumps(k)}: {_indented(v, inner)}"
+                                  for k, v in obj.items())
+        return f"{{{inner}{body}{pad}}}"
+    return json.dumps(obj, indent=2).replace("\n", pad)
+
+
 def _write_json(path, obj):
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    """Write ``json.dumps(obj, indent=2) + "\\n"``, byte for byte."""
+    Path(path).write_text(_indented(obj, "\n") + "\n")
 
 
 def _read_json(path, what: str):
@@ -217,7 +252,7 @@ def save_superpoints(path, points: np.ndarray, labels: np.ndarray):
     _write_json(path, {
         "schema": SUPERPOINTS_SCHEMA,
         "points": np.asarray(points, dtype=np.float64).reshape(-1, 3).tolist(),
-        "labels": [int(x) for x in np.asarray(labels).reshape(-1)],
+        "labels": np.asarray(labels, dtype=np.int64).reshape(-1).tolist(),
     })
 
 
@@ -225,8 +260,11 @@ def load_superpoints(path):
     doc = _read_json(path, "superpoints")
     if doc.get("schema") != SUPERPOINTS_SCHEMA:
         raise ManifestError(f"{path}: schema must be {SUPERPOINTS_SCHEMA}")
-    points = np.asarray(doc.get("points", []), dtype=np.float64).reshape(-1, 3)
-    labels = np.asarray(doc.get("labels", []), dtype=np.int64)
+    points = _points(doc, path)
+    labels = _int_list(doc.get("labels", []))
+    if labels is None:
+        raise ManifestError(f"{path}: field 'labels' must be a flat list of integers "
+                            f"that fit int64")
     if labels.shape[0] != points.shape[0]:
         raise ManifestError(f"{path}: field 'labels' has {labels.shape[0]} entries "
                             f"for {points.shape[0]} points")
@@ -238,7 +276,8 @@ def save_instances(path, instances: InstanceSet):
         "schema": INSTANCES_SCHEMA,
         "instances": [
             {
-                "point_ids": [int(i) for i in (inst.point_ids if inst.point_ids is not None else [])],
+                "point_ids": (np.asarray(inst.point_ids, dtype=np.int64).tolist()
+                              if inst.point_ids is not None else []),
                 "confidence": float(inst.confidence),
             }
             for inst in instances.instances
@@ -246,24 +285,39 @@ def save_instances(path, instances: InstanceSet):
     })
 
 
-def _point_ids(ids) -> np.ndarray | None:
-    """``ids`` as an int64 array when it is a flat list of non-negative
-    integers that fit int64, else None. Checked on the whole array at once:
-    numpy infers an integer dtype only when every entry is an integer or a
-    bool, so bools are found from the set of entry types, which map and set
-    build without a python-level loop."""
-    if not isinstance(ids, list):
+def _int_list(values) -> np.ndarray | None:
+    """``values`` as an int64 array when it is a flat list of integers that
+    fit int64, else None. Checked on the whole list at once: the set of
+    entry types, which map and set build without a python-level loop, must
+    be at most {int} (so no bool, float, string, null or nested list), and
+    numpy refuses an int past int64."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
         return None
     try:
-        arr = np.asarray(ids)
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _point_ids(ids) -> np.ndarray | None:
+    """``ids`` as an int64 array when it is a flat list of non-negative
+    integers that fit int64, else None."""
+    arr = _int_list(ids)
+    return None if arr is None or (arr.size and arr.min() < 0) else arr
+
+
+def _points(doc, path) -> np.ndarray:
+    """Field ``points`` as (N, 3) float64 when it is a list of [x, y, z]
+    number rows; otherwise ManifestError names the file and the field."""
+    points = doc.get("points", [])
+    try:
+        arr = np.asarray(points) if isinstance(points, list) else None
     except ValueError:  # ragged nesting
-        return None
-    if arr.size == 0:
-        return np.zeros(0, np.int64)
-    if arr.ndim != 1 or arr.dtype.kind not in "iu" or arr.min() < 0 \
-            or arr.max() > np.iinfo(np.int64).max or bool in set(map(type, ids)):
-        return None
-    return arr.astype(np.int64, copy=False)
+        arr = None
+    if arr is None or arr.size and (arr.ndim != 2 or arr.shape[1] != 3
+                                    or arr.dtype.kind not in "iuf"):
+        raise ManifestError(f"{path}: field 'points' must be a list of [x, y, z] numbers")
+    return arr.astype(np.float64, copy=False).reshape(-1, 3)
 
 
 def _finite_number(x) -> bool:
@@ -318,7 +372,7 @@ def load_pointset(path) -> np.ndarray:
     doc = _read_json(path, "point set")
     if doc.get("schema") != POINTSET_SCHEMA:
         raise ManifestError(f"{path}: schema must be {POINTSET_SCHEMA}")
-    return np.asarray(doc.get("points", []), dtype=np.float64).reshape(-1, 3)
+    return _points(doc, path)
 
 
 def save_tracks(tracks: dict, out_dir, name="tracks.json"):

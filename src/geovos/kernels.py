@@ -118,29 +118,44 @@ def render_boxes(origin, dirs, boxes, z_near=1e-9):
     ``boxes`` is (B, 6) as [lox, loy, loz, hix, hiy, hiz]. Returns
     ``(depth, owner)``; pixels hitting nothing get depth 0 and owner -1.
     Ties on entry depth go to the lower box index.
+
+    The boxes are intersected one at a time with the flat (H*W,) rays,
+    keeping the nearest hit so far; a box takes a pixel only when it is
+    strictly nearer, which is the tie rule above. Working memory is O(H*W)
+    whatever the box count: a handful of (H*W,) float64 buffers.
     """
     origin = np.ascontiguousarray(origin, dtype=np.float64)
     dirs = np.ascontiguousarray(dirs, dtype=np.float64)
     boxes = np.ascontiguousarray(boxes, dtype=np.float64).reshape(-1, 6)
     z_near = float(z_near)
     h, w = dirs.shape[0], dirs.shape[1]
-    d = dirs.reshape(h * w, 1, 3)
-    lo = boxes[np.newaxis, :, :3]
-    hi = boxes[np.newaxis, :, 3:]
-    o = origin.reshape(1, 1, 3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo - o) / d
-        t2 = (hi - o) / d
-    parallel = d == 0.0
-    inside = (o >= lo) & (o <= hi)
-    near = np.where(parallel, np.where(inside, NEG_INF, POS_INF), np.minimum(t1, t2))
-    far = np.where(parallel, np.where(inside, POS_INF, NEG_INF), np.maximum(t1, t2))
-    tmin = near.max(axis=2)
-    tmax = far.min(axis=2)
-    hit = (tmin <= tmax) & (tmin > z_near)
-    s = np.where(hit, tmin, POS_INF)
-    best_b = np.argmin(s, axis=1)
-    best_s = s[np.arange(h * w), best_b]
-    owner = np.where(np.isfinite(best_s), best_b, -1).reshape(h, w)
-    depth = np.where(np.isfinite(best_s), best_s, 0.0).reshape(h, w)
-    return depth, owner.astype(np.int64)
+    axes = [np.ascontiguousarray(dirs[:, :, k]).reshape(h * w) for k in range(3)]
+    parallel = [np.flatnonzero(d == 0.0) for d in axes]
+    best = np.full(h * w, POS_INF)
+    owner = np.full(h * w, -1, np.int64)
+    t1, t2, tmin, tmax, near, far = (np.empty(h * w) for _ in range(6))
+    hit = np.empty(h * w, np.bool_)
+    for b, box in enumerate(boxes):
+        # axis 0 writes the slab interval straight into (tmin, tmax); axes 1
+        # and 2 narrow it in axis order, which fixes the sign of a zero
+        # entry depth (np.maximum of +0.0 and -0.0 depends on the order)
+        for k, (n, f) in enumerate(zip((tmin, near, near), (tmax, far, far))):
+            lo, hi, o = box[k], box[k + 3], origin[k]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(lo - o, axes[k], out=t1)
+                np.divide(hi - o, axes[k], out=t2)
+            np.minimum(t1, t2, out=n)
+            np.maximum(t1, t2, out=f)
+            inside = lo <= o <= hi
+            n[parallel[k]] = NEG_INF if inside else POS_INF
+            f[parallel[k]] = POS_INF if inside else NEG_INF
+            if k:
+                np.maximum(tmin, near, out=tmin)
+                np.minimum(tmax, far, out=tmax)
+        np.less_equal(tmin, tmax, out=hit)
+        hit &= tmin > z_near
+        hit &= tmin < best
+        np.copyto(best, tmin, where=hit)
+        owner[hit] = b
+    depth = np.where(owner >= 0, best, 0.0)
+    return depth.reshape(h, w), owner.reshape(h, w)

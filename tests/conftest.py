@@ -349,3 +349,37 @@ def naive_eval_ap(pred, gt, band=None):
     pred_sets = [np.unique(pred.instances[k].point_ids) for k in order]
     aps = {t: ap_at(pred_sets, gt_sets, t) for t in set(band) | {0.5, 0.25}}
     return {"ap": float(np.mean([aps[t] for t in band])), "ap50": aps[0.5], "ap25": aps[0.25]}
+
+
+# ---------------------------------------------------------------------------
+# box-render oracle: the slab test broadcast over (pixels, boxes, axes) at
+# once, then one argmin per pixel (the first minimum wins ties)
+
+
+def naive_render_boxes(origin, dirs, boxes, z_near=1e-9):
+    NEG_INF, POS_INF = float("-inf"), float("inf")
+    origin = np.ascontiguousarray(origin, dtype=np.float64)
+    dirs = np.ascontiguousarray(dirs, dtype=np.float64)
+    boxes = np.ascontiguousarray(boxes, dtype=np.float64).reshape(-1, 6)
+    z_near = float(z_near)
+    h, w = dirs.shape[0], dirs.shape[1]
+    d = dirs.reshape(h * w, 1, 3)
+    lo = boxes[np.newaxis, :, :3]
+    hi = boxes[np.newaxis, :, 3:]
+    o = origin.reshape(1, 1, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - o) / d
+        t2 = (hi - o) / d
+    parallel = d == 0.0
+    inside = (o >= lo) & (o <= hi)
+    near = np.where(parallel, np.where(inside, NEG_INF, POS_INF), np.minimum(t1, t2))
+    far = np.where(parallel, np.where(inside, POS_INF, NEG_INF), np.maximum(t1, t2))
+    tmin = near.max(axis=2)
+    tmax = far.min(axis=2)
+    hit = (tmin <= tmax) & (tmin > z_near)
+    s = np.where(hit, tmin, POS_INF)
+    best_b = np.argmin(s, axis=1)
+    best_s = s[np.arange(h * w), best_b]
+    owner = np.where(np.isfinite(best_s), best_b, -1).reshape(h, w)
+    depth = np.where(np.isfinite(best_s), best_s, 0.0).reshape(h, w)
+    return depth, owner.astype(np.int64)

@@ -335,6 +335,16 @@ def _short_label_list(doc):
     return "field 'labels'"
 
 
+def _string_labels(doc):
+    doc["labels"] = "x"
+    return "field 'labels' must be a flat list of integers"
+
+
+def _two_coordinate_points(doc):
+    doc["points"] = [[1, 2]]
+    return "field 'points' must be a list of [x, y, z] numbers"
+
+
 def _dangling_gt_id(doc):
     doc["instances"][0]["point_ids"].append(10**6)
     return "gt_instances[0] references point 1000000"
@@ -448,6 +458,10 @@ CORRUPTIONS = {
                                                      "manifest.json"),
     "pipeline-short-label-list": _edit_json("superpoints.json", _short_label_list,
                                             "superpoints.json"),
+    "pipeline-string-label-list": _edit_json("superpoints.json", _string_labels,
+                                             "superpoints.json"),
+    "pipeline-two-coordinate-points": _edit_json("superpoints.json", _two_coordinate_points,
+                                                 "superpoints.json"),
     "pipeline-dangling-gt-point-id": _edit_json("instances.json", _dangling_gt_id,
                                                 "manifest.json"),
     "pipeline-fractional-gt-id": _edit_json("instances.json", _fractional_gt_id,

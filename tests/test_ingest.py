@@ -323,6 +323,41 @@ class TestTracksFile:
         assert p1.read_bytes() == p2.read_bytes()
         np.testing.assert_array_equal(loaded, pts)
 
+    @pytest.mark.parametrize("field, value", [
+        ("labels", "x"), ("labels", ["x"]), ("labels", [1.5]), ("labels", [True]),
+        ("labels", [0, True]), ("labels", [[0]]), ("labels", [2**63]),
+        ("points", [[1, 2]]), ("points", [1.0, 2.0, 3.0]), ("points", [["a", "b", "c"]]),
+        ("points", [[1.0, None, 2.0]]), ("points", [[True, False, True]]),
+        ("points", [[1, 2, 3], [4, 5]]), ("points", "xyz"),
+    ], ids=["labels-string", "labels-strings", "labels-float", "labels-bool",
+            "labels-int-and-bool", "labels-nested", "labels-past-int64", "points-two-coords",
+            "points-flat", "points-strings", "points-null", "points-bools", "points-ragged",
+            "points-string"])
+    def test_superpoints_malformed_field(self, tmp_path, field, value):
+        from geovos.ingest import load_pointset, load_superpoints
+        doc = {"schema": "geovos.superpoints/1", "points": [[0.0, 1.0, 2.0]], "labels": [0],
+               field: value}
+        p = tmp_path / "sp.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError) as err:
+            load_superpoints(p)
+        assert str(err.value).startswith(f"{p}: field '{field}' must be ")
+        if field == "points":
+            p.write_text(json.dumps({"schema": "geovos.points/1", "points": value}))
+            with pytest.raises(ManifestError, match=re.escape(f"{p}: field 'points' must be ")):
+                load_pointset(p)
+
+    def test_superpoints_accept_int_coordinates_and_empty(self, tmp_path):
+        from geovos.ingest import load_pointset, load_superpoints
+        p = tmp_path / "sp.json"
+        p.write_text(json.dumps({"schema": "geovos.superpoints/1",
+                                 "points": [[1, 2, 3], [0.5, -1, 2**40]], "labels": [3, 0]}))
+        points, labels = load_superpoints(p)
+        assert points.dtype == np.float64 and points.tolist() == [[1, 2, 3], [0.5, -1, 2**40]]
+        assert labels.dtype == np.int64 and labels.tolist() == [3, 0]
+        p.write_text(json.dumps({"schema": "geovos.points/1", "points": []}))
+        assert load_pointset(p).shape == (0, 3)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
     def test_point_lists_as_written_elementwise(self, tmp_path, dtype):
         # tolist() writes the same bytes as converting coordinate by coordinate
@@ -339,6 +374,51 @@ class TestTracksFile:
                   "labels": [int(x) for x in labels]}
         for name, want in (("p.json", want_p), ("s.json", want_s)):
             assert (tmp_path / name).read_text() == json.dumps(want, indent=2) + "\n"
+
+
+class TestJsonWriter:
+    """``_write_json`` writes the bytes of ``json.dumps(obj, indent=2) + "\\n"``."""
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], [[]], {"a": {}, "b": [], "c": [[]]}, [[], [1]], [[1], []],
+        [None, True, False, 0, -7, 10**30, 2.5, -0.0, 1e-300, float("nan"), float("inf"),
+         -float("inf")],
+        [[None, True], [1, 2.5, float("nan")], [-float("inf")]],
+        ["a, b", "], [", "[[1, 2], [3]]"], [["], [", 1], [2, ", "]], {"k, v": ", ", "], [": [1, 2]},
+        [[1, 2, 3], [4], [5, 6]], [[1, [2, [3, [4]]]], [{"x": [[1.5, 2.5]]}]],
+        {"a": {"b": {"c": {"d": [[1, 2], [3, 4]], "e": [{"f": []}]}}}},
+        {"ünï": [1, 2], "κλειδί": {"键": [[0.5]]}, "\n\t\"": "x"},
+        {1: [1, 2], "b": 2}, {"t": (1, [2, 3]), "n": [np.float64(1.5), 2]},
+        "text", 7, None, [[1, 2], "a"], [[True]], [[[1]]],
+    ], ids=["empty-dict", "empty-list", "empty-row", "empty-values", "empty-first-row",
+            "empty-last-row", "scalars", "scalar-rows", "strings-with-separators",
+            "rows-with-strings", "keys-with-separators", "ragged-rows", "deep-lists",
+            "deep-dicts", "non-ascii-keys", "int-key", "tuple-and-numpy-scalar", "string",
+            "int", "null", "row-then-string", "bool-row", "nested-rows"])
+    def test_matches_indent_2(self, tmp_path, obj):
+        from geovos.ingest import _write_json
+        p = tmp_path / "doc.json"
+        _write_json(p, obj)
+        assert p.read_text() == json.dumps(obj, indent=2) + "\n"
+
+    def test_boxworld_files_match_plain_encoder(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        from geovos import ingest
+        world = generate_boxworld(*boxworld_preset("two-cubes", 16))
+
+        def save(out):
+            save_scene(world.scene, out)
+            save_tracks(world.gt_tracks, out / "tracks")
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        fast = save(tmp_path / "fast")
+        monkeypatch.setattr(ingest, "_write_json", lambda path, obj: Path(path).write_text(
+            json.dumps(obj, indent=2) + "\n"))
+        plain = save(tmp_path / "plain")
+        assert {p.name for p in fast} >= {"manifest.json", "superpoints.json",
+                                          "instances.json", "tracks.json"}
+        assert fast == plain
 
 
 class TestBoxWorld:
