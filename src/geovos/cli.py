@@ -7,7 +7,8 @@ construction and scoring), ``eval-vos`` (track metrics), ``gradcheck``
 
 The 3D commands run only the stages their reports need: ``lift`` lifts and
 scores depth agreement, ``merge`` lifts, merges and votes, and ``pipeline``
-adds AP to that.
+adds AP to that. ``sample`` and ``gradcheck`` import the sampler and the
+feature merger when they run, so no other command loads them.
 
 Reports are line-oriented JSON with a versioned schema: a header line
 (schema, command, config echo), one line per item, one aggregate line.
@@ -32,9 +33,7 @@ from . import ingest
 from .geometry import CameraIntrinsics, CameraPose
 from .ingest import Box, generate_boxworld
 from .instance3d import MergeConfig, eval_ap, lift_all, run_pipeline, score_depth, voxel_keys
-from .merger import MergerConfig, grad_check
 from .metrics import MaskTrack, SubsetConfig, pick_conditioning_frame, select_subset, track_metrics
-from .sampler import SamplerConfig, sample_continuous, sample_fov, sample_mixed, sample_random
 
 REPORT_SCHEMA = "geovos.report/1"
 
@@ -149,6 +148,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .sampler import (SamplerConfig, sample_continuous, sample_fov, sample_mixed,
+                          sample_random)
+
     t0 = time.perf_counter()
     if args.draws < 1:
         raise ValueError(f"--draws must be >= 1, got {args.draws}")
@@ -225,7 +227,7 @@ def _instance_records(instances, cfg: MergeConfig, voted: bool):
         }
         if voted:
             rec["superpoint_ids"] = sorted(inst.superpoint_ids or ())
-            rec["point_ids"] = [int(i) for i in inst.point_ids]
+            rec["point_ids"] = inst.point_ids.tolist()
         else:
             keys = np.concatenate([voxel_keys(f.points.points, cfg.voxel_size)
                                    for f in inst.fragments])
@@ -370,6 +372,8 @@ def cmd_eval_vos(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from .merger import MergerConfig, grad_check
+
     t0 = time.perf_counter()
     overrides = json.loads(Path(args.config).read_text()) if args.config else {}
     desk = {"selected_layers": ("encoder", 4, 7, 11), "c_in": 8, "c_mid": 8,

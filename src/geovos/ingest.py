@@ -197,41 +197,83 @@ def load_pose(path) -> CameraPose:
 
 
 _SCALARS = {int, float, bool, type(None)}
+JSON_BLOCK = 4096  # list entries (or rows) encoded per call of the C encoder
 
 
 def _scalars(items) -> bool:
     return set(map(type, items)) <= _SCALARS
 
 
-def _indented(obj, pad: str) -> str:
-    """``json.dumps(obj, indent=2)`` written at indentation ``pad``.
+def _blocks(seq, pad: str, rows: bool):
+    """Pieces of the indented list ``seq`` of scalars, or of non-empty
+    scalar rows, at indentation ``pad``.
 
-    A list of non-string scalars, or of non-empty such rows, is one call of
-    the C encoder (``json.dumps`` without ``indent``) whose ``", "`` and
-    ``"], ["`` separators are swapped for the indented ones; no string can
-    contain them there. Other lists and str-keyed dicts recurse; every
-    other value is the plain encoder's output, re-indented to ``pad``.
+    Each block of JSON_BLOCK entries is one call of the C encoder
+    (``json.dumps`` without ``indent``) whose ``", "`` and ``"], ["``
+    separators are swapped for the indented ones; no string can contain
+    them there. A block of an array is converted with ``tolist()`` on its
+    own.
     """
     inner = pad + "  "
+    yield "[" + inner
+    for lo in range(0, len(seq), JSON_BLOCK):
+        block = seq[lo:lo + JSON_BLOCK]
+        text = json.dumps(block.tolist() if isinstance(block, np.ndarray) else block)
+        if rows:
+            text = text[2:-2].replace("], [", f"{inner}],{inner}[{inner}  ")
+            text = f"[{inner}  " + text.replace(", ", f",{inner}  ") + f"{inner}]"
+        else:
+            text = text[1:-1].replace(", ", "," + inner)
+        yield ("," + inner if lo else "") + text
+    yield pad + "]"
+
+
+def _chunks(obj, pad: str):
+    """Pieces of ``json.dumps(obj, indent=2)`` written at indentation ``pad``,
+    a numpy array taken as its ``tolist()``.
+
+    A list of non-string scalars, or of non-empty such rows, and a 1-D or
+    2-D number array go block by block (:func:`_blocks`). Other lists and
+    str-keyed dicts recurse; every other value is the plain encoder's
+    output, re-indented to ``pad``.
+    """
+    inner = pad + "  "
+    if isinstance(obj, np.ndarray):
+        if obj.ndim in (1, 2) and obj.size and obj.dtype.kind in "biuf":
+            yield from _blocks(obj, pad, obj.ndim == 2)
+            return
+        obj = obj.tolist()
     if type(obj) is list and obj:
         if _scalars(obj):
-            body = json.dumps(obj)[1:-1].replace(", ", "," + inner)
+            yield from _blocks(obj, pad, False)
         elif set(map(type, obj)) == {list} and all(obj) and _scalars(chain.from_iterable(obj)):
-            rows = json.dumps(obj)[2:-2].replace("], [", f"{inner}],{inner}[{inner}  ")
-            body = f"[{inner}  " + rows.replace(", ", f",{inner}  ") + f"{inner}]"
+            yield from _blocks(obj, pad, True)
         else:
-            body = ("," + inner).join(_indented(x, inner) for x in obj)
-        return f"[{inner}{body}{pad}]"
+            for k, x in enumerate(obj):
+                yield ("," if k else "[") + inner
+                yield from _chunks(x, inner)
+            yield pad + "]"
+        return
     if type(obj) is dict and obj and all(type(k) is str for k in obj):
-        body = ("," + inner).join(f"{json.dumps(k)}: {_indented(v, inner)}"
-                                  for k, v in obj.items())
-        return f"{{{inner}{body}{pad}}}"
-    return json.dumps(obj, indent=2).replace("\n", pad)
+        for k, (key, value) in enumerate(obj.items()):
+            yield f"{',' if k else '{'}{inner}{json.dumps(key)}: "
+            yield from _chunks(value, inner)
+        yield pad + "}"
+        return
+    yield json.dumps(obj, indent=2).replace("\n", pad)
 
 
 def _write_json(path, obj):
-    """Write ``json.dumps(obj, indent=2) + "\\n"``, byte for byte."""
-    Path(path).write_text(_indented(obj, "\n") + "\n")
+    """Write ``json.dumps(obj, indent=2) + "\\n"``, byte for byte, a numpy
+    array taken as its ``tolist()``.
+
+    The text goes to the file piece by piece, so beyond ``obj`` itself the
+    writer holds at most one block of JSON_BLOCK list entries as Python
+    objects and text at a time.
+    """
+    with open(path, "w") as f:
+        f.writelines(_chunks(obj, "\n"))
+        f.write("\n")
 
 
 def _read_json(path, what: str):
@@ -251,8 +293,8 @@ def _read_json(path, what: str):
 def save_superpoints(path, points: np.ndarray, labels: np.ndarray):
     _write_json(path, {
         "schema": SUPERPOINTS_SCHEMA,
-        "points": np.asarray(points, dtype=np.float64).reshape(-1, 3).tolist(),
-        "labels": np.asarray(labels, dtype=np.int64).reshape(-1).tolist(),
+        "points": np.asarray(points, dtype=np.float64).reshape(-1, 3),
+        "labels": np.asarray(labels, dtype=np.int64).reshape(-1),
     })
 
 
@@ -276,7 +318,7 @@ def save_instances(path, instances: InstanceSet):
         "schema": INSTANCES_SCHEMA,
         "instances": [
             {
-                "point_ids": (np.asarray(inst.point_ids, dtype=np.int64).tolist()
+                "point_ids": (np.asarray(inst.point_ids, dtype=np.int64)
                               if inst.point_ids is not None else []),
                 "confidence": float(inst.confidence),
             }
@@ -308,12 +350,19 @@ def _point_ids(ids) -> np.ndarray | None:
 
 def _points(doc, path) -> np.ndarray:
     """Field ``points`` as (N, 3) float64 when it is a list of [x, y, z]
-    number rows; otherwise ManifestError names the file and the field."""
+    number rows; otherwise ManifestError names the file and the field.
+    Checked on the whole list at once: the rows must be lists and the set of
+    their entry types at most {int, float} (so no bool, string or null),
+    then numpy must build a numeric (N, 3) array from them (no ragged rows,
+    no int too large for a numeric dtype)."""
     points = doc.get("points", [])
-    try:
-        arr = np.asarray(points) if isinstance(points, list) else None
-    except ValueError:  # ragged nesting
-        arr = None
+    arr = None
+    if isinstance(points, list) and set(map(type, points)) <= {list} \
+            and set(map(type, chain.from_iterable(points))) <= {int, float}:
+        try:
+            arr = np.asarray(points)
+        except ValueError:  # ragged rows
+            pass
     if arr is None or arr.size and (arr.ndim != 2 or arr.shape[1] != 3
                                     or arr.dtype.kind not in "iuf"):
         raise ManifestError(f"{path}: field 'points' must be a list of [x, y, z] numbers")
@@ -364,7 +413,7 @@ def save_pointset(path, points: np.ndarray):
     """Write a bare world-frame point set (the fragment exchange format)."""
     _write_json(path, {
         "schema": POINTSET_SCHEMA,
-        "points": np.asarray(points, dtype=np.float64).reshape(-1, 3).tolist(),
+        "points": np.asarray(points, dtype=np.float64).reshape(-1, 3),
     })
 
 

@@ -18,8 +18,16 @@ each candidate frame's mask the first time that frame is a candidate, once
 per frame and object, and keeps the points on the frame
 (``CameraFrame.object_points``, 24 bytes per masked valid-depth pixel); it
 then tests every candidate's points against the reference frustum in one
-vectorised pass (``geometry.frustum_overlap_ratios``). Concurrent callers
-may share a scene: a race on the memo only repeats the same work.
+vectorised pass (``geometry.frustum_overlap_ratios``). The reference frame
+keeps the resulting row of ratios per object (``CameraFrame.overlap_row``,
+16 bytes per candidate, for the reference's lifetime), so a later draw from
+the same reference reads the row instead of repeating the pass. The row
+holds its candidate frames and is read only when the candidates are the
+same frame objects in the same order: a frame replaced in
+``scene.frames``, a changed visible set or another ``max_candidates``
+recomputes it, and the row keeps the candidates it was computed from
+alive while the reference lives. Concurrent callers may share a scene: a
+race on a memo only repeats the same work.
 ``frustum_overlap_ratio`` stays importable here as the per-pair reference,
 the name the benchmark's tracer (``perfbench/tracer.py``) wraps.
 """
@@ -29,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import frustum_overlap_ratio  # noqa: F401  (re-exported per-pair reference)
-from .geometry import frustum_overlap_ratios
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,9 @@ def candidate_ratios(scene, obj_id, reference: int, cfg: SamplerConfig, *,
 
     Long videos are capped at cfg.max_candidates uniformly strided
     candidates to bound cost. ``visible`` is ``visible_frames(scene,
-    obj_id)`` when the caller already has it.
+    obj_id)`` when the caller already has it. The row of ratios is
+    memoised on the reference frame (``CameraFrame.overlap_row``); every
+    call returns a new dict.
 
     Raises:
         ValueError: at the first candidate without a depth raster.
@@ -118,8 +127,8 @@ def candidate_ratios(scene, obj_id, reference: int, cfg: SamplerConfig, *,
     if len(cands) > cfg.max_candidates:
         idx = np.unique(np.linspace(0, len(cands) - 1, cfg.max_candidates).round().astype(int))
         cands = [cands[i] for i in idx]
-    ratios = frustum_overlap_ratios([by_id[fid] for fid in cands], obj_id, by_id[reference])
-    return {fid: r.ratio for fid, r in zip(cands, ratios)}
+    frames = [by_id[fid] for fid in cands]
+    return dict(zip(cands, by_id[reference].overlap_row(obj_id, frames)))
 
 
 def sample_continuous(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult:

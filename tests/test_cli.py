@@ -345,6 +345,11 @@ def _two_coordinate_points(doc):
     return "field 'points' must be a list of [x, y, z] numbers"
 
 
+def _bool_in_point_row(doc):
+    doc["points"][0][1] = True
+    return "field 'points' must be a list of [x, y, z] numbers"
+
+
 def _dangling_gt_id(doc):
     doc["instances"][0]["point_ids"].append(10**6)
     return "gt_instances[0] references point 1000000"
@@ -462,6 +467,8 @@ CORRUPTIONS = {
                                              "superpoints.json"),
     "pipeline-two-coordinate-points": _edit_json("superpoints.json", _two_coordinate_points,
                                                  "superpoints.json"),
+    "pipeline-bool-in-point-row": _edit_json("superpoints.json", _bool_in_point_row,
+                                             "superpoints.json"),
     "pipeline-dangling-gt-point-id": _edit_json("instances.json", _dangling_gt_id,
                                                 "manifest.json"),
     "pipeline-fractional-gt-id": _edit_json("instances.json", _fractional_gt_id,
@@ -494,6 +501,13 @@ CORRUPTIONS = {
 }
 
 
+def _child_env() -> dict:
+    """This environment, with the imported geovos first on PYTHONPATH."""
+    src = str(Path(geovos.__file__).parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+
+
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_corrupt_input_exit_2(scene_dir, tmp_path, case):
     """Each subcommand x corruption exits 2 with one stderr line naming the
@@ -501,17 +515,25 @@ def test_corrupt_input_exit_2(scene_dir, tmp_path, case):
     d = tmp_path / "scene"
     shutil.copytree(scene_dir, d)
     argv, named = CORRUPTIONS[case](d)
-    src = str(Path(geovos.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
     proc = subprocess.run([sys.executable, "-m", "geovos.cli", *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_child_env(), timeout=120)
     assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
     assert "Traceback" not in proc.stderr
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     for name in named:
         assert name in err[0], (name, err[0])
+
+
+def test_cli_import_leaves_out_sampler_and_merger():
+    """The 3D commands load neither the sampler nor the feature merger:
+    ``sample`` and ``gradcheck`` import them when they run."""
+    code = ("import sys, geovos.cli; "
+            "print(sorted(m for m in ('geovos.sampler', 'geovos.merger') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestEvalVos:

@@ -300,22 +300,29 @@ class TestBatchedRatios:
         cfg = SamplerConfig(n_frames=3, max_candidates=4, p_fov=0.7)
 
         def draws():
+            # 40 draws per 9-frame scene: references repeat, so most FOV
+            # draws read a memoised row
             out = []
             for seed in self.SEEDS:
                 scene = random_sampler_scene(np.random.default_rng(seed), n_frames=9)
                 rng = np.random.default_rng(seed)
                 for fn in (sample_fov, sample_mixed):
                     try:
-                        out += [fn(scene, cfg, rng, "obj").to_dict() for _ in range(4)]
+                        out += [fn(scene, cfg, rng, "obj").to_dict() for _ in range(20)]
                     except ValueError as e:
                         out.append(str(e))
             return out
 
+        passes = []
+        original = geometry.frustum_overlap_ratios
+        monkeypatch.setattr(geometry, "frustum_overlap_ratios",
+                            lambda *a: passes.append(1) or original(*a))
         batched = draws()
         monkeypatch.setattr(sampler, "candidate_ratios", naive_candidate_ratios)
         looped = draws()
         assert batched == looped
-        assert sum(isinstance(d, dict) and d["mode"] == "fov" for d in batched) > 100
+        fov = sum(isinstance(d, dict) and d["mode"] == "fov" for d in batched)
+        assert fov > 1000 and len(passes) < fov / 3, (fov, len(passes))
 
     def test_candidate_without_depth_raises_same_message(self):
         scene = make_cluster_scene(width=8, fx=8.0)
@@ -359,3 +366,119 @@ class TestBatchedRatios:
         scene.frames[3] = dataclasses.replace(scene.frames[3], masks={})
         assert list(candidate_ratios(scene, "obj", ref, cfg).items()) == \
             list(naive_candidate_ratios(scene, "obj", ref, cfg).items())
+
+
+def _replace_reference(scene, ref):
+    scene.frames[ref] = dataclasses.replace(scene.frames[ref])
+
+
+def _replace_candidate(scene, ref):
+    i = next(f for f in visible_frames(scene, "obj") if f != ref)
+    scene.frames[i] = dataclasses.replace(scene.frames[i], pose=CameraPose.identity())
+
+
+def _remove_mask(scene, ref):
+    i = visible_frames(scene, "obj")[-1]
+    scene.frames[i] = dataclasses.replace(scene.frames[i], masks={})
+
+
+def _move_mask(scene, ref):
+    i = visible_frames(scene, "obj")[-1]
+    moved = {"obj": np.roll(scene.frames[i].masks["obj"], 3, axis=0)}
+    scene.frames[i] = dataclasses.replace(scene.frames[i], masks=moved)
+
+
+class TestRowMemo:
+    """The reference frame's memoised row of candidate ratios."""
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        """Calls of the frustum kernel and of the batched ratio pass."""
+        calls = {"frustum_mask": 0, "ratios": 0}
+        mask, ratios = kernels.frustum_mask, geometry.frustum_overlap_ratios
+
+        def counted_mask(*a):
+            calls["frustum_mask"] += 1
+            return mask(*a)
+
+        def counted_ratios(*a):
+            calls["ratios"] += 1
+            return ratios(*a)
+
+        monkeypatch.setattr(kernels, "frustum_mask", counted_mask)
+        monkeypatch.setattr(geometry, "frustum_overlap_ratios", counted_ratios)
+        return calls
+
+    @staticmethod
+    def scene(seed=4, n_frames=9):
+        """A random sampler scene whose first visible frame has at least
+        five candidates, at least one of them tested in a frustum pass."""
+        scene = random_sampler_scene(np.random.default_rng(seed), n_frames=n_frames)
+        visible = visible_frames(scene, "obj")
+        assert len(visible) >= 6
+        return scene, visible[0]
+
+    def test_second_call_runs_no_frustum_pass(self, monkeypatch):
+        scene, ref = self.scene()
+        cfg = SamplerConfig(n_frames=2)
+        calls = self.count_passes(monkeypatch)
+        first = candidate_ratios(scene, "obj", ref, cfg)
+        assert calls["frustum_mask"] > 0 and calls["ratios"] == 1
+        calls.update(frustum_mask=0, ratios=0)
+        second = candidate_ratios(scene, "obj", ref, cfg)
+        assert calls == {"frustum_mask": 0, "ratios": 0}
+        assert list(second.items()) == list(first.items())
+        assert list(second.items()) == list(naive_candidate_ratios(scene, "obj", ref, cfg).items())
+        assert all(type(r) is float for r in second.values())
+
+    def test_returned_dict_is_new(self):
+        scene, ref = self.scene()
+        cfg = SamplerConfig(n_frames=2)
+        first = candidate_ratios(scene, "obj", ref, cfg)
+        want = list(first.items())
+        first.clear()
+        second = candidate_ratios(scene, "obj", ref, cfg)
+        assert list(second.items()) == want
+        second[next(iter(second))] = -1.0
+        second[10**6] = 0.5
+        assert list(candidate_ratios(scene, "obj", ref, cfg).items()) == want
+
+    @pytest.mark.parametrize("change", [_replace_reference, _replace_candidate, _remove_mask,
+                                        _move_mask, "max_candidates"],
+                             ids=["reference", "candidate", "removed-mask", "moved-mask",
+                                  "max-candidates"])
+    def test_change_recomputes_row(self, monkeypatch, change):
+        scene, ref = self.scene()
+        cfg = SamplerConfig(n_frames=2)
+        before = candidate_ratios(scene, "obj", ref, cfg)
+        if change == "max_candidates":
+            cfg = SamplerConfig(n_frames=2, max_candidates=len(before) - 2)
+        else:
+            change(scene, ref)
+        calls = self.count_passes(monkeypatch)
+        got = candidate_ratios(scene, "obj", ref, cfg)
+        assert calls["ratios"] == 1
+        assert list(got.items()) == list(naive_candidate_ratios(scene, "obj", ref, cfg).items())
+        # the new row is read again, and the old list recomputes once more
+        assert list(candidate_ratios(scene, "obj", ref, cfg).items()) == list(got.items())
+        assert calls["ratios"] == 1
+        if change == "max_candidates":
+            assert list(candidate_ratios(scene, "obj", ref, SamplerConfig(n_frames=2)).items()) \
+                == list(before.items())
+            assert calls["ratios"] == 2
+
+    def test_rows_per_reference_and_object(self, monkeypatch):
+        scene, _ = self.scene()
+        other = "obj2"
+        scene.frames[:] = [dataclasses.replace(f, masks={**f.masks, other: f.masks["obj"]})
+                           if "obj" in f.masks else f for f in scene.frames]
+        cfg = SamplerConfig(n_frames=2)
+        visible = visible_frames(scene, "obj")
+        want = {(ref, obj): list(naive_candidate_ratios(scene, obj, ref, cfg).items())
+                for ref in visible for obj in ("obj", other)}
+        for ref, obj in want:
+            candidate_ratios(scene, obj, ref, cfg)
+        calls = self.count_passes(monkeypatch)
+        for (ref, obj), items in want.items():
+            assert list(candidate_ratios(scene, obj, ref, cfg).items()) == items
+        assert calls == {"frustum_mask": 0, "ratios": 0}
