@@ -70,6 +70,42 @@ def _finish(report: RunReport, out, t0: float) -> None:
           f"({report.wall_time:.2f}s)")
 
 
+_KINDS = {float: ((int, float), "a number"), int: ((int,), "an integer"),
+          tuple: ((list,), "a list")}
+
+
+def _load_config(path, cls, defaults=None):
+    """``cls`` built from ``defaults`` updated by the JSON object in the
+    file ``path`` (``defaults`` alone when there is no path).
+
+    Every key must be a field of ``cls`` and every value of its default's
+    kind: a number for a float, an integer for an int, a list for a tuple
+    (taken as the tuple). Each error names the path.
+    """
+    doc = {}
+    if path:
+        try:
+            doc = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: invalid JSON ({e})") from None
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: config must be a JSON object, got {type(doc).__name__}")
+    kinds = {f.name: _KINDS[type(f.default)] for f in fields(cls)}
+    for key, value in doc.items():
+        if key not in kinds:
+            raise ValueError(f"{path}: unknown config key '{key}' "
+                             f"(known: {', '.join(sorted(kinds))})")
+        types, kind = kinds[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{path}: config key '{key}' must be {kind}, "
+                             f"got {type(value).__name__}")
+    try:
+        return cls(**{**(defaults or {}),
+                      **{k: tuple(v) if type(v) is list else v for k, v in doc.items()}})
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -178,32 +214,12 @@ def cmd_sample(args) -> int:
 # 3D pipeline pieces
 
 
-def _load_merge_config(path) -> MergeConfig:
-    if not path:
-        return MergeConfig()
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: merge config must be a JSON object, got {type(doc).__name__}")
-    known = {f.name for f in fields(MergeConfig)}
-    for key, value in doc.items():
-        if key not in known:
-            raise ValueError(f"{path}: unknown merge config key '{key}' "
-                             f"(known: {', '.join(sorted(known))})")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{path}: merge config key '{key}' must be a number, "
-                             f"got {type(value).__name__}")
-    try:
-        return MergeConfig(**doc)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
-
-
 def _pipeline_inputs(args):
     """Scene, tracks (the scene's own without --masks), merge config and
     config echo of a lift, merge or pipeline run."""
     scene = ingest.load_scene(args.scene)
     tracks = ingest.load_tracks(args.masks, scene) if args.masks else scene.tracks()
-    cfg = _load_merge_config(args.merge_config)
+    cfg = _load_config(args.merge_config, MergeConfig)
     echo = {"scene": str(args.scene), "masks": str(args.masks) if args.masks else None,
             "stride": args.stride, "merge_config": asdict(cfg)}
     return scene, tracks, cfg, echo
@@ -375,13 +391,9 @@ def cmd_gradcheck(args) -> int:
     from .merger import MergerConfig, grad_check
 
     t0 = time.perf_counter()
-    overrides = json.loads(Path(args.config).read_text()) if args.config else {}
-    desk = {"selected_layers": ("encoder", 4, 7, 11), "c_in": 8, "c_mid": 8,
-            "c_out": 4, "c_f2d": 4, "heads": 2}
-    desk.update(overrides)
-    if isinstance(desk["selected_layers"], list):
-        desk["selected_layers"] = tuple(desk["selected_layers"])
-    cfg = MergerConfig(**desk)
+    cfg = _load_config(args.config, MergerConfig, {
+        "selected_layers": ("encoder", 4, 7, 11), "c_in": 8, "c_mid": 8,
+        "c_out": 4, "c_f2d": 4, "heads": 2})
     report_obj = grad_check(cfg, seed=args.seed, corrupt=args.self_test_corrupt)
     failed = report_obj.failures(args.threshold)
     report = RunReport("gradcheck", {

@@ -196,29 +196,22 @@ def load_pose(path) -> CameraPose:
 # JSON side files
 
 
-_SCALARS = {int, float, bool, type(None)}
-JSON_BLOCK = 4096  # list entries (or rows) encoded per call of the C encoder
+JSON_BLOCK = 4096  # array entries (or rows) encoded per call of the C encoder
 
 
-def _scalars(items) -> bool:
-    return set(map(type, items)) <= _SCALARS
+def _blocks(arr: np.ndarray, pad: str, rows: bool):
+    """Pieces of the indented list ``arr.tolist()`` of a non-empty 1-D
+    array, or of a 2-D array of non-empty rows, at indentation ``pad``.
 
-
-def _blocks(seq, pad: str, rows: bool):
-    """Pieces of the indented list ``seq`` of scalars, or of non-empty
-    scalar rows, at indentation ``pad``.
-
-    Each block of JSON_BLOCK entries is one call of the C encoder
-    (``json.dumps`` without ``indent``) whose ``", "`` and ``"], ["``
-    separators are swapped for the indented ones; no string can contain
-    them there. A block of an array is converted with ``tolist()`` on its
-    own.
+    Each block of JSON_BLOCK entries is converted with ``tolist()`` and
+    encoded by one call of the C encoder (``json.dumps`` without
+    ``indent``), whose ``", "`` and ``"], ["`` separators are swapped for the
+    indented ones; no number can contain them.
     """
     inner = pad + "  "
     yield "[" + inner
-    for lo in range(0, len(seq), JSON_BLOCK):
-        block = seq[lo:lo + JSON_BLOCK]
-        text = json.dumps(block.tolist() if isinstance(block, np.ndarray) else block)
+    for lo in range(0, len(arr), JSON_BLOCK):
+        text = json.dumps(arr[lo:lo + JSON_BLOCK].tolist())
         if rows:
             text = text[2:-2].replace("], [", f"{inner}],{inner}[{inner}  ")
             text = f"[{inner}  " + text.replace(", ", f",{inner}  ") + f"{inner}]"
@@ -232,10 +225,9 @@ def _chunks(obj, pad: str):
     """Pieces of ``json.dumps(obj, indent=2)`` written at indentation ``pad``,
     a numpy array taken as its ``tolist()``.
 
-    A list of non-string scalars, or of non-empty such rows, and a 1-D or
-    2-D number array go block by block (:func:`_blocks`). Other lists and
-    str-keyed dicts recurse; every other value is the plain encoder's
-    output, re-indented to ``pad``.
+    A non-empty 1-D or 2-D number array goes block by block
+    (:func:`_blocks`). Other lists and str-keyed dicts recurse; every other
+    value is the plain encoder's output, re-indented to ``pad``.
     """
     inner = pad + "  "
     if isinstance(obj, np.ndarray):
@@ -244,15 +236,10 @@ def _chunks(obj, pad: str):
             return
         obj = obj.tolist()
     if type(obj) is list and obj:
-        if _scalars(obj):
-            yield from _blocks(obj, pad, False)
-        elif set(map(type, obj)) == {list} and all(obj) and _scalars(chain.from_iterable(obj)):
-            yield from _blocks(obj, pad, True)
-        else:
-            for k, x in enumerate(obj):
-                yield ("," if k else "[") + inner
-                yield from _chunks(x, inner)
-            yield pad + "]"
+        for k, x in enumerate(obj):
+            yield ("," if k else "[") + inner
+            yield from _chunks(x, inner)
+        yield pad + "]"
         return
     if type(obj) is dict and obj and all(type(k) is str for k in obj):
         for k, (key, value) in enumerate(obj.items()):

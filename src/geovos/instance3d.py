@@ -486,15 +486,18 @@ def lift_all(scene, tracks: dict, cfg: MergeConfig, keyframe_stride: int = 1):
     ``((keyframe, obj_id), reason)``.
 
     Raises:
-        ValueError: if a track's length differs from the scene's frame count.
+        ValueError: if ``keyframe_stride`` is below 1, or a track's length
+            differs from the scene's frame count.
     """
+    if keyframe_stride < 1:
+        raise ValueError(f"stride must be >= 1, got {keyframe_stride}")
     frames = scene.frames
     for obj_id in sorted(tracks):
         if len(tracks[obj_id]) != len(frames):
             raise ValueError(f"track '{obj_id}' has {len(tracks[obj_id])} frames, "
                              f"scene has {len(frames)}")
     fragments, rejections = [], []
-    for k in range(0, len(frames), max(1, keyframe_stride)):
+    for k in range(0, len(frames), keyframe_stride):
         frame = frames[k]
         if frame.depth is None:
             continue

@@ -19,7 +19,7 @@ derivatives; ``grad_check`` verifies every parameter and input tensor
 against central finite differences.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,6 +74,15 @@ def _gelu_backward(cache, g):
 # parameter blocks
 
 
+def _tensors(block, prefix: str):
+    """``(prefix.field, array)`` of each array field of a parameter block,
+    in field order."""
+    for f in fields(block):
+        value = getattr(block, f.name)
+        if isinstance(value, np.ndarray):
+            yield f"{prefix}.{f.name}", value
+
+
 @dataclass
 class AttnParams:
     """Multi-head attention block: q/k/v/output projections and head count.
@@ -99,43 +108,12 @@ class AttnParams:
         return cls(mk(), np.zeros(c), mk(), mk(), np.zeros(c),
                    mk(), np.zeros(c), heads)
 
-    @classmethod
-    def zeros(cls, c: int, heads: int) -> "AttnParams":
-        z = lambda: np.zeros((c, c))
-        b = lambda: np.zeros(c)
-        return cls(z(), b(), z(), z(), b(), z(), b(), heads)
-
-    def tensors(self, prefix: str):
-        for name in ("wq", "bq", "wk", "wv", "bv", "wo", "bo"):
-            yield f"{prefix}.{name}", getattr(self, name)
-
 
 @dataclass
-class FfnParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    @classmethod
-    def init(cls, c: int, ratio: int, rng) -> "FfnParams":
-        hidden = c * ratio
-        return cls(rng.normal(0.0, 1.0 / np.sqrt(c), (c, hidden)), np.zeros(hidden),
-                   rng.normal(0.0, 1.0 / np.sqrt(hidden), (hidden, c)), np.zeros(c))
-
-    @classmethod
-    def zeros(cls, c: int, ratio: int) -> "FfnParams":
-        hidden = c * ratio
-        return cls(np.zeros((c, hidden)), np.zeros(hidden), np.zeros((hidden, c)), np.zeros(c))
-
-    def tensors(self, prefix: str):
-        for name in ("w1", "b1", "w2", "b2"):
-            yield f"{prefix}.{name}", getattr(self, name)
-
-
-@dataclass
-class Pe3dParams:
-    """Two-layer per-pixel map from (point, ray) 6-vectors to the stream width."""
+class MlpParams:
+    """Two-layer GELU MLP ``gelu(x @ w1 + b1) @ w2 + b2``: the feed-forward
+    block (c -> c * ffn_ratio -> c) and the per-pixel 3D positional
+    embedding ((point, ray) 6-vector -> c -> c)."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -143,24 +121,16 @@ class Pe3dParams:
     b2: np.ndarray
 
     @classmethod
-    def init(cls, c: int, rng) -> "Pe3dParams":
-        return cls(rng.normal(0.0, 1.0 / np.sqrt(6.0), (6, c)), np.zeros(c),
-                   rng.normal(0.0, 1.0 / np.sqrt(c), (c, c)), np.zeros(c))
-
-    @classmethod
-    def zeros(cls, c: int) -> "Pe3dParams":
-        return cls(np.zeros((6, c)), np.zeros(c), np.zeros((c, c)), np.zeros(c))
-
-    def tensors(self, prefix: str):
-        for name in ("w1", "b1", "w2", "b2"):
-            yield f"{prefix}.{name}", getattr(self, name)
+    def init(cls, n_in: int, n_hidden: int, n_out: int, rng) -> "MlpParams":
+        return cls(rng.normal(0.0, 1.0 / np.sqrt(n_in), (n_in, n_hidden)), np.zeros(n_hidden),
+                   rng.normal(0.0, 1.0 / np.sqrt(n_hidden), (n_hidden, n_out)), np.zeros(n_out))
 
 
 @dataclass
 class LayerParams:
     self_attn: AttnParams
     cross_attn: AttnParams
-    ffn: FfnParams
+    ffn: MlpParams
 
 
 @dataclass(frozen=True)
@@ -187,6 +157,9 @@ class MergerConfig:
             raise ValueError("selected_layers must be nonempty")
         if self.selected_layers[0] != "encoder":
             raise ValueError("first selected layer must be the encoder feature")
+        for name in ("c_in", "c_mid", "c_out", "c_f2d", "heads", "ffn_ratio"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.c_mid % self.heads != 0:
             raise ValueError(f"c_mid={self.c_mid} not divisible by heads={self.heads}")
 
@@ -199,7 +172,7 @@ class MergerConfig:
 class MergerParams:
     proj_w: np.ndarray
     proj_b: np.ndarray
-    pe3d: Pe3dParams
+    pe3d: MlpParams
     self_attn: AttnParams
     layers: list
     conv_up: np.ndarray
@@ -207,53 +180,40 @@ class MergerParams:
 
     @classmethod
     def init(cls, cfg: MergerConfig, seed=None) -> "MergerParams":
+        """Each weight drawn as ``normal(0, 1/sqrt(fan_in))`` from one
+        ``default_rng(seed)`` stream (``cfg.seed`` by default), in
+        ``named_tensors`` order; every bias zero."""
         rng = np.random.default_rng(cfg.seed if seed is None else seed)
         c = cfg.c_mid
         return cls(
             proj_w=rng.normal(0.0, 1.0 / np.sqrt(cfg.c_in), (cfg.c_in, c)),
             proj_b=np.zeros(c),
-            pe3d=Pe3dParams.init(c, rng),
+            pe3d=MlpParams.init(6, c, c, rng),
             self_attn=AttnParams.init(c, cfg.heads, rng),
             layers=[LayerParams(AttnParams.init(c, cfg.heads, rng),
                                 AttnParams.init(c, cfg.heads, rng),
-                                FfnParams.init(c, cfg.ffn_ratio, rng))
+                                MlpParams.init(c, c * cfg.ffn_ratio, c, rng))
                     for _ in range(cfg.n_layers)],
             conv_up=rng.normal(0.0, 1.0 / np.sqrt(9.0 * c), (3, 3, c, c)),
             conv_out=rng.normal(0.0, 1.0 / np.sqrt(9.0 * (c + cfg.c_f2d)),
                                 (3, 3, c + cfg.c_f2d, cfg.c_out)),
         )
 
-    @classmethod
-    def zeros(cls, cfg: MergerConfig) -> "MergerParams":
-        c = cfg.c_mid
-        return cls(
-            proj_w=np.zeros((cfg.c_in, c)),
-            proj_b=np.zeros(c),
-            pe3d=Pe3dParams.zeros(c),
-            self_attn=AttnParams.zeros(c, cfg.heads),
-            layers=[LayerParams(AttnParams.zeros(c, cfg.heads),
-                                AttnParams.zeros(c, cfg.heads),
-                                FfnParams.zeros(c, cfg.ffn_ratio))
-                    for _ in range(cfg.n_layers)],
-            conv_up=np.zeros((3, 3, c, c)),
-            conv_out=np.zeros((3, 3, c + cfg.c_f2d, cfg.c_out)),
-        )
-
     def named_tensors(self):
         yield "proj.w", self.proj_w
         yield "proj.b", self.proj_b
-        yield from self.pe3d.tensors("pe3d")
-        yield from self.self_attn.tensors("self_attn")
+        yield from _tensors(self.pe3d, "pe3d")
+        yield from _tensors(self.self_attn, "self_attn")
         for i, layer in enumerate(self.layers):
-            yield from layer.self_attn.tensors(f"layer{i}.self")
-            yield from layer.cross_attn.tensors(f"layer{i}.cross")
-            yield from layer.ffn.tensors(f"layer{i}.ffn")
+            yield from _tensors(layer.self_attn, f"layer{i}.self")
+            yield from _tensors(layer.cross_attn, f"layer{i}.cross")
+            yield from _tensors(layer.ffn, f"layer{i}.ffn")
         yield "conv_up.w", self.conv_up
         yield "conv_out.w", self.conv_out
 
 
 # ---------------------------------------------------------------------------
-# attention / ffn forward + backward
+# attention / MLP forward + backward
 
 
 def _attention_forward(q_in, k_in, v_in, p: AttnParams):
@@ -316,14 +276,14 @@ def attention(q, k, v, params: AttnParams) -> np.ndarray:
     return out
 
 
-def _ffn_forward(x, p: FfnParams):
+def _mlp_forward(x, p: MlpParams):
     h1 = x @ p.w1 + p.b1
     a, gcache = _gelu(h1)
     y = a @ p.w2 + p.b2
     return y, (x, a, gcache, p)
 
 
-def _ffn_backward(cache, g):
+def _mlp_backward(cache, g):
     x, a, gcache, p = cache
     g_w2 = a.T @ g
     g_b2 = g.sum(axis=0)
@@ -331,34 +291,25 @@ def _ffn_backward(cache, g):
     g_h1 = _gelu_backward(gcache, g_a)
     g_w1 = x.T @ g_h1
     g_b1 = g_h1.sum(axis=0)
-    return g_h1 @ p.w1.T, FfnParams(g_w1, g_b1, g_w2, g_b2)
+    return g_h1 @ p.w1.T, MlpParams(g_w1, g_b1, g_w2, g_b2)
 
 
 # ---------------------------------------------------------------------------
 # positional embedding from point + ray maps
 
 
-def _pe3d_forward(point_map, ray_map, p: Pe3dParams):
+def _pe3d_forward(point_map, ray_map, p: MlpParams):
     hh, ww, _ = point_map.shape
     x = np.concatenate([point_map.reshape(hh * ww, 3), ray_map.reshape(hh * ww, 3)], axis=1)
-    h1 = x @ p.w1 + p.b1
-    a, gcache = _gelu(h1)
-    pe = a @ p.w2 + p.b2
-    return pe, (x, a, gcache, p)
+    return _mlp_forward(x, p)
 
 
 def _pe3d_backward(cache, g):
-    x, a, gcache, p = cache
-    g_w2 = a.T @ g
-    g_b2 = g.sum(axis=0)
-    g_a = g @ p.w2.T
-    g_h1 = _gelu_backward(gcache, g_a)
-    g_x = g_h1 @ p.w1.T
-    grads = Pe3dParams(x.T @ g_h1, g_h1.sum(axis=0), g_w2, g_b2)
-    return g_x[:, :3].reshape(-1, 3), g_x[:, 3:].reshape(-1, 3), grads
+    g_x, grads = _mlp_backward(cache, g)
+    return g_x[:, :3], g_x[:, 3:], grads
 
 
-def build_pe3d(point_map: np.ndarray, ray_map: np.ndarray, params: Pe3dParams) -> np.ndarray:
+def build_pe3d(point_map: np.ndarray, ray_map: np.ndarray, params: MlpParams) -> np.ndarray:
     """Learned per-pixel embedding of concatenated (point, ray) 6-vectors.
 
     Both maps are (H, W, 3); the result is (H, W, C). Pixels with identical
@@ -494,7 +445,7 @@ def _forward(encoder_feat, decoder_feats, point_map, ray_map, pe2d, f2d, cfg, pa
         ca, ca_cache = _attention_forward(ln2 + pe3, feat + pe3, feat, layer.cross_attn)
         cres = s + ca
         ln3, ln3_cache = _layer_norm(cres)
-        ff, ff_cache = _ffn_forward(ln3, layer.ffn)
+        ff, ff_cache = _mlp_forward(ln3, layer.ffn)
         x = cres + ff
         caches["layers"].append((ln1_cache, sa_cache, ln2_cache, ca_cache, ln3_cache, ff_cache))
 
@@ -511,54 +462,50 @@ def _backward(caches, g_out, cfg, params):
     hh, ww, enc = caches["shape"]
     c = cfg.c_mid
     n_tok = hh * ww
-    grads = MergerParams.zeros(cfg)
     igrads = {}
 
     up_cache, conv1_cache, conv2_cache = caches["tail"]
-    g_cat, grads.conv_out = _conv3x3_backward(conv2_cache, g_out)
+    g_cat, g_conv_out = _conv3x3_backward(conv2_cache, g_out)
     g_conv1 = g_cat[:, :, :c]
     igrads["f2d"] = g_cat[:, :, c:]
-    g_up, grads.conv_up = _conv3x3_backward(conv1_cache, g_conv1)
+    g_up, g_conv_up = _conv3x3_backward(conv1_cache, g_conv1)
     g_x = _upsample2x_backward(up_cache, g_up).reshape(n_tok, c)
 
     g_pe3 = np.zeros((n_tok, c))
+    layer_grads = []
     igrads["decoder_feats"] = []
     for i in range(cfg.n_layers - 1, -1, -1):
-        layer = params.layers[i]
         ln1_cache, sa_cache, ln2_cache, ca_cache, ln3_cache, ff_cache = caches["layers"][i]
         # x = cres + ffn(ln3(cres))
-        g_ln3, ffn_grads = _ffn_backward(ff_cache, g_x)
-        grads.layers[i].ffn = ffn_grads
+        g_ln3, ffn_grads = _mlp_backward(ff_cache, g_x)
         g_cres = g_x + _layer_norm_backward(ln3_cache, g_ln3)
         # cres = s + cross(ln2(s) + pe3, feat + pe3, feat)
         g_q, g_k, g_v, ca_grads = _attention_backward(ca_cache, g_cres)
-        grads.layers[i].cross_attn = ca_grads
         g_feat = g_k + g_v
         g_pe3 += g_q + g_k
         g_s = g_cres + _layer_norm_backward(ln2_cache, g_q)
         igrads["decoder_feats"].append(g_feat.reshape(hh, ww, c))
         # s = x + self(ln1(x) + pe3, ln1(x) + pe3, ln1(x))
         g_q, g_k, g_v, sa_grads = _attention_backward(sa_cache, g_s)
-        grads.layers[i].self_attn = sa_grads
         g_pe3 += g_q + g_k
         g_x = g_s + _layer_norm_backward(ln1_cache, g_q + g_k + g_v)
+        layer_grads.append(LayerParams(sa_grads, ca_grads, ffn_grads))
+    layer_grads.reverse()
     igrads["decoder_feats"].reverse()
 
     # x = x0 + attn(ln(x0) + pe2, ln(x0) + pe2, ln(x0))
     ln_cache, att_cache = caches["self_attn"]
-    g_q, g_k, g_v, sa_grads = _attention_backward(att_cache, g_x)
-    grads.self_attn = sa_grads
+    g_q, g_k, g_v, self_attn_grads = _attention_backward(att_cache, g_x)
     igrads["pe2d"] = (g_q + g_k).reshape(hh, ww, c)
     g_x = g_x + _layer_norm_backward(ln_cache, g_q + g_k + g_v)
 
     # x0 = proj(enc) + pe3d(point, ray)
     g_point, g_ray, pe3d_grads = _pe3d_backward(caches["pe3d"], g_x + g_pe3)
-    grads.pe3d = pe3d_grads
     igrads["point_map"] = g_point.reshape(hh, ww, 3)
     igrads["ray_map"] = g_ray.reshape(hh, ww, 3)
-    grads.proj_w = enc.T @ g_x
-    grads.proj_b = g_x.sum(axis=0)
     igrads["encoder_feat"] = (g_x @ params.proj_w.T).reshape(hh, ww, cfg.c_in)
+    grads = MergerParams(enc.T @ g_x, g_x.sum(axis=0), pe3d_grads, self_attn_grads,
+                         layer_grads, g_conv_up, g_conv_out)
     return grads, igrads
 
 

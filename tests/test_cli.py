@@ -155,6 +155,24 @@ class TestPipeline:
         pts = load_pointset(files[0])
         assert pts.shape[1] == 3 and pts.shape[0] > 0
 
+    def test_lift_stride_two_lifts_even_keyframes(self, scene_dir, tmp_path):
+        def keyframes(stride):
+            out = tmp_path / f"frags{stride}.jsonl"
+            assert main(["lift", "--scene", str(scene_dir / "manifest.json"),
+                         "--masks", str(scene_dir / "tracks" / "tracks.json"),
+                         "--stride", str(stride), "--out", str(out)]) == EXIT_OK
+            lines = read_lines(out)
+            assert lines[0]["config"]["stride"] == stride
+            lifted = [item["item"]["source"] for item in lines[1:-1]]
+            rejected = [[r["keyframe"], r["obj"]] for r in lines[-1]["aggregate"]["rejections"]]
+            return lifted, rejected
+
+        every_lifted, every_rejected = keyframes(1)
+        lifted, rejected = keyframes(2)
+        assert lifted and {k for k, _ in lifted + rejected} == {0, 2, 4}
+        assert lifted == [s for s in every_lifted if s[0] % 2 == 0]
+        assert rejected == [r for r in every_rejected if r[0] % 2 == 0]
+
     def test_eval_3d_accepts_any_int64_id(self, tmp_path):
         # without a scene nothing bounds a predicted id: 10**9 is a label
         # that matches no ground truth, not an input error
@@ -448,6 +466,20 @@ def _merge_config(command, doc, detail):
     return run
 
 
+def _gradcheck_config(doc, detail):
+    def run(d):
+        cfg = d / "merger.json"
+        cfg.write_text(doc)
+        return ["gradcheck", "--config", str(cfg)], [f"{cfg}: ", detail]
+    return run
+
+
+def _stride_zero(command):
+    def run(d):
+        return _scene_args(command, d) + ["--stride", "0"], ["stride must be >= 1, got 0"]
+    return run
+
+
 _3D = ("pipeline", "lift", "merge")
 
 CORRUPTIONS = {
@@ -498,6 +530,20 @@ CORRUPTIONS = {
     "pipeline-merge-config-list": _merge_config("pipeline", "[1, 2]", "list"),
     "pipeline-merge-config-string-value": _merge_config("pipeline", '{"voxel_size": "0.1"}',
                                                         "'voxel_size' must be a number"),
+    **{f"{c}-stride-zero": _stride_zero(c) for c in _3D},
+    "gradcheck-config-list": _gradcheck_config("[1, 2]", "list"),
+    "gradcheck-config-invalid-json": _gradcheck_config("{", "invalid JSON"),
+    "gradcheck-config-unknown-key": _gradcheck_config('{"nope": 3}', "'nope'"),
+    "gradcheck-config-threshold-key": _gradcheck_config('{"threshold": 1}', "'threshold'"),
+    "gradcheck-config-string-heads": _gradcheck_config('{"heads": "2"}',
+                                                       "'heads' must be an integer"),
+    "gradcheck-config-fractional-width": _gradcheck_config('{"c_in": 1.5}',
+                                                           "'c_in' must be an integer"),
+    "gradcheck-config-layers-string": _gradcheck_config('{"selected_layers": "encoder"}',
+                                                        "'selected_layers' must be a list"),
+    "gradcheck-config-zero-heads": _gradcheck_config('{"heads": 0}', "heads must be >= 1"),
+    "gradcheck-config-zero-c-mid": _gradcheck_config('{"c_mid": 0}', "c_mid must be >= 1"),
+    "gradcheck-config-zero-c-f2d": _gradcheck_config('{"c_f2d": 0}', "c_f2d must be >= 1"),
 }
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from geovos.merger import (AttnParams, MergerConfig, MergerParams, Pe3dParams,
+from geovos.merger import (AttnParams, MergerConfig, MergerParams, MlpParams,
                            attention, build_pe3d, desk_inputs, grad_check,
                            merge_features, merge_features_with_grads, softmax_rows)
 
@@ -94,7 +94,7 @@ class TestAttention:
 
 class TestPe3d:
     def test_zero_params_zero_embedding(self):
-        p = Pe3dParams.zeros(8)
+        p = MlpParams(np.zeros((6, 8)), np.zeros(8), np.zeros((8, 8)), np.zeros(8))
         rng = np.random.default_rng(6)
         pe = build_pe3d(rng.normal(size=(4, 4, 3)), rng.normal(size=(4, 4, 3)), p)
         assert pe.shape == (4, 4, 8)
@@ -102,7 +102,7 @@ class TestPe3d:
 
     def test_identical_pixels_identical_embeddings(self):
         rng = np.random.default_rng(7)
-        p = Pe3dParams.init(8, rng)
+        p = MlpParams.init(6, 8, 8, rng)
         point = np.tile(rng.normal(size=3), (2, 2, 1))
         ray = np.tile(rng.normal(size=3), (2, 2, 1))
         pe = build_pe3d(point, ray, p)
@@ -111,13 +111,13 @@ class TestPe3d:
             np.testing.assert_array_equal(flat[i], flat[0])
 
     def test_shape_mismatch(self):
-        p = Pe3dParams.zeros(4)
+        p = MlpParams(np.zeros((6, 4)), np.zeros(4), np.zeros((4, 4)), np.zeros(4))
         with pytest.raises(ValueError):
             build_pe3d(np.zeros((2, 2, 3)), np.zeros((3, 2, 3)), p)
 
     def test_param_gradients_match_central_differences(self):
         rng = np.random.default_rng(8)
-        p = Pe3dParams.init(4, rng)
+        p = MlpParams.init(6, 4, 4, rng)
         point = rng.normal(size=(3, 3, 3))
         ray = rng.normal(size=(3, 3, 3))
 
@@ -202,6 +202,45 @@ class TestMergeFeatures:
             MergerConfig(selected_layers=(4, "encoder"))
         with pytest.raises(ValueError):
             MergerConfig(c_mid=10, heads=4)
+        for name in ("c_in", "c_mid", "c_out", "c_f2d", "heads", "ffn_ratio"):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+                MergerConfig(**{**DESK, name: 0})
+
+    def test_seeded_draw_order_and_scale(self):
+        # the documented draw: one default_rng(seed) stream, weights
+        # normal(0, 1/sqrt(fan_in)) in named_tensors order, biases zero;
+        # distinct widths so a swapped shape or fan-in shows
+        cfg = MergerConfig(selected_layers=("encoder", 4, 7), c_in=6, c_mid=4, c_out=3,
+                           c_f2d=2, heads=2, ffn_ratio=3)
+        c, c_cat = cfg.c_mid, cfg.c_mid + cfg.c_f2d
+        rng = np.random.default_rng(11)
+
+        def w(fan_in, *shape):
+            return rng.normal(0.0, 1.0 / math.sqrt(fan_in), shape)
+
+        def attn(prefix):
+            return [(f"{prefix}.wq", w(c, c, c)), (f"{prefix}.bq", np.zeros(c)),
+                    (f"{prefix}.wk", w(c, c, c)), (f"{prefix}.wv", w(c, c, c)),
+                    (f"{prefix}.bv", np.zeros(c)), (f"{prefix}.wo", w(c, c, c)),
+                    (f"{prefix}.bo", np.zeros(c))]
+
+        def mlp(prefix, n_in, n_hidden, n_out):
+            return [(f"{prefix}.w1", w(n_in, n_in, n_hidden)), (f"{prefix}.b1", np.zeros(n_hidden)),
+                    (f"{prefix}.w2", w(n_hidden, n_hidden, n_out)), (f"{prefix}.b2", np.zeros(n_out))]
+
+        expected = [("proj.w", w(cfg.c_in, cfg.c_in, c)), ("proj.b", np.zeros(c)),
+                    *mlp("pe3d", 6, c, c), *attn("self_attn")]
+        for i in range(cfg.n_layers):
+            expected += (attn(f"layer{i}.self") + attn(f"layer{i}.cross")
+                         + mlp(f"layer{i}.ffn", c, c * cfg.ffn_ratio, c))
+        expected += [("conv_up.w", w(9 * c, 3, 3, c, c)),
+                     ("conv_out.w", w(9 * c_cat, 3, 3, c_cat, cfg.c_out))]
+
+        got = list(MergerParams.init(cfg, 11).named_tensors())
+        assert [name for name, _ in got] == [name for name, _ in expected]
+        for (name, a), (_, b) in zip(got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
 
     def test_full_size_defaults(self):
         cfg = MergerConfig()
@@ -212,7 +251,9 @@ class TestMergeFeatures:
 class TestGradCheck:
     def test_zero_instance_exact_zero_gradients(self):
         cfg = MergerConfig(**DESK)
-        params = MergerParams.zeros(cfg)
+        params = MergerParams.init(cfg, 0)
+        for _, tensor in params.named_tensors():
+            tensor[...] = 0.0
         zeros = {
             "encoder_feat": np.zeros((4, 4, 8)),
             "decoder_feats": [np.zeros((4, 4, 8))] * 3,
