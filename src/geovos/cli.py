@@ -22,6 +22,7 @@ All paths are relative to the current working directory unless absolute.
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -183,6 +184,11 @@ def cmd_synth(args) -> int:
 # sample
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_sample(args) -> int:
     from .sampler import (SamplerConfig, sample_continuous, sample_fov, sample_mixed,
                           sample_random)
@@ -190,6 +196,7 @@ def cmd_sample(args) -> int:
     t0 = time.perf_counter()
     if args.draws < 1:
         raise ValueError(f"--draws must be >= 1, got {args.draws}")
+    _check_seed(args.seed)
     scene = ingest.load_scene(args.scene)
     cfg = SamplerConfig(n_frames=args.n, tau=args.tau, p_fov=args.p_fov, seed=args.seed)
     rng = np.random.default_rng(args.seed)
@@ -391,6 +398,10 @@ def cmd_gradcheck(args) -> int:
     from .merger import MergerConfig, grad_check
 
     t0 = time.perf_counter()
+    _check_seed(args.seed)
+    # a NaN threshold would pass every tensor: v >= nan is False
+    if not (math.isfinite(args.threshold) and args.threshold > 0):
+        raise ValueError(f"--threshold must be a finite number > 0, got {args.threshold}")
     cfg = _load_config(args.config, MergerConfig, {
         "selected_layers": ("encoder", 4, 7, 11), "c_in": 8, "c_mid": 8,
         "c_out": 4, "c_f2d": 4, "heads": 2})

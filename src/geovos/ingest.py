@@ -11,8 +11,15 @@ Formats (all round-trip byte-identically through save -> load -> save):
   The rotation block must be orthonormal within 1e-4; blocks between
   1e-6 and 1e-4 are snapped to the nearest rotation on load.
 * Scene manifest: JSON, schema ``geovos.scene/1``; paths are relative to
-  the manifest. Optional superpoint / ground-truth instance / track files
-  are JSON with their own schema tags.
+  the manifest. Optional ground-truth instance and track files are JSON
+  with their own schema tags.
+* Superpoints: an uncompressed ``.npz`` holding exactly two arrays,
+  ``points`` (N, 3) float64 (finite) and ``labels`` (N,) int64, with fixed
+  entry timestamps, so the same arrays always give the same bytes;
+  ``save_scene`` always writes this. ``load_superpoints`` picks the reader
+  by suffix: a ``.npz`` name is read as this layout, any other as JSON
+  (schema ``geovos.superpoints/1`` with ``points`` and ``labels`` lists), so
+  older and hand-written scenes still load.
 
 The box-world generator renders axis-aligned boxes analytically (slab
 ray-box intersection) and emits exact depth, per-box masks with correct
@@ -22,6 +29,7 @@ points, and per-box mask tracks. It is fully deterministic.
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -269,7 +277,7 @@ def _read_json(path, what: str):
         raise MissingFileError(f"{what} file not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ManifestError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: {what} file must hold a JSON object, "
@@ -277,15 +285,68 @@ def _read_json(path, what: str):
     return doc
 
 
+_SUPERPOINT_ARRAYS = {"points": (np.float64, 2), "labels": (np.int64, 1)}  # dtype, ndim
+_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)  # every npz entry's timestamp
+_NPZ_ERRORS = (zipfile.BadZipFile, EOFError, ValueError, OSError)
+
+
 def save_superpoints(path, points: np.ndarray, labels: np.ndarray):
-    _write_json(path, {
-        "schema": SUPERPOINTS_SCHEMA,
-        "points": np.asarray(points, dtype=np.float64).reshape(-1, 3),
-        "labels": np.asarray(labels, dtype=np.int64).reshape(-1),
-    })
+    """Write ``points`` (N, 3) float64 and ``labels`` (N,) int64 as an
+    uncompressed npz, byte for byte the same for the same arrays."""
+    arrays = {"points": np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 3),
+              "labels": np.ascontiguousarray(labels, dtype=np.int64).reshape(-1)}
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, arr in arrays.items():
+            entry = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_EPOCH)
+            with zf.open(entry, "w", force_zip64=True) as f:
+                np.lib.format.write_array(f, arr, allow_pickle=False)
+
+
+def _load_superpoints_npz(path: Path):
+    """(points, labels) of an npz written by save_superpoints; every other
+    content raises ManifestError naming the file and the array."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except _NPZ_ERRORS as e:
+        raise ManifestError(f"{path}: not an npz archive of arrays 'points' and 'labels' "
+                            f"({e})") from None
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise ManifestError(f"{path}: not an npz archive of arrays 'points' and 'labels' "
+                            f"(a bare {npz.dtype} array of shape {npz.shape})")
+    arrays = {}
+    with npz:
+        if sorted(npz.files) != sorted(_SUPERPOINT_ARRAYS):
+            raise ManifestError(f"{path}: arrays must be exactly 'points' and 'labels', "
+                                f"got {sorted(npz.files)}")
+        for name, (dtype, ndim) in _SUPERPOINT_ARRAYS.items():
+            try:
+                arr = arrays[name] = npz[name]
+            except _NPZ_ERRORS as e:
+                raise ManifestError(f"{path}: array '{name}' cannot be read ({e})") from None
+            if arr.dtype != dtype:
+                raise ManifestError(f"{path}: array '{name}' must be {np.dtype(dtype)}, "
+                                    f"got {arr.dtype}")
+            if arr.ndim != ndim or (ndim == 2 and arr.shape[1] != 3):
+                raise ManifestError(f"{path}: array '{name}' must have shape "
+                                    f"{'(N, 3)' if ndim == 2 else '(N,)'}, got {arr.shape}")
+    points, labels = arrays["points"], arrays["labels"]
+    if labels.shape[0] != points.shape[0]:
+        raise ManifestError(f"{path}: array 'labels' has {labels.shape[0]} entries "
+                            f"for {points.shape[0]} points")
+    if not np.isfinite(points).all():
+        raise ManifestError(f"{path}: array 'points' must hold finite numbers")
+    return points, labels
 
 
 def load_superpoints(path):
+    """(points (N, 3) float64, labels (N,) int64) of a superpoints file: the
+    npz layout of save_superpoints for a ``.npz`` name, the JSON schema
+    ``geovos.superpoints/1`` for any other."""
+    path = Path(path)
+    if path.suffix == ".npz":
+        if not path.is_file():
+            raise MissingFileError(f"superpoints file not found: {path}")
+        return _load_superpoints_npz(path)
     doc = _read_json(path, "superpoints")
     if doc.get("schema") != SUPERPOINTS_SCHEMA:
         raise ManifestError(f"{path}: schema must be {SUPERPOINTS_SCHEMA}")
@@ -567,12 +628,15 @@ def load_scene(manifest_path) -> Scene:
         frames.append(CameraFrame(i, intr, pose, depth, masks))
     scene_points = superpoints = None
     if doc.get("superpoints"):
-        scene_points, labels = load_superpoints(root / doc["superpoints"])
+        sp_path = root / doc["superpoints"]
+        scene_points, labels = load_superpoints(sp_path)
         try:
             from .instance3d import SuperpointPartition
             SuperpointPartition(labels)
         except ValueError as e:
-            raise ManifestError(f"{manifest_path}: superpoints: {e}") from None
+            kind = "array" if sp_path.suffix == ".npz" else "field"
+            raise ManifestError(f"{manifest_path}: superpoints: {sp_path}: {kind} 'labels': "
+                                f"{e}") from None
         superpoints = labels
     gt_instances = None
     if doc.get("gt_instances"):
@@ -620,8 +684,8 @@ def save_scene(scene: Scene, out_dir) -> Path:
         "gt_instances": None,
     }
     if scene.superpoints is not None and scene.scene_points is not None:
-        save_superpoints(out_dir / "superpoints.json", scene.scene_points, scene.superpoints)
-        doc["superpoints"] = "superpoints.json"
+        save_superpoints(out_dir / "superpoints.npz", scene.scene_points, scene.superpoints)
+        doc["superpoints"] = "superpoints.npz"
     if scene.gt_instances is not None:
         save_instances(out_dir / "instances.json", scene.gt_instances)
         doc["gt_instances"] = "instances.json"

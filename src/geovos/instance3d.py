@@ -91,10 +91,9 @@ class SuperpointPartition:
         labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
         if labels.size and labels.min() < 0:
             raise ValueError("superpoint labels must be >= 0")
-        if labels.size:
-            present = np.unique(labels)
-            if present.size != labels.max() + 1:
-                raise ValueError("superpoint ids must be dense 0..max")
+        # the size guard comes first: bincount allocates max + 1 counters
+        if labels.size and not (labels.max() < labels.size and np.bincount(labels).all()):
+            raise ValueError("superpoint ids must be dense 0..max")
         self.labels = labels
 
     @property
@@ -242,14 +241,56 @@ def _pair_intersections(frag: np.ndarray, vox: np.ndarray, n: int, n_vox: int) -
     return inter
 
 
+def _mask_boxes(track: MaskTrack) -> list:
+    """Per frame of ``track``: None where it is not visible, else (mask as
+    bool, area, first row, row end, first column, column end) of the
+    mask's bounding box."""
+    out = []
+    for m in track.masks:
+        rows = () if m is None else np.flatnonzero(np.any(m, axis=1))
+        if not len(rows):
+            out.append(None)
+            continue
+        m = np.asarray(m, dtype=bool)
+        r0, r1 = int(rows[0]), int(rows[-1]) + 1
+        cols = np.flatnonzero(m[r0:r1].any(axis=0))
+        c0, c1 = int(cols[0]), int(cols[-1]) + 1
+        out.append((m, int(np.count_nonzero(m[r0:r1, c0:c1])), r0, r1, c0, c1))
+    return out
+
+
+def _overlap_series(a: list, b: list) -> np.ndarray:
+    """(frame, IoU, precision) rows, as temporal_overlap2d computes them, of
+    the frames where the _mask_boxes lists ``a`` and ``b`` are both visible.
+
+    The intersection is counted on the overlap of the two bounding boxes
+    only (0 when they are disjoint), and the union is |A| + |B| - |A & B|:
+    the same integers as counting whole masks, so the same floats.
+    """
+    rows = []
+    for t, (ba, bb) in enumerate(zip(a, b)):
+        if ba is None or bb is None:
+            continue
+        (ma, na, ra0, ra1, ca0, ca1), (mb, nb, rb0, rb1, cb0, cb1) = ba, bb
+        if ma.shape != mb.shape:
+            raise ValueError(f"mask shapes differ: {ma.shape} vs {mb.shape}")
+        r0, r1, c0, c1 = max(ra0, rb0), min(ra1, rb1), max(ca0, cb0), min(ca1, cb1)
+        inter = int(np.count_nonzero(ma[r0:r1, c0:c1] & mb[r0:r1, c0:c1])) \
+            if r0 < r1 and c0 < c1 else 0
+        rows.append((t, inter / (na + nb - inter), inter / min(na, nb)))
+    return np.array(rows, np.float64).reshape(-1, 3).T.copy()
+
+
 def _temporal_means(fragments: list, pi: np.ndarray, pj: np.ndarray):
     """temporal_overlap2d of every fragment pair (pi, pj), each track read
     from its fragment's keyframe ``source[0]`` on.
 
     A pair's series depends only on its two track objects and the later
-    keyframe: each needed track pair is compared once per co-visible frame,
-    and np.mean runs once per distinct (track pair, start) on a contiguous
-    array of the values in frame order, as temporal_overlap2d does.
+    keyframe: each needed track pair is compared once per co-visible frame
+    (see _overlap_series, from each mask's area and bounding box, taken once
+    per track and frame), and np.mean runs once per distinct (track pair,
+    start) on a contiguous array of the values in frame order, as
+    temporal_overlap2d does.
     """
     tracks = list({id(f.track): f.track for f in fragments if f.track is not None}.values())
     slot = {id(t): s for s, t in enumerate(tracks)}
@@ -261,24 +302,26 @@ def _temporal_means(fragments: list, pi: np.ndarray, pj: np.ndarray):
     lo, hi = np.minimum(code[pi], code[pj]), np.maximum(code[pi], code[pj])
     keys, inv = np.unique((lo * n_t + hi) * n_s + np.maximum(start[pi], start[pj]),
                           return_inverse=True)
-    series, means = {}, np.zeros((len(keys), 2))
+    boxes, series, means = {}, {}, np.zeros((len(keys), 2))
     for k, (pair, s) in enumerate(divmod(key, n_s) for key in keys.tolist()):
         if pair not in series:
-            a, b = tracks[pair // n_t], tracks[pair % n_t]
-            rows = []
-            for t in range(len(a)):
-                if a.visible(t) and b.visible(t):
-                    ma, mb = a.masks[t].astype(bool), b.masks[t].astype(bool)
-                    inter = int(np.count_nonzero(ma & mb))
-                    rows.append((t, inter / int(np.count_nonzero(ma | mb)),
-                                 inter / min(int(np.count_nonzero(ma)),
-                                             int(np.count_nonzero(mb)))))
-            series[pair] = np.array(rows, np.float64).reshape(-1, 3).T.copy()
+            ta, tb = divmod(pair, n_t)
+            for tr in (ta, tb):
+                if tr not in boxes:
+                    boxes[tr] = _mask_boxes(tracks[tr])
+            series[pair] = _overlap_series(boxes[ta], boxes[tb])
         frames, ious, precs = series[pair]
         first = np.searchsorted(frames, s)
         if first < len(frames):
             means[k] = np.mean(ious[first:]), np.mean(precs[first:])
     return means[inv, 0], means[inv, 1]
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) by one sort of the flattened array: plain np.unique of
+    integers takes a hash path that is many times slower here."""
+    x = np.sort(x, axis=None)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))] if x.size else x
 
 
 def merge_instances(fragments: list, cfg: MergeConfig) -> InstanceSet:
@@ -307,7 +350,7 @@ def merge_instances(fragments: list, cfg: MergeConfig) -> InstanceSet:
         raise ValueError("merge_instances requires at least one fragment")
     n = len(fragments)
     owner, vox, n_vox = _voxel_ids([f.points.points for f in fragments], cfg.voxel_size)
-    pairs = np.unique(owner * n_vox + vox)
+    pairs = _sorted_unique(owner * n_vox + vox)
     frag, vox = pairs // n_vox, pairs % n_vox
     sizes = np.bincount(frag, minlength=n)
     if not sizes.all():
@@ -368,7 +411,7 @@ def assign_superpoints(instances: InstanceSet, partition: SuperpointPartition,
     counts = np.zeros((n_sp, n_inst), dtype=np.int64)
     if n_inst:
         # observers of each (voxel, instance): member fragments holding the voxel
-        frag_vox = np.unique(owner[:n_frag_pts] * n_vox + vox[:n_frag_pts])
+        frag_vox = _sorted_unique(owner[:n_frag_pts] * n_vox + vox[:n_frag_pts])
         obs_key, observers = np.unique((frag_vox % n_vox) * n_inst + inst_of[frag_vox // n_vox],
                                        return_counts=True)
         obs_vox, obs_inst = obs_key // n_inst, obs_key % n_inst
@@ -453,9 +496,9 @@ def eval_ap(pred: InstanceSet, gt: InstanceSet, band=AP_BAND) -> dict:
             if inst.point_ids is None:
                 raise ValueError(f"{name} instance lacks point ids; run superpoint voting "
                                  "or label the set over scene points")
-    gt_sets = [np.unique(i.point_ids) for i in gt.instances]
+    gt_sets = [_sorted_unique(i.point_ids) for i in gt.instances]
     order = sorted(range(len(pred)), key=lambda k: (-pred.instances[k].confidence, k))
-    pred_sets = [np.unique(pred.instances[k].point_ids) for k in order]
+    pred_sets = [_sorted_unique(pred.instances[k].point_ids) for k in order]
     ious = [[_point_iou(p, g) for g in gt_sets] for p in pred_sets]
     aps = {t: _ap_at(ious, len(gt_sets), t) for t in set(band) | {0.5, 0.25}}
     return {

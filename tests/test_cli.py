@@ -31,6 +31,24 @@ def scene_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def json_scene_dir(scene_dir, tmp_path_factory):
+    """The scene with its superpoints moved to a ``superpoints.json`` written
+    by json.dumps, which its manifest names: the JSON reader that older and
+    hand-written scenes go through."""
+    out = tmp_path_factory.mktemp("json_scene") / "scene"
+    shutil.copytree(scene_dir, out)
+    with np.load(out / "superpoints.npz") as npz:
+        doc = {"schema": "geovos.superpoints/1", "points": npz["points"].tolist(),
+               "labels": npz["labels"].tolist()}
+    (out / "superpoints.npz").unlink()
+    (out / "superpoints.json").write_text(json.dumps(doc))
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["superpoints"] = "superpoints.json"
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    return out
+
+
 def read_lines(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
@@ -186,6 +204,16 @@ class TestPipeline:
                      "--out", str(out)]) == EXIT_OK
         # IoU 3/4 clears the thresholds 0.50 to 0.75: six of the ten
         assert read_lines(out)[-1]["aggregate"] == {"ap": 0.6, "ap50": 1.0, "ap25": 1.0}
+
+    def test_json_superpoints_give_the_same_report(self, scene_dir, json_scene_dir, tmp_path):
+        outs = []
+        for d in (scene_dir, json_scene_dir):
+            out = tmp_path / f"{d.name}.jsonl"
+            assert main(["pipeline", "--scene", str(d / "manifest.json"),
+                         "--out", str(out)]) == EXIT_OK
+            outs.append(read_lines(out))
+        assert outs[0][-1]["aggregate"]["voted"] and outs[0][-1]["aggregate"]["ap"] == 1.0
+        assert outs[0][1:] == outs[1][1:]
 
     def test_eval_3d_self(self, scene_dir, tmp_path):
         out = tmp_path / "e.jsonl"
@@ -343,6 +371,86 @@ def _json_list(rel, what):
     return run
 
 
+def _npz(rewrite, detail):
+    """pipeline on the scene after ``rewrite(path, points, labels)`` replaced
+    its superpoints.npz; the error names that file and ``detail``."""
+    def run(d):
+        path = d / "superpoints.npz"
+        with np.load(path) as npz:
+            points, labels = npz["points"], npz["labels"]
+        rewrite(path, points, labels)
+        return _scene_args("pipeline", d), [str(path), detail]
+    return run
+
+
+def _truncated(path, points, labels):
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+def _npy_under_npz_name(path, points, labels):
+    with open(path, "wb") as f:
+        np.save(f, points)
+
+
+def _with_label(value):
+    def rewrite(path, points, labels):
+        labels = labels.copy()
+        labels[3] = value
+        np.savez(path, points=points, labels=labels)
+    return rewrite
+
+
+def _nan_point(path, points, labels):
+    points = points.copy()
+    points[5, 1] = np.nan
+    np.savez(path, points=points, labels=labels)
+
+
+NOT_NPZ = "not an npz archive of arrays 'points' and 'labels'"
+
+NPZ_CORRUPTIONS = {
+    "pipeline-npz-truncated": _npz(_truncated, NOT_NPZ),
+    "pipeline-npz-not-a-zip": _npz(lambda path, p, lab: path.write_text("points, labels\n"),
+                                   NOT_NPZ),
+    "pipeline-npz-holds-npy": _npz(_npy_under_npz_name, NOT_NPZ),
+    "pipeline-npz-object-array": _npz(
+        lambda path, p, lab: np.savez(path, points=p.astype(object), labels=lab),
+        "array 'points' cannot be read"),
+    "pipeline-npz-missing-array": _npz(lambda path, p, lab: np.savez(path, points=p),
+                                       "arrays must be exactly 'points' and 'labels'"),
+    "pipeline-npz-extra-array": _npz(
+        lambda path, p, lab: np.savez(path, points=p, labels=lab, normals=p),
+        "arrays must be exactly 'points' and 'labels', got ['labels', 'normals', 'points']"),
+    "pipeline-npz-two-coordinate-points": _npz(
+        lambda path, p, lab: np.savez(path, points=p[:, :2].copy(), labels=lab),
+        "array 'points' must have shape (N, 3)"),
+    "pipeline-npz-float32-points": _npz(
+        lambda path, p, lab: np.savez(path, points=p.astype(np.float32), labels=lab),
+        "array 'points' must be float64, got float32"),
+    "pipeline-npz-float-labels": _npz(
+        lambda path, p, lab: np.savez(path, points=p, labels=lab.astype(np.float64)),
+        "array 'labels' must be int64, got float64"),
+    "pipeline-npz-nan-point": _npz(_nan_point, "array 'points' must hold finite numbers"),
+    "pipeline-npz-short-labels": _npz(
+        lambda path, p, lab: np.savez(path, points=p, labels=lab[:-1]),
+        "array 'labels' has"),
+    "pipeline-npz-negative-label": _npz(_with_label(-1), "array 'labels': superpoint labels "
+                                                         "must be >= 0"),
+    # without the size guard bincount would size 2**62 counters from this label
+    "pipeline-npz-label-past-n": _npz(_with_label(2**62), "array 'labels': superpoint ids "
+                                                          "must be dense 0..max"),
+}
+
+
+def _json_not_text(rel):
+    """pipeline on the scene after its JSON file ``rel`` got bytes that are
+    not UTF-8 (the head of a zip archive)."""
+    def run(d):
+        (d / rel).write_bytes(b"PK\x03\x04\xff\xfe\x00")
+        return _scene_args("pipeline", d), [f"{d / rel}: invalid JSON"]
+    return run
+
+
 def _negative_label(doc):
     doc["labels"][0] = -1
     return "superpoint labels must be >= 0"
@@ -480,17 +588,18 @@ def _stride_zero(command):
     return run
 
 
+def _flag(command, flag, value):
+    """``command`` with ``flag value`` out of range; the error names both."""
+    def run(d):
+        args = _scene_args("sample", d) if command == "sample" else [command]
+        return args + [flag, value], [f"error: {flag} must be ", f"got {value}"]
+    return run
+
+
 _3D = ("pipeline", "lift", "merge")
 
-CORRUPTIONS = {
-    "eval-3d-fractional-ids": _eval_3d([0.5, 1.7, 2.2]),
-    "eval-3d-negative-id": _eval_3d([-1, 0, 1]),
-    "eval-3d-nested-ids": _eval_3d([[0, 1], [2, 3]]),
-    "eval-3d-id-past-int64": _eval_3d([10**30]),
-    "eval-3d-string-id": _eval_3d(["a"]),
-    "eval-3d-string-confidence": _eval_3d([0, 1], confidence="x"),
-    "eval-3d-nan-confidence": _eval_3d([0, 1], confidence=float("nan")),
-    **{f"{c}-short-dmap": _short_dmap(c) for c in _3D + ("sample",)},
+# run on the scene of json_scene_dir: its superpoints.json is read as JSON
+JSON_SUPERPOINT_CORRUPTIONS = {
     "pipeline-negative-superpoint-label": _edit_json("superpoints.json", _negative_label,
                                                      "manifest.json"),
     "pipeline-short-label-list": _edit_json("superpoints.json", _short_label_list,
@@ -501,12 +610,26 @@ CORRUPTIONS = {
                                                  "superpoints.json"),
     "pipeline-bool-in-point-row": _edit_json("superpoints.json", _bool_in_point_row,
                                              "superpoints.json"),
+    "pipeline-superpoints-not-object": _json_list("superpoints.json", "superpoints"),
+    "pipeline-superpoints-json-not-text": _json_not_text("superpoints.json"),
+}
+
+CORRUPTIONS = {
+    "eval-3d-fractional-ids": _eval_3d([0.5, 1.7, 2.2]),
+    "eval-3d-negative-id": _eval_3d([-1, 0, 1]),
+    "eval-3d-nested-ids": _eval_3d([[0, 1], [2, 3]]),
+    "eval-3d-id-past-int64": _eval_3d([10**30]),
+    "eval-3d-string-id": _eval_3d(["a"]),
+    "eval-3d-string-confidence": _eval_3d([0, 1], confidence="x"),
+    "eval-3d-nan-confidence": _eval_3d([0, 1], confidence=float("nan")),
+    **{f"{c}-short-dmap": _short_dmap(c) for c in _3D + ("sample",)},
+    **JSON_SUPERPOINT_CORRUPTIONS,
+    **NPZ_CORRUPTIONS,
     "pipeline-dangling-gt-point-id": _edit_json("instances.json", _dangling_gt_id,
                                                 "manifest.json"),
     "pipeline-fractional-gt-id": _edit_json("instances.json", _fractional_gt_id,
                                             "instances.json"),
     "pipeline-manifest-not-object": _json_list("manifest.json", "manifest"),
-    "pipeline-superpoints-not-object": _json_list("superpoints.json", "superpoints"),
     "pipeline-tracks-not-object": _json_list("tracks/tracks.json", "tracks"),
     **{f"pipeline-{name}": _edit_json("tracks/tracks.json", edit, "tracks/tracks.json")
        for name, edit in [("tracks-field-list", _tracks_field_list),
@@ -544,6 +667,11 @@ CORRUPTIONS = {
     "gradcheck-config-zero-heads": _gradcheck_config('{"heads": 0}', "heads must be >= 1"),
     "gradcheck-config-zero-c-mid": _gradcheck_config('{"c_mid": 0}', "c_mid must be >= 1"),
     "gradcheck-config-zero-c-f2d": _gradcheck_config('{"c_f2d": 0}', "c_f2d must be >= 1"),
+    "sample-negative-seed": _flag("sample", "--seed", "-1"),
+    "gradcheck-negative-seed": _flag("gradcheck", "--seed", "-1"),
+    "gradcheck-nan-threshold": _flag("gradcheck", "--threshold", "nan"),
+    "gradcheck-zero-threshold": _flag("gradcheck", "--threshold", "0.0"),
+    "gradcheck-infinite-threshold": _flag("gradcheck", "--threshold", "inf"),
 }
 
 
@@ -555,11 +683,11 @@ def _child_env() -> dict:
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
-def test_corrupt_input_exit_2(scene_dir, tmp_path, case):
+def test_corrupt_input_exit_2(scene_dir, json_scene_dir, tmp_path, case):
     """Each subcommand x corruption exits 2 with one stderr line naming the
     path or field, and no traceback."""
     d = tmp_path / "scene"
-    shutil.copytree(scene_dir, d)
+    shutil.copytree(json_scene_dir if case in JSON_SUPERPOINT_CORRUPTIONS else scene_dir, d)
     argv, named = CORRUPTIONS[case](d)
     proc = subprocess.run([sys.executable, "-m", "geovos.cli", *argv], capture_output=True,
                           text=True, env=_child_env(), timeout=120)

@@ -158,6 +158,18 @@ class TestSceneRoundtrip:
         for rel in files1:
             assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), rel
 
+    def test_save_scene_twice_same_superpoints_bytes(self, tmp_path, monkeypatch):
+        # the npz entries carry a fixed timestamp: a later clock changes nothing
+        import time
+
+        world = generate_boxworld(*boxworld_preset("two-cubes", 16))
+        save_scene(world.scene, tmp_path / "one")
+        monkeypatch.setattr(time, "time", lambda: 2_000_000_000.0)
+        manifest = save_scene(world.scene, tmp_path / "two")
+        assert json.loads(manifest.read_text())["superpoints"] == "superpoints.npz"
+        first = (tmp_path / "one" / "superpoints.npz").read_bytes()
+        assert first == (tmp_path / "two" / "superpoints.npz").read_bytes()
+
     def test_loaded_scene_matches(self, tmp_path):
         boxes, cams = boxworld_preset("one-box", 16)
         world = generate_boxworld(boxes, cams)
@@ -323,6 +335,38 @@ class TestTracksFile:
         assert p1.read_bytes() == p2.read_bytes()
         np.testing.assert_array_equal(loaded, pts)
 
+    def test_superpoints_npz_roundtrip(self, tmp_path):
+        from geovos.ingest import load_superpoints, save_superpoints
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(50, 3)) * 1e3
+        pts[0] = [-0.0, 1e-308, 2**53]
+        labels = rng.integers(0, 7, size=50)
+        p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
+        save_superpoints(p1, pts.T.copy().T, labels)  # F-ordered input, C-ordered file
+        points, loaded = load_superpoints(p1)
+        save_superpoints(p2, points, loaded)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert points.dtype == np.float64 and loaded.dtype == np.int64
+        assert points.tobytes() == pts.tobytes() and loaded.tolist() == labels.tolist()
+        with np.load(p1) as npz:
+            assert sorted(npz.files) == ["labels", "points"]
+        save_superpoints(p1, np.zeros((0, 3)), np.zeros(0, np.int64))
+        points, loaded = load_superpoints(p1)
+        assert points.shape == (0, 3) and loaded.shape == (0,)
+
+    def test_superpoints_reader_by_suffix(self, tmp_path):
+        from geovos.ingest import load_superpoints, save_superpoints
+        doc = {"schema": "geovos.superpoints/1", "points": [[0.5, 1, 2]], "labels": [0]}
+        for name in ("sp.json", "sp.dat", "sp"):
+            (tmp_path / name).write_text(json.dumps(doc))
+            points, labels = load_superpoints(tmp_path / name)
+            assert points.tolist() == [[0.5, 1.0, 2.0]] and labels.tolist() == [0]
+        save_superpoints(tmp_path / "sp.json", [[0.5, 1, 2]], [0])  # npz bytes, JSON name
+        with pytest.raises(ManifestError, match="invalid JSON"):
+            load_superpoints(tmp_path / "sp.json")
+        with pytest.raises(MissingFileError, match="superpoints file not found"):
+            load_superpoints(tmp_path / "gone.npz")
+
     @pytest.mark.parametrize("field, value", [
         ("labels", "x"), ("labels", ["x"]), ("labels", [1.5]), ("labels", [True]),
         ("labels", [0, True]), ("labels", [[0]]), ("labels", [2**63]),
@@ -364,19 +408,11 @@ class TestTracksFile:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
     def test_point_lists_as_written_elementwise(self, tmp_path, dtype):
         # tolist() writes the same bytes as converting coordinate by coordinate
-        import json
-
-        from geovos.ingest import save_pointset, save_superpoints
+        from geovos.ingest import save_pointset
         pts = (np.random.default_rng(7).normal(size=(11, 3)) * 100).astype(dtype)
-        labels = np.arange(11) % 4
         save_pointset(tmp_path / "p.json", pts)
-        save_superpoints(tmp_path / "s.json", pts, labels)
-        elementwise = [[float(c) for c in p] for p in pts]
-        want_p = {"schema": "geovos.points/1", "points": elementwise}
-        want_s = {"schema": "geovos.superpoints/1", "points": elementwise,
-                  "labels": [int(x) for x in labels]}
-        for name, want in (("p.json", want_p), ("s.json", want_s)):
-            assert (tmp_path / name).read_text() == json.dumps(want, indent=2) + "\n"
+        want = {"schema": "geovos.points/1", "points": [[float(c) for c in p] for p in pts]}
+        assert (tmp_path / "p.json").read_text() == json.dumps(want, indent=2) + "\n"
 
 
 class TestJsonWriter:
@@ -421,8 +457,7 @@ class TestJsonWriter:
         monkeypatch.setattr(ingest, "_write_json", lambda path, obj: Path(path).write_text(
             json.dumps(obj, indent=2, default=np.ndarray.tolist) + "\n"))
         plain = save(tmp_path / "plain")
-        assert {p.name for p in fast} >= {"manifest.json", "superpoints.json",
-                                          "instances.json", "tracks.json"}
+        assert {p.name for p in fast} >= {"manifest.json", "instances.json", "tracks.json"}
         assert fast == plain
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4096])
@@ -446,9 +481,10 @@ class TestJsonWriter:
         assert p.read_text() == json.dumps(obj, indent=2, default=np.ndarray.tolist) + "\n"
 
     def test_save_superpoints_transient_memory(self, tmp_path):
-        # ~128k points, as in a dense box-world scene: a writer that converts
-        # the whole lists and builds the whole text peaks at ~55 MB here, the
-        # block-by-block one at ~2.3 MB (numpy 2.4); the bound is half the former
+        # ~128k points, as in a dense box-world scene: a JSON writer that
+        # converts the whole lists and builds the whole text peaks at ~55 MB
+        # here; the bound is half that. The npz writer copies at most one
+        # array's bytes (~3 MB)
         import tracemalloc
 
         from geovos.ingest import save_superpoints
@@ -456,7 +492,7 @@ class TestJsonWriter:
         labels = np.arange(128_000, dtype=np.int64) // 97
         tracemalloc.start()
         try:
-            save_superpoints(tmp_path / "sp.json", points, labels)
+            save_superpoints(tmp_path / "sp.npz", points, labels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

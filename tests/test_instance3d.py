@@ -359,6 +359,43 @@ class TestMergeMatchesOracle:
             mine = [f for f in fragments if f.source[1] == obj]
             assert len(mine) > 1 and all(f.track is track for f in mine)
 
+    @pytest.mark.parametrize("dtype", [bool, np.uint8])
+    def test_temporal_means_on_mask_boxes(self, dtype):
+        # bounding boxes that touch (edge, one corner pixel), overlap, nest
+        # (a ring around a block, a block inside a block), are disjoint, or
+        # overlap with no common pixel (crossing diagonals of even size);
+        # and frames where one or both masks are empty or missing
+        def rect(r0, r1, c0, c1):
+            m = np.zeros((10, 12), dtype)
+            m[r0:r1, c0:c1] = 1
+            return m
+
+        ring = rect(0, 10, 0, 12)
+        ring[1:9, 1:11] = 0
+        diag = np.zeros((10, 12), dtype)
+        diag[np.arange(8), np.arange(8)] = 1
+        cases = [
+            (rect(2, 5, 2, 5), rect(5, 8, 2, 5)), (rect(2, 5, 2, 5), rect(4, 8, 4, 8)),
+            (rect(1, 6, 1, 6), rect(3, 9, 4, 11)), (ring, rect(3, 6, 3, 6)),
+            (rect(0, 10, 0, 12), rect(3, 6, 3, 6)), (rect(0, 2, 0, 2), rect(7, 10, 9, 12)),
+            (diag, diag[::-1].copy()), (diag, diag), (None, rect(1, 3, 1, 3)),
+            (rect(1, 3, 1, 3), np.zeros((10, 12), dtype)), (None, None),
+        ]
+        rng = np.random.default_rng(5)
+        cases += [tuple((rng.random((10, 12)) < rng.uniform(0.02, 0.3)).astype(dtype)
+                        for _ in range(2)) for _ in range(6)]
+        a, b = MaskTrack([ma for ma, _ in cases]), MaskTrack([mb for _, mb in cases])
+        n = len(cases)
+        frags = [frag(centers([(3 * k, 0, 0)]), (k % (n + 2), "a" if k % 2 else "b"),
+                      a if k % 2 else b) for k in range(2 * n + 4)]
+        pairs = np.array([(i, j) for i in range(len(frags)) for j in range(i + 1, len(frags))])
+        iou, prec = _temporal_means(frags, pairs[:, 0], pairs[:, 1])
+        want = [temporal_overlap2d(forward_track(frags[i]), forward_track(frags[j]))
+                for i, j in pairs]
+        assert [x.hex() for p in zip(iou.tolist(), prec.tolist()) for x in p] == \
+            [x.hex() for p in want for x in p]
+        assert len(set(want)) > 10
+
     def test_masks_before_the_keyframe_never_count(self):
         same, left, right = (np.zeros((4, 4), bool) for _ in range(3))
         same[:], left[:, :2], right[:, 2:] = True, True, True
@@ -431,6 +468,19 @@ class TestAssignSuperpoints:
             SuperpointPartition(np.array([0, 2]))  # not dense
         with pytest.raises(ValueError):
             SuperpointPartition(np.array([-1, 0]))
+        # a label past the point count fails before any per-label allocation
+        with pytest.raises(ValueError, match=r"^superpoint ids must be dense 0\.\.max$"):
+            SuperpointPartition(np.array([0, 2**62, 1]))
+        assert SuperpointPartition(np.array([2, 0, 1, 1])).n_superpoints == 3
+        assert SuperpointPartition(np.zeros(0, np.int64)).n_superpoints == 0
+
+    def test_sorted_unique_is_np_unique(self):
+        from geovos.instance3d import _sorted_unique
+        rng = np.random.default_rng(0)
+        for x in (rng.integers(-5, 5, size=40), rng.integers(0, 2**62, size=(7, 3)),
+                  np.zeros(0, np.int64), np.array([3])):
+            got, want = _sorted_unique(x), np.unique(x)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def labeled(point_sets, confidences=None):
