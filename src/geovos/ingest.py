@@ -288,6 +288,8 @@ def _read_json(path, what: str):
 _SUPERPOINT_ARRAYS = {"points": (np.float64, 2), "labels": (np.int64, 1)}  # dtype, ndim
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)  # every npz entry's timestamp
 _NPZ_ERRORS = (zipfile.BadZipFile, EOFError, ValueError, OSError)
+# the leading bytes by which np.load tells an npz archive from anything else
+_ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")
 
 
 def save_superpoints(path, points: np.ndarray, labels: np.ndarray):
@@ -306,13 +308,13 @@ def _load_superpoints_npz(path: Path):
     """(points, labels) of an npz written by save_superpoints; every other
     content raises ManifestError naming the file and the array."""
     try:
+        with open(path, "rb") as f:
+            if f.read(4) not in _ZIP_MAGIC:
+                raise ValueError("not a zip archive")
         npz = np.load(path, allow_pickle=False)
     except _NPZ_ERRORS as e:
         raise ManifestError(f"{path}: not an npz archive of arrays 'points' and 'labels' "
                             f"({e})") from None
-    if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise ManifestError(f"{path}: not an npz archive of arrays 'points' and 'labels' "
-                            f"(a bare {npz.dtype} array of shape {npz.shape})")
     arrays = {}
     with npz:
         if sorted(npz.files) != sorted(_SUPERPOINT_ARRAYS):

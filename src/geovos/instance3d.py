@@ -6,9 +6,10 @@ The pipeline is a chain of stages that callers compose as they need:
   pose into a world-frame fragment;
 * ``score_depth`` scores each fragment against the later depth rasters
   (a diagnostic that only ``geovos lift`` reports);
-* ``merge_instances`` joins fragments whose 3D voxel overlap or temporal
-  2D overlap from the later keyframe on is high enough (union-find, OR
-  across criteria);
+* ``merge_instances`` groups the fragments of each track and joins two
+  groups when some pair of their fragments has a high enough 3D voxel
+  overlap or temporal 2D overlap from the later keyframe on (OR across
+  criteria);
 * ``assign_superpoints`` resolves duplicate geometry by majority voting at
   the superpoint level.
 
@@ -17,6 +18,7 @@ scan-benchmark AP protocol on point sets.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -281,40 +283,14 @@ def _overlap_series(a: list, b: list) -> np.ndarray:
     return np.array(rows, np.float64).reshape(-1, 3).T.copy()
 
 
-def _temporal_means(fragments: list, pi: np.ndarray, pj: np.ndarray):
-    """temporal_overlap2d of every fragment pair (pi, pj), each track read
-    from its fragment's keyframe ``source[0]`` on.
-
-    A pair's series depends only on its two track objects and the later
-    keyframe: each needed track pair is compared once per co-visible frame
-    (see _overlap_series, from each mask's area and bounding box, taken once
-    per track and frame), and np.mean runs once per distinct (track pair,
-    start) on a contiguous array of the values in frame order, as
-    temporal_overlap2d does.
-    """
-    tracks = list({id(f.track): f.track for f in fragments if f.track is not None}.values())
-    slot = {id(t): s for s, t in enumerate(tracks)}
-    code = np.array([slot.get(id(f.track), -1) for f in fragments])
-    # a keyframe past the track's end leaves an empty series
-    start = np.array([0 if f.track is None else min(max(f.source[0], 0), len(f.track))
-                      for f in fragments])
-    n_t, n_s = len(tracks), max(len(t) for t in tracks) + 1
-    lo, hi = np.minimum(code[pi], code[pj]), np.maximum(code[pi], code[pj])
-    keys, inv = np.unique((lo * n_t + hi) * n_s + np.maximum(start[pi], start[pj]),
-                          return_inverse=True)
-    boxes, series, means = {}, {}, np.zeros((len(keys), 2))
-    for k, (pair, s) in enumerate(divmod(key, n_s) for key in keys.tolist()):
-        if pair not in series:
-            ta, tb = divmod(pair, n_t)
-            for tr in (ta, tb):
-                if tr not in boxes:
-                    boxes[tr] = _mask_boxes(tracks[tr])
-            series[pair] = _overlap_series(boxes[ta], boxes[tb])
-        frames, ious, precs = series[pair]
-        first = np.searchsorted(frames, s)
-        if first < len(frames):
-            means[k] = np.mean(ious[first:]), np.mean(precs[first:])
-    return means[inv, 0], means[inv, 1]
+def _suffix_means(series: np.ndarray, start: int):
+    """Mean IoU and mean precision of the _overlap_series rows from frame
+    ``start`` on, as temporal_overlap2d computes them; (0.0, 0.0) if none."""
+    frames, ious, precs = series
+    first = np.searchsorted(frames, start)
+    if first == len(frames):
+        return 0.0, 0.0
+    return float(np.mean(ious[first:])), float(np.mean(precs[first:]))
 
 
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
@@ -324,65 +300,100 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     return x[np.concatenate(([True], x[1:] != x[:-1]))] if x.size else x
 
 
+def _voxel_link(ga: tuple, gb: tuple, sizes: np.ndarray, theta_3d: float) -> bool:
+    """Whether some fragment of group ``ga`` and some of ``gb`` (see
+    merge_instances) have |Va & Vb| / min(|Va|, |Vb|) >= theta_3d, counted on
+    the voxels both groups hold."""
+    (ma, fa, xa, va), (mb, fb, xb, vb) = ga, gb
+    common = np.intersect1d(va, vb, assume_unique=True)
+    if not len(common):
+        return 0.0 >= theta_3d
+    ka, kb = np.isin(xa, common), np.isin(xb, common)
+    inter = _pair_intersections(np.concatenate([fa[ka], fb[kb] + len(ma)]),
+                                np.searchsorted(common, np.concatenate([xa[ka], xb[kb]])),
+                                len(ma) + len(mb), len(common))[:len(ma), len(ma):]
+    return bool((inter / np.minimum.outer(sizes[ma], sizes[mb]) >= theta_3d).any())
+
+
+def _temporal_link(series: np.ndarray, starts_a: list, starts_b: list, cfg: MergeConfig) -> bool:
+    """Whether some fragment keyed at a frame of ``starts_a`` and some keyed
+    at one of ``starts_b`` reach mean IoU >= theta_iou or mean precision >=
+    theta_prec on their tracks' ``series`` from the later keyframe on."""
+    lo = max(min(starts_a), min(starts_b))
+    # with no common pixel in any frame every mean is 0.0, so one start tells
+    later = sorted({s for s in (*starts_a, *starts_b) if s >= lo}) if series[2].any() else [lo]
+    return any(iou >= cfg.theta_iou or prec >= cfg.theta_prec
+               for iou, prec in (_suffix_means(series, s) for s in later))
+
+
 def merge_instances(fragments: list, cfg: MergeConfig) -> InstanceSet:
-    """Group fragments into instances via union-find.
+    """Group fragments into instances: the connected components of the edges.
 
-    An edge links two fragments when any criterion fires: 3D voxel overlap
-    >= theta_3d, temporal mean IoU >= theta_iou, or temporal precision
-    >= theta_prec (recall-oriented OR; duplicates are resolved later by
-    superpoint voting). Instance confidence is the component's point count
-    normalized by the largest component's. Components are emitted ordered
-    by their smallest member fragment index, so the result is deterministic
-    given the input order and invariant to it up to relabeling.
+    An edge links two fragments when any criterion fires (recall-oriented
+    OR; superpoint voting resolves duplicates later): 3D voxel overlap
+    |Va & Vb| / min(|Va|, |Vb|) >= theta_3d or, when both have a track,
+    temporal_overlap2d of the tracks from the later keyframe ``source[0]``
+    on with mean IoU >= theta_iou or mean precision >= theta_prec.
+    Confidence is the component's point count over the largest one's.
+    Components are ordered by their smallest member fragment index.
 
-    The scores equal, pair by pair, the voxel-set overlap
-    |Va & Vb| / min(|Va|, |Vb|) and temporal_overlap2d, and the temporal
-    ones are computed only for pairs whose 3D overlap did not fire.
-    Pairwise voxel overlaps come from one voxel index; a pair's temporal
-    series is its two tracks from the later keyframe ``source[0]`` on, computed
-    once per distinct (pair of track objects, start frame).
+    The fragments of one track object form one group: any two of them score
+    IoU 1 on the track's masks from the later keyframe on. A fragment with no
+    track, or keyed after its track's last visible frame, is a group of its
+    own. Two groups join at the first edge between their fragments.
 
     Raises:
         ValueError: if there are no fragments, one is empty, or two tracks
-        that need comparing differ in length.
+        differ in length.
     """
     if not fragments:
         raise ValueError("merge_instances requires at least one fragment")
-    n = len(fragments)
     owner, vox, n_vox = _voxel_ids([f.points.points for f in fragments], cfg.voxel_size)
     pairs = _sorted_unique(owner * n_vox + vox)
     frag, vox = pairs // n_vox, pairs % n_vox
-    sizes = np.bincount(frag, minlength=n)
+    sizes = np.bincount(frag, minlength=len(fragments))
     if not sizes.all():
         raise ValueError("merge_instances requires nonempty fragments")
-    inter = _pair_intersections(frag, vox, n, n_vox)
-    pi, pj = np.triu_indices(n, 1)
-    fired = inter[pi, pj] / np.minimum(sizes[pi], sizes[pj]) >= cfg.theta_3d
+    lengths = dict.fromkeys(len(f.track) for f in fragments if f.track is not None)
+    if len(lengths) > 1:  # the first two lengths, in fragment order
+        raise ValueError("track lengths differ: {} vs {}".format(*lengths))
 
-    lengths = np.array([-1 if f.track is None else len(f.track) for f in fragments])
-    todo = np.flatnonzero(~fired & (lengths[pi] >= 0) & (lengths[pj] >= 0))
-    if todo.size:
-        bad = todo[lengths[pi[todo]] != lengths[pj[todo]]]
-        if bad.size:
-            i, j = pi[bad[0]], pj[bad[0]]
-            raise ValueError(f"track lengths differ: {lengths[i]} vs {lengths[j]}")
-        iou, prec = _temporal_means(fragments, pi[todo], pj[todo])
-        fired[todo] = (iou >= cfg.theta_iou) | (prec >= cfg.theta_prec)
+    track = [None if f.track is None else id(f.track) for f in fragments]
+    boxes = {t: _mask_boxes(f.track) for t, f in dict(zip(track, fragments)).items() if t}
+    last = {t: max((k for k, b in enumerate(bs) if b), default=-1) for t, bs in boxes.items()}
+    # the frame a fragment's series starts at; one past the end leaves it empty
+    start = [0 if f.track is None else min(max(f.source[0], 0), len(f.track)) for f in fragments]
+    keys = {}  # a track's group, or a group of the fragment's own
+    gid = np.array([keys.setdefault(("own", i) if t is None or s > last[t] else t, len(keys))
+                    for i, (t, s) in enumerate(zip(track, start))])
+    members = np.split(np.argsort(gid, kind="stable"), np.cumsum(np.bincount(gid))[:-1])
+    rows = np.split(np.argsort(gid[frag], kind="stable"), np.cumsum(np.bincount(gid[frag]))[:-1])
+    # per group: members, then member index and voxel of each (fragment, voxel), then voxel set
+    groups = [(m, np.searchsorted(m, frag[r]), vox[r], _sorted_unique(vox[r]))
+              for m, r in zip(members, rows)]
+    group_track = [track[m[0]] for m in members]
+    group_starts = [{start[i] for i in m.tolist()} for m in members]
 
-    uf = UnionFind(n)
-    for i, j in zip(pi[fired].tolist(), pj[fired].tolist()):
-        uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    ordered = sorted(groups.values(), key=min)
+    uf, series = UnionFind(len(groups)), {}
+    for a, b in combinations(range(len(groups)), 2):
+        if uf.find(a) == uf.find(b):
+            continue
+        linked = _voxel_link(groups[a], groups[b], sizes, cfg.theta_3d)
+        if not linked and group_track[a] is not None and group_track[b] is not None:
+            pair = tuple(sorted((group_track[a], group_track[b])))
+            if pair not in series:
+                series[pair] = _overlap_series(boxes[pair[0]], boxes[pair[1]])
+            linked = _temporal_link(series[pair], group_starts[a], group_starts[b], cfg)
+        if linked:
+            uf.union(a, b)
+    components: dict[int, list[int]] = {}
+    for i, g in enumerate(gid.tolist()):
+        components.setdefault(uf.find(g), []).append(i)
+    ordered = list(components.values())  # by first member, which is the smallest
     totals = [sum(fragments[i].n_points for i in grp) for grp in ordered]
     top = max(totals)
-    instances = [
-        Instance(fragments=[fragments[i] for i in grp], confidence=total / top)
-        for grp, total in zip(ordered, totals)
-    ]
-    return InstanceSet(instances)
+    return InstanceSet([Instance(fragments=[fragments[i] for i in grp], confidence=total / top)
+                        for grp, total in zip(ordered, totals)])
 
 
 def assign_superpoints(instances: InstanceSet, partition: SuperpointPartition,
@@ -426,53 +437,32 @@ def assign_superpoints(instances: InstanceSet, partition: SuperpointPartition,
     assigned = np.full(n_sp, -1, dtype=np.int64)
     observed = counts.sum(axis=1) > 0
     assigned[observed] = np.argmax(counts[observed], axis=1)
-    sp_of_point = partition.labels
-    out = []
-    for k, inst in enumerate(instances.instances):
-        sp_ids = frozenset(int(s) for s in np.nonzero(assigned == k)[0])
-        member = np.isin(sp_of_point, sorted(sp_ids)) if sp_ids else np.zeros(len(sp_of_point), bool)
-        out.append(Instance(
-            fragments=inst.fragments,
-            confidence=inst.confidence,
-            superpoint_ids=sp_ids,
-            point_ids=np.nonzero(member)[0].astype(np.int64),
-        ))
-    return InstanceSet(out)
+    point_owner = assigned[partition.labels]  # each scene point goes with its superpoint
+    return InstanceSet([
+        Instance(fragments=inst.fragments, confidence=inst.confidence,
+                 superpoint_ids=frozenset(np.flatnonzero(assigned == k).tolist()),
+                 point_ids=np.flatnonzero(point_owner == k).astype(np.int64))
+        for k, inst in enumerate(instances.instances)])
 
 
-def _point_iou(a: np.ndarray, b: np.ndarray) -> float:
-    inter = np.intersect1d(a, b, assume_unique=True).size
-    union = a.size + b.size - inter
-    return inter / union if union else 0.0
-
-
-def _ap_at(ious: list, n_gt: int, threshold: float) -> float:
-    """AP at one IoU threshold; ``ious[i][j]`` is prediction i's IoU with
+def _ap_at(ious: np.ndarray, threshold: float) -> float:
+    """AP at one IoU threshold; ``ious[i, j]`` is prediction i's IoU with
     ground truth j, predictions in matching order."""
-    matched = [False] * n_gt
+    matched = np.zeros(ious.shape[1], bool)
     tp = []
     for row in ious:
-        best_iou, best_j = 0.0, -1
-        for j, iou in enumerate(row):
-            if matched[j]:
-                continue
-            if iou > best_iou:
-                best_iou, best_j = iou, j
-        if best_j >= 0 and best_iou >= threshold:
-            matched[best_j] = True
-            tp.append(1)
-        else:
-            tp.append(0)
+        unmatched = np.where(matched, 0.0, row)
+        j = int(np.argmax(unmatched))  # the first of the best
+        tp.append(unmatched[j] > 0.0 and unmatched[j] >= threshold)
+        matched[j] |= tp[-1]
     if not tp:
         return 0.0
     cum = np.cumsum(tp)
-    recall = cum / n_gt
+    recall = cum / ious.shape[1]
     precision = cum / np.arange(1, len(tp) + 1)
     # all-point interpolation: integrate the running-max precision envelope
     mrec = np.concatenate([[0.0], recall])
-    mpre = np.concatenate([[1.0], precision])
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate([[1.0], precision])[::-1])[::-1]
     return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
 
 
@@ -482,8 +472,9 @@ def eval_ap(pred: InstanceSet, gt: InstanceSet, band=AP_BAND) -> dict:
     Predictions are sorted by confidence (descending, stable) and greedily
     matched one-to-one to ground truth at point-set IoU >= t. Each
     prediction x ground-truth IoU is computed once and read at every
-    threshold. Returns {"ap": mean over ``band``, "ap50": t=0.5,
-    "ap25": t=0.25}.
+    threshold; a prediction's intersections with all ground-truth sets come
+    from one membership test over their concatenated points. Returns
+    {"ap": mean over ``band``, "ap50": t=0.5, "ap25": t=0.25}.
 
     Raises:
         ValueError: if the ground-truth set is empty or point ids are
@@ -499,8 +490,16 @@ def eval_ap(pred: InstanceSet, gt: InstanceSet, band=AP_BAND) -> dict:
     gt_sets = [_sorted_unique(i.point_ids) for i in gt.instances]
     order = sorted(range(len(pred)), key=lambda k: (-pred.instances[k].confidence, k))
     pred_sets = [_sorted_unique(pred.instances[k].point_ids) for k in order]
-    ious = [[_point_iou(p, g) for g in gt_sets] for p in pred_sets]
-    aps = {t: _ap_at(ious, len(gt_sets), t) for t in set(band) | {0.5, 0.25}}
+    # ground-truth sets may overlap: count memberships, not one label per point
+    gt_points = np.concatenate(gt_sets)
+    gt_sizes = np.array([g.size for g in gt_sets])
+    gt_index = np.repeat(np.arange(len(gt_sets)), gt_sizes)
+    ious = np.zeros((len(pred_sets), len(gt_sets)))
+    for row, p in zip(ious, pred_sets):
+        inter = np.bincount(gt_index[np.isin(gt_points, p)], minlength=len(gt_sets))
+        union = p.size + gt_sizes - inter
+        np.divide(inter, union, out=row, where=union > 0)
+    aps = {t: _ap_at(ious, t) for t in set(band) | {0.5, 0.25}}
     return {
         "ap": float(np.mean([aps[t] for t in band])),
         "ap50": aps[0.5],

@@ -248,6 +248,11 @@ def naive_merge_instances(fragments, cfg):
 
     if not fragments:
         raise ValueError("merge_instances requires at least one fragment")
+    # every track is checked up front, whether or not its pairs need it
+    lengths = [len(f.track) for f in fragments if f.track is not None]
+    for length in lengths:
+        if length != lengths[0]:
+            raise ValueError(f"track lengths differ: {lengths[0]} vs {length}")
     n = len(fragments)
     voxels = [voxel_set(f.points.points, cfg.voxel_size) for f in fragments]
     uf = UnionFind(n)

@@ -411,8 +411,8 @@ NOT_NPZ = "not an npz archive of arrays 'points' and 'labels'"
 NPZ_CORRUPTIONS = {
     "pipeline-npz-truncated": _npz(_truncated, NOT_NPZ),
     "pipeline-npz-not-a-zip": _npz(lambda path, p, lab: path.write_text("points, labels\n"),
-                                   NOT_NPZ),
-    "pipeline-npz-holds-npy": _npz(_npy_under_npz_name, NOT_NPZ),
+                                   f"{NOT_NPZ} (not a zip archive)"),
+    "pipeline-npz-holds-npy": _npz(_npy_under_npz_name, f"{NOT_NPZ} (not a zip archive)"),
     "pipeline-npz-object-array": _npz(
         lambda path, p, lab: np.savez(path, points=p.astype(object), labels=lab),
         "array 'points' cannot be read"),
@@ -693,6 +693,8 @@ def test_corrupt_input_exit_2(scene_dir, json_scene_dir, tmp_path, case):
                           text=True, env=_child_env(), timeout=120)
     assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
     assert "Traceback" not in proc.stderr
+    # numpy's reason for a file that is no npz at all would name pickles
+    assert "pickled" not in proc.stderr
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     for name in named:

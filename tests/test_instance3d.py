@@ -1,6 +1,7 @@
 """Erosion, lifting, fragment merging, superpoint voting, AP."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from geovos.cli import _look_at_pose, boxworld_preset
 from geovos.geometry import CameraIntrinsics, CameraPose, PointCloud
 from geovos.ingest import Box, generate_boxworld
 from geovos.instance3d import (Fragment, Instance, InstanceSet, MergeConfig,
-                               SuperpointPartition, _temporal_means, assign_superpoints,
-                               erode, eval_ap, lift_all, lift_fragment, merge_instances,
-                               run_pipeline, temporal_overlap2d)
+                               SuperpointPartition, _mask_boxes, _overlap_series, _suffix_means,
+                               assign_superpoints, erode, eval_ap, lift_all, lift_fragment,
+                               merge_instances, run_pipeline, temporal_overlap2d)
 from geovos.metrics import MaskTrack
 
 
@@ -23,6 +24,17 @@ def frag(points, source=(0, "a"), track=None):
 
 def centers(voxels, voxel_size=1.0):
     return [((np.asarray(v) + 0.5) * voxel_size).tolist() for v in voxels]
+
+
+def hex_pairs(pairs):
+    return [x.hex() for pair in pairs for x in pair]
+
+
+def suffix_means(fa, fb):
+    """The merge's temporal scores of two tracked fragments: their tracks'
+    _overlap_series averaged from the later keyframe on."""
+    series = _overlap_series(_mask_boxes(fa.track), _mask_boxes(fb.track))
+    return _suffix_means(series, max(fa.source[0], fb.source[0]))
 
 
 class TestErode:
@@ -213,20 +225,24 @@ def dilate(mask, radius):
     return out
 
 
-@pytest.fixture(scope="module")
-def ring_world():
-    """8 cameras on a ring around 8 cubes at 48 px; dilated masks merge cubes."""
-    res = 48
+def ring_boxworld(n_cams, res):
+    """``n_cams`` cameras on a ring around 8 cubes, at ``res`` px."""
     intr = CameraIntrinsics(fx=float(res), fy=float(res), cx=(res - 1) / 2.0,
                             cy=(res - 1) / 2.0, width=res, height=res)
     boxes = [Box(((b % 4 - 1.5) * 1.2, (b // 4 - 0.5) * 1.2, 0.25), (0.5, 0.5, 0.5))
              for b in range(8)]
     cams = []
-    for i in range(8):
-        a = 0.3 + 2.0 * math.pi * i / 8
+    for i in range(n_cams):
+        a = 0.3 + 2.0 * math.pi * i / n_cams
         cams.append((_look_at_pose((6.0 * math.cos(a), 6.0 * math.sin(a), 2.5),
                                    (0.0, 0.0, 0.25)), intr))
-    world = generate_boxworld(boxes, cams, resolution=(res, res))
+    return generate_boxworld(boxes, cams, resolution=(res, res))
+
+
+@pytest.fixture(scope="module")
+def ring_world():
+    """8 cameras on a ring around 8 cubes at 48 px; dilated masks merge cubes."""
+    world = ring_boxworld(8, 48)
     fragments = {}
     for r in range(4):
         # one dilated array per (object, frame), shared by all its fragments
@@ -325,11 +341,9 @@ class TestMergeMatchesOracle:
         # the per-pair means themselves are bit-identical, not only the edges
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if frags[i].track is not None and frags[j].track is not None]
-        if pairs:
-            iou, prec = _temporal_means(frags, *np.array(pairs).T)
-            assert list(zip(iou.tolist(), prec.tolist())) == [
-                temporal_overlap2d(forward_track(frags[i]), forward_track(frags[j]))
-                for i, j in pairs]
+        assert hex_pairs(suffix_means(frags[i], frags[j]) for i, j in pairs) == hex_pairs(
+            temporal_overlap2d(forward_track(frags[i]), forward_track(frags[j]))
+            for i, j in pairs)
         scene_pts = rng.normal(scale=1.5, size=(200, 3))
         labels = rng.integers(0, 12, size=200)
         labels = np.unique(labels, return_inverse=True)[1]
@@ -388,12 +402,10 @@ class TestMergeMatchesOracle:
         n = len(cases)
         frags = [frag(centers([(3 * k, 0, 0)]), (k % (n + 2), "a" if k % 2 else "b"),
                       a if k % 2 else b) for k in range(2 * n + 4)]
-        pairs = np.array([(i, j) for i in range(len(frags)) for j in range(i + 1, len(frags))])
-        iou, prec = _temporal_means(frags, pairs[:, 0], pairs[:, 1])
+        pairs = [(i, j) for i in range(len(frags)) for j in range(i + 1, len(frags))]
         want = [temporal_overlap2d(forward_track(frags[i]), forward_track(frags[j]))
                 for i, j in pairs]
-        assert [x.hex() for p in zip(iou.tolist(), prec.tolist()) for x in p] == \
-            [x.hex() for p in want for x in p]
+        assert hex_pairs(suffix_means(frags[i], frags[j]) for i, j in pairs) == hex_pairs(want)
         assert len(set(want)) > 10
 
     def test_masks_before_the_keyframe_never_count(self):
@@ -406,8 +418,8 @@ class TestMergeMatchesOracle:
         def linked(ka, kb):
             frags = [frag(centers([(0, 0, 0)]), (ka, "a"), a),
                      frag(centers([(5, 5, 5)]), (kb, "b"), b)]
-            iou, prec = _temporal_means(frags, np.array([0]), np.array([1]))
-            assert (iou[0], prec[0]) == temporal_overlap2d(*map(forward_track, frags))
+            assert hex_pairs([suffix_means(*frags)]) == \
+                hex_pairs([temporal_overlap2d(*map(forward_track, frags))])
             return len(merge_instances(frags, cfg)) == 1
 
         assert linked(0, 0)  # mean IoU over all six frames: (3 * 1 + 3 * 0) / 6 = 0.5
@@ -424,6 +436,68 @@ class TestMergeMatchesOracle:
         tracks[obj] = MaskTrack(tracks[obj].masks[:3])
         with pytest.raises(ValueError, match=f"track '{obj}' has 3 frames, scene has 6"):
             run_pipeline(world.scene, tracks, MergeConfig())
+
+
+def two_fragments(track_a, track_b, keyframes=(0, 0), shared_points=False):
+    """Two one-point fragments, in one voxel or in voxels far apart."""
+    return [frag(centers([(0, 0, 0)]), (keyframes[0], "a"), track_a),
+            frag(centers([(0, 0, 0) if shared_points else (5, 5, 5)]), (keyframes[1], "b"),
+                 track_b)]
+
+
+class TestMergeExactnessTraps:
+    """Edge cases where a merge over groups could part from the pair loop."""
+
+    def assert_components(self, frags, cfg, n_instances):
+        new, old = merge_instances(frags, cfg), naive_merge_instances(frags, cfg)
+        assert_same_instances(new, old)
+        assert len(new) == n_instances
+
+    @pytest.mark.parametrize("cfg, n_instances", [
+        (MergeConfig(theta_3d=1.0), 2),
+        (MergeConfig(theta_3d=1.0, theta_iou=0.0), 1),
+        (MergeConfig(theta_3d=1.0, theta_prec=0.0), 1),
+    ])
+    def test_empty_temporal_series_scores_zero(self, cfg, n_instances):
+        m = np.ones((4, 4), bool)
+        frags = two_fragments(MaskTrack([m, None]), MaskTrack([None, m]))
+        assert suffix_means(*frags) == (0.0, 0.0)
+        self.assert_components(frags, cfg, n_instances)
+
+    @pytest.mark.parametrize("theta_3d, n_instances", [(0.0, 1), (0.25, 2)])
+    def test_zero_voxel_intersection_fires_at_theta_zero(self, theta_3d, n_instances):
+        self.assert_components(two_fragments(None, None), MergeConfig(theta_3d=theta_3d),
+                               n_instances)
+
+    @pytest.mark.parametrize("cfg, n_instances", [(MergeConfig(), 2),
+                                                  (MergeConfig(theta_prec=0.0), 1)])
+    def test_fragment_keyed_after_its_tracks_last_visible_frame(self, cfg, n_instances):
+        # the later keyframe leaves the shared track no frame to compare on
+        m = np.ones((4, 4), bool)
+        track = MaskTrack([m, m, None, None])
+        self.assert_components(two_fragments(track, track, keyframes=(0, 3)), cfg, n_instances)
+
+    def test_track_lengths_are_checked_even_when_every_pair_links_in_3d(self):
+        m = np.ones((4, 4), bool)
+        frags = two_fragments(MaskTrack([m, m]), MaskTrack([m, m, m]), shared_points=True)
+        for merge in (merge_instances, naive_merge_instances):
+            with pytest.raises(ValueError, match="^track lengths differ: 2 vs 3$"):
+                merge(frags, MergeConfig())
+
+    def test_memory_does_not_grow_with_fragment_pairs(self):
+        world = ring_boxworld(128, 32)
+        frags, _ = lift_all(world.scene, world.gt_tracks, MergeConfig())
+        n = len(frags)
+        assert n >= 700
+        tracemalloc.start()
+        try:
+            out = merge_instances(frags, MergeConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 8
+        # one n x n float64 matrix over the fragment pairs alone would take 8 n^2 bytes
+        assert peak < 8 * n * n, (peak, n)
 
 
 class TestAssignSuperpoints:
