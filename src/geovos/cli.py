@@ -410,7 +410,7 @@ def cmd_gradcheck(args) -> int:
     report = RunReport("gradcheck", {
         "seed": args.seed, "threshold": args.threshold,
         "selected_layers": list(cfg.selected_layers),
-        "c_in": cfg.c_in, "c_mid": cfg.c_mid, "c_out": cfg.c_out,
+        "c_in": cfg.c_in, "c_mid": cfg.c_mid, "c_out": cfg.c_out, "c_f2d": cfg.c_f2d,
         "heads": cfg.heads, "ffn_ratio": cfg.ffn_ratio,
     })
     report.items = [{"tensor": name, "max_rel_err": err}

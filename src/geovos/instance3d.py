@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .geometry import CameraIntrinsics, CameraPose, PointCloud, back_project, depth_agreement_score
-from .metrics import MaskTrack
+from .metrics import MaskTrack, co_visible_overlap
 
 AP_BAND = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
@@ -131,9 +131,13 @@ def erode(mask: np.ndarray, radius: int) -> np.ndarray:
 
 
 def voxel_keys(points: np.ndarray, voxel_size: float) -> np.ndarray:
-    """(N, 3) int64 voxel key of every point: floor(coordinate / voxel_size) per axis."""
-    return np.floor(np.asarray(points, dtype=np.float64).reshape(-1, 3) / voxel_size) \
-        .astype(np.int64)
+    """(N, 3) int64 voxel key of every point: floor(coordinate / voxel_size) per axis;
+    a key past int64 raises ValueError naming ``voxel_size``."""
+    with np.errstate(over="ignore"):
+        keys = np.floor(np.asarray(points, dtype=np.float64).reshape(-1, 3) / voxel_size)
+    if not (np.abs(keys) < 2.0**63).all():
+        raise ValueError(f"voxel_size {voxel_size} puts a voxel key outside int64")
+    return keys.astype(np.int64)
 
 
 def lift_fragment(mask: np.ndarray, depth: np.ndarray, pose: CameraPose,
@@ -243,44 +247,13 @@ def _pair_intersections(frag: np.ndarray, vox: np.ndarray, n: int, n_vox: int) -
     return inter
 
 
-def _mask_boxes(track: MaskTrack) -> list:
-    """Per frame of ``track``: None where it is not visible, else (mask as
-    bool, area, first row, row end, first column, column end) of the
-    mask's bounding box."""
-    out = []
-    for m in track.masks:
-        rows = () if m is None else np.flatnonzero(np.any(m, axis=1))
-        if not len(rows):
-            out.append(None)
-            continue
-        m = np.asarray(m, dtype=bool)
-        r0, r1 = int(rows[0]), int(rows[-1]) + 1
-        cols = np.flatnonzero(m[r0:r1].any(axis=0))
-        c0, c1 = int(cols[0]), int(cols[-1]) + 1
-        out.append((m, int(np.count_nonzero(m[r0:r1, c0:c1])), r0, r1, c0, c1))
-    return out
-
-
-def _overlap_series(a: list, b: list) -> np.ndarray:
+def _overlap_series(a: MaskTrack, b: MaskTrack) -> np.ndarray:
     """(frame, IoU, precision) rows, as temporal_overlap2d computes them, of
-    the frames where the _mask_boxes lists ``a`` and ``b`` are both visible.
-
-    The intersection is counted on the overlap of the two bounding boxes
-    only (0 when they are disjoint), and the union is |A| + |B| - |A & B|:
-    the same integers as counting whole masks, so the same floats.
-    """
-    rows = []
-    for t, (ba, bb) in enumerate(zip(a, b)):
-        if ba is None or bb is None:
-            continue
-        (ma, na, ra0, ra1, ca0, ca1), (mb, nb, rb0, rb1, cb0, cb1) = ba, bb
-        if ma.shape != mb.shape:
-            raise ValueError(f"mask shapes differ: {ma.shape} vs {mb.shape}")
-        r0, r1, c0, c1 = max(ra0, rb0), min(ra1, rb1), max(ca0, cb0), min(ca1, cb1)
-        inter = int(np.count_nonzero(ma[r0:r1, c0:c1] & mb[r0:r1, c0:c1])) \
-            if r0 < r1 and c0 < c1 else 0
-        rows.append((t, inter / (na + nb - inter), inter / min(na, nb)))
-    return np.array(rows, np.float64).reshape(-1, 3).T.copy()
+    the frames where tracks ``a`` and ``b`` are both visible: the union is
+    |A| + |B| - |A & B| of co_visible_overlap's integers, so the same floats."""
+    frames, inter = co_visible_overlap(a, b)
+    na, nb = a.areas[frames], b.areas[frames]
+    return np.stack([frames, inter / (na + nb - inter), inter / np.minimum(na, nb)])
 
 
 def _suffix_means(series: np.ndarray, start: int):
@@ -359,8 +332,8 @@ def merge_instances(fragments: list, cfg: MergeConfig) -> InstanceSet:
         raise ValueError("track lengths differ: {} vs {}".format(*lengths))
 
     track = [None if f.track is None else id(f.track) for f in fragments]
-    boxes = {t: _mask_boxes(f.track) for t, f in dict(zip(track, fragments)).items() if t}
-    last = {t: max((k for k, b in enumerate(bs) if b), default=-1) for t, bs in boxes.items()}
+    tracks = {t: f.track for t, f in zip(track, fragments) if t}
+    last = {t: max(np.flatnonzero(tr.areas).tolist(), default=-1) for t, tr in tracks.items()}
     # the frame a fragment's series starts at; one past the end leaves it empty
     start = [0 if f.track is None else min(max(f.source[0], 0), len(f.track)) for f in fragments]
     keys = {}  # a track's group, or a group of the fragment's own
@@ -382,7 +355,7 @@ def merge_instances(fragments: list, cfg: MergeConfig) -> InstanceSet:
         if not linked and group_track[a] is not None and group_track[b] is not None:
             pair = tuple(sorted((group_track[a], group_track[b])))
             if pair not in series:
-                series[pair] = _overlap_series(boxes[pair[0]], boxes[pair[1]])
+                series[pair] = _overlap_series(tracks[pair[0]], tracks[pair[1]])
             linked = _temporal_link(series[pair], group_starts[a], group_starts[b], cfg)
         if linked:
             uf.union(a, b)

@@ -150,7 +150,6 @@ class MergerConfig:
     c_f2d: int = 256
     heads: int = 8
     ffn_ratio: int = 4
-    seed: int = 0
 
     def __post_init__(self):
         if not self.selected_layers:
@@ -179,11 +178,11 @@ class MergerParams:
     conv_out: np.ndarray
 
     @classmethod
-    def init(cls, cfg: MergerConfig, seed=None) -> "MergerParams":
+    def init(cls, cfg: MergerConfig, seed: int) -> "MergerParams":
         """Each weight drawn as ``normal(0, 1/sqrt(fan_in))`` from one
-        ``default_rng(seed)`` stream (``cfg.seed`` by default), in
-        ``named_tensors`` order; every bias zero."""
-        rng = np.random.default_rng(cfg.seed if seed is None else seed)
+        ``default_rng(seed)`` stream, in ``named_tensors`` order; every bias
+        zero."""
+        rng = np.random.default_rng(seed)
         c = cfg.c_mid
         return cls(
             proj_w=rng.normal(0.0, 1.0 / np.sqrt(cfg.c_in), (cfg.c_in, c)),

@@ -10,36 +10,82 @@ rejections), exactly one empty scores 0.0.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .geometry import _read_only
 
 
 class TrackLengthMismatchError(ValueError):
     """Prediction and ground-truth tracks cover different frame counts."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MaskTrack:
-    """Per-frame optional binary masks for one object identity."""
+    """Per-frame optional binary masks for one object identity.
 
-    masks: list
+    A track is immutable: ``masks`` is a tuple of None or read-only bool
+    arrays (a view of another array is copied first, as in CameraFrame).
+    Each frame's pixel count and bounding box (:attr:`extents`) are found
+    once, on first use, and every visibility and area query reads them.
+    """
+
+    masks: tuple
 
     def __post_init__(self):
-        self.masks = list(self.masks)
+        object.__setattr__(self, "masks", tuple(
+            None if m is None else _read_only(np.asarray(m, dtype=bool)) for m in self.masks))
 
     def __len__(self) -> int:
         return len(self.masks)
 
-    def visible(self, t: int) -> bool:
-        m = self.masks[t]
-        return m is not None and bool(np.any(m))
+    @cached_property
+    def extents(self) -> np.ndarray:
+        """(T, 5) int64 rows (area, first row, row end, first column, column
+        end) of each frame's mask bounding box; all 0 where the mask is
+        absent or empty."""
+        out = np.zeros((len(self.masks), 5), np.int64)
+        for t, m in enumerate(self.masks):
+            rows = () if m is None else np.flatnonzero(m.any(axis=1))
+            if len(rows):
+                cols = np.flatnonzero(m[rows[0]:rows[-1] + 1].any(axis=0))
+                out[t] = np.count_nonzero(m), rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+        out.setflags(write=False)
+        return out
 
-    def area(self, t: int) -> int:
-        m = self.masks[t]
-        return 0 if m is None else int(np.count_nonzero(m))
+    @property
+    def areas(self) -> np.ndarray:
+        return self.extents[:, 0]
+
+    def visible(self, t: int) -> bool:
+        return bool(self.areas[t])
 
     def visibility(self) -> list:
-        return [self.visible(t) for t in range(len(self.masks))]
+        return (self.areas > 0).tolist()
+
+
+def co_visible_overlap(a: MaskTrack, b: MaskTrack):
+    """(frames, inter): the frames where both tracks of one length are
+    visible, and the pixel count their masks share on each.
+
+    The count is taken on the overlap of the two bounding boxes only (0
+    where they are disjoint): the same integer as on the whole masks.
+
+    Raises:
+        ValueError: if two co-visible masks differ in shape.
+    """
+    frames = np.flatnonzero((a.areas > 0) & (b.areas > 0))
+    for t in frames.tolist():
+        if a.masks[t].shape != b.masks[t].shape:
+            raise ValueError(f"mask shapes differ: {a.masks[t].shape} vs {b.masks[t].shape}")
+    lo = np.maximum(a.extents[frames, 1::2], b.extents[frames, 1::2])  # first row, column
+    hi = np.minimum(a.extents[frames, 2::2], b.extents[frames, 2::2])  # row, column end
+    inter = np.zeros(len(frames), np.int64)
+    for i in np.flatnonzero((lo < hi).all(axis=1)).tolist():
+        (r0, c0), (r1, c1), t = lo[i], hi[i], frames[i]
+        inter[i] = np.count_nonzero(a.masks[t][r0:r1, c0:c1] & b.masks[t][r0:r1, c0:c1])
+    return frames, inter
 
 
 @dataclass
@@ -72,20 +118,9 @@ class SubsetConfig:
 
 
 def frame_iou(pred, gt) -> float:
-    """IoU of two optional masks; both empty -> 1.0, exactly one empty -> 0.0."""
-    p_empty = pred is None or not np.any(pred)
-    g_empty = gt is None or not np.any(gt)
-    if p_empty and g_empty:
-        return 1.0
-    if p_empty or g_empty:
-        return 0.0
-    if pred.shape != gt.shape:
-        raise ValueError(f"mask shapes differ: {pred.shape} vs {gt.shape}")
-    p = pred.astype(bool)
-    g = gt.astype(bool)
-    inter = int(np.count_nonzero(p & g))
-    union = int(np.count_nonzero(p | g))
-    return inter / union
+    """IoU of two optional masks; both empty -> 1.0, exactly one empty -> 0.0.
+    Array arguments become read-only, as in MaskTrack."""
+    return track_metrics(MaskTrack([pred]), MaskTrack([gt])).iou
 
 
 def track_metrics(pred: MaskTrack, gt: MaskTrack) -> TrackScores:
@@ -101,13 +136,15 @@ def track_metrics(pred: MaskTrack, gt: MaskTrack) -> TrackScores:
         raise TrackLengthMismatchError(
             f"track lengths differ: pred {len(pred)} vs gt {len(gt)}"
         )
-    ious = [frame_iou(pred.masks[t], gt.masks[t]) for t in range(len(gt))]
-    pos = [ious[t] for t in range(len(gt)) if gt.visible(t)]
-    suc = [x for x in pos if x > 0]
+    frames, inter = co_visible_overlap(pred, gt)
+    ious = ((pred.areas == 0) & (gt.areas == 0)).astype(np.float64)
+    ious[frames] = inter / (pred.areas[frames] + gt.areas[frames] - inter)
+    pos = ious[gt.areas > 0]
+    suc = pos[pos > 0]
     return TrackScores(
-        iou=float(np.mean(ious)) if ious else 1.0,
-        positive_iou=float(np.mean(pos)) if pos else None,
-        successful_iou=float(np.mean(suc)) if suc else None,
+        iou=float(np.mean(ious)) if len(ious) else 1.0,
+        positive_iou=float(np.mean(pos)) if len(pos) else None,
+        successful_iou=float(np.mean(suc)) if len(suc) else None,
         n_frames=len(ious),
         n_positive=len(pos),
         n_successful=len(suc),
@@ -116,18 +153,8 @@ def track_metrics(pred: MaskTrack, gt: MaskTrack) -> TrackScores:
 
 def count_visible_segments(gt: MaskTrack, l_min: int) -> int:
     """Number of maximal contiguous visible runs longer than l_min frames."""
-    count = 0
-    run = 0
-    for t in range(len(gt)):
-        if gt.visible(t):
-            run += 1
-        else:
-            if run > l_min:
-                count += 1
-            run = 0
-    if run > l_min:
-        count += 1
-    return count
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], gt.areas > 0, [0]))))
+    return int(np.count_nonzero(edges[1::2] - edges[::2] > l_min))
 
 
 def select_subset(tracks, cfg: SubsetConfig):
@@ -144,13 +171,6 @@ def pick_conditioning_frame(gt: MaskTrack) -> int:
     Raises:
         ValueError: if the track has no visible frame.
     """
-    best_t = -1
-    best_area = 0
-    for t in range(len(gt)):
-        area = gt.area(t)
-        if area > best_area:
-            best_area = area
-            best_t = t
-    if best_t < 0:
+    if not gt.areas.any():
         raise ValueError("track has no visible frame")
-    return best_t
+    return int(np.argmax(gt.areas))

@@ -240,7 +240,7 @@ def forward_track(fragment):
 
     masks = fragment.track.masks
     k = min(max(fragment.source[0], 0), len(masks))
-    return MaskTrack([None] * k + masks[k:])
+    return MaskTrack((None,) * k + masks[k:])
 
 
 def naive_merge_instances(fragments, cfg):

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -582,6 +583,14 @@ def _gradcheck_config(doc, detail):
     return run
 
 
+def _tiny_voxel(command):
+    """A voxel size whose keys of the scene's points do not fit int64."""
+    def run(d):
+        argv, _ = _merge_config(command, '{"voxel_size": 1e-20}', None)(d)
+        return argv, ["voxel_size 1e-20 puts a voxel key outside int64"]
+    return run
+
+
 def _stride_zero(command):
     def run(d):
         return _scene_args(command, d) + ["--stride", "0"], ["stride must be >= 1, got 0"]
@@ -653,11 +662,13 @@ CORRUPTIONS = {
     "pipeline-merge-config-list": _merge_config("pipeline", "[1, 2]", "list"),
     "pipeline-merge-config-string-value": _merge_config("pipeline", '{"voxel_size": "0.1"}',
                                                         "'voxel_size' must be a number"),
+    **{f"{c}-merge-config-tiny-voxel": _tiny_voxel(c) for c in ("merge", "pipeline")},
     **{f"{c}-stride-zero": _stride_zero(c) for c in _3D},
     "gradcheck-config-list": _gradcheck_config("[1, 2]", "list"),
     "gradcheck-config-invalid-json": _gradcheck_config("{", "invalid JSON"),
     "gradcheck-config-unknown-key": _gradcheck_config('{"nope": 3}', "'nope'"),
     "gradcheck-config-threshold-key": _gradcheck_config('{"threshold": 1}', "'threshold'"),
+    "gradcheck-config-seed-key": _gradcheck_config('{"seed": 1}', "unknown config key 'seed'"),
     "gradcheck-config-string-heads": _gradcheck_config('{"heads": "2"}',
                                                        "'heads' must be an integer"),
     "gradcheck-config-fractional-width": _gradcheck_config('{"c_in": 1.5}',
@@ -748,8 +759,29 @@ class TestEvalVos:
         assert code == EXIT_INPUT_ERROR
         assert "lengths differ" in capsys.readouterr().err
 
+    def test_mask_sizes_differ_exit_2(self, tmp_path, capsys):
+        gt_p = save_tracks({"o": MaskTrack([np.ones((4, 4), bool)])}, tmp_path / "gt")
+        pr_p = save_tracks({"o": MaskTrack([np.ones((5, 5), bool)])}, tmp_path / "pr")
+        code = main(["eval-vos", "--pred", str(pr_p), "--gt", str(gt_p)])
+        assert code == EXIT_INPUT_ERROR
+        assert "mask shapes differ: (5, 5) vs (4, 4)" in capsys.readouterr().err
+
 
 class TestGradcheck:
+    def test_header_echoes_the_config(self, tmp_path):
+        from geovos.merger import MergerConfig
+
+        headers = []
+        for c_f2d in (2, 3):
+            cfg, out = tmp_path / f"cfg{c_f2d}.json", tmp_path / f"{c_f2d}.jsonl"
+            cfg.write_text(json.dumps({**TINY_MERGER, "c_f2d": c_f2d}))
+            assert main(["gradcheck", "--config", str(cfg), "--seed", "1",
+                         "--out", str(out)]) == EXIT_OK
+            headers.append(read_lines(out)[0]["config"])
+        assert headers[0] == {"seed": 1, "threshold": 1e-3, **TINY_MERGER}
+        assert headers[1] == {**headers[0], "c_f2d": 3}
+        assert set(TINY_MERGER) == {f.name for f in fields(MergerConfig)}
+
     def test_tiny_config_passes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(TINY_MERGER))

@@ -233,6 +233,16 @@ class TestTracksFile:
                 else:
                     np.testing.assert_array_equal(got, want)
 
+    def test_box_world_set_up_leaves_extents_uncomputed(self, tmp_path):
+        # generating and saving a scene's tracks makes no extent pass over the masks
+        boxes, cams = boxworld_preset("two-cubes", 16)
+        world = generate_boxworld(boxes, cams, resolution=(16, 16))
+        save_tracks(world.gt_tracks, tmp_path / "tr")
+        assert not any("extents" in vars(t) for t in world.gt_tracks.values())
+        # and the tracks share the frames' read-only masks, no copies
+        for obj, track in world.gt_tracks.items():
+            assert all(m is f.masks.get(obj) for m, f in zip(track.masks, world.scene.frames))
+
     def test_masks_checked_against_scene(self, tmp_path):
         intr = make_intrinsics(width=5, height=5)
         frames = [CameraFrame(t, intr, CameraPose.identity()) for t in range(3)]

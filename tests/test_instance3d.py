@@ -12,7 +12,7 @@ from geovos.cli import _look_at_pose, boxworld_preset
 from geovos.geometry import CameraIntrinsics, CameraPose, PointCloud
 from geovos.ingest import Box, generate_boxworld
 from geovos.instance3d import (Fragment, Instance, InstanceSet, MergeConfig,
-                               SuperpointPartition, _mask_boxes, _overlap_series, _suffix_means,
+                               SuperpointPartition, _overlap_series, _suffix_means,
                                assign_superpoints, erode, eval_ap, lift_all, lift_fragment,
                                merge_instances, run_pipeline, temporal_overlap2d)
 from geovos.metrics import MaskTrack
@@ -33,7 +33,7 @@ def hex_pairs(pairs):
 def suffix_means(fa, fb):
     """The merge's temporal scores of two tracked fragments: their tracks'
     _overlap_series averaged from the later keyframe on."""
-    series = _overlap_series(_mask_boxes(fa.track), _mask_boxes(fb.track))
+    series = _overlap_series(fa.track, fb.track)
     return _suffix_means(series, max(fa.source[0], fb.source[0]))
 
 
@@ -206,6 +206,24 @@ class TestMergeInstances:
         for _ in range(5):
             perm = rng.permutation(6)
             assert components([frags[i] for i in perm]) == base
+
+    def test_voxel_key_past_int64_raises(self):
+        # keys of 9 / 1e-20 do not fit int64; a silent cast would merge the two
+        frags = [frag([[0.0, 0.0, 0.0]], (0, "a")), frag([[9.0, 0.0, 0.0]], (0, "b"))]
+        assert len(merge_instances(frags, MergeConfig())) == 2
+        for size in (1e-20, 1e-320):  # the second overflows the division itself
+            with pytest.raises(ValueError, match=f"^voxel_size {size} puts a voxel key"):
+                merge_instances(frags, MergeConfig(voxel_size=size))
+
+    def test_co_visible_masks_of_other_shapes_raise(self):
+        # far apart in 3D, so only the temporal criterion compares the tracks
+        a = MaskTrack([np.ones((4, 4), bool), None])
+        b = MaskTrack([np.ones((5, 5), bool), None])
+        with pytest.raises(ValueError, match=r"^mask shapes differ: \(4, 4\) vs \(5, 5\)$"):
+            merge_instances(two_fragments(a, b), MergeConfig())
+        # masks that are never co-visible are never compared
+        b = MaskTrack([None, np.ones((5, 5), bool)])
+        assert len(merge_instances(two_fragments(a, b), MergeConfig())) == 2
 
     def test_requires_fragments(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 """Track metrics against plain-python brute-force oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from geovos.metrics import (MaskTrack, SubsetConfig, TrackLengthMismatchError,
-                            count_visible_segments, frame_iou, pick_conditioning_frame,
-                            select_subset, track_metrics)
+                            co_visible_overlap, count_visible_segments, frame_iou,
+                            pick_conditioning_frame, select_subset, track_metrics)
 
 
 def random_track(rng, n_frames=20, shape=(6, 6), p_absent=0.3):
@@ -68,6 +70,75 @@ def naive_conditioning(gt):
     best = max(areas)
     assert best > 0
     return areas.index(best)
+
+
+def naive_extent(m):
+    """(area, first row, row end, first column, column end) by a pixel scan."""
+    px = pixels(m)
+    if not px:
+        return (0, 0, 0, 0, 0)
+    rows, cols = [i for i, _ in px], [j for _, j in px]
+    return (len(px), min(rows), max(rows) + 1, min(cols), max(cols) + 1)
+
+
+class TestMaskTrack:
+    def test_immutable_read_only_bool_masks(self):
+        m = np.zeros((3, 4), np.uint8)
+        m[1, 2] = 7
+        track = MaskTrack([m, None])
+        assert isinstance(track.masks, tuple) and track.masks[1] is None
+        assert track.masks[0].dtype == bool and not track.masks[0].flags.writeable
+        with pytest.raises(ValueError):
+            track.masks[0][0, 0] = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            track.masks = ()
+
+    def test_a_view_is_copied(self):
+        base = np.zeros((4, 4), bool)
+        track = MaskTrack([base[1:]])
+        base[2, 2] = True  # a write through the viewed array never reaches the track
+        assert not track.visible(0)
+
+    def test_extents_on_first_use_only(self):
+        track = random_track(np.random.default_rng(8))
+        assert "extents" not in vars(track)
+        track.visible(0)
+        extents = vars(track)["extents"]
+        assert track.extents is extents
+        assert not extents.flags.writeable
+
+    def test_extents_match_scan(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            track = random_track(rng, shape=(5, 7))
+            assert [tuple(row) for row in track.extents.tolist()] == \
+                [naive_extent(m) for m in track.masks]
+            assert track.visibility() == [bool(pixels(m)) for m in track.masks]
+
+
+class TestCoVisibleOverlap:
+    def test_matches_whole_mask_count(self):
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            a, b = random_track(rng), random_track(rng)
+            frames, inter = co_visible_overlap(a, b)
+            want = [t for t in range(len(a)) if pixels(a.masks[t]) and pixels(b.masks[t])]
+            assert frames.tolist() == want
+            assert inter.tolist() == [len(pixels(a.masks[t]) & pixels(b.masks[t]))
+                                      for t in want]
+
+    def test_disjoint_boxes_count_zero(self):
+        a, b = np.zeros((6, 6), bool), np.zeros((6, 6), bool)
+        a[:2, :2], b[4:, 4:] = True, True
+        frames, inter = co_visible_overlap(MaskTrack([a]), MaskTrack([b]))
+        assert frames.tolist() == [0] and inter.tolist() == [0]
+
+    def test_shapes_checked_on_co_visible_frames_only(self):
+        small, big = np.ones((3, 3), bool), np.ones((4, 4), bool)
+        frames, _ = co_visible_overlap(MaskTrack([small, None]), MaskTrack([None, big]))
+        assert frames.tolist() == []
+        with pytest.raises(ValueError, match=r"^mask shapes differ: \(3, 3\) vs \(4, 4\)$"):
+            co_visible_overlap(MaskTrack([None, small]), MaskTrack([big, big]))
 
 
 class TestFrameIou:
