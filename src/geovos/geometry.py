@@ -10,14 +10,13 @@ Coordinate conventions
 * Frustum: positive-depth half-space (z > z_near) intersected with the
   image rectangle; no far plane.
 
-All operations are pure functions of their inputs, apart from the memos of
-back-projected masks and of overlap rows that each immutable ``CameraFrame``
-keeps.
+All operations are pure functions of their inputs, apart from the memo of
+back-projected masks that each immutable ``CameraFrame`` keeps. Rows of
+overlap ratios are kept by the sampler, not here.
 """
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import is_
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -126,10 +125,8 @@ class CameraFrame:
     (a view of another array is copied first). A changed frame is a new
     frame (``dataclasses.replace``) with memos of its own. Which objects
     have a nonempty mask is found once, at construction
-    (:meth:`mask_nonempty`); each object's back-projected points are
-    memoised on first use (:meth:`object_points`), and so is the latest
-    row of overlap ratios against this frame as the reference
-    (:meth:`overlap_row`). Not covered: a write
+    (:meth:`mask_nonempty`), and each object's back-projected points are
+    memoised on first use (:meth:`object_points`). Not covered: a write
     through some other view of a raster's memory made before the raster was
     handed to the frame.
     """
@@ -141,7 +138,6 @@ class CameraFrame:
     masks: Mapping = field(default_factory=dict)
     _visible: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
     _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = (self.intrinsics.height, self.intrinsics.width)
@@ -187,29 +183,6 @@ class CameraFrame:
             points.setflags(write=False)
             self._points[obj_id] = points
         return points
-
-    def overlap_row(self, obj_id, candidates) -> list:
-        """Overlap ratios of ``candidates`` against this frame, memoised.
-
-        Returns the ``ratio`` of each :func:`frustum_overlap_ratios` result
-        of ``candidates`` with this frame as the reference, as a new list of
-        floats in candidate order. The latest row of each object is kept for
-        the frame's lifetime, 16 bytes per candidate: a reference to the
-        candidate frame, which the row keeps alive, and its ratio. A call
-        reads the row only when it was computed for the very same candidate
-        frames in the same order (compared by identity, not frame id), so a
-        replaced frame or a different candidate list recomputes it.
-        Concurrent callers may share a frame: a race only repeats the work.
-
-        Raises:
-            ValueError: at the first candidate without a depth raster.
-        """
-        row = self._rows.get(obj_id)
-        if row is None or len(row[0]) != len(candidates) or not all(map(is_, row[0], candidates)):
-            ratios = frustum_overlap_ratios(candidates, obj_id, self)
-            row = (tuple(candidates), np.array([r.ratio for r in ratios], np.float64))
-            self._rows[obj_id] = row
-        return row[1].tolist()
 
 
 class OverlapRatio(NamedTuple):

@@ -547,13 +547,18 @@ def load_tracks(path, scene=None) -> dict:
 
 @dataclass
 class Scene:
-    """A loaded scene: dense frames plus optional 3D ground truth."""
+    """A loaded scene: dense frames plus optional 3D ground truth.
+
+    ``_draw_index`` belongs to the sampler (see ``sampler.py``): what its
+    draws share, rebuilt whenever ``frames`` holds other frame objects.
+    """
 
     scene_id: str
     frames: list
     scene_points: np.ndarray | None = None
     superpoints: np.ndarray | None = None
     gt_instances: InstanceSet | None = None
+    _draw_index: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def object_ids(self):

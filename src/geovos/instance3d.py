@@ -331,8 +331,12 @@ def merge_instances(fragments: list, cfg: MergeConfig) -> InstanceSet:
     if len(lengths) > 1:  # the first two lengths, in fragment order
         raise ValueError("track lengths differ: {} vs {}".format(*lengths))
 
-    track = [None if f.track is None else id(f.track) for f in fragments]
-    tracks = {t: f.track for t, f in zip(track, fragments) if t}
+    # tracks numbered in first-fragment order, not by address, so that a pair
+    # of tracks is compared in the same order on every run
+    numbers = {}
+    track = [None if f.track is None else numbers.setdefault(id(f.track), len(numbers))
+             for f in fragments]
+    tracks = {t: f.track for t, f in zip(track, fragments) if t is not None}
     last = {t: max(np.flatnonzero(tr.areas).tolist(), default=-1) for t, tr in tracks.items()}
     # the frame a fragment's series starts at; one past the end leaves it empty
     start = [0 if f.track is None else min(max(f.source[0], 0), len(f.track)) for f in fragments]

@@ -11,31 +11,39 @@ not visibility.
 Every sampler is deterministic given (scene, config, seed) and pure given
 an owned generator; concurrent callers need independent generator states.
 
-Cost: frames are immutable, so whether a frame shows the object is found
-once, when the frame is built (``CameraFrame.mask_nonempty``), and
-continuous and random draws never back-project. A FOV draw back-projects
-each candidate frame's mask the first time that frame is a candidate, once
-per frame and object, and keeps the points on the frame
-(``CameraFrame.object_points``, 24 bytes per masked valid-depth pixel); it
-then tests every candidate's points against the reference frustum in one
-vectorised pass (``geometry.frustum_overlap_ratios``). The reference frame
-keeps the resulting row of ratios per object (``CameraFrame.overlap_row``,
-16 bytes per candidate, for the reference's lifetime), so a later draw from
-the same reference reads the row instead of repeating the pass. The row
-holds its candidate frames and is read only when the candidates are the
-same frame objects in the same order: a frame replaced in
-``scene.frames``, a changed visible set or another ``max_candidates``
-recomputes it, and the row keeps the candidates it was computed from
-alive while the reference lives. Concurrent callers may share a scene: a
-race on a memo only repeats the same work.
-``frustum_overlap_ratio`` stays importable here as the per-pair reference,
-the name the benchmark's tracer (``perfbench/tracer.py``) wraps.
+Cost: each scene keeps one draw index, which the sampler owns
+(``Scene._draw_index``). It holds a snapshot tuple of ``scene.frames``,
+the frame-id map and the sorted object ids of that snapshot, and per
+object the visible frame ids and, per reference frame, the row of
+candidate ratios and, per tau, the eligible pool and the ineligible
+candidates best first. A draw checks the snapshot with one identity pass
+over ``scene.frames``; a frame replaced, added or removed since rebuilds
+the index on that draw. Whether a frame shows an object is found once, when
+the frame is built (``CameraFrame.mask_nonempty``), so continuous and random
+draws never back-project. The first FOV draw from a reference back-projects
+each candidate's mask the first time that frame is a candidate (kept on the
+frame, ``CameraFrame.object_points``, 24 bytes per masked valid-depth
+pixel) and tests every candidate's points against the reference frustum in
+one vectorised pass (``geometry.frustum_overlap_ratios``). The row it gives
+is kept for the latest ``max_candidates`` of that reference, ~65 bytes per
+candidate (a dict entry and its float) plus 8 per tau in use (the pool
+lists), for the scene's lifetime. A later draw from the reference reads it,
+so a warm draw does Python work only for its batch, plus a C-level copy of
+the row into ``SampleResult.ratios``. Concurrent callers may share a scene:
+a race on the index only repeats the same work.
+
+``visible_frames`` and ``candidate_ratios`` are called through this module
+when the index misses, and ``frustum_overlap_ratio`` stays importable here
+as the per-pair reference: these are the names the benchmark's tracer
+(``perfbench/tracer.py``) wraps.
 """
 
 from dataclasses import dataclass, field
+from operator import is_
 
 import numpy as np
 
+from . import geometry
 from .geometry import frustum_overlap_ratio  # noqa: F401  (re-exported per-pair reference)
 
 
@@ -93,13 +101,85 @@ def _as_rng(rng, cfg: SamplerConfig) -> np.random.Generator:
     return rng
 
 
-def _default_obj(scene, obj_id):
-    if obj_id is not None:
-        return obj_id
-    ids = scene.object_ids
-    if not ids:
-        raise ValueError("scene has no object masks")
-    return ids[0]
+class _Row:
+    """The candidate ratios of one reference and ``max_candidates``, and
+    per tau the eligible pool and the ineligible candidates best first."""
+
+    __slots__ = ("max_candidates", "ratios", "pools")
+
+    def __init__(self, max_candidates: int, ratios: dict):
+        self.max_candidates, self.ratios, self.pools = max_candidates, ratios, {}
+
+    def pool(self, tau: float) -> tuple:
+        pools = self.pools.get(tau)
+        if pools is None:
+            ratios = self.ratios
+            pool = [fid for fid, r in ratios.items() if r > tau]
+            rest = sorted((fid for fid, r in ratios.items() if not r > tau),
+                          key=lambda fid: (-ratios[fid], fid))
+            pools = self.pools[tau] = (pool, rest)
+        return pools
+
+
+class _ObjectIndex:
+    """One object's visible frame ids and its rows by reference frame."""
+
+    __slots__ = ("visible", "rows")
+
+    def __init__(self, visible: list):
+        self.visible, self.rows = visible, {}
+
+    def row(self, reference: int, max_candidates: int):
+        """The reference's row if it was computed for ``max_candidates``, else None."""
+        row = self.rows.get(reference)
+        return row if row is not None and row.max_candidates == max_candidates else None
+
+
+class _DrawIndex:
+    """What draws from one snapshot of ``scene.frames`` share."""
+
+    __slots__ = ("frames", "by_id", "object_ids", "objects")
+
+    def __init__(self, frames: tuple):
+        self.frames = frames
+        self.by_id = {f.frame_id: f for f in frames}
+        self.object_ids = None
+        self.objects = {}
+
+    def object(self, scene, obj_id):
+        """``(obj_id, its index)``; ``obj_id=None`` is the first object id.
+
+        Raises:
+            ValueError: for ``obj_id=None`` when no frame holds a mask.
+        """
+        if obj_id is None:
+            if self.object_ids is None:
+                self.object_ids = scene.object_ids
+            if not self.object_ids:
+                raise ValueError("scene has no object masks")
+            obj_id = self.object_ids[0]
+        index = self.objects.get(obj_id)
+        if index is None:
+            index = self.objects[obj_id] = _ObjectIndex(visible_frames(scene, obj_id))
+        return obj_id, index
+
+
+def _draw_index(scene) -> _DrawIndex:
+    """The scene's draw index, rebuilt when ``scene.frames`` no longer holds
+    the very frames of its snapshot."""
+    index, frames = scene._draw_index, scene.frames
+    if index is None or len(index.frames) != len(frames) or not all(map(is_, index.frames, frames)):
+        index = scene._draw_index = _DrawIndex(tuple(frames))
+    return index
+
+
+def _object_index(scene, cfg: SamplerConfig, obj_id) -> tuple:
+    """``(obj_id, its index)`` once at least n_frames frames show the object."""
+    obj_id, index = _draw_index(scene).object(scene, obj_id)
+    if len(index.visible) < cfg.n_frames:
+        raise ValueError(f"need {cfg.n_frames} object-visible frames, "
+                         f"scene has {len(index.visible)}")
+    return obj_id, index
 
 
 def visible_frames(scene, obj_id) -> list:
@@ -107,28 +187,29 @@ def visible_frames(scene, obj_id) -> list:
     return [f.frame_id for f in scene.frames if f.mask_nonempty(obj_id)]
 
 
-def candidate_ratios(scene, obj_id, reference: int, cfg: SamplerConfig, *,
-                     visible: list | None = None) -> dict:
+def candidate_ratios(scene, obj_id, reference: int, cfg: SamplerConfig) -> dict:
     """Frustum-overlap ratio of every other visible frame w.r.t. a reference.
 
     Long videos are capped at cfg.max_candidates uniformly strided
-    candidates to bound cost. ``visible`` is ``visible_frames(scene,
-    obj_id)`` when the caller already has it. The row of ratios is
-    memoised on the reference frame (``CameraFrame.overlap_row``); every
-    call returns a new dict.
+    candidates to bound cost. The row of ratios is kept in the scene's draw
+    index; every call returns a new dict.
 
     Raises:
         ValueError: at the first candidate without a depth raster.
     """
-    by_id = {f.frame_id: f for f in scene.frames}
-    if visible is None:
-        visible = visible_frames(scene, obj_id)
-    cands = [fid for fid in visible if fid != reference]
-    if len(cands) > cfg.max_candidates:
-        idx = np.unique(np.linspace(0, len(cands) - 1, cfg.max_candidates).round().astype(int))
-        cands = [cands[i] for i in idx]
-    frames = [by_id[fid] for fid in cands]
-    return dict(zip(cands, by_id[reference].overlap_row(obj_id, frames)))
+    draws = _draw_index(scene)
+    _, index = draws.object(scene, obj_id)
+    row = index.row(reference, cfg.max_candidates)
+    if row is None:
+        cands = [fid for fid in index.visible if fid != reference]
+        if len(cands) > cfg.max_candidates:
+            idx = np.unique(np.linspace(0, len(cands) - 1, cfg.max_candidates).round().astype(int))
+            cands = [cands[i] for i in idx]
+        ratios = geometry.frustum_overlap_ratios([draws.by_id[fid] for fid in cands], obj_id,
+                                                 draws.by_id[reference])
+        row = index.rows[reference] = _Row(cfg.max_candidates,
+                                         dict(zip(cands, [r.ratio for r in ratios])))
+    return dict(row.ratios)
 
 
 def sample_continuous(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult:
@@ -140,26 +221,20 @@ def sample_continuous(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> Sampl
         ValueError: when fewer than n_frames visible frames exist (the
         message carries the available count).
     """
-    obj_id = _default_obj(scene, obj_id)
+    visible = _object_index(scene, cfg, obj_id)[1].visible
     rng = _as_rng(rng, cfg)
-    visible = visible_frames(scene, obj_id)
-    if len(visible) < cfg.n_frames:
-        raise ValueError(f"need {cfg.n_frames} object-visible frames, scene has {len(visible)}")
     start = int(rng.integers(0, len(visible) - cfg.n_frames + 1))
     window = visible[start:start + cfg.n_frames]
-    return SampleResult(window[0], list(window), "continuous")
+    return SampleResult(window[0], window, "continuous")
 
 
 def sample_random(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult:
     """n_frames drawn uniformly without replacement among visible frames;
     the first draw is the reference."""
-    obj_id = _default_obj(scene, obj_id)
+    visible = _object_index(scene, cfg, obj_id)[1].visible
     rng = _as_rng(rng, cfg)
-    visible = visible_frames(scene, obj_id)
-    if len(visible) < cfg.n_frames:
-        raise ValueError(f"need {cfg.n_frames} object-visible frames, scene has {len(visible)}")
     draw = rng.choice(len(visible), size=cfg.n_frames, replace=False)
-    frames = [visible[int(i)] for i in draw]
+    frames = [visible[i] for i in draw.tolist()]
     return SampleResult(frames[0], frames, "random")
 
 
@@ -181,27 +256,26 @@ def sample_fov(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult
     if cfg.max_candidates < cfg.n_frames - 1:
         raise ValueError(f"FOV draws need max_candidates >= n_frames - 1 = {cfg.n_frames - 1}, "
                          f"got {cfg.max_candidates}")
-    obj_id = _default_obj(scene, obj_id)
+    obj_id, index = _object_index(scene, cfg, obj_id)
     rng = _as_rng(rng, cfg)
-    visible = visible_frames(scene, obj_id)
-    if len(visible) < cfg.n_frames:
-        raise ValueError(f"need {cfg.n_frames} object-visible frames, scene has {len(visible)}")
-    reference = visible[int(rng.integers(0, len(visible)))]
-    ratios = candidate_ratios(scene, obj_id, reference, cfg, visible=visible)
-    pool = [fid for fid, r in ratios.items() if r > cfg.tau]
+    reference = index.visible[int(rng.integers(0, len(index.visible)))]
+    row = index.row(reference, cfg.max_candidates)
+    if row is None:
+        # through the module attribute, which a tracer or a test may wrap
+        row = index.rows[reference] = _Row(cfg.max_candidates,
+                                           candidate_ratios(scene, obj_id, reference, cfg))
+    pool, rest = row.pool(cfg.tau)
     need = cfg.n_frames - 1
     if len(pool) >= need:
         draw = rng.choice(len(pool), size=need, replace=False)
-        chosen = [pool[int(i)] for i in draw]
+        chosen = [pool[i] for i in draw.tolist()]
         fallback = []
     else:
         perm = rng.permutation(len(pool))
-        chosen = [pool[int(i)] for i in perm]
-        rest = sorted((fid for fid in ratios if fid not in pool),
-                      key=lambda fid: (-ratios[fid], fid))
+        chosen = [pool[i] for i in perm.tolist()]
         fallback = rest[: need - len(pool)]
     return SampleResult(reference, [reference] + chosen + fallback, "fov",
-                        ratios=ratios, fallback_frames=fallback)
+                        ratios=dict(row.ratios), fallback_frames=fallback)
 
 
 def sample_mixed(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult:

@@ -116,11 +116,10 @@ def naive_frustum_overlap(candidate: CameraFrame, mask, reference: CameraFrame,
     return (inside / n if n else 0.0), inside, n
 
 
-def naive_candidate_ratios(scene, obj_id, reference, cfg, *, visible=None):
+def naive_candidate_ratios(scene, obj_id, reference, cfg):
     """The per-pair loop over ``frustum_overlap_ratio`` that the batched
     ``sampler.candidate_ratios`` replaced: same candidates, same striding,
-    one back-projection per candidate per call. A caller's ``visible`` list
-    is ignored: the loop finds the visible frames itself."""
+    one back-projection per candidate per call, nothing kept between calls."""
     from geovos.geometry import frustum_overlap_ratio
 
     by_id = {f.frame_id: f for f in scene.frames}
@@ -135,6 +134,51 @@ def naive_candidate_ratios(scene, obj_id, reference, cfg, *, visible=None):
         frame = by_id[fid]
         out[fid] = frustum_overlap_ratio(frame, frame.masks[obj_id], by_id[reference]).ratio
     return out
+
+
+def naive_sample(strategy, scene, cfg, rng, obj_id=None):
+    """The draw of ``sampler.sample_<strategy>`` found from scratch: every
+    draw finds the object ids, the visible frames and the candidate ratios
+    (``naive_candidate_ratios``) again and keeps nothing for the next one.
+    ``rng`` is a generator; it is consumed as the sampler consumes it."""
+    from geovos.sampler import SampleResult
+
+    if strategy == "mixed":
+        strategy = "fov" if rng.random() < cfg.p_fov else "continuous"
+    if strategy == "fov" and cfg.max_candidates < cfg.n_frames - 1:
+        raise ValueError(f"FOV draws need max_candidates >= n_frames - 1 = {cfg.n_frames - 1}, "
+                         f"got {cfg.max_candidates}")
+    if obj_id is None:
+        ids = sorted({obj for f in scene.frames for obj in f.masks})
+        if not ids:
+            raise ValueError("scene has no object masks")
+        obj_id = ids[0]
+    visible = [f.frame_id for f in scene.frames
+               if f.masks.get(obj_id) is not None and f.masks[obj_id].any()]
+    if len(visible) < cfg.n_frames:
+        raise ValueError(f"need {cfg.n_frames} object-visible frames, scene has {len(visible)}")
+    if strategy == "continuous":
+        start = int(rng.integers(0, len(visible) - cfg.n_frames + 1))
+        window = visible[start:start + cfg.n_frames]
+        return SampleResult(window[0], window, "continuous")
+    if strategy == "random":
+        frames = [visible[int(i)] for i in rng.choice(len(visible), size=cfg.n_frames,
+                                                      replace=False)]
+        return SampleResult(frames[0], frames, "random")
+    reference = visible[int(rng.integers(0, len(visible)))]
+    ratios = naive_candidate_ratios(scene, obj_id, reference, cfg)
+    pool = [fid for fid, r in ratios.items() if r > cfg.tau]
+    need = cfg.n_frames - 1
+    if len(pool) >= need:
+        chosen = [pool[int(i)] for i in rng.choice(len(pool), size=need, replace=False)]
+        fallback = []
+    else:
+        chosen = [pool[int(i)] for i in rng.permutation(len(pool))]
+        rest = sorted((fid for fid in ratios if fid not in pool),
+                      key=lambda fid: (-ratios[fid], fid))
+        fallback = rest[: need - len(pool)]
+    return SampleResult(reference, [reference] + chosen + fallback, "fov",
+                        ratios=ratios, fallback_frames=fallback)
 
 
 def small_rotation(rng, max_angle) -> np.ndarray:

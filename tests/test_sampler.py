@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (make_cluster_scene, make_intrinsics, naive_candidate_ratios,
+from conftest import (make_cluster_scene, make_intrinsics, naive_candidate_ratios, naive_sample,
                       naive_frustum_overlap, random_sampler_scene, random_scene_frames)
 from geovos import geometry, kernels, sampler
 from geovos.geometry import CameraFrame, CameraPose
@@ -482,3 +482,111 @@ class TestRowMemo:
         for (ref, obj), items in want.items():
             assert list(candidate_ratios(scene, obj, ref, cfg).items()) == items
         assert calls == {"frustum_mask": 0, "ratios": 0}
+
+
+def _two_object_scene(seed, n_frames=12):
+    """A random sampler scene with a second object, "obj2", on most frames."""
+    rng = np.random.default_rng(seed)
+    scene = random_sampler_scene(rng, n_frames=n_frames)
+    for i, f in enumerate(scene.frames):
+        if i % 4 != 3:
+            other = rng.random(f.depth.shape) < rng.uniform(0.1, 0.7)
+            scene.frames[i] = dataclasses.replace(f, masks={**f.masks, "obj2": other})
+    return scene
+
+
+def _append_frame(scene, rng):
+    """A copy of a random frame under a new id and a new pose."""
+    f = scene.frames[int(rng.integers(0, len(scene.frames)))]
+    pose = CameraPose(f.pose.rotation, f.pose.translation + rng.normal(scale=0.3, size=3))
+    scene.frames.append(dataclasses.replace(f, frame_id=max(g.frame_id for g in scene.frames) + 1,
+                                            pose=pose))
+
+
+def _replace_frame(scene, rng):
+    i = int(rng.integers(0, len(scene.frames)))
+    f = scene.frames[i]
+    scene.frames[i] = dataclasses.replace(f, pose=CameraPose(
+        f.pose.rotation, f.pose.translation + rng.normal(scale=0.3, size=3)))
+
+
+def _remove_masks(scene, rng):
+    i = int(rng.integers(0, len(scene.frames)))
+    scene.frames[i] = dataclasses.replace(scene.frames[i], masks={})
+
+
+class TestDrawIndex:
+    """The scene's draw index against a sampler that keeps nothing."""
+
+    STRATEGIES = {"mixed": sample_mixed, "fov": sample_fov, "continuous": sample_continuous,
+                  "random": sample_random}
+    CHANGES = (_replace_frame, _remove_masks, _append_frame)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_draws_equal_the_naive_reference(self, seed):
+        scene = _two_object_scene(seed)
+        rng, naive_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        change_rng = np.random.default_rng(100 + seed)
+        kinds = list(self.STRATEGIES)
+        counted = dict.fromkeys(kinds + ["changes", "fallback", "errors"], 0)
+        for k in range(320):
+            if k % 40 == 39:
+                self.CHANGES[k // 40 % 3](scene, change_rng)
+                counted["changes"] += 1
+            kind = kinds[k % 4]
+            # every 25th draw asks for more frames than the object shows
+            cfg = SamplerConfig(n_frames=16 if k % 25 == 24 else 3,
+                                tau=(0.0, 0.25, 0.6)[k // 4 % 3],
+                                max_candidates=(512, 4)[k // 12 % 2], p_fov=0.7)
+            obj = ("obj", "obj2", None)[k % 3]
+            try:
+                got = self.STRATEGIES[kind](scene, cfg, rng, obj).to_dict()
+            except ValueError as e:
+                got = str(e)
+            try:
+                want = naive_sample(kind, scene, cfg, naive_rng, obj).to_dict()
+            except ValueError as e:
+                want = str(e)
+            assert got == want, f"draw {k}"
+            if isinstance(got, dict):
+                counted[kind] += 1
+                counted["fallback"] += bool(got["fallback_frames"])
+            else:
+                counted["errors"] += 1
+        assert sum(counted[kind] for kind in kinds) >= 250 and all(counted.values()), counted
+
+    def test_warm_draws_find_nothing_again(self, monkeypatch):
+        scene = _two_object_scene(3)
+        cfg = SamplerConfig(n_frames=3, p_fov=0.7)
+        rng = np.random.default_rng(0)
+        visible = set(visible_frames(scene, "obj"))
+        references = set()
+        for _ in range(2000):
+            res = sample_fov(scene, cfg, rng)
+            references.add(res.reference_frame)
+            if references == visible:
+                break
+        assert references == visible
+        calls = TestRowMemo.count_passes(monkeypatch)
+        calls.update(mask_nonempty=0, object_ids=0)
+
+        def counted(key, fn):
+            def wrapper(*a):
+                calls[key] += 1
+                return fn(*a)
+            return wrapper
+
+        monkeypatch.setattr(CameraFrame, "mask_nonempty",
+                            counted("mask_nonempty", CameraFrame.mask_nonempty))
+        monkeypatch.setattr(Scene, "object_ids",
+                            property(counted("object_ids", Scene.object_ids.fget)))
+        modes = set()
+        for k in range(200):
+            fn = (sample_mixed, sample_fov, sample_continuous, sample_random)[k % 4]
+            modes.add(fn(scene, cfg, rng, (None, "obj")[k % 2]).mode)
+        assert modes == {"fov", "continuous", "random"}
+        assert calls == dict.fromkeys(calls, 0)
+        # a replaced frame is seen on the next draw
+        scene.frames[0] = dataclasses.replace(scene.frames[0])
+        sample_continuous(scene, cfg, rng)
+        assert calls["mask_nonempty"] == len(scene.frames) and calls["object_ids"] == 1
