@@ -33,7 +33,7 @@ import numpy as np
 from . import ingest
 from .geometry import CameraIntrinsics, CameraPose
 from .ingest import Box, generate_boxworld
-from .instance3d import MergeConfig, eval_ap, lift_all, run_pipeline, score_depth, voxel_keys
+from .instance3d import MergeConfig, eval_ap, lift_all, run_pipeline, score_depth
 from .metrics import MaskTrack, SubsetConfig, pick_conditioning_frame, select_subset, track_metrics
 
 REPORT_SCHEMA = "geovos.report/1"
@@ -241,20 +241,21 @@ def _fragment_record(frag) -> dict:
     }
 
 
-def _instance_records(instances, cfg: MergeConfig, voted: bool):
+def _instance_records(result):
+    """One record per instance of a pipeline result: superpoint and point
+    ids when voted, else the instance's distinct voxel keys in
+    lexicographic order, read from the result's voxel index."""
     records = []
-    for inst in instances.instances:
+    for inst in result.instances.instances:
         rec = {
             "confidence": float(inst.confidence),
             "sources": [[int(k), str(o)] for k, o in inst.sources],
         }
-        if voted:
+        if result.voted:
             rec["superpoint_ids"] = sorted(inst.superpoint_ids or ())
             rec["point_ids"] = inst.point_ids.tolist()
         else:
-            keys = np.concatenate([voxel_keys(f.points.points, cfg.voxel_size)
-                                   for f in inst.fragments])
-            rec["voxels"] = np.unique(keys, axis=0).tolist()
+            rec["voxels"] = result.index.voxels_of(inst.fragments).tolist()
         records.append(rec)
     return records
 
@@ -292,7 +293,7 @@ def cmd_merge(args) -> int:
         return EXIT_OK
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    report.items = _instance_records(result.instances, cfg, result.voted)
+    report.items = _instance_records(result)
     report.aggregate = {"n_instances": len(result.instances), "voted": result.voted,
                         "warnings": result.warnings}
     _finish(report, args.out, t0)
@@ -324,7 +325,7 @@ def cmd_pipeline(args) -> int:
         "warnings": result.warnings,
     }
     if result.instances is not None:
-        report.items = _instance_records(result.instances, cfg, result.voted)
+        report.items = _instance_records(result)
     if scene.gt_instances is not None:
         if result.voted and result.instances is not None:
             scores = eval_ap(result.instances, scene.gt_instances)

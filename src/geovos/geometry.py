@@ -116,19 +116,20 @@ def _read_only(raster: np.ndarray) -> np.ndarray:
     return raster
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CameraFrame:
     """One observation: intrinsics, pose, depth raster, per-object masks.
 
     A frame is immutable: its fields cannot be reassigned, ``masks`` is a
     read-only mapping, and the depth raster and masks are read-only arrays
     (a view of another array is copied first). A changed frame is a new
-    frame (``dataclasses.replace``) with memos of its own. Which objects
-    have a nonempty mask is found once, at construction
-    (:meth:`mask_nonempty`), and each object's back-projected points are
-    memoised on first use (:meth:`object_points`). Not covered: a write
-    through some other view of a raster's memory made before the raster was
-    handed to the frame.
+    frame (``dataclasses.replace``) with memos of its own; frames compare
+    and hash by identity, so it never equals the old one, even when their
+    values do. Which objects have a nonempty mask is found once, at
+    construction (:meth:`mask_nonempty`), and each object's back-projected
+    points are memoised on first use (:meth:`object_points`). Not covered:
+    a write through some other view of a raster's memory made before the
+    raster was handed to the frame.
     """
 
     frame_id: int

@@ -13,12 +13,17 @@ The pipeline is a chain of stages that callers compose as they need:
 * ``assign_superpoints`` resolves duplicate geometry by majority voting at
   the superpoint level.
 
-``run_pipeline`` is lift, merge and vote. Evaluation follows the usual
-scan-benchmark AP protocol on point sets.
+``run_pipeline`` is lift, merge and vote. It builds one ``voxel_index``
+per run, over the fragments' points and, when the scene has superpoints,
+the scene points: voxel_keys runs once, and the merge, the vote and the
+voxel records of an unvoted run all read that index. Called on their own,
+merge_instances and assign_superpoints build an index of their own.
+Evaluation follows the usual scan-benchmark AP protocol on point sets.
 """
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import is_
 
 import numpy as np
 
@@ -134,8 +139,10 @@ def voxel_keys(points: np.ndarray, voxel_size: float) -> np.ndarray:
     """(N, 3) int64 voxel key of every point: floor(coordinate / voxel_size) per axis;
     a key past int64 raises ValueError naming ``voxel_size``."""
     with np.errstate(over="ignore"):
-        keys = np.floor(np.asarray(points, dtype=np.float64).reshape(-1, 3) / voxel_size)
-    if not (np.abs(keys) < 2.0**63).all():
+        keys = np.asarray(points, dtype=np.float64).reshape(-1, 3) / voxel_size
+    np.floor(keys, out=keys)
+    # NaN fails both comparisons
+    if keys.size and not (keys.min() > -2.0**63 and keys.max() < 2.0**63):
         raise ValueError(f"voxel_size {voxel_size} puts a voxel key outside int64")
     return keys.astype(np.int64)
 
@@ -208,25 +215,127 @@ class UnionFind:
 # dense block at about _BLOCK_CELLS cells whatever the scene size.
 _BLOCK_CELLS = 1 << 20
 
+# Integers in [0, bound) are ranked through a bool table over the range when
+# it holds at most this many cells per integer, and sorted otherwise: the
+# table is O(n + bound) time, the sort is what bounds memory on sparse input.
+_TABLE_CELLS_PER_VALUE = 4
 
-def _voxel_ids(point_sets: list, voxel_size: float):
-    """Global voxel id of every point of several point sets.
 
-    Keys are those of voxel_keys; ids number the distinct keys over all sets.
-    Returns (owning set index per point, voxel id per point, id count).
+def _distinct(values: np.ndarray, bound: int, inverse: bool = False):
+    """np.unique(values), and with ``inverse`` also its inverse, of int64
+    ``values`` in [0, bound): through a bool table over the range when
+    ``bound`` is at most _TABLE_CELLS_PER_VALUE per value, else by a sort."""
+    if bound > _TABLE_CELLS_PER_VALUE * len(values):
+        return np.unique(values, return_inverse=True) if inverse else _sorted_unique(values)
+    table = np.zeros(bound, bool)
+    table[values] = True
+    distinct = np.flatnonzero(table)
+    if not inverse:
+        return distinct
+    rank = np.empty(bound, np.int64)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, rank[values]
+
+
+def _cells(x: np.ndarray):
+    """(cell of each value, cell count) for int64 ``x``: equal values share a
+    cell and distinct values get distinct cells. A cell is the offset from
+    the smallest value when the values span at most _TABLE_CELLS_PER_VALUE
+    cells per value, else the position among the distinct values."""
+    if not x.size:
+        return x, 0
+    low = int(x.min())
+    span = int(x.max()) - low + 1
+    if span <= _TABLE_CELLS_PER_VALUE * x.size:
+        return x - low, span
+    distinct, inverse = np.unique(x, return_inverse=True)
+    return inverse, len(distinct)
+
+
+def _rank_keys(keys: np.ndarray):
+    """np.unique(keys, axis=0, return_inverse=True) of (N, 3) int64 keys: the
+    distinct keys in lexicographic order and each key's position among them."""
+    if not len(keys):
+        return keys.reshape(0, 3), np.zeros(0, np.int64)
+    # one column at a time: a reduction along axis 0 of an (N, 3) array is slow
+    low = [int(keys[:, a].min()) for a in range(3)]
+    span = [int(keys[:, a].max()) - lo + 1 for a, lo in enumerate(low)]  # python ints: no wrap
+    cells = span[0] * span[1] * span[2]
+    if cells >= 2**62:
+        distinct, ids = np.unique(keys, axis=0, return_inverse=True)
+        return distinct, ids.reshape(-1)
+    # the row-major rank in the bounding box orders keys lexicographically
+    rank = keys[:, 0] - low[0]
+    rank *= span[1]
+    rank += keys[:, 1] - low[1]
+    rank *= span[2]
+    rank += keys[:, 2] - low[2]
+    ranks, ids = _distinct(rank, cells, inverse=True)
+    return np.stack(np.unravel_index(ranks, span), axis=1) + low, ids
+
+
+@dataclass(frozen=True, eq=False)
+class VoxelIndex:
+    """One numbering of the voxels of some fragments and, optionally, scene
+    points; build it with voxel_index.
+
+    Voxel ids number the distinct voxel_keys of all the points in
+    lexicographic key order: ``keys[i]`` is voxel i's key. ``voxels`` holds
+    each fragment's distinct voxel ids, ascending, fragment after fragment:
+    fragment f's are ``voxels[starts[f]:starts[f + 1]]``. ``scene`` is the
+    voxel id of each scene point (empty without scene points).
     """
-    keys = [voxel_keys(p, voxel_size) for p in point_sets]
-    owner = np.repeat(np.arange(len(keys)), [len(k) for k in keys])
-    keys = np.concatenate(keys)
-    if len(keys):
-        low, high = keys.min(axis=0), keys.max(axis=0)
-        span = [int(h) - int(lo) + 1 for lo, h in zip(low, high)]  # python ints: no wrap
-        if span[0] * span[1] * span[2] < 2**62:
-            # row-major rank in the bounding box: one int64 per key sorts fastest
-            keys = ((keys[:, 0] - low[0]) * span[1] + keys[:, 1] - low[1]) * span[2] \
-                + keys[:, 2] - low[2]
-    distinct, ids = np.unique(keys, axis=0 if keys.ndim == 2 else None, return_inverse=True)
-    return owner, ids.reshape(-1), len(distinct)
+
+    fragments: tuple
+    keys: np.ndarray
+    voxels: np.ndarray
+    starts: np.ndarray
+    scene: np.ndarray
+    _row: dict = field(init=False, repr=False)  # fragment identity -> position
+
+    def __post_init__(self):
+        object.__setattr__(self, "_row", {id(f): i for i, f in enumerate(self.fragments)})
+
+    def rows(self, fragments) -> list:
+        """The position of each of ``fragments`` among the index's own.
+
+        Raises:
+            ValueError: if one of them is not a fragment of the index.
+        """
+        try:
+            return [self._row[id(f)] for f in fragments]
+        except KeyError:
+            raise ValueError("fragment is not in the voxel index") from None
+
+    def voxels_of(self, fragments) -> np.ndarray:
+        """The distinct voxel keys of ``fragments``' points in lexicographic
+        order: np.unique(keys, axis=0) of their voxel_keys."""
+        ids = [self.voxels[self.starts[r]:self.starts[r + 1]] for r in self.rows(fragments)]
+        return self.keys[_sorted_unique(np.concatenate(ids))] if ids else self.keys[:0]
+
+
+def voxel_index(fragments: list, voxel_size: float, scene_points=None) -> VoxelIndex:
+    """The VoxelIndex of ``fragments`` and, when given, ``scene_points``.
+
+    voxel_keys runs once over all the points. When their bounding box holds
+    at most _TABLE_CELLS_PER_VALUE cells per point, keys are ranked through
+    a table over the box, in O(points + cells); otherwise they are sorted.
+
+    Raises:
+        ValueError: as voxel_keys.
+    """
+    sets = [f.points.points for f in fragments]
+    sizes = [len(p) for p in sets]
+    if scene_points is not None:
+        sets.append(np.asarray(scene_points, dtype=np.float64).reshape(-1, 3))
+    keys, ids = _rank_keys(voxel_keys(np.concatenate(sets) if sets else np.zeros((0, 3)),
+                                      voxel_size))
+    n_frag_points, n_voxels = sum(sizes), len(keys)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    pairs = _distinct(owner * n_voxels + ids[:n_frag_points], len(sizes) * n_voxels)
+    starts = np.searchsorted(pairs, np.arange(len(sizes) + 1) * n_voxels)
+    return VoxelIndex(tuple(fragments), keys, pairs % max(n_voxels, 1), starts,
+                      ids[n_frag_points:])
 
 
 def _pair_intersections(frag: np.ndarray, vox: np.ndarray, n: int, n_vox: int) -> np.ndarray:
@@ -267,10 +376,14 @@ def _suffix_means(series: np.ndarray, start: int):
 
 
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
-    """np.unique(x) by one sort of the flattened array: plain np.unique of
-    integers takes a hash path that is many times slower here."""
-    x = np.sort(x, axis=None)
-    return x[np.concatenate(([True], x[1:] != x[:-1]))] if x.size else x
+    """np.unique(x) by one sort of the flattened array, or none when it is
+    strictly increasing already: plain np.unique of integers takes a hash
+    path that is many times slower here."""
+    x = x.reshape(-1)
+    if (x[1:] > x[:-1]).all():
+        return x
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 def _voxel_link(ga: tuple, gb: tuple, sizes: np.ndarray, theta_3d: float) -> bool:
@@ -299,7 +412,8 @@ def _temporal_link(series: np.ndarray, starts_a: list, starts_b: list, cfg: Merg
                for iou, prec in (_suffix_means(series, s) for s in later))
 
 
-def merge_instances(fragments: list, cfg: MergeConfig) -> InstanceSet:
+def merge_instances(fragments: list, cfg: MergeConfig,
+                    index: VoxelIndex | None = None) -> InstanceSet:
     """Group fragments into instances: the connected components of the edges.
 
     An edge links two fragments when any criterion fires (recall-oriented
@@ -315,16 +429,21 @@ def merge_instances(fragments: list, cfg: MergeConfig) -> InstanceSet:
     track, or keyed after its track's last visible frame, is a group of its
     own. Two groups join at the first edge between their fragments.
 
+    ``index`` is the voxel_index of these very fragments, in this order (it
+    may hold scene points too); without one, one is built.
+
     Raises:
-        ValueError: if there are no fragments, one is empty, or two tracks
-        differ in length.
+        ValueError: if there are no fragments, one is empty, two tracks
+        differ in length, or ``index`` holds other fragments.
     """
     if not fragments:
         raise ValueError("merge_instances requires at least one fragment")
-    owner, vox, n_vox = _voxel_ids([f.points.points for f in fragments], cfg.voxel_size)
-    pairs = _sorted_unique(owner * n_vox + vox)
-    frag, vox = pairs // n_vox, pairs % n_vox
-    sizes = np.bincount(frag, minlength=len(fragments))
+    if index is None:
+        index = voxel_index(fragments, cfg.voxel_size)
+    elif len(index.fragments) != len(fragments) or not all(map(is_, index.fragments, fragments)):
+        raise ValueError("voxel index holds other fragments")
+    sizes = np.diff(index.starts)
+    frag, vox = np.repeat(np.arange(len(fragments)), sizes), index.voxels
     if not sizes.all():
         raise ValueError("merge_instances requires nonempty fragments")
     lengths = dict.fromkeys(len(f.track) for f in fragments if f.track is not None)
@@ -374,7 +493,8 @@ def merge_instances(fragments: list, cfg: MergeConfig) -> InstanceSet:
 
 
 def assign_superpoints(instances: InstanceSet, partition: SuperpointPartition,
-                       scene_points: np.ndarray, voxel_size: float) -> InstanceSet:
+                       scene_points: np.ndarray, voxel_size: float,
+                       index: VoxelIndex | None = None) -> InstanceSet:
     """Majority-vote each superpoint to the instance observing it most.
 
     A scene point is observed by an instance once per member fragment whose
@@ -382,6 +502,14 @@ def assign_superpoints(instances: InstanceSet, partition: SuperpointPartition,
     observations stay unassigned; ties go to the lowest instance id. The
     returned set carries superpoint id sets and scene point ids per
     instance.
+
+    ``index`` is the voxel_index of the instances' fragments (each once, in
+    any order) and these scene points; without one, one is built over the
+    instances' members and the scene points.
+
+    Raises:
+        ValueError: if the partition does not cover the scene points, or
+        ``index`` holds other fragments or another number of scene points.
     """
     scene_points = np.asarray(scene_points, dtype=np.float64).reshape(-1, 3)
     if partition.labels.shape[0] != scene_points.shape[0]:
@@ -392,19 +520,25 @@ def assign_superpoints(instances: InstanceSet, partition: SuperpointPartition,
     n_sp = partition.n_superpoints
     n_inst = len(instances)
     members = [f for inst in instances.instances for f in inst.fragments]
-    inst_of = np.repeat(np.arange(n_inst), [len(inst.fragments) for inst in instances.instances])
-    owner, vox, n_vox = _voxel_ids([f.points.points for f in members] + [scene_points],
-                                   voxel_size)
-    n_frag_pts = len(owner) - len(scene_points)
+    member_inst = np.repeat(np.arange(n_inst), [len(i.fragments) for i in instances.instances])
+    if index is None:
+        index, inst_of = voxel_index(members, voxel_size, scene_points), member_inst
+    else:
+        rows = index.rows(members)
+        if sorted(rows) != list(range(len(index.fragments))) \
+                or len(index.scene) != len(scene_points):
+            raise ValueError("voxel index holds other fragments or scene points")
+        inst_of = np.empty(len(rows), np.int64)
+        inst_of[rows] = member_inst
+    n_vox = len(index.keys)
     counts = np.zeros((n_sp, n_inst), dtype=np.int64)
     if n_inst:
         # observers of each (voxel, instance): member fragments holding the voxel
-        frag_vox = _sorted_unique(owner[:n_frag_pts] * n_vox + vox[:n_frag_pts])
-        obs_key, observers = np.unique((frag_vox % n_vox) * n_inst + inst_of[frag_vox // n_vox],
-                                       return_counts=True)
+        frag = np.repeat(np.arange(len(inst_of)), np.diff(index.starts))
+        obs_key, observers = np.unique(index.voxels * n_inst + inst_of[frag], return_counts=True)
         obs_vox, obs_inst = obs_key // n_inst, obs_key % n_inst
         # scene points of each (superpoint, voxel), joined to that voxel's observers
-        sp_key, n_pts = np.unique(partition.labels * n_vox + vox[n_frag_pts:], return_counts=True)
+        sp_key, n_pts = np.unique(partition.labels * n_vox + index.scene, return_counts=True)
         sp, sp_vox = sp_key // n_vox, sp_key % n_vox
         lo = np.searchsorted(obs_vox, sp_vox, "left")
         width = np.searchsorted(obs_vox, sp_vox, "right") - lo
@@ -449,8 +583,11 @@ def eval_ap(pred: InstanceSet, gt: InstanceSet, band=AP_BAND) -> dict:
     Predictions are sorted by confidence (descending, stable) and greedily
     matched one-to-one to ground truth at point-set IoU >= t. Each
     prediction x ground-truth IoU is computed once and read at every
-    threshold; a prediction's intersections with all ground-truth sets come
-    from one membership test over their concatenated points. Returns
+    threshold. Each point id gets a cell (_cells). One table holds a
+    ground-truth label per cell, and the memberships of overlapping
+    ground-truth sets that it cannot hold are kept apart; a prediction
+    counts its intersections from the labels of its cells, plus those kept
+    memberships whose cells it marks in one reused boolean table. Returns
     {"ap": mean over ``band``, "ap50": t=0.5, "ap25": t=0.25}.
 
     Raises:
@@ -467,13 +604,26 @@ def eval_ap(pred: InstanceSet, gt: InstanceSet, band=AP_BAND) -> dict:
     gt_sets = [_sorted_unique(i.point_ids) for i in gt.instances]
     order = sorted(range(len(pred)), key=lambda k: (-pred.instances[k].confidence, k))
     pred_sets = [_sorted_unique(pred.instances[k].point_ids) for k in order]
-    # ground-truth sets may overlap: count memberships, not one label per point
-    gt_points = np.concatenate(gt_sets)
     gt_sizes = np.array([g.size for g in gt_sets])
     gt_index = np.repeat(np.arange(len(gt_sets)), gt_sizes)
+    cells, n_cells = _cells(np.concatenate(gt_sets + pred_sets))
+    gt_cells = cells[:gt_index.size]
+    label = np.full(n_cells, -1)
+    label[gt_cells] = gt_index
+    # ground-truth sets may overlap: a cell's other memberships are kept apart
+    apart = label[gt_cells] != gt_index
+    apart_cells, apart_index = gt_cells[apart], gt_index[apart]
+    marked = np.zeros(n_cells, bool)  # cleared again after each prediction
     ious = np.zeros((len(pred_sets), len(gt_sets)))
+    start = gt_index.size
     for row, p in zip(ious, pred_sets):
-        inter = np.bincount(gt_index[np.isin(gt_points, p)], minlength=len(gt_sets))
+        own = cells[start:start + p.size]
+        start += p.size
+        hits = label[own]
+        marked[own] = True
+        inter = np.bincount(np.concatenate([hits[hits >= 0], apart_index[marked[apart_cells]]]),
+                            minlength=len(gt_sets))
+        marked[own] = False
         union = p.size + gt_sizes - inter
         np.divide(inter, union, out=row, where=union > 0)
     aps = {t: _ap_at(ious, t) for t in set(band) | {0.5, 0.25}}
@@ -486,11 +636,15 @@ def eval_ap(pred: InstanceSet, gt: InstanceSet, band=AP_BAND) -> dict:
 
 @dataclass
 class PipelineResult:
+    """``index`` is the voxel index that merging and voting read (None when
+    no fragment was lifted)."""
+
     fragments: list
     rejections: list
     instances: InstanceSet | None
     voted: bool
     warnings: list
+    index: VoxelIndex | None = None
 
 
 def lift_all(scene, tracks: dict, cfg: MergeConfig, keyframe_stride: int = 1):
@@ -567,10 +721,14 @@ def run_pipeline(scene, tracks: dict, cfg: MergeConfig, keyframe_stride: int = 1
     fragments, rejections = lift_all(scene, tracks, cfg, keyframe_stride)
     if not fragments:
         return PipelineResult([], rejections, None, False, ["no fragments lifted"])
-    instances = merge_instances(fragments, cfg)
-    if getattr(scene, "superpoints", None) is None or getattr(scene, "scene_points", None) is None:
+    vote = (getattr(scene, "superpoints", None) is not None
+            and getattr(scene, "scene_points", None) is not None)
+    index = voxel_index(fragments, cfg.voxel_size, scene.scene_points if vote else None)
+    instances = merge_instances(fragments, cfg, index=index)
+    if not vote:
         return PipelineResult(fragments, rejections, instances, False,
-                              ["scene has no superpoints; voting skipped, voxel labels emitted"])
+                              ["scene has no superpoints; voting skipped, voxel labels emitted"],
+                              index)
     instances = assign_superpoints(instances, SuperpointPartition(scene.superpoints),
-                                   scene.scene_points, cfg.voxel_size)
-    return PipelineResult(fragments, rejections, instances, True, [])
+                                   scene.scene_points, cfg.voxel_size, index=index)
+    return PipelineResult(fragments, rejections, instances, True, [], index)

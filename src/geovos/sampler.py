@@ -12,13 +12,14 @@ Every sampler is deterministic given (scene, config, seed) and pure given
 an owned generator; concurrent callers need independent generator states.
 
 Cost: each scene keeps one draw index, which the sampler owns
-(``Scene._draw_index``). It holds a snapshot tuple of ``scene.frames``,
+(``Scene._draw_index``). It holds a snapshot list of ``scene.frames``,
 the frame-id map and the sorted object ids of that snapshot, and per
 object the visible frame ids and, per reference frame, the row of
 candidate ratios and, per tau, the eligible pool and the ineligible
-candidates best first. A draw checks the snapshot with one identity pass
-over ``scene.frames``; a frame replaced, added or removed since rebuilds
-the index on that draw. Whether a frame shows an object is found once, when
+candidates best first. A draw compares the snapshot with ``scene.frames``
+in one list comparison, which is an identity pass since frames compare by
+identity; a frame replaced, added or removed since rebuilds the index on
+that draw. Whether a frame shows an object is found once, when
 the frame is built (``CameraFrame.mask_nonempty``), so continuous and random
 draws never back-project. The first FOV draw from a reference back-projects
 each candidate's mask the first time that frame is a candidate (kept on the
@@ -39,7 +40,6 @@ as the per-pair reference: these are the names the benchmark's tracer
 """
 
 from dataclasses import dataclass, field
-from operator import is_
 
 import numpy as np
 
@@ -140,7 +140,7 @@ class _DrawIndex:
 
     __slots__ = ("frames", "by_id", "object_ids", "objects")
 
-    def __init__(self, frames: tuple):
+    def __init__(self, frames: list):
         self.frames = frames
         self.by_id = {f.frame_id: f for f in frames}
         self.object_ids = None
@@ -167,9 +167,9 @@ class _DrawIndex:
 def _draw_index(scene) -> _DrawIndex:
     """The scene's draw index, rebuilt when ``scene.frames`` no longer holds
     the very frames of its snapshot."""
-    index, frames = scene._draw_index, scene.frames
-    if index is None or len(index.frames) != len(frames) or not all(map(is_, index.frames, frames)):
-        index = scene._draw_index = _DrawIndex(tuple(frames))
+    index, frames = scene._draw_index, list(scene.frames)
+    if index is None or index.frames != frames:
+        index = scene._draw_index = _DrawIndex(frames)
     return index
 
 

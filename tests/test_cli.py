@@ -314,6 +314,26 @@ class TestStages:
             assert rec["voxels"] == sorted([int(a), int(b), int(c)] for a, b, c in union)
         assert any(c < 0 for rec in records for key in rec["voxels"] for c in key)
 
+    def test_voxel_record_lines_as_from_per_instance_unique(self, scene_dir, tmp_path):
+        # every record line, byte for byte, as written from np.unique(axis=0)
+        # of the members' voxel_keys: the records before the shared voxel index
+        stripped = _strip_superpoints(scene_dir)
+        tracks = scene_dir / "tracks" / "tracks.json"
+        out = tmp_path / "m.jsonl"
+        assert main(["merge", "--scene", str(stripped), "--masks", str(tracks),
+                     "--out", str(out)]) == EXIT_OK
+        cfg = MergeConfig()
+        result = run_pipeline(load_scene(stripped), load_tracks(tracks), cfg)
+        lines = out.read_text().splitlines()[1:-1]
+        assert len(lines) == len(result.instances) == 2
+        for line, inst in zip(lines, result.instances.instances):
+            keys = np.concatenate([instance3d.voxel_keys(f.points.points, cfg.voxel_size)
+                                   for f in inst.fragments])
+            item = {"confidence": float(inst.confidence),
+                    "sources": [[int(k), str(o)] for k, o in inst.sources],
+                    "voxels": np.unique(keys, axis=0).tolist()}
+            assert line == json.dumps({"item": item}, sort_keys=True, separators=(",", ":"))
+
 
 # ---------------------------------------------------------------------------
 # corrupt inputs: every case gets its own copy of the scene and returns the

@@ -1,5 +1,6 @@
 """Erosion, lifting, fragment merging, superpoint voting, AP."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,10 +12,11 @@ from conftest import (forward_track, make_intrinsics, naive_assign_superpoints, 
 from geovos.cli import _look_at_pose, boxworld_preset
 from geovos.geometry import CameraIntrinsics, CameraPose, PointCloud
 from geovos.ingest import Box, generate_boxworld
-from geovos.instance3d import (Fragment, Instance, InstanceSet, MergeConfig,
-                               SuperpointPartition, _overlap_series, _suffix_means,
-                               assign_superpoints, erode, eval_ap, lift_all, lift_fragment,
-                               merge_instances, run_pipeline, temporal_overlap2d)
+from geovos.instance3d import (_TABLE_CELLS_PER_VALUE, Fragment, Instance, InstanceSet,
+                               MergeConfig, SuperpointPartition, _cells, _distinct,
+                               _overlap_series, _rank_keys, _suffix_means, assign_superpoints,
+                               erode, eval_ap, lift_all, lift_fragment, merge_instances,
+                               run_pipeline, temporal_overlap2d, voxel_index, voxel_keys)
 from geovos.metrics import MaskTrack
 
 
@@ -573,6 +575,179 @@ class TestAssignSuperpoints:
                   np.zeros(0, np.int64), np.array([3])):
             got, want = _sorted_unique(x), np.unique(x)
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def unique_rows(keys):
+    """np.unique(keys, axis=0, return_inverse=True), inverse flattened."""
+    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+    return distinct, inverse.reshape(-1)
+
+
+def box_cells(keys) -> int:
+    """Cells in the bounding box of (N, 3) integer keys."""
+    return math.prod(int(keys[:, a].max()) - int(keys[:, a].min()) + 1 for a in range(3))
+
+
+class TestVoxelIndex:
+    """voxel ranking and the shared index against np.unique over voxel_keys."""
+
+    @staticmethod
+    def cloud(kind, rng):
+        if kind == "dense":  # ~1000 cells for 2000 points: the table path
+            return rng.uniform(-1.0, 1.0, (2000, 3)), 0.2
+        if kind == "sparse":  # ~8e9 cells for 300 points: the sort path
+            return rng.uniform(-1e3, 1e3, (300, 3)), 1.0
+        if kind == "huge":  # a box of >= 2**62 cells: the row sort
+            pts = rng.uniform(-4e18, 4e18, (200, 3))
+            return np.concatenate([pts, pts[:50]]), 1.0
+        if kind == "negative":
+            return rng.uniform(-9.0, -1.0, (500, 3)), 0.5
+        return rng.uniform(-3.0, 3.0, (1, 3)), 0.1  # one point
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "huge", "negative", "one"])
+    def test_rank_keys_is_np_unique(self, kind):
+        for seed in range(3):
+            points, size = self.cloud(kind, np.random.default_rng(seed))
+            keys = voxel_keys(points, size)
+            cells = box_cells(keys)
+            if kind == "dense":
+                assert cells <= _TABLE_CELLS_PER_VALUE * len(keys)
+            elif kind == "sparse":
+                assert _TABLE_CELLS_PER_VALUE * len(keys) < cells < 2**62
+            elif kind == "huge":
+                assert cells >= 2**62
+            got, want = _rank_keys(keys), unique_rows(keys)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tolist() == w.tolist()
+
+    def test_rank_keys_of_no_keys(self):
+        keys, ids = _rank_keys(voxel_keys(np.zeros((0, 3)), 1.0))
+        assert keys.shape == (0, 3) and ids.shape == (0,)
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "huge", "negative", "one"])
+    def test_index_of_fragments_and_scene(self, kind):
+        rng = np.random.default_rng(7)
+        points, size = self.cloud(kind, rng)
+        cuts = np.sort(rng.integers(0, len(points) + 1, size=4))
+        # five fragments, an empty one among them, then the scene points
+        sets = np.split(points, [cuts[0], cuts[0], *cuts[1:]])
+        frags = [frag(p) for p in sets[:-1]]
+        assert any(f.n_points == 0 for f in frags)
+        for scene in (sets[-1], np.zeros((0, 3)), None):
+            index = voxel_index(frags, size, scene)
+            ends = np.cumsum([len(p) for p in sets[:-1]])
+            all_keys = voxel_keys(np.concatenate(sets[:-1] + ([] if scene is None else [scene])),
+                                  size)
+            distinct, inverse = unique_rows(all_keys)
+            assert index.keys.tolist() == distinct.tolist()
+            for f, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends)):
+                mine = index.voxels[index.starts[f]:index.starts[f + 1]]
+                assert mine.tolist() == np.unique(inverse[lo:hi]).tolist()
+            assert index.scene.tolist() == inverse[ends[-1]:].tolist()
+            picked = frags[1::2]
+            want = np.unique(np.concatenate([voxel_keys(f.points.points, size)
+                                             for f in picked]), axis=0)
+            assert index.voxels_of(picked).tolist() == want.tolist()
+            assert index.voxels_of([]).shape == (0, 3)
+        with pytest.raises(ValueError, match="not in the voxel index"):
+            index.voxels_of([frag(points[:1])])
+
+    def test_distinct_and_cells(self):
+        rng = np.random.default_rng(3)
+        for n, bound in ((500, 100), (500, 10**9), (0, 5), (1, 1)):
+            x = rng.integers(0, bound, size=n)
+            want, inverse = np.unique(x, return_inverse=True)
+            for path_bound in (bound, _TABLE_CELLS_PER_VALUE * n + 1):  # table, sort
+                if x.size and path_bound <= x.max():
+                    continue
+                assert _distinct(x, path_bound).tolist() == want.tolist()
+                got = _distinct(x, path_bound, inverse=True)
+                assert [g.tolist() for g in got] == [want.tolist(), inverse.tolist()]
+            for shift in (0, -(2**40)):
+                cells, n_cells = _cells(x + shift)
+                assert ((cells[:, None] == cells[None, :]) == (x[:, None] == x[None, :])).all()
+                assert cells.size == 0 or 0 <= cells.min() <= cells.max() < n_cells
+
+
+def random_cluster_world(rng):
+    """2-4 cubes of 0.3-0.6 m, jittered on a 2 x 2 grid of 0.9 m pitch (gaps
+    of 0.1 m or more), seen by 4-7 cameras on a ring at 32 px."""
+    res = 32
+    intr = CameraIntrinsics(fx=float(res), fy=float(res), cx=(res - 1) / 2.0,
+                            cy=(res - 1) / 2.0, width=res, height=res)
+    cells = rng.permutation(4)[:int(rng.integers(2, 5))]
+    boxes = [Box((float(0.9 * (c % 2) - 0.45 + dx), float(0.9 * (c // 2) - 0.45 + dy), 0.3),
+                 (float(e),) * 3)
+             for c, (dx, dy), e in zip(cells, rng.uniform(-0.1, 0.1, (4, 2)),
+                                       rng.uniform(0.3, 0.6, 4))]
+    n_cams, phase = int(rng.integers(4, 8)), float(rng.uniform(0.0, 2.0 * math.pi))
+    cams = [(_look_at_pose((4.5 * math.cos(phase + 2.0 * math.pi * i / n_cams),
+                            4.5 * math.sin(phase + 2.0 * math.pi * i / n_cams), 2.0),
+                           (0.0, 0.0, 0.3)), intr) for i in range(n_cams)]
+    return generate_boxworld(boxes, cams, resolution=(res, res))
+
+
+class TestPipelineSharedIndex:
+    """run_pipeline with its one voxel index against the merge, voting and AP
+    oracles run on the fragments it lifted."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_oracles_with_and_without_superpoints(self, seed):
+        rng = np.random.default_rng(seed)
+        world = random_cluster_world(rng)
+        radius = int(rng.choice([0, 0, 1, 2]))  # dilated masks merge neighbouring cubes
+        tracks = {k: MaskTrack([dilate(m, radius) for m in t.masks])
+                  for k, t in world.gt_tracks.items()}
+        cfg = MergeConfig(voxel_size=float(rng.choice([0.05, 0.1, 0.25])),
+                          theta_3d=float(rng.uniform(0.2, 0.9)))
+        scene = world.scene
+        for voting in (True, False):
+            s = scene if voting else dataclasses.replace(scene, superpoints=None)
+            result = run_pipeline(s, tracks, cfg)
+            assert result.voted is voting
+            want = naive_merge_instances(result.fragments, cfg)
+            if voting:
+                want = naive_assign_superpoints(want, SuperpointPartition(s.superpoints),
+                                                s.scene_points, cfg.voxel_size)
+                assert eval_ap(result.instances, s.gt_instances) == \
+                    naive_eval_ap(want, s.gt_instances)
+            assert_same_instances(result.instances, want)
+            # the voxel records of an unvoted run: the union of the members' keys
+            for inst in result.instances.instances:
+                keys = np.concatenate([voxel_keys(f.points.points, cfg.voxel_size)
+                                       for f in inst.fragments])
+                assert result.index.voxels_of(inst.fragments).tolist() == \
+                    np.unique(keys, axis=0).tolist()
+
+    def test_one_index_per_run(self, monkeypatch):
+        import geovos.instance3d as instance3d
+
+        built = []
+        original = instance3d.voxel_index
+
+        def counted(*args, **kwargs):
+            built.append(args[2] if len(args) > 2 else kwargs.get("scene_points"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(instance3d, "voxel_index", counted)
+        world = random_cluster_world(np.random.default_rng(0))
+        result = run_pipeline(world.scene, world.gt_tracks, MergeConfig())
+        assert result.voted and len(built) == 1 and built[0] is world.scene.scene_points
+
+    def test_index_of_other_fragments_raises(self):
+        world = random_cluster_world(np.random.default_rng(1))
+        cfg = MergeConfig()
+        result = run_pipeline(world.scene, world.gt_tracks, cfg)
+        frags = result.fragments
+        with pytest.raises(ValueError, match="voxel index holds other fragments"):
+            merge_instances(frags[1:], cfg, index=result.index)
+        part = SuperpointPartition(world.scene.superpoints)
+        merged = merge_instances(frags, cfg)
+        unscened = voxel_index(frags, cfg.voxel_size)
+        for index in (unscened, voxel_index(frags[1:], cfg.voxel_size, world.scene.scene_points)):
+            with pytest.raises(ValueError, match="voxel index holds other|not in the voxel"):
+                assign_superpoints(merged, part, world.scene.scene_points, cfg.voxel_size,
+                                   index=index)
 
 
 def labeled(point_sets, confidences=None):

@@ -555,6 +555,14 @@ class TestDrawIndex:
                 counted["errors"] += 1
         assert sum(counted[kind] for kind in kinds) >= 250 and all(counted.values()), counted
 
+    def test_frames_compare_by_identity(self):
+        # the snapshot check is a list comparison: it must not see an
+        # equal-valued replacement as the frame it replaced
+        frame = _two_object_scene(0).frames[0]
+        twin = dataclasses.replace(frame)
+        assert frame == frame and twin != frame and not (twin == frame)
+        assert len({frame, twin, frame}) == 2 and {frame: 1}[frame] == 1
+
     def test_warm_draws_find_nothing_again(self, monkeypatch):
         scene = _two_object_scene(3)
         cfg = SamplerConfig(n_frames=3, p_fov=0.7)
