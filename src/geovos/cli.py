@@ -282,24 +282,6 @@ def cmd_lift(args) -> int:
     return EXIT_OK
 
 
-def cmd_merge(args) -> int:
-    t0 = time.perf_counter()
-    scene, tracks, cfg, echo = _pipeline_inputs(args)
-    result = run_pipeline(scene, tracks, cfg, keyframe_stride=args.stride)
-    report = RunReport("merge", echo)
-    if result.instances is None:
-        report.aggregate = {"n_instances": 0, "voted": False, "warnings": result.warnings}
-        _finish(report, args.out, t0)
-        return EXIT_OK
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    report.items = _instance_records(result)
-    report.aggregate = {"n_instances": len(result.instances), "voted": result.voted,
-                        "warnings": result.warnings}
-    _finish(report, args.out, t0)
-    return EXIT_OK
-
-
 def cmd_eval_3d(args) -> int:
     t0 = time.perf_counter()
     pred = ingest.load_instances(args.pred)
@@ -311,32 +293,44 @@ def cmd_eval_3d(args) -> int:
     return EXIT_OK
 
 
-def cmd_pipeline(args) -> int:
+def _cmd_instances(args, command: str) -> int:
+    """``merge`` and ``pipeline``: lift, merge and vote, then report the
+    instances; ``pipeline`` adds the fragment count and, when the scene has
+    ground truth, AP."""
     t0 = time.perf_counter()
     scene, tracks, cfg, echo = _pipeline_inputs(args)
     result = run_pipeline(scene, tracks, cfg, keyframe_stride=args.stride)
-    report = RunReport("pipeline", echo)
+    report = RunReport(command, echo)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     agg = {
-        "n_fragments": len(result.fragments),
         "n_instances": len(result.instances) if result.instances is not None else 0,
         "voted": result.voted,
         "warnings": result.warnings,
     }
     if result.instances is not None:
         report.items = _instance_records(result)
-    if scene.gt_instances is not None:
-        if result.voted and result.instances is not None:
-            scores = eval_ap(result.instances, scene.gt_instances)
-            agg.update({k: round(v, 10) for k, v in scores.items()})
-        elif result.instances is None:
-            agg.update({"ap": 0.0, "ap50": 0.0, "ap25": 0.0})
-        else:
-            agg["warnings"] = agg["warnings"] + ["instances unlabeled, AP skipped"]
+    if command == "pipeline":
+        agg["n_fragments"] = len(result.fragments)
+        if scene.gt_instances is not None:
+            if result.voted and result.instances is not None:
+                scores = eval_ap(result.instances, scene.gt_instances)
+                agg.update({k: round(v, 10) for k, v in scores.items()})
+            elif result.instances is None:
+                agg.update({"ap": 0.0, "ap50": 0.0, "ap25": 0.0})
+            else:
+                agg["warnings"] = agg["warnings"] + ["instances unlabeled, AP skipped"]
     report.aggregate = agg
     _finish(report, args.out, t0)
     return EXIT_OK
+
+
+def cmd_merge(args) -> int:
+    return _cmd_instances(args, "merge")
+
+
+def cmd_pipeline(args) -> int:
+    return _cmd_instances(args, "pipeline")
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +502,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ingest.IngestError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (ingest.IngestError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -10,9 +10,9 @@ Coordinate conventions
 * Frustum: positive-depth half-space (z > z_near) intersected with the
   image rectangle; no far plane.
 
-All operations are pure functions of their inputs, apart from the memo of
-back-projected masks that each immutable ``CameraFrame`` keeps. Rows of
-overlap ratios are kept by the sampler, not here.
+All operations are pure functions of their inputs. What the sampler keeps
+between draws (visibility, back-projected masks, rows of overlap ratios)
+lives in its own draw index.
 """
 
 from collections.abc import Mapping
@@ -123,13 +123,11 @@ class CameraFrame:
     A frame is immutable: its fields cannot be reassigned, ``masks`` is a
     read-only mapping, and the depth raster and masks are read-only arrays
     (a view of another array is copied first). A changed frame is a new
-    frame (``dataclasses.replace``) with memos of its own; frames compare
-    and hash by identity, so it never equals the old one, even when their
-    values do. Which objects have a nonempty mask is found once, at
-    construction (:meth:`mask_nonempty`), and each object's back-projected
-    points are memoised on first use (:meth:`object_points`). Not covered:
-    a write through some other view of a raster's memory made before the
-    raster was handed to the frame.
+    frame (``dataclasses.replace``); frames compare and hash by identity, so
+    it never equals the old one, even when their values do. A frame keeps
+    nothing derived from its rasters. Not covered: a write through some
+    other view of a raster's memory made before the raster was handed to
+    the frame.
     """
 
     frame_id: int
@@ -137,8 +135,6 @@ class CameraFrame:
     pose: CameraPose
     depth: np.ndarray | None = None
     masks: Mapping = field(default_factory=dict)
-    _visible: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
-    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = (self.intrinsics.height, self.intrinsics.width)
@@ -155,35 +151,11 @@ class CameraFrame:
         if self.depth is not None:
             object.__setattr__(self, "depth", _read_only(self.depth))
         object.__setattr__(self, "masks", MappingProxyType(masks))
-        object.__setattr__(self, "_visible", frozenset(obj for obj, m in masks.items() if m.any()))
 
     def __reduce__(self):
         # a mapping proxy cannot be pickled or copied: rebuild from a plain dict
         return type(self), (self.frame_id, self.intrinsics, self.pose, self.depth,
                             dict(self.masks))
-
-    def mask_nonempty(self, obj_id) -> bool:
-        """Whether the frame holds a nonempty mask for the object."""
-        return obj_id in self._visible
-
-    def object_points(self, obj_id):
-        """Camera-frame points of one object's mask, memoised.
-
-        The points are the :func:`back_project` cloud of the masked
-        valid-depth pixels (read-only), or None when the frame has no depth
-        raster or no mask for the object. They are computed on the first
-        call and kept for the frame's lifetime, 24 bytes per point.
-        Concurrent callers may share a frame: a race only repeats the work.
-        """
-        mask = self.masks.get(obj_id)
-        if mask is None or self.depth is None:
-            return None
-        points = self._points.get(obj_id)
-        if points is None:
-            points = back_project(mask, self.depth, self.intrinsics)[0].points
-            points.setflags(write=False)
-            self._points[obj_id] = points
-        return points
 
 
 class OverlapRatio(NamedTuple):
@@ -280,30 +252,22 @@ FRUSTUM_BLOCK = 1 << 16  # points per block of the shared frustum pass
 FRUSTUM_SOLO_POINTS = 512
 
 
-def frustum_overlap_ratios(candidates, obj_id, reference: CameraFrame) -> list:
+def frustum_overlap_ratios(candidates, clouds, reference: CameraFrame) -> list:
     """:func:`frustum_overlap_ratio` of many candidates against one reference.
 
-    Every candidate must hold a mask for ``obj_id``; its points come from
-    the frame's memo (:meth:`CameraFrame.object_points`). The candidate to
-    reference transforms are composed in one stacked matmul. Clouds of at
-    least FRUSTUM_SOLO_POINTS points are tested one by one; all smaller
-    clouds are tested in one shared pass with per-point coefficients, in
-    blocks of at most FRUSTUM_BLOCK points. Both evaluate the per-point
-    expression of ``kernels.count_in_frustum``, so the results equal the
-    per-pair function's bit for bit, in candidate order.
-
-    Raises:
-        ValueError: at the first candidate without a depth raster.
+    ``clouds[i]`` is candidate i's object points in its camera frame, the
+    :func:`back_project` cloud of its masked valid-depth pixels. The
+    candidate to reference transforms are composed in one stacked matmul.
+    Clouds of at least FRUSTUM_SOLO_POINTS points are tested one by one; all
+    smaller clouds are tested in one shared pass with per-point
+    coefficients, in blocks of at most FRUSTUM_BLOCK points. Both evaluate
+    the per-point expression of ``kernels.count_in_frustum``, so the results
+    equal the per-pair function's bit for bit, in candidate order.
     """
     ri = reference.intrinsics
     camera = tuple(float(c) for c in (ri.fx, ri.fy, ri.cx, ri.cy, ri.width, ri.height,
                                         DEFAULT_Z_NEAR))
     ref_rot, ref_trans = reference.pose.rotation, reference.pose.translation
-    clouds = []
-    for cand in candidates:
-        if cand.depth is None:
-            raise ValueError(f"frame {cand.frame_id} has no depth raster")
-        clouds.append(cand.object_points(obj_id))
     if not clouds:
         return []
     n = np.array([len(pts) for pts in clouds], np.int64)

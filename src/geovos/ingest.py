@@ -31,6 +31,7 @@ import json
 import math
 import zipfile
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -545,27 +546,30 @@ def load_tracks(path, scene=None) -> dict:
 # scenes
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Scene:
     """A loaded scene: dense frames plus optional 3D ground truth.
 
-    ``_draw_index`` belongs to the sampler (see ``sampler.py``): what its
-    draws share, rebuilt whenever ``frames`` holds other frame objects.
+    A scene is immutable, like its frames: its fields cannot be reassigned
+    and ``frames`` is a tuple. A changed scene is a new scene
+    (``dataclasses.replace``); scenes compare and hash by identity, so
+    whatever a caller keeps per scene (the sampler's draw index) can never
+    go stale.
     """
 
     scene_id: str
-    frames: list
+    frames: tuple
     scene_points: np.ndarray | None = None
     superpoints: np.ndarray | None = None
     gt_instances: InstanceSet | None = None
-    _draw_index: object = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def object_ids(self):
-        ids = set()
-        for f in self.frames:
-            ids.update(f.masks)
-        return sorted(ids)
+    def __post_init__(self):
+        object.__setattr__(self, "frames", tuple(self.frames))
+
+    @cached_property
+    def object_ids(self) -> tuple:
+        """The sorted ids of the objects that any frame holds a mask for."""
+        return tuple(sorted({obj for f in self.frames for obj in f.masks}))
 
     def track(self, obj_id: str) -> MaskTrack:
         return MaskTrack([f.masks.get(obj_id) for f in self.frames])

@@ -547,7 +547,8 @@ def assign_superpoints(instances: InstanceSet, partition: SuperpointPartition,
         np.add.at(counts, (sp[row], obs_inst[col]), n_pts[row] * observers[col])
     assigned = np.full(n_sp, -1, dtype=np.int64)
     observed = counts.sum(axis=1) > 0
-    assigned[observed] = np.argmax(counts[observed], axis=1)
+    if n_inst:  # argmax has no answer over zero instances
+        assigned[observed] = np.argmax(counts[observed], axis=1)
     point_owner = assigned[partition.labels]  # each scene point goes with its superpoint
     return InstanceSet([
         Instance(fragments=inst.fragments, confidence=inst.confidence,

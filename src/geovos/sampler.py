@@ -11,27 +11,26 @@ not visibility.
 Every sampler is deterministic given (scene, config, seed) and pure given
 an owned generator; concurrent callers need independent generator states.
 
-Cost: each scene keeps one draw index, which the sampler owns
-(``Scene._draw_index``). It holds a snapshot list of ``scene.frames``,
-the frame-id map and the sorted object ids of that snapshot, and per
-object the visible frame ids and, per reference frame, the row of
-candidate ratios and, per tau, the eligible pool and the ineligible
-candidates best first. A draw compares the snapshot with ``scene.frames``
-in one list comparison, which is an identity pass since frames compare by
-identity; a frame replaced, added or removed since rebuilds the index on
-that draw. Whether a frame shows an object is found once, when
-the frame is built (``CameraFrame.mask_nonempty``), so continuous and random
-draws never back-project. The first FOV draw from a reference back-projects
-each candidate's mask the first time that frame is a candidate (kept on the
-frame, ``CameraFrame.object_points``, 24 bytes per masked valid-depth
-pixel) and tests every candidate's points against the reference frustum in
-one vectorised pass (``geometry.frustum_overlap_ratios``). The row it gives
-is kept for the latest ``max_candidates`` of that reference, ~65 bytes per
-candidate (a dict entry and its float) plus 8 per tau in use (the pool
-lists), for the scene's lifetime. A later draw from the reference reads it,
-so a warm draw does Python work only for its batch, plus a C-level copy of
-the row into ``SampleResult.ratios``. Concurrent callers may share a scene:
-a race on the index only repeats the same work.
+Cost: the sampler keeps one draw index per scene, and nothing else keeps
+anything for it. The index lives in a module-level weak-key map, so it goes
+when its scene goes; scenes and their frames are immutable and hash by
+identity, so an index can never go stale: a changed scene is a new scene
+(``dataclasses.replace``) and gets an index of its own. The index holds the
+frame-id map and, per object, the visible frame ids, found by one
+``mask.any()`` pass over the frames at the object's first draw; so
+continuous and random draws never back-project. Per object it also holds
+each candidate's back-projected mask, computed the first time the frame is
+a FOV candidate (read-only, 24 bytes per masked valid-depth pixel), and per
+reference frame the row of candidate ratios that the first FOV draw from it
+finds, testing every candidate's points against the reference frustum in
+one vectorised pass (``geometry.frustum_overlap_ratios``). A row is kept
+for the latest ``max_candidates`` of that reference, ~65 bytes per
+candidate (a dict entry and its float) plus 8 per tau in use (the eligible
+pool and the ineligible candidates best first). A warm draw finds the index
+in one weak-map lookup and does Python work only for its batch, plus a
+C-level copy of the row into ``SampleResult.ratios``: no step of it grows
+with the length of the video. Concurrent callers may share a scene: a race
+on the index only repeats the same work.
 
 ``visible_frames`` and ``candidate_ratios`` are called through this module
 when the index misses, and ``frustum_overlap_ratio`` stays importable here
@@ -39,6 +38,7 @@ as the per-pair reference: these are the names the benchmark's tracer
 (``perfbench/tracer.py``) wraps.
 """
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,28 +122,47 @@ class _Row:
 
 
 class _ObjectIndex:
-    """One object's visible frame ids and its rows by reference frame."""
+    """One object's visible frame ids, its back-projected points by frame id
+    and its rows by reference frame."""
 
-    __slots__ = ("visible", "rows")
+    __slots__ = ("visible", "points", "rows")
 
     def __init__(self, visible: list):
-        self.visible, self.rows = visible, {}
+        self.visible, self.points, self.rows = visible, {}, {}
 
     def row(self, reference: int, max_candidates: int):
         """The reference's row if it was computed for ``max_candidates``, else None."""
         row = self.rows.get(reference)
         return row if row is not None and row.max_candidates == max_candidates else None
 
+    def clouds(self, frames, obj_id) -> list:
+        """Each frame's camera-frame points of the object's mask (read-only),
+        back-projected the first time the frame is asked for.
+
+        Raises:
+            ValueError: at the first frame without a depth raster, before any
+            later frame is back-projected.
+        """
+        out = []
+        for f in frames:
+            points = self.points.get(f.frame_id)
+            if points is None:
+                if f.depth is None:
+                    raise ValueError(f"frame {f.frame_id} has no depth raster")
+                points = geometry.back_project(f.masks[obj_id], f.depth, f.intrinsics)[0].points
+                points.setflags(write=False)
+                self.points[f.frame_id] = points
+            out.append(points)
+        return out
+
 
 class _DrawIndex:
-    """What draws from one snapshot of ``scene.frames`` share."""
+    """What draws from one scene share: its frames by id and its objects' indexes."""
 
-    __slots__ = ("frames", "by_id", "object_ids", "objects")
+    __slots__ = ("by_id", "objects")
 
-    def __init__(self, frames: list):
-        self.frames = frames
+    def __init__(self, frames):
         self.by_id = {f.frame_id: f for f in frames}
-        self.object_ids = None
         self.objects = {}
 
     def object(self, scene, obj_id):
@@ -153,23 +172,23 @@ class _DrawIndex:
             ValueError: for ``obj_id=None`` when no frame holds a mask.
         """
         if obj_id is None:
-            if self.object_ids is None:
-                self.object_ids = scene.object_ids
-            if not self.object_ids:
+            if not scene.object_ids:
                 raise ValueError("scene has no object masks")
-            obj_id = self.object_ids[0]
+            obj_id = scene.object_ids[0]
         index = self.objects.get(obj_id)
         if index is None:
             index = self.objects[obj_id] = _ObjectIndex(visible_frames(scene, obj_id))
         return obj_id, index
 
 
+_INDEXES = weakref.WeakKeyDictionary()  # scene -> its _DrawIndex
+
+
 def _draw_index(scene) -> _DrawIndex:
-    """The scene's draw index, rebuilt when ``scene.frames`` no longer holds
-    the very frames of its snapshot."""
-    index, frames = scene._draw_index, list(scene.frames)
-    if index is None or index.frames != frames:
-        index = scene._draw_index = _DrawIndex(frames)
+    """The scene's draw index, made at the scene's first draw."""
+    index = _INDEXES.get(scene)
+    if index is None:
+        index = _INDEXES[scene] = _DrawIndex(scene.frames)
     return index
 
 
@@ -184,7 +203,8 @@ def _object_index(scene, cfg: SamplerConfig, obj_id) -> tuple:
 
 def visible_frames(scene, obj_id) -> list:
     """Frame ids where the object's mask exists and is nonempty."""
-    return [f.frame_id for f in scene.frames if f.mask_nonempty(obj_id)]
+    return [f.frame_id for f in scene.frames
+            if (mask := f.masks.get(obj_id)) is not None and mask.any()]
 
 
 def candidate_ratios(scene, obj_id, reference: int, cfg: SamplerConfig) -> dict:
@@ -205,10 +225,11 @@ def candidate_ratios(scene, obj_id, reference: int, cfg: SamplerConfig) -> dict:
         if len(cands) > cfg.max_candidates:
             idx = np.unique(np.linspace(0, len(cands) - 1, cfg.max_candidates).round().astype(int))
             cands = [cands[i] for i in idx]
-        ratios = geometry.frustum_overlap_ratios([draws.by_id[fid] for fid in cands], obj_id,
+        frames = [draws.by_id[fid] for fid in cands]
+        ratios = geometry.frustum_overlap_ratios(frames, index.clouds(frames, obj_id),
                                                  draws.by_id[reference])
         row = index.rows[reference] = _Row(cfg.max_candidates,
-                                         dict(zip(cands, [r.ratio for r in ratios])))
+                                           dict(zip(cands, [r.ratio for r in ratios])))
     return dict(row.ratios)
 
 
@@ -261,9 +282,9 @@ def sample_fov(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult
     reference = index.visible[int(rng.integers(0, len(index.visible)))]
     row = index.row(reference, cfg.max_candidates)
     if row is None:
-        # through the module attribute, which a tracer or a test may wrap
-        row = index.rows[reference] = _Row(cfg.max_candidates,
-                                           candidate_ratios(scene, obj_id, reference, cfg))
+        # through the module attribute, which a tracer may wrap; the call stores the row
+        candidate_ratios(scene, obj_id, reference, cfg)
+        row = index.row(reference, cfg.max_candidates)
     pool, rest = row.pool(cfg.tau)
     need = cfg.n_frames - 1
     if len(pool) >= need:

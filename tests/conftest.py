@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from geovos.geometry import CameraFrame, CameraIntrinsics, CameraPose
+from geovos.geometry import CameraFrame, CameraIntrinsics, CameraPose, back_project
 
 
 def make_intrinsics(fx=20.0, fy=20.0, width=16, height=16, cx=None, cy=None):
@@ -53,6 +53,12 @@ def random_scene_frames(rng, n_frames, intr, max_masked=100, invalid_frac=0.2):
 
 # ---------------------------------------------------------------------------
 # back-projection oracle: pure python per-pixel loop
+
+
+def object_clouds(frames, obj_id) -> list:
+    """Each frame's ``back_project`` cloud of its mask of ``obj_id``: the
+    clouds that ``geometry.frustum_overlap_ratios`` takes."""
+    return [back_project(f.masks[obj_id], f.depth, f.intrinsics)[0].points for f in frames]
 
 
 def naive_back_project(mask, depth, intr):
@@ -339,7 +345,8 @@ def naive_assign_superpoints(instances, partition, scene_points, voxel_size):
                     counts[sp, k] += 1
     assigned = np.full(n_sp, -1, dtype=np.int64)
     observed = counts.sum(axis=1) > 0
-    assigned[observed] = np.argmax(counts[observed], axis=1)
+    if n_inst:
+        assigned[observed] = np.argmax(counts[observed], axis=1)
     out = []
     for k, inst in enumerate(instances.instances):
         sp_ids = frozenset(int(s) for s in np.nonzero(assigned == k)[0])

@@ -1,4 +1,4 @@
-"""Geometry: back-projection, frustum overlap, the frame memo, depth agreement."""
+"""Geometry: back-projection, frustum overlap, immutable frames, depth agreement."""
 
 import copy
 import dataclasses
@@ -7,9 +7,9 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import (make_intrinsics, naive_back_project, naive_frustum_overlap, random_pose,
-                      random_rotation, random_sampler_scene, random_scene_frames)
-from geovos import geometry, kernels
+from conftest import (make_intrinsics, naive_back_project, naive_frustum_overlap, object_clouds,
+                      random_pose, random_rotation, random_sampler_scene, random_scene_frames)
+from geovos import geometry
 from geovos.geometry import (CameraFrame, CameraIntrinsics, CameraPose, PointCloud,
                              back_project, depth_agreement_score, frustum_overlap_ratio,
                              frustum_overlap_ratios)
@@ -230,8 +230,9 @@ class TestFrustumOverlap:
             cands = [f for f in scene.frames if "obj" in f.masks]
             for ref in scene.frames:
                 want = [frustum_overlap_ratio(c, c.masks["obj"], ref) for c in cands]
-                assert frustum_overlap_ratios(cands, "obj", ref) == want, f"seed {seed}"
-        assert frustum_overlap_ratios([], "obj", scene.frames[0]) == []
+                assert frustum_overlap_ratios(cands, object_clouds(cands, "obj"), ref) == want, \
+                    f"seed {seed}"
+        assert frustum_overlap_ratios([], [], scene.frames[0]) == []
 
 
 def masked_frame(seed=0, size=6):
@@ -244,66 +245,16 @@ def masked_frame(seed=0, size=6):
     return CameraFrame(0, intr, random_pose(rng), depth, {"o": mask})
 
 
-def uncached(frame, obj="o"):
-    mask = frame.masks.get(obj)
-    if mask is None or frame.depth is None:
-        return None
-    return back_project(mask, frame.depth, frame.intrinsics)[0].points
+def points_of(frame, obj="o"):
+    return back_project(frame.masks[obj], frame.depth, frame.intrinsics)[0].points
 
 
-def assert_same_points(got, want):
-    if want is None:
-        assert got is None
-    else:
-        np.testing.assert_array_equal(got, want)
-
-
-class TestFrameMemo:
-    def test_backprojects_once(self, monkeypatch):
-        calls = []
-        original = kernels.backproject_mask
-        monkeypatch.setattr(kernels, "backproject_mask",
-                            lambda *a: calls.append(1) or original(*a))
-        frame = masked_frame()
-        first = frame.object_points("o")
-        assert frame.object_points("o") is first
-        assert frame.object_points("missing") is None
-        assert len(calls) == 1
-        assert_same_points(first, uncached(frame))
-
-    def test_visibility_found_at_construction(self):
-        mask = np.zeros((4, 4), bool)
-        pixel = mask.copy()
-        pixel[3, 0] = True
-        frame = CameraFrame(0, make_intrinsics(width=4, height=4), CameraPose.identity(),
-                            None, {"full": ~mask, "empty": mask, "pixel": pixel})
-        assert frame.mask_nonempty("full") and frame.mask_nonempty("pixel")
-        assert not frame.mask_nonempty("empty") and not frame.mask_nonempty("missing")
-        assert frame.object_points("full") is None  # no depth raster
-
-    @pytest.mark.parametrize("change", [
-        lambda f: {"masks": {"o": np.roll(f.masks["o"], 2, axis=0)}},
-        lambda f: {"masks": {"o": np.zeros_like(f.masks["o"])}},
-        lambda f: {"masks": {}},
-        lambda f: {"depth": f.depth * 2.0},
-        lambda f: {"depth": None},
-        lambda f: {"intrinsics": dataclasses.replace(f.intrinsics, fx=3.0 * f.intrinsics.fx)},
-    ], ids=["mask-moved", "mask-emptied", "mask-dropped", "depth-scaled", "depth-dropped",
-            "intrinsics"])
-    def test_replace_gives_fresh_memo(self, change):
-        frame = masked_frame()
-        before = frame.object_points("o")
-        changed = dataclasses.replace(frame, **change(frame))
-        mask = changed.masks.get("o")
-        assert changed.mask_nonempty("o") == (mask is not None and bool(mask.any()))
-        assert_same_points(changed.object_points("o"), uncached(changed))
-        # the original frame and its memo are untouched
-        assert frame.mask_nonempty("o")
-        assert frame.object_points("o") is before
-        assert_same_points(before, uncached(frame))
-
+class TestFrame:
     def test_frozen(self):
         frame = masked_frame()
+        # no memo fields: whatever is derived from the rasters is kept by its user
+        assert [f.name for f in dataclasses.fields(frame)] == \
+            ["frame_id", "intrinsics", "pose", "depth", "masks"]
         for name, value in [("depth", None), ("masks", {}), ("frame_id", 1),
                             ("intrinsics", make_intrinsics(width=6, height=6))]:
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -318,13 +269,12 @@ class TestFrameMemo:
 
     def test_pickles_and_copies(self):
         frame = masked_frame()
-        frame.object_points("o")
         for twin in (pickle.loads(pickle.dumps(frame)), copy.deepcopy(frame), copy.copy(frame)):
             assert twin.frame_id == frame.frame_id and twin.intrinsics == frame.intrinsics
             np.testing.assert_array_equal(twin.pose.matrix(), frame.pose.matrix())
             np.testing.assert_array_equal(twin.depth, frame.depth)
-            assert list(twin.masks) == ["o"] and twin._points == {}
-            assert_same_points(twin.object_points("o"), uncached(frame))
+            assert list(twin.masks) == ["o"]
+            np.testing.assert_array_equal(points_of(twin), points_of(frame))
             with pytest.raises(TypeError):
                 twin.masks["o"] = None
 
@@ -337,8 +287,6 @@ class TestFrameMemo:
             frame.depth[0, 0] = 2.0
         with pytest.raises(ValueError, match="read-only"):
             mask[0, 0] = False
-        with pytest.raises(ValueError, match="read-only"):
-            frame.object_points("o")[0, 0] = 1.0
 
     def test_views_are_copied(self):
         # rasters handed over as views of larger buffers: writes through the
@@ -347,22 +295,17 @@ class TestFrameMemo:
         mask_buf = np.random.default_rng(2).random((3, 6, 6)) < 0.5
         frame = CameraFrame(0, make_intrinsics(width=6, height=6), CameraPose.identity(),
                             depth_stack[0], {"o": mask_buf[0]})
-        before = frame.object_points("o")
-        want = uncached(frame)
-        assert_same_points(before, want)
+        want = points_of(frame)
         depth_stack *= 2.0
         mask_buf[:] = ~mask_buf
-        assert_same_points(frame.object_points("o"), want)
-        assert_same_points(uncached(frame), want)
+        np.testing.assert_array_equal(points_of(frame), want)
         assert depth_stack.flags.writeable and mask_buf.flags.writeable
         # the same for views handed to dataclasses.replace
         frame = dataclasses.replace(frame, depth=depth_stack[1], masks={"late": mask_buf[1]})
-        want = uncached(frame, "late")
-        assert_same_points(frame.object_points("late"), want)
+        want = points_of(frame, "late")
         depth_stack *= 2.0
         mask_buf[:] = ~mask_buf
-        assert_same_points(frame.object_points("late"), want)
-        assert_same_points(uncached(frame, "late"), want)
+        np.testing.assert_array_equal(points_of(frame, "late"), want)
         with pytest.raises(ValueError, match="read-only"):
             frame.depth[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):

@@ -1,5 +1,6 @@
 """File formats, manifests, and the synthetic box world."""
 
+import dataclasses
 import json
 import re
 
@@ -213,7 +214,37 @@ class TestSceneRoundtrip:
         manifest = save_scene(world.scene, tmp_path)
         scene = load_scene(manifest)
         assert len(scene.frames) == 3
-        assert scene.object_ids == ["box0", "box1"]
+        assert scene.object_ids == ("box0", "box1")
+
+
+class TestScene:
+    @staticmethod
+    def scene():
+        intr = make_intrinsics(width=4, height=4)
+        mask = np.ones((4, 4), bool)
+        frames = [CameraFrame(i, intr, CameraPose.identity(), None, {obj: mask})
+                  for i, obj in enumerate(("b", "a", "b"))]
+        return Scene("s", frames)
+
+    def test_frozen(self):
+        scene = self.scene()
+        assert type(scene.frames) is tuple
+        for name, value in [("frames", []), ("scene_id", "t"), ("scene_points", None)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(scene, name, value)
+        with pytest.raises(TypeError):
+            scene.frames[0] = scene.frames[1]
+        with pytest.raises(AttributeError):
+            scene.frames.append(scene.frames[0])
+        assert [f.frame_id for f in scene.frames] == [0, 1, 2]
+
+    def test_replace_gives_a_new_scene(self):
+        scene = self.scene()
+        assert scene.object_ids == ("a", "b") and scene.object_ids is scene.object_ids
+        fewer = dataclasses.replace(scene, frames=scene.frames[:1])
+        assert fewer != scene and fewer.object_ids == ("b",)
+        assert type(fewer.frames) is tuple and fewer.frames[0] is scene.frames[0]
+        assert scene.object_ids == ("a", "b") and len(scene.frames) == 3
 
 
 class TestTracksFile:

@@ -549,6 +549,14 @@ class TestAssignSuperpoints:
         assert out.instances[0].superpoint_ids == frozenset({0})
         np.testing.assert_array_equal(out.instances[0].point_ids, [0, 1, 2, 3])
 
+    def test_no_instances_leave_every_superpoint_unassigned(self):
+        pts = np.array(centers([(0, 0, 0), (1, 0, 0), (2, 0, 0)]))
+        part = SuperpointPartition(np.zeros(3, int))
+        for index in (None, voxel_index([], 1.0, pts)):
+            out = assign_superpoints(InstanceSet([]), part, pts, 1.0, index=index)
+            assert out.instances == []
+        assert naive_assign_superpoints(InstanceSet([]), part, pts, 1.0).instances == []
+
     def test_assignment_is_partial_function(self):
         inst, part, pts = self._setup()
         out = assign_superpoints(inst, part, pts, 1.0)

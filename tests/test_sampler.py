@@ -1,12 +1,15 @@
 """Frame sampling strategies: continuous, random, FOV-aware, mixed."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import (make_cluster_scene, make_intrinsics, naive_candidate_ratios, naive_sample,
-                      naive_frustum_overlap, random_sampler_scene, random_scene_frames)
+                      naive_frustum_overlap, random_sampler_scene, random_scene_frames,
+                      small_rotation)
 from geovos import geometry, kernels, sampler
 from geovos.geometry import CameraFrame, CameraPose
 from geovos.ingest import Scene
@@ -27,6 +30,15 @@ def make_gapped_scene(visible_ids, n_frames=16, width=8):
             masks["obj"] = np.ones((width, width), bool)
         frames.append(CameraFrame(fid, intr, CameraPose.identity(), depth, masks))
     return Scene("gapped", frames)
+
+
+def replaced(scene, changes: dict):
+    """A new scene whose frame at position i is ``dataclasses.replace``d with
+    the fields ``changes[i]``; the other frames are the same objects."""
+    frames = list(scene.frames)
+    for i, fields in changes.items():
+        frames[i] = dataclasses.replace(frames[i], **fields)
+    return dataclasses.replace(scene, frames=frames)
 
 
 class TestContinuous:
@@ -133,7 +145,7 @@ class TestFov:
         scene = make_cluster_scene()
         small = np.zeros((32, 32), bool)
         small[10:12, 10:12] = True
-        scene.frames[3] = dataclasses.replace(scene.frames[3], masks={"wall": small})
+        scene = replaced(scene, {3: {"masks": {"wall": small}}})
         cfg = SamplerConfig(n_frames=3, tau=0.25)
         ratios = candidate_ratios(scene, "wall", 0, cfg)
         assert ratios[3] == 1.0
@@ -141,8 +153,7 @@ class TestFov:
     def test_fallback_fill_flagged_and_ordered(self):
         scene = make_cluster_scene()
         # only frames 0, 1, 2 visible: 0 overlaps nothing in {1, 2}
-        for fid in (3, 4, 5):
-            scene.frames[fid] = dataclasses.replace(scene.frames[fid], masks={})
+        scene = replaced(scene, dict.fromkeys((3, 4, 5), {"masks": {}}))
         cfg = SamplerConfig(n_frames=3, tau=0.25)
         rng = np.random.default_rng(7)
         res = sample_fov(scene, cfg, rng, obj_id="wall")
@@ -244,8 +255,18 @@ class TestVisibility:
     def test_empty_mask_not_visible(self):
         scene = make_gapped_scene({1}, n_frames=3)
         empty = {"obj": np.zeros((8, 8), bool)}
-        scene.frames[1] = dataclasses.replace(scene.frames[1], masks=empty)
+        scene = replaced(scene, {1: {"masks": empty}})
         assert visible_frames(scene, "obj") == []
+
+    def test_nonempty_masks_only(self):
+        empty = np.zeros((4, 4), bool)
+        pixel = empty.copy()
+        pixel[3, 0] = True
+        frame = CameraFrame(0, make_intrinsics(width=4, height=4), CameraPose.identity(), None,
+                            {"full": ~empty, "empty": empty, "pixel": pixel})
+        scene = Scene("v", [frame])
+        assert [visible_frames(scene, obj) for obj in ("full", "pixel", "empty", "missing")] \
+            == [[0], [0], [], []]
 
     def test_never_back_projects(self, monkeypatch):
         calls = []
@@ -299,16 +320,16 @@ class TestBatchedRatios:
         monkeypatch.setattr(geometry, "FRUSTUM_SOLO_POINTS", solo)
         cfg = SamplerConfig(n_frames=3, max_candidates=4, p_fov=0.7)
 
-        def draws():
+        def draws(sample):
             # 40 draws per 9-frame scene: references repeat, so most FOV
-            # draws read a memoised row
+            # draws read a kept row
             out = []
             for seed in self.SEEDS:
                 scene = random_sampler_scene(np.random.default_rng(seed), n_frames=9)
                 rng = np.random.default_rng(seed)
-                for fn in (sample_fov, sample_mixed):
+                for kind in ("fov", "mixed"):
                     try:
-                        out += [fn(scene, cfg, rng, "obj").to_dict() for _ in range(20)]
+                        out += [sample(kind, scene, cfg, rng, "obj").to_dict() for _ in range(20)]
                     except ValueError as e:
                         out.append(str(e))
             return out
@@ -317,25 +338,29 @@ class TestBatchedRatios:
         original = geometry.frustum_overlap_ratios
         monkeypatch.setattr(geometry, "frustum_overlap_ratios",
                             lambda *a: passes.append(1) or original(*a))
-        batched = draws()
-        monkeypatch.setattr(sampler, "candidate_ratios", naive_candidate_ratios)
-        looped = draws()
+        batched = draws(lambda kind, *a: getattr(sampler, f"sample_{kind}")(*a))
+        looped = draws(naive_sample)
         assert batched == looped
         fov = sum(isinstance(d, dict) and d["mode"] == "fov" for d in batched)
         assert fov > 1000 and len(passes) < fov / 3, (fov, len(passes))
 
-    def test_candidate_without_depth_raises_same_message(self):
-        scene = make_cluster_scene(width=8, fx=8.0)
-        for fid in (3, 5):
-            scene.frames[fid] = dataclasses.replace(scene.frames[fid], depth=None)
+    def test_candidate_without_depth_raises_same_message(self, monkeypatch):
+        full = make_cluster_scene(width=8, fx=8.0)
+        scene = replaced(full, dict.fromkeys((3, 5), {"depth": None}))
         cfg = SamplerConfig(n_frames=3)
         with pytest.raises(ValueError) as want:
             naive_candidate_ratios(scene, "wall", 0, cfg)
+        calls = []
+        original = kernels.backproject_mask
+        monkeypatch.setattr(kernels, "backproject_mask",
+                            lambda *a: calls.append(1) or original(*a))
         with pytest.raises(ValueError, match="^frame 3 has no depth raster$") as got:
             candidate_ratios(scene, "wall", 0, cfg)
         assert str(got.value) == str(want.value)
+        # candidates 1 and 2 were back-projected, 4 after the raise was not
+        assert len(calls) == 2
         # the reference itself needs no depth
-        scene.frames[5] = dataclasses.replace(scene.frames[5], depth=scene.frames[0].depth)
+        scene = replaced(scene, {5: {"depth": full.frames[0].depth}})
         assert list(candidate_ratios(scene, "wall", 3, cfg).items()) == \
             list(naive_candidate_ratios(scene, "wall", 3, cfg).items())
 
@@ -351,41 +376,145 @@ class TestBatchedRatios:
         candidate_ratios(scene, "obj", 0, cfg)
         assert len(calls) == 3
 
-    def test_replaced_frames_seen_between_calls(self):
+    def test_replaced_scene_gets_its_own_index(self, monkeypatch):
         rng = np.random.default_rng(3)
         scene = random_sampler_scene(rng, n_frames=8)
         cfg = SamplerConfig(n_frames=2)
         ref = visible_frames(scene, "obj")[0]
-        candidate_ratios(scene, "obj", ref, cfg)  # fill every memo
-        for i, frame in enumerate(scene.frames[1:], 1):
-            if "obj" in frame.masks:
-                moved = {"obj": np.roll(frame.masks["obj"], 1, axis=1)}
-                scene.frames[i] = dataclasses.replace(frame, masks=moved)
-        scene.frames[2] = dataclasses.replace(scene.frames[2],
-                                              depth=np.flipud(scene.frames[2].depth))
-        scene.frames[3] = dataclasses.replace(scene.frames[3], masks={})
-        assert list(candidate_ratios(scene, "obj", ref, cfg).items()) == \
-            list(naive_candidate_ratios(scene, "obj", ref, cfg).items())
+        before = list(candidate_ratios(scene, "obj", ref, cfg).items())  # fill the index
+        changes = {i: {"masks": {"obj": np.roll(f.masks["obj"], 1, axis=1)}}
+                   for i, f in enumerate(scene.frames) if i > 0 and "obj" in f.masks}
+        changes[2] = {"depth": np.flipud(scene.frames[2].depth)}
+        changes[3] = {"masks": {}}
+        changed = replaced(scene, changes)
+        twin = dataclasses.replace(scene)  # the very same frames
+        calls = []
+        original = kernels.backproject_mask
+        monkeypatch.setattr(kernels, "backproject_mask",
+                            lambda *a: calls.append(1) or original(*a))
+        for new in (changed, twin):
+            calls.clear()
+            got = list(candidate_ratios(new, "obj", ref, cfg).items())
+            # every candidate back-projected again: no old row or points read
+            assert len(calls) == len(got)
+            assert got == list(naive_candidate_ratios(new, "obj", ref, cfg).items())
+        assert got == before
+        calls.clear()
+        assert list(candidate_ratios(scene, "obj", ref, cfg).items()) == before
+        assert calls == []
+
+
+def object_points(scene, obj_id, frame_id):
+    """The points that the scene's draw index keeps for one frame's mask."""
+    draws = sampler._draw_index(scene)
+    return draws.object(scene, obj_id)[1].clouds([draws.by_id[frame_id]], obj_id)[0]
+
+
+def masked_scene(seed=0, n_frames=3, size=6):
+    """Frames that all mask "obj", with a row of invalid depth each."""
+    rng = np.random.default_rng(seed)
+    intr = make_intrinsics(width=size, height=size)
+    frames = []
+    for fid in range(n_frames):
+        depth = rng.uniform(0.5, 3.0, size=(size, size))
+        depth[0, :] = np.nan
+        mask = rng.random((size, size)) < 0.5
+        mask[1, 1] = True
+        pose = CameraPose(small_rotation(rng, 0.3), rng.normal(scale=0.2, size=3))
+        frames.append(CameraFrame(fid, intr, pose, depth, {"obj": mask}))
+    return Scene("masked", frames)
+
+
+class TestObjectPoints:
+    """Back-projected masks, kept per (scene, frame, object) in the draw index."""
+
+    def test_backprojects_once_per_frame(self, monkeypatch):
+        scene = masked_scene(n_frames=6)
+        calls = []
+        original = kernels.backproject_mask
+        monkeypatch.setattr(kernels, "backproject_mask",
+                            lambda *a: calls.append(1) or original(*a))
+        cfg = SamplerConfig(n_frames=2)
+        for ref in range(6):  # every frame is a candidate of five references
+            candidate_ratios(scene, "obj", ref, cfg)
+        kept = [object_points(scene, "obj", fid) for fid in range(6)]
+        assert len(calls) == 6
+        for frame, points in zip(scene.frames, kept):
+            assert object_points(scene, "obj", frame.frame_id) is points
+            np.testing.assert_array_equal(points, geometry.back_project(
+                frame.masks["obj"], frame.depth, frame.intrinsics)[0].points)
+
+    def test_points_read_only(self):
+        scene = masked_scene()
+        with pytest.raises(ValueError, match="read-only"):
+            object_points(scene, "obj", 1)[0, 0] = 1.0
+
+    def test_views_are_copied(self):
+        # rasters handed over as views of larger buffers: writes through the
+        # buffers reach neither the frames nor the points kept for them
+        rng = np.random.default_rng(1)
+        depth_stack = rng.uniform(0.5, 3.0, size=(4, 6, 6))
+        mask_buf = rng.random((4, 6, 6)) < 0.5
+        mask_buf[:, 2, 2] = True
+        intr = make_intrinsics(width=6, height=6)
+        scene = Scene("views", [CameraFrame(i, intr, CameraPose(np.eye(3), [0.2 * i, 0.0, 0.0]),
+                                            depth_stack[i], {"obj": mask_buf[i]})
+                                for i in range(4)])
+        cfg = SamplerConfig(n_frames=2)
+        want = list(naive_candidate_ratios(scene, "obj", 0, cfg).items())
+        assert list(candidate_ratios(scene, "obj", 0, cfg).items()) == want
+        kept = {fid: object_points(scene, "obj", fid) for fid in (1, 2, 3)}
+        copies = {fid: points.copy() for fid, points in kept.items()}
+        depth_stack *= 2.0
+        mask_buf[:] = ~mask_buf
+        for fid, points in kept.items():
+            np.testing.assert_array_equal(points, copies[fid])
+        assert list(candidate_ratios(dataclasses.replace(scene), "obj", 0, cfg).items()) == want
+
+    @pytest.mark.parametrize("change", [
+        lambda f: {"masks": {"obj": np.roll(f.masks["obj"], 2, axis=0)}},
+        lambda f: {"masks": {"obj": np.zeros_like(f.masks["obj"])}},
+        lambda f: {"masks": {}},
+        lambda f: {"depth": f.depth * 2.0},
+        lambda f: {"depth": None},
+        lambda f: {"intrinsics": dataclasses.replace(f.intrinsics, fx=3.0 * f.intrinsics.fx)},
+    ], ids=["mask-moved", "mask-emptied", "mask-dropped", "depth-scaled", "depth-dropped",
+            "intrinsics"])
+    def test_replaced_frame_gets_fresh_points(self, change):
+        scene = masked_scene()
+        cfg = SamplerConfig(n_frames=2)
+        before = list(candidate_ratios(scene, "obj", 0, cfg).items())
+        points = object_points(scene, "obj", 1)
+        changed = replaced(scene, {1: change(scene.frames[1])})
+        got, want = [], []
+        for out, fn in ((got, candidate_ratios), (want, naive_candidate_ratios)):
+            try:
+                out += fn(changed, "obj", 0, cfg).items()
+            except ValueError as e:
+                out.append(str(e))
+        assert got == want
+        # the original scene, its row and its points are untouched
+        assert object_points(scene, "obj", 1) is points
+        assert list(candidate_ratios(scene, "obj", 0, cfg).items()) == before
 
 
 def _replace_reference(scene, ref):
-    scene.frames[ref] = dataclasses.replace(scene.frames[ref])
+    return replaced(scene, {ref: {}})
 
 
 def _replace_candidate(scene, ref):
     i = next(f for f in visible_frames(scene, "obj") if f != ref)
-    scene.frames[i] = dataclasses.replace(scene.frames[i], pose=CameraPose.identity())
+    return replaced(scene, {i: {"pose": CameraPose.identity()}})
 
 
 def _remove_mask(scene, ref):
-    i = visible_frames(scene, "obj")[-1]
-    scene.frames[i] = dataclasses.replace(scene.frames[i], masks={})
+    return replaced(scene, {visible_frames(scene, "obj")[-1]: {"masks": {}}})
 
 
 def _move_mask(scene, ref):
     i = visible_frames(scene, "obj")[-1]
-    moved = {"obj": np.roll(scene.frames[i].masks["obj"], 3, axis=0)}
-    scene.frames[i] = dataclasses.replace(scene.frames[i], masks=moved)
+    return replaced(scene, {i: {"masks": {"obj": np.roll(scene.frames[i].masks["obj"], 3,
+                                                           axis=0)}}})
 
 
 class TestRowMemo:
@@ -454,7 +583,7 @@ class TestRowMemo:
         if change == "max_candidates":
             cfg = SamplerConfig(n_frames=2, max_candidates=len(before) - 2)
         else:
-            change(scene, ref)
+            scene = change(scene, ref)
         calls = self.count_passes(monkeypatch)
         got = candidate_ratios(scene, "obj", ref, cfg)
         assert calls["ratios"] == 1
@@ -470,8 +599,9 @@ class TestRowMemo:
     def test_rows_per_reference_and_object(self, monkeypatch):
         scene, _ = self.scene()
         other = "obj2"
-        scene.frames[:] = [dataclasses.replace(f, masks={**f.masks, other: f.masks["obj"]})
-                           if "obj" in f.masks else f for f in scene.frames]
+        scene = dataclasses.replace(scene, frames=[
+            dataclasses.replace(f, masks={**f.masks, other: f.masks["obj"]})
+            if "obj" in f.masks else f for f in scene.frames])
         cfg = SamplerConfig(n_frames=2)
         visible = visible_frames(scene, "obj")
         want = {(ref, obj): list(naive_candidate_ratios(scene, obj, ref, cfg).items())
@@ -488,31 +618,28 @@ def _two_object_scene(seed, n_frames=12):
     """A random sampler scene with a second object, "obj2", on most frames."""
     rng = np.random.default_rng(seed)
     scene = random_sampler_scene(rng, n_frames=n_frames)
-    for i, f in enumerate(scene.frames):
-        if i % 4 != 3:
-            other = rng.random(f.depth.shape) < rng.uniform(0.1, 0.7)
-            scene.frames[i] = dataclasses.replace(f, masks={**f.masks, "obj2": other})
-    return scene
+    return replaced(scene, {
+        i: {"masks": {**f.masks, "obj2": rng.random(f.depth.shape) < rng.uniform(0.1, 0.7)}}
+        for i, f in enumerate(scene.frames) if i % 4 != 3})
 
 
 def _append_frame(scene, rng):
-    """A copy of a random frame under a new id and a new pose."""
+    """The scene plus a copy of a random frame under a new id and a new pose."""
     f = scene.frames[int(rng.integers(0, len(scene.frames)))]
     pose = CameraPose(f.pose.rotation, f.pose.translation + rng.normal(scale=0.3, size=3))
-    scene.frames.append(dataclasses.replace(f, frame_id=max(g.frame_id for g in scene.frames) + 1,
-                                            pose=pose))
+    new = dataclasses.replace(f, frame_id=max(g.frame_id for g in scene.frames) + 1, pose=pose)
+    return dataclasses.replace(scene, frames=scene.frames + (new,))
 
 
 def _replace_frame(scene, rng):
     i = int(rng.integers(0, len(scene.frames)))
     f = scene.frames[i]
-    scene.frames[i] = dataclasses.replace(f, pose=CameraPose(
-        f.pose.rotation, f.pose.translation + rng.normal(scale=0.3, size=3)))
+    return replaced(scene, {i: {"pose": CameraPose(
+        f.pose.rotation, f.pose.translation + rng.normal(scale=0.3, size=3))}})
 
 
 def _remove_masks(scene, rng):
-    i = int(rng.integers(0, len(scene.frames)))
-    scene.frames[i] = dataclasses.replace(scene.frames[i], masks={})
+    return replaced(scene, {int(rng.integers(0, len(scene.frames))): {"masks": {}}})
 
 
 class TestDrawIndex:
@@ -531,7 +658,7 @@ class TestDrawIndex:
         counted = dict.fromkeys(kinds + ["changes", "fallback", "errors"], 0)
         for k in range(320):
             if k % 40 == 39:
-                self.CHANGES[k // 40 % 3](scene, change_rng)
+                scene = self.CHANGES[k // 40 % 3](scene, change_rng)
                 counted["changes"] += 1
             kind = kinds[k % 4]
             # every 25th draw asks for more frames than the object shows
@@ -555,13 +682,24 @@ class TestDrawIndex:
                 counted["errors"] += 1
         assert sum(counted[kind] for kind in kinds) >= 250 and all(counted.values()), counted
 
-    def test_frames_compare_by_identity(self):
-        # the snapshot check is a list comparison: it must not see an
-        # equal-valued replacement as the frame it replaced
-        frame = _two_object_scene(0).frames[0]
-        twin = dataclasses.replace(frame)
-        assert frame == frame and twin != frame and not (twin == frame)
-        assert len({frame, twin, frame}) == 2 and {frame: 1}[frame] == 1
+    def test_scenes_and_frames_compare_by_identity(self):
+        # the draw index is keyed by scene: an equal-valued replacement of a
+        # scene or of a frame is never the one it replaced
+        scene = _two_object_scene(0)
+        frame = scene.frames[0]
+        for old, twin in ((frame, dataclasses.replace(frame)),
+                          (scene, dataclasses.replace(scene))):
+            assert old == old and twin != old and not (twin == old)
+            assert len({old, twin, old}) == 2 and {old: 1}[old] == 1
+
+    def test_index_goes_with_its_scene(self):
+        scene = make_gapped_scene(range(8), n_frames=8)
+        sample_fov(scene, SamplerConfig(n_frames=2), rng=0, obj_id="obj")
+        assert scene in sampler._INDEXES
+        alive = weakref.ref(scene)
+        del scene
+        gc.collect()
+        assert alive() is None
 
     def test_warm_draws_find_nothing_again(self, monkeypatch):
         scene = _two_object_scene(3)
@@ -576,25 +714,49 @@ class TestDrawIndex:
                 break
         assert references == visible
         calls = TestRowMemo.count_passes(monkeypatch)
-        calls.update(mask_nonempty=0, object_ids=0)
+        calls.update(visible_frames=0, candidate_ratios=0, backproject_mask=0)
 
-        def counted(key, fn):
+        def counted(module, name):
+            fn = getattr(module, name)
+
             def wrapper(*a):
-                calls[key] += 1
+                calls[name] += 1
                 return fn(*a)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        monkeypatch.setattr(CameraFrame, "mask_nonempty",
-                            counted("mask_nonempty", CameraFrame.mask_nonempty))
-        monkeypatch.setattr(Scene, "object_ids",
-                            property(counted("object_ids", Scene.object_ids.fget)))
+        counted(sampler, "visible_frames")
+        counted(sampler, "candidate_ratios")
+        counted(kernels, "backproject_mask")
+        # the same frames, in a tuple that counts every read of itself
+        frames = CountedFrames(scene.frames)
+        object.__setattr__(scene, "frames", frames)
         modes = set()
         for k in range(200):
             fn = (sample_mixed, sample_fov, sample_continuous, sample_random)[k % 4]
             modes.add(fn(scene, cfg, rng, (None, "obj")[k % 2]).mode)
         assert modes == {"fov", "continuous", "random"}
-        assert calls == dict.fromkeys(calls, 0)
-        # a replaced frame is seen on the next draw
-        scene.frames[0] = dataclasses.replace(scene.frames[0])
-        sample_continuous(scene, cfg, rng)
-        assert calls["mask_nonempty"] == len(scene.frames) and calls["object_ids"] == 1
+        assert calls == dict.fromkeys(calls, 0) and frames.reads == 0
+        # a replaced scene is a new one: its first draw finds its own index
+        sample_continuous(dataclasses.replace(scene), cfg, rng)
+        assert calls["visible_frames"] == 1
+
+
+class CountedFrames(tuple):
+    """A frames tuple that counts its reads: iteration, indexing and ``len``."""
+
+    def __new__(cls, frames):
+        self = super().__new__(cls, frames)
+        self.reads = 0
+        return self
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __len__(self):
+        self.reads += 1
+        return super().__len__()
