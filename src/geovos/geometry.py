@@ -246,60 +246,57 @@ def frustum_overlap_ratio(candidate: CameraFrame, obj_mask: np.ndarray,
 
 FRUSTUM_BLOCK = 1 << 16  # points per block of the shared frustum pass
 # A cloud of at least this many points is tested on its own, with scalar
-# coefficients. Per-point coefficients cost ~85 ns a point in the shared
-# pass; a call of its own costs ~25 us plus ~20 ns a point, so the two
-# break even near 600 points (measured on a 2-vCPU x86 VM, numpy 2.4).
-FRUSTUM_SOLO_POINTS = 512
+# coefficients. The shared pass costs ~30 ns a point; a call of its own costs
+# ~25 us plus ~18 ns a point, so the two break even near 2,000 points
+# (clouds of 40-20,000 points, 2-vCPU x86 VM, numpy 2.4).
+FRUSTUM_SOLO_POINTS = 2048
 
 
-def frustum_overlap_ratios(candidates, clouds, reference: CameraFrame) -> list:
+def frustum_overlap_ratios(clouds, rotations, translations, same_camera,
+                           reference: CameraFrame) -> np.ndarray:
     """:func:`frustum_overlap_ratio` of many candidates against one reference.
 
-    ``clouds[i]`` is candidate i's object points in its camera frame, the
-    :func:`back_project` cloud of its masked valid-depth pixels. The
-    candidate to reference transforms are composed in one stacked matmul.
-    Clouds of at least FRUSTUM_SOLO_POINTS points are tested one by one; all
-    smaller clouds are tested in one shared pass with per-point
-    coefficients, in blocks of at most FRUSTUM_BLOCK points. Both evaluate
-    the per-point expression of ``kernels.count_in_frustum``, so the results
-    equal the per-pair function's bit for bit, in candidate order.
+    ``clouds[i]`` is candidate i's object points in its camera frame (the
+    :func:`back_project` cloud of its masked valid-depth pixels), its pose
+    is ``rotations[i]`` (3, 3) and ``translations[i]`` (3,), and
+    ``same_camera[i]`` says whether its intrinsics and pose equal the
+    reference's. The candidate to reference transforms are composed in one
+    stacked matmul. Clouds of at least FRUSTUM_SOLO_POINTS points are tested
+    one by one, in place; all smaller clouds are tested in one shared pass,
+    in blocks of at most FRUSTUM_BLOCK points, with the coefficients
+    repeated over the clouds' sizes. Both evaluate the per-point expression
+    of ``kernels.count_in_frustum``, so the float64 ratios, in candidate
+    order, equal the per-pair function's bit for bit.
     """
     ri = reference.intrinsics
     camera = tuple(float(c) for c in (ri.fx, ri.fy, ri.cx, ri.cy, ri.width, ri.height,
                                         DEFAULT_Z_NEAR))
     ref_rot, ref_trans = reference.pose.rotation, reference.pose.translation
-    if not clouds:
-        return []
-    n = np.array([len(pts) for pts in clouds], np.int64)
-    cand_rot = np.array([c.pose.rotation for c in candidates])
-    cand_trans = np.array([c.pose.translation for c in candidates])
+    rot = np.matmul(ref_rot.T, rotations)
+    trans = np.matmul(ref_rot.T, (translations - ref_trans)[..., None])[..., 0]
+    n = np.fromiter(map(len, clouds), np.int64, len(clouds))
+    solo = n >= FRUSTUM_SOLO_POINTS
+    inside = np.zeros(len(n), np.int64)
+    for i in np.flatnonzero(solo).tolist():
+        inside[i] = np.count_nonzero(kernels.frustum_mask(clouds[i], rot[i], trans[i], *camera))
+    shared = np.where(solo, 0, n)
+    ends = np.cumsum(shared)
+    starts = ends - shared
+    small = [c for c, s in zip(clouds, solo.tolist()) if not s]
+    points = np.concatenate(small) if small else np.zeros((0, 3))
+    coef = np.concatenate([rot.reshape(-1, 9), trans], axis=1).T  # (12, candidates)
+    ok = np.empty(len(points), bool)
+    for lo in range(0, len(points), FRUSTUM_BLOCK):
+        hi = lo + FRUSTUM_BLOCK
+        in_block = np.maximum(np.minimum(ends, hi) - np.maximum(starts, lo), 0)
+        c = np.repeat(coef, in_block, axis=1)
+        ok[lo:hi] = kernels.frustum_mask(points[lo:hi], c[:9].reshape(3, 3, -1), c[9:], *camera)
+    counted = shared > 0
+    inside[counted] += np.add.reduceat(ok, starts[counted], dtype=np.int64)
     # a pixel's back-projection lies in its own frustum by construction;
     # skipping the float round trip keeps the self-overlap exactly 1
-    same_camera = (np.array([c.intrinsics == ri for c in candidates], bool)
-                   & np.all(cand_rot == ref_rot, axis=(1, 2))
-                   & np.all(cand_trans == ref_trans, axis=1))
-    counted = (n > 0) & ~same_camera
-    inside = np.where(same_camera, n, 0)
-    if counted.any():
-        rot = np.matmul(ref_rot.T, cand_rot)
-        trans = np.matmul(ref_rot.T, (cand_trans - ref_trans)[..., None])[..., 0]
-        solo = counted & (n >= FRUSTUM_SOLO_POINTS)
-        for i in np.flatnonzero(solo):
-            inside[i] = np.count_nonzero(kernels.frustum_mask(clouds[i], rot[i], trans[i],
-                                                              *camera))
-        shared = counted & ~solo
-        if shared.any():
-            # per-point coefficients (3, 3, P) and (3, P), gathered by candidate index
-            rot, trans = rot.transpose(1, 2, 0), trans.T
-            seg = np.repeat(np.arange(len(clouds)), np.where(shared, n, 0))
-            pts = np.concatenate([c for c, k in zip(clouds, shared) if k])
-            for lo in range(0, len(pts), FRUSTUM_BLOCK):
-                s = seg[lo:lo + FRUSTUM_BLOCK]
-                ok = kernels.frustum_mask(pts[lo:lo + FRUSTUM_BLOCK], rot[:, :, s], trans[:, s],
-                                          *camera)
-                inside += np.bincount(s[ok], minlength=len(clouds))
-    ratio = np.where(n == 0, 0.0, inside / np.maximum(n, 1))
-    return [OverlapRatio(*r) for r in zip(ratio.tolist(), inside.tolist(), n.tolist())]
+    inside = np.where(same_camera, n, inside)
+    return np.where(n == 0, 0.0, inside / np.maximum(n, 1))
 
 
 def depth_agreement_score(pc: PointCloud, ref_depth: np.ndarray, intr: CameraIntrinsics,

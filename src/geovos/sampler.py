@@ -18,19 +18,23 @@ identity, so an index can never go stale: a changed scene is a new scene
 (``dataclasses.replace``) and gets an index of its own. The index holds the
 frame-id map and, per object, the visible frame ids, found by one
 ``mask.any()`` pass over the frames at the object's first draw; so
-continuous and random draws never back-project. Per object it also holds
-each candidate's back-projected mask, computed the first time the frame is
-a FOV candidate (read-only, 24 bytes per masked valid-depth pixel), and per
-reference frame the row of candidate ratios that the first FOV draw from it
-finds, testing every candidate's points against the reference frustum in
-one vectorised pass (``geometry.frustum_overlap_ratios``). A row is kept
-for the latest ``max_candidates`` of that reference, ~65 bytes per
-candidate (a dict entry and its float) plus 8 per tau in use (the eligible
-pool and the ineligible candidates best first). A warm draw finds the index
-in one weak-map lookup and does Python work only for its batch, plus a
-C-level copy of the row into ``SampleResult.ratios``: no step of it grows
-with the length of the video. Concurrent callers may share a scene: a race
-on the index only repeats the same work.
+continuous and random draws never back-project. With them it stacks, from
+the poses alone, the visible frames' rotations and translations (~115 bytes
+per visible frame). Each candidate's mask is back-projected the first time
+the frame is a FOV candidate (read-only, 24 bytes per masked valid-depth
+pixel). Per reference frame the index keeps the row of candidate ratios
+that the first FOV draw from it finds: the candidates' pose slices are
+composed against the reference in one stacked matmul, compared with the
+reference's pose for the same-camera shortcut, and all their points are
+tested against the reference frustum in one array pass
+(``geometry.frustum_overlap_ratios``). A row is kept for the latest
+``max_candidates`` of that reference, ~64 bytes per candidate (a dict entry
+and its float) plus ~10 per tau in use (the eligible pool and the
+ineligible candidates best first). A warm draw finds the index in one
+weak-map lookup and does Python work only for its batch, plus a C-level
+copy of the row into ``SampleResult.ratios``: no step of it grows with the
+length of the video. Concurrent callers may share a scene: a race on the
+index only repeats the same work.
 
 ``visible_frames`` and ``candidate_ratios`` are called through this module
 when the index misses, and ``frustum_overlap_ratio`` stays importable here
@@ -64,6 +68,8 @@ class SamplerConfig:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
         if not 0.0 <= self.p_fov <= 1.0:
             raise ValueError(f"p_fov must be in [0, 1], got {self.p_fov}")
+        if self.max_candidates < 1:
+            raise ValueError(f"max_candidates must be >= 1, got {self.max_candidates}")
 
 
 @dataclass
@@ -122,38 +128,41 @@ class _Row:
 
 
 class _ObjectIndex:
-    """One object's visible frame ids, its back-projected points by frame id
-    and its rows by reference frame."""
+    """One object's visible frames: their ids and poses as arrays by
+    position, their back-projected points, and the object's rows by
+    reference frame."""
 
-    __slots__ = ("visible", "points", "rows")
+    __slots__ = ("visible", "ids", "rotations", "translations", "points", "rows")
 
-    def __init__(self, visible: list):
-        self.visible, self.points, self.rows = visible, {}, {}
+    def __init__(self, frames: list):
+        self.visible = [f.frame_id for f in frames]
+        self.ids = np.array(self.visible, np.int64)
+        self.rotations = np.array([f.pose.rotation for f in frames]).reshape(-1, 3, 3)
+        self.translations = np.array([f.pose.translation for f in frames]).reshape(-1, 3)
+        self.points = [None] * len(frames)
+        self.rows = {}
 
     def row(self, reference: int, max_candidates: int):
         """The reference's row if it was computed for ``max_candidates``, else None."""
         row = self.rows.get(reference)
         return row if row is not None and row.max_candidates == max_candidates else None
 
-    def clouds(self, frames, obj_id) -> list:
-        """Each frame's camera-frame points of the object's mask (read-only),
-        back-projected the first time the frame is asked for.
+    def cloud(self, i: int, by_id, obj_id) -> np.ndarray:
+        """The camera-frame points of the object's mask in the frame at
+        position i (read-only), back-projected the first time it is asked for.
 
         Raises:
-            ValueError: at the first frame without a depth raster, before any
-            later frame is back-projected.
+            ValueError: when the frame has no depth raster.
         """
-        out = []
-        for f in frames:
-            points = self.points.get(f.frame_id)
-            if points is None:
-                if f.depth is None:
-                    raise ValueError(f"frame {f.frame_id} has no depth raster")
-                points = geometry.back_project(f.masks[obj_id], f.depth, f.intrinsics)[0].points
-                points.setflags(write=False)
-                self.points[f.frame_id] = points
-            out.append(points)
-        return out
+        points = self.points[i]
+        if points is None:
+            f = by_id[self.visible[i]]
+            if f.depth is None:
+                raise ValueError(f"frame {f.frame_id} has no depth raster")
+            points = geometry.back_project(f.masks[obj_id], f.depth, f.intrinsics)[0].points
+            points.setflags(write=False)
+            self.points[i] = points
+        return points
 
 
 class _DrawIndex:
@@ -177,7 +186,8 @@ class _DrawIndex:
             obj_id = scene.object_ids[0]
         index = self.objects.get(obj_id)
         if index is None:
-            index = self.objects[obj_id] = _ObjectIndex(visible_frames(scene, obj_id))
+            visible = visible_frames(scene, obj_id)
+            index = self.objects[obj_id] = _ObjectIndex([self.by_id[fid] for fid in visible])
         return obj_id, index
 
 
@@ -221,15 +231,22 @@ def candidate_ratios(scene, obj_id, reference: int, cfg: SamplerConfig) -> dict:
     _, index = draws.object(scene, obj_id)
     row = index.row(reference, cfg.max_candidates)
     if row is None:
-        cands = [fid for fid in index.visible if fid != reference]
-        if len(cands) > cfg.max_candidates:
-            idx = np.unique(np.linspace(0, len(cands) - 1, cfg.max_candidates).round().astype(int))
-            cands = [cands[i] for i in idx]
-        frames = [draws.by_id[fid] for fid in cands]
-        ratios = geometry.frustum_overlap_ratios(frames, index.clouds(frames, obj_id),
-                                                 draws.by_id[reference])
+        pos = np.flatnonzero(index.ids != reference)
+        if len(pos) > cfg.max_candidates:
+            pos = pos[np.unique(np.linspace(0, len(pos) - 1, cfg.max_candidates).round()
+                                .astype(int))]
+        # in candidate order, so the first frame without depth raises first
+        clouds = [index.cloud(i, draws.by_id, obj_id) for i in pos.tolist()]
+        ref = draws.by_id[reference]
+        rotations, translations = index.rotations[pos], index.translations[pos]
+        same_camera = (np.all(rotations == ref.pose.rotation, axis=(1, 2))
+                       & np.all(translations == ref.pose.translation, axis=1))
+        for k in np.flatnonzero(same_camera).tolist():  # the reference's pose: rare
+            same_camera[k] = draws.by_id[index.visible[pos[k]]].intrinsics == ref.intrinsics
+        ratios = geometry.frustum_overlap_ratios(clouds, rotations, translations, same_camera,
+                                                 ref)
         row = index.rows[reference] = _Row(cfg.max_candidates,
-                                           dict(zip(cands, [r.ratio for r in ratios])))
+                                           dict(zip(index.ids[pos].tolist(), ratios.tolist())))
     return dict(row.ratios)
 
 

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from geovos.geometry import CameraFrame, CameraIntrinsics, CameraPose, back_project
+from geovos.geometry import (CameraFrame, CameraIntrinsics, CameraPose, back_project,
+                             frustum_overlap_ratios)
 
 
 def make_intrinsics(fx=20.0, fy=20.0, width=16, height=16, cx=None, cy=None):
@@ -59,6 +60,19 @@ def object_clouds(frames, obj_id) -> list:
     """Each frame's ``back_project`` cloud of its mask of ``obj_id``: the
     clouds that ``geometry.frustum_overlap_ratios`` takes."""
     return [back_project(f.masks[obj_id], f.depth, f.intrinsics)[0].points for f in frames]
+
+
+def batched_ratios(candidates, obj_id, reference):
+    """``geometry.frustum_overlap_ratios`` of the candidates' masks of
+    ``obj_id`` against ``reference``, its arguments taken from the frames."""
+    return frustum_overlap_ratios(
+        object_clouds(candidates, obj_id),
+        np.array([c.pose.rotation for c in candidates]).reshape(-1, 3, 3),
+        np.array([c.pose.translation for c in candidates]).reshape(-1, 3),
+        [c.intrinsics == reference.intrinsics
+         and np.array_equal(c.pose.rotation, reference.pose.rotation)
+         and np.array_equal(c.pose.translation, reference.pose.translation)
+         for c in candidates], reference)
 
 
 def naive_back_project(mask, depth, intr):
@@ -230,6 +244,45 @@ def random_sampler_scene(rng, n_frames=10, size=12):
         masks = {} if kind == 4 else {"obj": mask}
         frames.append(CameraFrame(fid, frame_intr, pose, depth.astype(np.float32), masks))
     return Scene("random", frames)
+
+
+def mixed_intrinsics_scene(rng, n_frames=12):
+    """Frames of two or three cameras around one view, for the FOV sampler.
+
+    The cameras differ in focal length, principal point and raster size.
+    Frame 1 repeats frame 0's exact pose through a wider camera, so it must
+    not count as frame 0's camera; frame 2 repeats frame 0's camera by value
+    (a new intrinsics object and new pose arrays), so it must. Frame 3 has
+    frame 0's camera and position but turns away, so it must not. Later
+    frames sometimes repeat an earlier frame's pose, with its camera or
+    another.
+    """
+    from geovos.ingest import Scene
+
+    cameras = [make_intrinsics(fx=16.0, fy=16.0, width=12, height=12),
+               make_intrinsics(fx=9.0, fy=11.0, width=12, height=12, cx=4.0),
+               make_intrinsics(fx=13.0, fy=13.0, width=16, height=10)]
+    cameras = cameras[:int(rng.integers(2, 4))]
+    frames = []
+    for fid in range(n_frames):
+        intr = cameras[int(rng.integers(0, len(cameras)))]
+        pose = CameraPose(small_rotation(rng, 0.6), rng.normal(scale=0.5, size=3))
+        if fid == 0:
+            intr = cameras[0]
+        elif fid == 1:
+            intr, pose = cameras[1], frames[0].pose
+        elif fid == 2:
+            intr = CameraIntrinsics(**vars(frames[0].intrinsics))
+            pose = CameraPose(frames[0].pose.rotation.copy(), frames[0].pose.translation.copy())
+        elif fid == 3:
+            intr, pose = cameras[0], CameraPose(pose.rotation, frames[0].pose.translation)
+        elif rng.random() < 0.3:
+            pose = frames[int(rng.integers(0, len(frames)))].pose
+        depth = rng.uniform(0.5, 5.0, size=(intr.height, intr.width))
+        depth[rng.random(depth.shape) < 0.2] = np.nan
+        mask = rng.random(depth.shape) < rng.uniform(0.2, 0.8)
+        frames.append(CameraFrame(fid, intr, pose, depth.astype(np.float32), {"obj": mask}))
+    return Scene("mixed", frames)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (make_cluster_scene, make_intrinsics, naive_frustum_overlap, object_clouds,
+from conftest import (batched_ratios, make_cluster_scene, make_intrinsics, naive_frustum_overlap,
                       overlap3d, random_scene_frames)
 from geovos.cli import boxworld_preset
-from geovos.geometry import frustum_overlap_ratio, frustum_overlap_ratios
+from geovos.geometry import frustum_overlap_ratio
 from geovos.ingest import (BadMagicError, BadMaskError, BadPoseError,
                            FormatVersionError, LengthMismatchError, ManifestError,
                            MissingFileError, generate_boxworld, load_dmap,
@@ -45,8 +45,8 @@ def test_criterion_1_geometry_oracle_equivalence():
             i, j = rng.choice(n_frames, size=2, replace=False)
             cand, ref = frames[int(i)], frames[int(j)]
             want = naive_frustum_overlap(cand, cand.masks["obj"], ref)
-            (batched,) = frustum_overlap_ratios([cand], object_clouds([cand], "obj"), ref)
-            assert tuple(batched) == want, (batched, want)
+            (batched,) = batched_ratios([cand], "obj", ref).tolist()
+            assert batched == want[0], (batched, want)
             assert tuple(frustum_overlap_ratio(cand, cand.masks["obj"], ref)) == want
             checked += 1
     elapsed = time.perf_counter() - t0

@@ -7,12 +7,11 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import (make_intrinsics, naive_back_project, naive_frustum_overlap, object_clouds,
+from conftest import (batched_ratios, make_intrinsics, naive_back_project, naive_frustum_overlap,
                       random_pose, random_rotation, random_sampler_scene, random_scene_frames)
 from geovos import geometry
 from geovos.geometry import (CameraFrame, CameraIntrinsics, CameraPose, PointCloud,
-                             back_project, depth_agreement_score, frustum_overlap_ratio,
-                             frustum_overlap_ratios)
+                             back_project, depth_agreement_score, frustum_overlap_ratio)
 
 
 class TestTypes:
@@ -229,10 +228,10 @@ class TestFrustumOverlap:
             scene = random_sampler_scene(np.random.default_rng(seed), n_frames=8)
             cands = [f for f in scene.frames if "obj" in f.masks]
             for ref in scene.frames:
-                want = [frustum_overlap_ratio(c, c.masks["obj"], ref) for c in cands]
-                assert frustum_overlap_ratios(cands, object_clouds(cands, "obj"), ref) == want, \
-                    f"seed {seed}"
-        assert frustum_overlap_ratios([], [], scene.frames[0]) == []
+                want = [frustum_overlap_ratio(c, c.masks["obj"], ref).ratio for c in cands]
+                got = batched_ratios(cands, "obj", ref)
+                assert got.dtype == np.float64 and got.tolist() == want, f"seed {seed}"
+        assert batched_ratios([], "obj", scene.frames[0]).tolist() == []
 
 
 def masked_frame(seed=0, size=6):

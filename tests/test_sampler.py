@@ -7,9 +7,9 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (make_cluster_scene, make_intrinsics, naive_candidate_ratios, naive_sample,
-                      naive_frustum_overlap, random_sampler_scene, random_scene_frames,
-                      small_rotation)
+from conftest import (make_cluster_scene, make_intrinsics, mixed_intrinsics_scene,
+                      naive_candidate_ratios, naive_sample, naive_frustum_overlap,
+                      random_sampler_scene, random_scene_frames, small_rotation)
 from geovos import geometry, kernels, sampler
 from geovos.geometry import CameraFrame, CameraPose
 from geovos.ingest import Scene
@@ -208,6 +208,11 @@ class TestFov:
                 res = fn(scene, cfg, rng, obj_id="obj")
                 assert len(res.frames) == 8 and len(res.ratios) == 7
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_max_candidates_below_one_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^max_candidates must be >= 1, got {value}$"):
+            SamplerConfig(max_candidates=value)
+
     def test_batch_larger_than_default_max_candidates(self):
         # 600 frames exceed the default cap of 512 candidates: only FOV draws refuse
         scene = make_gapped_scene(range(600), n_frames=600, width=2)
@@ -404,10 +409,89 @@ class TestBatchedRatios:
         assert calls == []
 
 
+class TestMixedIntrinsics:
+    """Rows and draws on scenes whose frames carry two or three cameras."""
+
+    SEEDS = range(30)
+
+    @pytest.mark.parametrize("max_candidates", [512, 3], ids=["default", "strided"])
+    def test_ratios_match_per_pair_loop_and_oracle(self, max_candidates):
+        cfg = SamplerConfig(n_frames=2, max_candidates=max_candidates)
+        seen = dict(same_pose_other_camera=0, same_place_other_rotation=0, same_camera=0,
+                    partial=0)
+        for seed in self.SEEDS:
+            scene = mixed_intrinsics_scene(np.random.default_rng(seed))
+            by_id = {f.frame_id: f for f in scene.frames}
+            for ref in visible_frames(scene, "obj"):
+                got = candidate_ratios(scene, "obj", ref, cfg)
+                want = naive_candidate_ratios(scene, "obj", ref, cfg)
+                assert list(got.items()) == list(want.items()), f"seed {seed}, reference {ref}"
+                for fid, ratio in got.items():
+                    cand, reference = by_id[fid], by_id[ref]
+                    oracle, _, n = naive_frustum_overlap(cand, cand.masks["obj"], reference)
+                    assert ratio == oracle, f"seed {seed}, candidate {fid}, reference {ref}"
+                    same_pose = (np.array_equal(cand.pose.rotation, reference.pose.rotation)
+                                 and np.array_equal(cand.pose.translation,
+                                                    reference.pose.translation))
+                    other_camera = cand.intrinsics != reference.intrinsics
+                    seen["same_place_other_rotation"] += (
+                        np.array_equal(cand.pose.translation, reference.pose.translation)
+                        and not same_pose and ratio < 1.0)
+                    seen["same_pose_other_camera"] += same_pose and other_camera and ratio < 1.0
+                    seen["same_camera"] += same_pose and not other_camera and n > 0
+                    seen["partial"] += 0.0 < ratio < 1.0
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("max_candidates", [512, 7], ids=["default", "strided"])
+    def test_draws_match_naive_sample(self, max_candidates):
+        cfg = SamplerConfig(n_frames=4, max_candidates=max_candidates, p_fov=0.7)
+
+        def draws(sample):
+            out = []
+            for seed in self.SEEDS:
+                scene = mixed_intrinsics_scene(np.random.default_rng(seed))
+                rng = np.random.default_rng(seed)
+                for kind in ("fov", "mixed"):
+                    out += [sample(kind, scene, cfg, rng, "obj").to_dict() for _ in range(10)]
+            return out
+
+        assert draws(lambda kind, *a: getattr(sampler, f"sample_{kind}")(*a)) == \
+            draws(naive_sample)
+
+    def test_signed_zero_pose_is_the_same_camera(self):
+        # -0.0 equals 0.0, so a pose that differs from the reference's only in
+        # the sign of its zeros is the reference's camera, as in the per-pair
+        # function; these depths do not all survive the float round trip
+        intr = make_intrinsics(width=8, height=8)
+        depth = np.random.default_rng(2).uniform(0.5, 5.0, size=(8, 8))
+        mask = np.ones((8, 8), bool)
+        rot = np.eye(3)
+        rot[0, 1] = rot[1, 2] = rot[2, 0] = -0.0
+        scene = Scene("signed-zero", [
+            CameraFrame(0, intr, CameraPose.identity(), depth, {"obj": mask}),
+            CameraFrame(1, intr, CameraPose(rot, [-0.0, 0.0, -0.0]), depth, {"obj": mask})])
+        cfg = SamplerConfig(n_frames=2)
+        for ref in (0, 1):
+            assert candidate_ratios(scene, "obj", ref, cfg) == \
+                naive_candidate_ratios(scene, "obj", ref, cfg) == {1 - ref: 1.0}
+
+    def test_row_spans_several_blocks(self, monkeypatch):
+        monkeypatch.setattr(geometry, "FRUSTUM_BLOCK", 16)
+        scene = mixed_intrinsics_scene(np.random.default_rng(0), n_frames=16)
+        cfg = SamplerConfig(n_frames=2)
+        blocks = []
+        original = kernels.frustum_mask
+        monkeypatch.setattr(kernels, "frustum_mask", lambda *a: blocks.append(1) or original(*a))
+        got = candidate_ratios(scene, "obj", 0, cfg)
+        assert len(blocks) >= 10
+        assert list(got.items()) == list(naive_candidate_ratios(scene, "obj", 0, cfg).items())
+
+
 def object_points(scene, obj_id, frame_id):
     """The points that the scene's draw index keeps for one frame's mask."""
     draws = sampler._draw_index(scene)
-    return draws.object(scene, obj_id)[1].clouds([draws.by_id[frame_id]], obj_id)[0]
+    index = draws.object(scene, obj_id)[1]
+    return index.cloud(index.visible.index(frame_id), draws.by_id, obj_id)
 
 
 def masked_scene(seed=0, n_frames=3, size=6):
