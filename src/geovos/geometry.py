@@ -28,6 +28,8 @@ DEFAULT_Z_NEAR = 1e-4
 DEFAULT_EPS_REL = 0.05
 
 ROTATION_TOL = 1e-6
+_IDENTITY3 = np.eye(3)
+_IDENTITY3.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,9 @@ class CameraPose:
         tra = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if rot.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {rot.shape}")
-        if not np.all(np.isfinite(rot)) or not np.all(np.isfinite(tra)):
+        if not (np.isfinite(rot).all() and np.isfinite(tra).all()):
             raise ValueError("pose contains non-finite values")
-        if np.max(np.abs(rot.T @ rot - np.eye(3))) > ROTATION_TOL:
+        if orthonormality_error(rot) > ROTATION_TOL:
             raise ValueError("rotation is not orthonormal within 1e-6")
         if abs(np.linalg.det(rot) - 1.0) > ROTATION_TOL:
             raise ValueError("rotation determinant is not +1 within 1e-6")
@@ -89,6 +91,11 @@ class CameraPose:
     def to_camera(self, points_world: np.ndarray) -> np.ndarray:
         rot = self.rotation.T
         return apply_rigid(points_world, rot, -rot @ self.translation)
+
+
+def orthonormality_error(rot: np.ndarray) -> float:
+    """The largest entry of ``|rot.T @ rot - I|`` of a 3x3 block."""
+    return float(np.abs(rot.T @ rot - _IDENTITY3).max())
 
 
 @dataclass

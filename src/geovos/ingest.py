@@ -6,10 +6,16 @@ Formats (all round-trip byte-identically through save -> load -> save):
   u32 LE height, then width*height little-endian float32 meters,
   row-major. File length is exactly 14 + 4*W*H bytes.
 * Mask raster: binary PGM (P5), 8-bit, maxval 255, nonzero = foreground.
-* Pose file: text, 16 whitespace-separated decimals, row-major 4x4
+  The header is ``P5``, then width, height and maxval: three tokens, each
+  a run of non-whitespace bytes not starting with ``#``, separated by
+  ASCII whitespace and ``#`` comments (to the end of the line). Each token
+  is a non-negative integer as Python's ``int`` reads it (``+3`` and
+  ``1_0`` are 3 and 10). Exactly one whitespace byte follows the maxval,
+  then width*height raster bytes, row-major.
+* Pose file: text, 16 whitespace-separated finite decimals, row-major 4x4
   world-from-camera matrix whose last row parses to exactly 0 0 0 1.
   The rotation block must be orthonormal within 1e-4; blocks between
-  1e-6 and 1e-4 are snapped to the nearest rotation on load.
+  1e-7 and 1e-4 are snapped to the nearest rotation on load.
 * Scene manifest: JSON, schema ``geovos.scene/1``; paths are relative to
   the manifest. Optional ground-truth instance and track files are JSON
   with their own schema tags.
@@ -27,8 +33,12 @@ occlusion ordering, ground-truth 3D instances over the lifted scene
 points, and per-box mask tracks. It is fully deterministic.
 """
 
+import io
 import json
 import math
+import os
+import re
+import struct
 import zipfile
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,7 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .geometry import CameraFrame, CameraIntrinsics, CameraPose, back_project
+from .geometry import (CameraFrame, CameraIntrinsics, CameraPose, back_project,
+                       orthonormality_error)
 from .instance3d import Instance, InstanceSet
 from .metrics import MaskTrack
 
@@ -86,6 +97,16 @@ class BadMaskError(IngestError):
     pass
 
 
+def _read(path, what: str, size: int = -1) -> bytes:
+    """The file's bytes (its first ``size`` bytes when ``size`` >= 0), read
+    with one open; a missing file or a directory raises MissingFileError."""
+    try:
+        with io.FileIO(path) as f:
+            return f.read(size)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
+        raise MissingFileError(f"{what} file not found: {Path(path)}") from None
+
+
 # ---------------------------------------------------------------------------
 # DMAP depth rasters
 
@@ -101,20 +122,15 @@ def save_dmap(path, values: np.ndarray):
 
 
 def load_dmap(path) -> np.ndarray:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFileError(f"depth file not found: {path}")
-    blob = path.read_bytes()
+    blob = _read(path, "depth")
     if len(blob) < 14 or blob[:4] != DMAP_MAGIC:
-        raise BadMagicError(f"{path}: not a DMAP file (bad magic)")
-    version = int(np.frombuffer(blob, "<u2", count=1, offset=4)[0])
+        raise BadMagicError(f"{Path(path)}: not a DMAP file (bad magic)")
+    _, version, w, h = struct.unpack_from("<4sHII", blob)
     if version != DMAP_VERSION:
-        raise FormatVersionError(f"{path}: unsupported DMAP version {version}")
-    w = int(np.frombuffer(blob, "<u4", count=1, offset=6)[0])
-    h = int(np.frombuffer(blob, "<u4", count=1, offset=10)[0])
+        raise FormatVersionError(f"{Path(path)}: unsupported DMAP version {version}")
     expected = 14 + 4 * w * h
     if len(blob) != expected:
-        raise LengthMismatchError(f"{path}: expected {expected} bytes, got {len(blob)}")
+        raise LengthMismatchError(f"{Path(path)}: expected {expected} bytes, got {len(blob)}")
     return np.frombuffer(blob, "<f4", count=w * h, offset=14).reshape(h, w).copy()
 
 
@@ -131,38 +147,31 @@ def save_mask_pgm(path, mask: np.ndarray):
     Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode() + body.tobytes())
 
 
+# magic, then width, height and maxval, each a maximal run of non-whitespace
+# bytes not starting with '#', after any whitespace and '#' comments (each
+# running to the end of its line); then one whitespace byte
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*(?![^\n]))*(?!#)(\S+)(?!\S)" * 3 + rb"\s")
+
+
 def load_mask_pgm(path) -> np.ndarray:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFileError(f"mask file not found: {path}")
-    blob = path.read_bytes()
+    blob = _read(path, "mask")
     if not blob.startswith(b"P5"):
-        raise BadMaskError(f"{path}: not a binary PGM (P5) file")
-    # header: magic, width, height, maxval, single whitespace, raster
-    fields = []
-    i = 2
-    while len(fields) < 3:
-        while i < len(blob) and blob[i : i + 1].isspace():
-            i += 1
-        if i < len(blob) and blob[i : i + 1] == b"#":
-            while i < len(blob) and blob[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < len(blob) and not blob[i : i + 1].isspace():
-            i += 1
-        if start == i:
-            raise BadMaskError(f"{path}: truncated PGM header")
-        fields.append(blob[start:i])
-    i += 1  # single whitespace after maxval
+        raise BadMaskError(f"{Path(path)}: not a binary PGM (P5) file")
+    header = _PGM_HEADER.match(blob)
+    if header is None:
+        raise BadMaskError(f"{Path(path)}: truncated PGM header")
     try:
-        w, h, maxval = (int(f) for f in fields)
+        w, h, maxval = map(int, header.groups())
+        if w < 0 or h < 0:
+            raise ValueError
     except ValueError:
-        raise BadMaskError(f"{path}: malformed PGM header") from None
+        raise BadMaskError(f"{Path(path)}: malformed PGM header") from None
     if maxval != 255:
-        raise BadMaskError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+        raise BadMaskError(f"{Path(path)}: only 8-bit PGM supported, maxval={maxval}")
+    i = header.end()
     if len(blob) - i != w * h:
-        raise LengthMismatchError(f"{path}: expected {w * h} raster bytes, got {len(blob) - i}")
+        raise LengthMismatchError(f"{Path(path)}: expected {w * h} raster bytes, "
+                                  f"got {len(blob) - i}")
     return (np.frombuffer(blob, np.uint8, count=w * h, offset=i).reshape(h, w) != 0)
 
 
@@ -177,22 +186,23 @@ def save_pose(path, pose: CameraPose):
 
 
 def load_pose(path) -> CameraPose:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFileError(f"pose file not found: {path}")
-    tokens = path.read_text().split()
+    tokens = _read(path, "pose").split()
     if len(tokens) != 16:
-        raise BadPoseError(f"{path}: expected 16 values, got {len(tokens)}")
+        raise BadPoseError(f"{Path(path)}: expected 16 values, got {len(tokens)}")
     try:
-        m = np.array([float(t) for t in tokens], dtype=np.float64).reshape(4, 4)
+        values = list(map(float, tokens))
     except ValueError:
-        raise BadPoseError(f"{path}: non-numeric pose entry") from None
-    if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
-        raise BadPoseError(f"{path}: last row must be exactly 0 0 0 1, got {m[3].tolist()}")
+        raise BadPoseError(f"{Path(path)}: non-numeric pose entry") from None
+    if not all(map(math.isfinite, values)):
+        raise BadPoseError(f"{Path(path)}: non-finite pose entry")
+    if values[12:] != [0.0, 0.0, 0.0, 1.0]:
+        raise BadPoseError(f"{Path(path)}: last row must be exactly 0 0 0 1, got {values[12:]}")
+    m = np.array(values).reshape(4, 4)
     rot = m[:3, :3]
-    err = float(np.max(np.abs(rot.T @ rot - np.eye(3))))
+    err = orthonormality_error(rot)
     if err > POSE_FILE_ROTATION_TOL or np.linalg.det(rot) < 0:
-        raise BadPoseError(f"{path}: rotation block not orthonormal within 1e-4 (err={err:.2e})")
+        raise BadPoseError(f"{Path(path)}: rotation block not orthonormal within 1e-4 "
+                           f"(err={err:.2e})")
     if err > 1e-7:
         # snap near-misses to the closest rotation; exactly-saved poses are
         # untouched so the text round-trip stays byte-identical
@@ -273,15 +283,12 @@ def _write_json(path, obj):
 
 
 def _read_json(path, what: str):
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFileError(f"{what} file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(_read(path, what).decode())
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ManifestError(f"{path}: invalid JSON ({e})") from None
+        raise ManifestError(f"{Path(path)}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):
-        raise ManifestError(f"{path}: {what} file must hold a JSON object, "
+        raise ManifestError(f"{Path(path)}: {what} file must hold a JSON object, "
                             f"got {type(doc).__name__}")
     return doc
 
@@ -309,9 +316,8 @@ def _load_superpoints_npz(path: Path):
     """(points, labels) of an npz written by save_superpoints; every other
     content raises ManifestError naming the file and the array."""
     try:
-        with open(path, "rb") as f:
-            if f.read(4) not in _ZIP_MAGIC:
-                raise ValueError("not a zip archive")
+        if _read(path, "superpoints", 4) not in _ZIP_MAGIC:
+            raise ValueError("not a zip archive")
         npz = np.load(path, allow_pickle=False)
     except _NPZ_ERRORS as e:
         raise ManifestError(f"{path}: not an npz archive of arrays 'points' and 'labels' "
@@ -347,8 +353,6 @@ def load_superpoints(path):
     ``geovos.superpoints/1`` for any other."""
     path = Path(path)
     if path.suffix == ".npz":
-        if not path.is_file():
-            raise MissingFileError(f"superpoints file not found: {path}")
         return _load_superpoints_npz(path)
     doc = _read_json(path, "superpoints")
     if doc.get("schema") != SUPERPOINTS_SCHEMA:
@@ -522,6 +526,7 @@ def load_tracks(path, scene=None) -> dict:
     if scene is not None and length != len(frames):
         raise ManifestError(f"{path}: field 'length' is {length}, scene has "
                             f"{len(frames)} frames")
+    root = str(path.parent)
     tracks = {}
     for obj_id, entries in records.items():
         if not isinstance(entries, list) or \
@@ -531,7 +536,8 @@ def load_tracks(path, scene=None) -> dict:
         if len(entries) != length:
             raise ManifestError(f"{path}: track '{obj_id}' has {len(entries)} frames, "
                                 f"manifest says {length}")
-        masks = [None if rel is None else load_mask_pgm(path.parent / rel) for rel in entries]
+        masks = [None if rel is None else load_mask_pgm(os.path.join(root, rel))
+                 for rel in entries]
         for t, (mask, frame) in enumerate(zip(masks, frames)):
             intr = frame.intrinsics
             if mask is not None and mask.shape != (intr.height, intr.width):
@@ -609,7 +615,7 @@ def load_scene(manifest_path) -> Scene:
     for key in ("superpoints", "gt_instances"):
         if doc.get(key) is not None and not isinstance(doc[key], str):
             raise ManifestError(f"{manifest_path}: field '{key}' must be a file name or null")
-    root = manifest_path.parent
+    root = str(manifest_path.parent)
     frames = []
     for i, rec in enumerate(doc["frames"]):
         where = f"{manifest_path}: frames[{i}]"
@@ -624,14 +630,14 @@ def load_scene(manifest_path) -> Scene:
                 not all(isinstance(rel, str) for rel in mask_files.values()):
             raise ManifestError(f"{where}: field 'masks' must be an object of file names")
         intr = _intrinsics_from_record(rec["intrinsics"], where)
-        depth = load_dmap(root / rec["depth"])
+        depth = load_dmap(os.path.join(root, rec["depth"]))
         if depth.shape != (intr.height, intr.width):
             raise ManifestError(f"{where}: depth raster is {depth.shape[1]}x{depth.shape[0]}, "
                                 f"intrinsics say {intr.width}x{intr.height}")
-        pose = load_pose(root / rec["pose"])
+        pose = load_pose(os.path.join(root, rec["pose"]))
         masks = {}
         for obj_id, rel in sorted(mask_files.items()):
-            mask = load_mask_pgm(root / rel)
+            mask = load_mask_pgm(os.path.join(root, rel))
             if mask.shape != (intr.height, intr.width):
                 raise BadMaskError(f"{where}: mask '{obj_id}' is {mask.shape[1]}x{mask.shape[0]}, "
                                    f"frame is {intr.width}x{intr.height}")
@@ -639,7 +645,7 @@ def load_scene(manifest_path) -> Scene:
         frames.append(CameraFrame(i, intr, pose, depth, masks))
     scene_points = superpoints = None
     if doc.get("superpoints"):
-        sp_path = root / doc["superpoints"]
+        sp_path = manifest_path.parent / doc["superpoints"]
         scene_points, labels = load_superpoints(sp_path)
         try:
             from .instance3d import SuperpointPartition
@@ -651,7 +657,7 @@ def load_scene(manifest_path) -> Scene:
         superpoints = labels
     gt_instances = None
     if doc.get("gt_instances"):
-        gt_instances = load_instances(root / doc["gt_instances"])
+        gt_instances = load_instances(manifest_path.parent / doc["gt_instances"])
         if scene_points is not None:
             n = scene_points.shape[0]
             for k, inst in enumerate(gt_instances.instances):

@@ -7,6 +7,7 @@ meaningful.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -492,3 +493,99 @@ def naive_render_boxes(origin, dirs, boxes, z_near=1e-9):
     owner = np.where(np.isfinite(best_s), best_b, -1).reshape(h, w)
     depth = np.where(np.isfinite(best_s), best_s, 0.0).reshape(h, w)
     return depth, owner.astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# file-reader oracles: the byte-at-a-time readers that ``ingest`` replaced,
+# each path checked with ``is_file`` before it is read. A non-finite pose
+# entry, a pose file that is not UTF-8, a PGM header that ends at its maxval
+# and a PGM with a negative width or height are rejected as the loaders
+# reject them.
+
+
+def naive_load_dmap(path):
+    from geovos.ingest import (DMAP_MAGIC, DMAP_VERSION, BadMagicError, FormatVersionError,
+                               LengthMismatchError, MissingFileError)
+
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFileError(f"depth file not found: {path}")
+    blob = path.read_bytes()
+    if len(blob) < 14 or blob[:4] != DMAP_MAGIC:
+        raise BadMagicError(f"{path}: not a DMAP file (bad magic)")
+    version = int(np.frombuffer(blob, "<u2", count=1, offset=4)[0])
+    if version != DMAP_VERSION:
+        raise FormatVersionError(f"{path}: unsupported DMAP version {version}")
+    w = int(np.frombuffer(blob, "<u4", count=1, offset=6)[0])
+    h = int(np.frombuffer(blob, "<u4", count=1, offset=10)[0])
+    expected = 14 + 4 * w * h
+    if len(blob) != expected:
+        raise LengthMismatchError(f"{path}: expected {expected} bytes, got {len(blob)}")
+    return np.frombuffer(blob, "<f4", count=w * h, offset=14).reshape(h, w).copy()
+
+
+def naive_load_mask_pgm(path):
+    from geovos.ingest import BadMaskError, LengthMismatchError, MissingFileError
+
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFileError(f"mask file not found: {path}")
+    blob = path.read_bytes()
+    if not blob.startswith(b"P5"):
+        raise BadMaskError(f"{path}: not a binary PGM (P5) file")
+    fields = []
+    i = 2
+    while len(fields) < 3:
+        while i < len(blob) and blob[i : i + 1].isspace():
+            i += 1
+        if i < len(blob) and blob[i : i + 1] == b"#":
+            while i < len(blob) and blob[i : i + 1] != b"\n":
+                i += 1
+            continue
+        start = i
+        while i < len(blob) and not blob[i : i + 1].isspace():
+            i += 1
+        if start == i:
+            raise BadMaskError(f"{path}: truncated PGM header")
+        fields.append(blob[start:i])
+    if i == len(blob):  # no whitespace byte after the maxval
+        raise BadMaskError(f"{path}: truncated PGM header")
+    i += 1
+    try:
+        w, h, maxval = (int(f) for f in fields)
+    except ValueError:
+        raise BadMaskError(f"{path}: malformed PGM header") from None
+    if w < 0 or h < 0:
+        raise BadMaskError(f"{path}: malformed PGM header")
+    if maxval != 255:
+        raise BadMaskError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+    if len(blob) - i != w * h:
+        raise LengthMismatchError(f"{path}: expected {w * h} raster bytes, got {len(blob) - i}")
+    return (np.frombuffer(blob, np.uint8, count=w * h, offset=i).reshape(h, w) != 0)
+
+
+def naive_load_pose(path):
+    from geovos.ingest import POSE_FILE_ROTATION_TOL, BadPoseError, MissingFileError
+
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFileError(f"pose file not found: {path}")
+    tokens = path.read_bytes().split()
+    if len(tokens) != 16:
+        raise BadPoseError(f"{path}: expected 16 values, got {len(tokens)}")
+    try:
+        m = np.array([float(t) for t in tokens], dtype=np.float64).reshape(4, 4)
+    except ValueError:
+        raise BadPoseError(f"{path}: non-numeric pose entry") from None
+    if not np.all(np.isfinite(m)):
+        raise BadPoseError(f"{path}: non-finite pose entry")
+    if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
+        raise BadPoseError(f"{path}: last row must be exactly 0 0 0 1, got {m[3].tolist()}")
+    rot = m[:3, :3]
+    err = float(np.max(np.abs(rot.T @ rot - np.eye(3))))
+    if err > POSE_FILE_ROTATION_TOL or np.linalg.det(rot) < 0:
+        raise BadPoseError(f"{path}: rotation block not orthonormal within 1e-4 (err={err:.2e})")
+    if err > 1e-7:
+        u, _, vt = np.linalg.svd(rot)
+        rot = u @ vt
+    return CameraPose(rot, m[:3, 3])

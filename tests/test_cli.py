@@ -372,6 +372,18 @@ def _short_dmap(command):
     return run
 
 
+def _bad_pose(command, entry, detail):
+    """``command`` on the scene after a rotation entry of its pose file 0001
+    became the bytes ``entry``."""
+    def run(d):
+        pose = d / "pose" / "0001.txt"
+        tokens = pose.read_bytes().split()
+        tokens[1] = entry
+        pose.write_bytes(b" ".join(tokens) + b"\n")
+        return _scene_args(command, d), [f"{pose}: {detail}"]
+    return run
+
+
 def _edit_json(rel, edit, named):
     """pipeline on the scene after ``edit`` changed its JSON file ``rel``;
     the error names the file ``named`` and the text ``detail``."""
@@ -652,6 +664,9 @@ CORRUPTIONS = {
     "eval-3d-string-confidence": _eval_3d([0, 1], confidence="x"),
     "eval-3d-nan-confidence": _eval_3d([0, 1], confidence=float("nan")),
     **{f"{c}-short-dmap": _short_dmap(c) for c in _3D + ("sample",)},
+    "pipeline-pose-nan": _bad_pose("pipeline", b"nan", "non-finite pose entry"),
+    "sample-pose-inf": _bad_pose("sample", b"-inf", "non-finite pose entry"),
+    "merge-pose-not-utf8": _bad_pose("merge", b"\xff0.5", "non-numeric pose entry"),
     **JSON_SUPERPOINT_CORRUPTIONS,
     **NPZ_CORRUPTIONS,
     "pipeline-dangling-gt-point-id": _edit_json("instances.json", _dangling_gt_id,

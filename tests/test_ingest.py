@@ -3,19 +3,21 @@
 import dataclasses
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
 
-from conftest import make_intrinsics, random_pose
+from conftest import (make_intrinsics, naive_load_dmap, naive_load_mask_pgm, naive_load_pose,
+                      random_pose, random_rotation)
 from geovos.cli import boxworld_preset
 from geovos.geometry import CameraFrame, CameraPose, back_project
-from geovos.ingest import (BadMagicError, BadMaskError, BadPoseError, Box,
-                           FormatVersionError, LengthMismatchError, ManifestError,
-                           MissingFileError, Scene, generate_boxworld, load_dmap, load_instances,
-                           load_mask_pgm, load_pose, load_scene, load_tracks, save_dmap,
-                           save_instances, save_mask_pgm, save_pose, save_scene,
-                           save_tracks)
+from geovos.ingest import (DMAP_MAGIC, BadMagicError, BadMaskError, BadPoseError, Box,
+                           FormatVersionError, IngestError, LengthMismatchError, ManifestError,
+                           MissingFileError, Scene, _read_json, generate_boxworld, load_dmap,
+                           load_instances, load_mask_pgm, load_pose, load_scene,
+                           load_superpoints, load_tracks, save_dmap, save_instances,
+                           save_mask_pgm, save_pose, save_scene, save_tracks)
 from geovos.metrics import MaskTrack
 
 
@@ -97,6 +99,19 @@ class TestMaskPgm:
         with pytest.raises(LengthMismatchError):
             load_mask_pgm(p)
 
+    def test_header_ending_at_maxval_is_truncated(self, tmp_path):
+        p = tmp_path / "m.pgm"
+        p.write_bytes(b"P5 2 2 255")
+        with pytest.raises(BadMaskError, match=f"^{re.escape(str(p))}: truncated PGM header$"):
+            load_mask_pgm(p)
+
+    def test_negative_size_is_malformed(self, tmp_path):
+        # -2 x -2 promises 4 raster bytes, which numpy cannot shape
+        p = tmp_path / "m.pgm"
+        p.write_bytes(b"P5 -2 -2 255\n" + bytes(4))
+        with pytest.raises(BadMaskError, match="malformed PGM header"):
+            load_mask_pgm(p)
+
 
 class TestPoseFile:
     def test_roundtrip_bytes(self, tmp_path):
@@ -143,6 +158,169 @@ class TestPoseFile:
         p.write_text(" ".join(["x"] * 16))
         with pytest.raises(BadPoseError):
             load_pose(p)
+
+    @pytest.mark.parametrize("entry", [b"nan", b"inf", b"-inf", b"1e999"])
+    def test_non_finite_named(self, tmp_path, entry):
+        p = tmp_path / "p.txt"
+        p.write_bytes(b"1 0 0 0\n0 1 0 " + entry + b"\n0 0 1 0\n0 0 0 1\n")
+        with pytest.raises(BadPoseError, match=f"^{re.escape(str(p))}: non-finite pose entry$"):
+            load_pose(p)
+
+    def test_not_utf8_is_non_numeric(self, tmp_path):
+        p = tmp_path / "p.txt"
+        p.write_bytes(b"1 0 0 0\n0 1 0 0\n0 0 1 \xff\n0 0 0 1\n")
+        with pytest.raises(BadPoseError, match=f"^{re.escape(str(p))}: non-numeric pose entry$"):
+            load_pose(p)
+
+
+def _outcome(read, path):
+    """What ``read(path)`` gives: the bytes of its arrays, or the type and
+    text of what it raised."""
+    try:
+        value = read(path)
+    except Exception as e:  # noqa: BLE001 - compared with the oracle's
+        return type(e), str(e)
+    if isinstance(value, CameraPose):
+        return value.rotation.tobytes(), value.translation.tobytes()
+    return value.dtype, value.shape, value.tobytes()
+
+
+def _assert_matches_oracle(read, oracle, path, blob):
+    """The reader, given ``path`` as a string, gives what the oracle gives
+    for the Path; a failure is an IngestError."""
+    path.write_bytes(blob)
+    got = _outcome(read, str(path))
+    assert got == _outcome(oracle, path), blob
+    assert not isinstance(got[0], type) or issubclass(got[0], IngestError), (got, blob)
+
+
+# whitespace and comments between header tokens; of the last three, one
+# glues a comment to the token before it and two leave a comment open, so
+# that it swallows the token after it
+_PGM_GAPS = [b" ", b"\t", b"\n", b"\r\n", b"\r", b"\x0b", b"\x0c", b"  ", b" #c\n", b"\n#\n",
+             b"\t# 1 2\r\n", b" #c\n\t", b"#c\n", b"#", b"\n#c"]
+# what follows the maxval; the last two glue it to the raster
+_PGM_ENDS = [b"\n", b" ", b"\t", b"\r\n", b"\r", b"", b"#"]
+
+
+def _pgm_token(rng, value: int, wild: bool) -> bytes:
+    """``value`` in decimal, or another spelling of it; when ``wild``, now
+    and then a token no loader accepts, or two tokens."""
+    text = str(value).encode()
+    if not wild or rng.random() < 0.7:
+        return [text, text, b"+" + text, b"0" + text,
+                text[:1] + b"_" + text[1:] if value >= 10 else text][int(rng.integers(0, 5))]
+    return [b"-1", b"-" + text, text + b"#c", b"x", b"12 3"][int(rng.integers(0, 5))]
+
+
+def _random_pgm(rng) -> bytes:
+    """A PGM file; half of them have a well-formed 8-bit header."""
+    wild = rng.random() < 0.5
+    w, h = (int(x) for x in rng.integers(0, 14, size=2))
+    maxval = [255, 255, 15, 0, 256, 65535][int(rng.integers(0, 6))] if wild else 255
+    n_gaps, n_ends = (len(_PGM_GAPS), len(_PGM_ENDS)) if wild else (len(_PGM_GAPS) - 3,
+                                                                     len(_PGM_ENDS) - 2)
+    gaps = [_PGM_GAPS[int(i)] for i in rng.integers(0, n_gaps, size=3)]
+    if rng.random() < 0.5:
+        gaps[0] = b""  # tokens may follow the magic directly
+    header = b"P5" + b"".join(g + _pgm_token(rng, v, wild) for g, v in zip(gaps, (w, h, maxval)))
+    raster = rng.integers(0, 256, size=max(w * h + int(rng.integers(-2, 3)), 0), dtype=np.uint8)
+    return header + _PGM_ENDS[int(rng.integers(0, n_ends))] + raster.tobytes()
+
+
+_POSE_GAPS = [b" ", b"\t", b"\n", b"\r\n", b"  ", b" \n"]
+
+
+def _random_pose_file(rng) -> bytes:
+    m = np.eye(4)
+    m[:3, :3] = random_rotation(rng)
+    m[:3, 3] = rng.normal(size=3)
+    kind = int(rng.integers(0, 8))
+    if kind == 1:  # either side of the snap (1e-7) and reject (1e-4) thresholds
+        i, j = rng.integers(0, 3, size=2)
+        m[i, j] += rng.choice([-1, 1]) * 10 ** rng.uniform(-9, -3)
+    elif kind == 2:  # det < 0
+        m[:3, int(rng.integers(0, 3))] *= -1
+    elif kind == 3:  # last row one ulp off, or -0.0
+        j = int(rng.integers(0, 4))
+        m[3, j] = rng.choice([np.nextafter(m[3, j], 2.0), np.nextafter(m[3, j], -2.0), -m[3, j]])
+    fmt = [repr, repr, "{:.17g}".format, "{:.7f}".format][int(rng.integers(0, 4))]
+    tokens = [fmt(float(x)).encode() for x in m.flat]
+    if kind == 4:  # 15 or 17 entries
+        if rng.random() < 0.5:
+            del tokens[int(rng.integers(0, 16))]
+        else:
+            tokens.insert(int(rng.integers(0, 17)), b"0")
+    elif kind == 5:
+        tokens[int(rng.integers(0, 16))] = [b"nan", b"inf", b"-inf", b"1e999", b"NaN"][
+            int(rng.integers(0, 5))]
+    elif kind == 6:
+        tokens[int(rng.integers(0, 16))] = [b"x", b"\xff", b"1,5", b"0x1p3", b"1_0", b"+1"][
+            int(rng.integers(0, 6))]
+    gaps = [_POSE_GAPS[int(i)] for i in rng.integers(0, len(_POSE_GAPS), size=len(tokens))]
+    return b"".join(g + t for g, t in zip(gaps, tokens)) + b"\n"
+
+
+def _random_dmap(rng) -> bytes:
+    w, h = (int(x) for x in rng.integers(0, 5, size=2))
+    magic = [DMAP_MAGIC, DMAP_MAGIC, DMAP_MAGIC, b"XMAP", b"DMA"][int(rng.integers(0, 5))]
+    version = [1, 1, 1, 0, 2, 256][int(rng.integers(0, 6))]
+    data = rng.uniform(0, 5, size=w * h + 1).astype("<f4").tobytes()
+    blob = magic + struct.pack("<HII", version, w, h) + data[:4 * w * h]
+    cut = [len(blob), len(blob), len(blob) - 1, len(blob) + 2, int(rng.integers(0, 15))][
+        int(rng.integers(0, 5))]
+    return (blob + b"xy")[:cut]
+
+
+class TestReadersMatchOracles:
+    """The loaders against the byte-at-a-time readers in conftest, on
+    generated files: equal arrays, or the same exception and message."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pgm(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "m.pgm"
+        for _ in range(400):
+            _assert_matches_oracle(load_mask_pgm, naive_load_mask_pgm, path, _random_pgm(rng))
+
+    def test_pgm_truncated_at_every_byte(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        for blob in (b"P5\n# made by\thand\r\n12 3\n# size\n255\n" + bytes(range(36)),
+                     b"P5 12\t3#c\n255 " + bytes(36)):
+            for end in range(len(blob) + 1):
+                _assert_matches_oracle(load_mask_pgm, naive_load_mask_pgm, path, blob[:end])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pose(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "p.txt"
+        for _ in range(300):
+            _assert_matches_oracle(load_pose, naive_load_pose, path, _random_pose_file(rng))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dmap(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "d.dmap"
+        for _ in range(300):
+            _assert_matches_oracle(load_dmap, naive_load_dmap, path, _random_dmap(rng))
+
+    @pytest.mark.parametrize("kind", ["directory", "dangling symlink"])
+    def test_not_a_file(self, tmp_path, kind):
+        path, npz = tmp_path / "x", tmp_path / "x.npz"
+        for p in (path, npz):
+            if kind == "directory":
+                p.mkdir()
+            else:
+                p.symlink_to(tmp_path / "gone")
+        for read, oracle in [(load_dmap, naive_load_dmap), (load_pose, naive_load_pose),
+                             (load_mask_pgm, naive_load_mask_pgm)]:
+            got = _outcome(read, str(path))
+            assert got == _outcome(oracle, path)
+            assert got[0] is MissingFileError
+        with pytest.raises(MissingFileError, match=f"^tracks file not found: {path}$"):
+            _read_json(str(path), "tracks")
+        with pytest.raises(MissingFileError, match=f"^superpoints file not found: {npz}$"):
+            load_superpoints(str(npz))
 
 
 class TestSceneRoundtrip:
