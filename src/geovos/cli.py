@@ -111,16 +111,23 @@ def _load_config(path, cls, defaults=None):
 # synth
 
 
+def _cross(a, b) -> np.ndarray:
+    """``np.cross`` of two 3-vectors, bit for bit (the same products and
+    differences), without its array set-up."""
+    a0, a1, a2 = map(float, a)
+    b0, b1, b2 = map(float, b)
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _look_at_pose(eye, target, up=(0.0, 0.0, 1.0)) -> CameraPose:
     eye = np.asarray(eye, dtype=np.float64)
     fwd = np.asarray(target, dtype=np.float64) - eye
     fwd = fwd / np.linalg.norm(fwd)
-    up = np.asarray(up, dtype=np.float64)
-    right = np.cross(fwd, up)
+    right = _cross(fwd, up)
     if np.linalg.norm(right) < 1e-8:
-        right = np.cross(fwd, np.array([0.0, 1.0, 0.0]))
+        right = _cross(fwd, (0.0, 1.0, 0.0))
     right = right / np.linalg.norm(right)
-    down = np.cross(fwd, right)
+    down = _cross(fwd, right)
     rot = np.stack([right, down, fwd], axis=1)
     return CameraPose(rot, eye)
 

@@ -15,6 +15,7 @@ between draws (visibility, back-projected masks, rows of overlap ratios)
 lives in its own draw index.
 """
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -93,9 +94,13 @@ class CameraPose:
         return apply_rigid(points_world, rot, -rot @ self.translation)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def orthonormality_error(rot: np.ndarray) -> float:
-    """The largest entry of ``|rot.T @ rot - I|`` of a 3x3 block."""
-    return float(np.abs(rot.T @ rot - _IDENTITY3).max())
+    """The largest entry of ``|rot.T @ rot - I|`` of a 3x3 block, or ``inf``
+    when that is not finite (entries whose Gram product overflows), so that
+    no block escapes a ``> tol`` check through a NaN."""
+    err = float(np.abs(rot.T @ rot - _IDENTITY3).max())
+    return err if math.isfinite(err) else math.inf
 
 
 @dataclass

@@ -753,6 +753,37 @@ def _ray_dirs_world(intr: CameraIntrinsics, pose: CameraPose) -> np.ndarray:
     return dirs
 
 
+# corner c of a box takes the low (index k) or high (index k + 3) bound on
+# axis k as bit k of c is 0 or 1
+_BOX_CORNERS = np.array([[k + 3 * ((c >> k) & 1) for k in range(3)] for c in range(8)])
+
+
+def _box_windows(bounds: np.ndarray, intr: CameraIntrinsics, pose: CameraPose) -> np.ndarray:
+    """Per-box pixel windows [v0, v1, u0, u1] for ``kernels.render_boxes``.
+
+    A window is the bounding rectangle of the box's 8 projected corners,
+    widened by at least 1 px on every side and clipped to the raster. A box
+    is convex, so when every corner is in front of the camera its silhouette
+    lies inside the rectangle, and a pixel ray outside the window passes the
+    box 1 px or more away, orders of magnitude beyond rounding error. A box
+    with a corner at camera depth <= 0, or with a non-finite projection,
+    gets the whole raster.
+    """
+    # (B, 8, 3) camera-frame corners: rotation.T @ (corner - translation)
+    cam = (bounds[:, _BOX_CORNERS] - pose.translation) @ pose.rotation
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # (B, 8, 2) projections as (v, u): stacking min and max per axis
+        # gives [v0, v1, u0, u1]
+        vu = cam[..., 1::-1] / cam[..., 2:] * (intr.fy, intr.fx) + (intr.cy, intr.cx)
+        windows = np.stack([np.floor(vu.min(axis=1)) - 1.0, np.floor(vu.max(axis=1)) + 2.0],
+                           axis=2).reshape(-1, 4)
+        ok = np.all(cam[..., 2] > 0.0, axis=1) & np.all(np.isfinite(windows), axis=1)
+        windows = np.minimum(np.maximum(windows, 0.0),
+                             (intr.height, intr.height, intr.width, intr.width))
+    windows[~ok] = (0, intr.height, 0, intr.width)
+    return windows.astype(np.int64)
+
+
 def generate_boxworld(boxes, cameras, resolution=None) -> BoxWorld:
     """Render axis-aligned boxes into an exact synthetic scene.
 
@@ -767,6 +798,13 @@ def generate_boxworld(boxes, cameras, resolution=None) -> BoxWorld:
         BoxWorld with the scene (float32 depth, per-box masks), ground
         truth instances over the lifted scene points, per-box mask tracks,
         and per-frame owner rasters.
+
+    Each frame is rendered with one pixel window per box (``_box_windows``):
+    the bounding rectangle of the box's projected corners widened by at
+    least 1 px and clipped to the raster, or the whole raster when a corner
+    lies at camera depth <= 0 or projects to a non-finite pixel. No ray
+    outside a window hits its box, so the output is the same, byte for
+    byte, as a render of every box over every ray.
     """
     bounds = np.stack([b.bounds() for b in boxes])
     for i in range(len(boxes)):
@@ -788,7 +826,8 @@ def generate_boxworld(boxes, cameras, resolution=None) -> BoxWorld:
             if np.all(origin > bb[:3]) and np.all(origin < bb[3:]):
                 raise ValueError(f"camera {fid} origin lies inside box {b}")
         dirs = _ray_dirs_world(intr, pose)
-        depth64, owner = kernels.render_boxes(origin, dirs, bounds)
+        depth64, owner = kernels.render_boxes(origin, dirs, bounds,
+                                              windows=_box_windows(bounds, intr, pose))
         depth = depth64.astype(np.float32)
         masks = {}
         for b in range(len(boxes)):

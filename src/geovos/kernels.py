@@ -110,7 +110,7 @@ def erode_mask(mask, radius):
     return out
 
 
-def render_boxes(origin, dirs, boxes, z_near=1e-9):
+def render_boxes(origin, dirs, boxes, z_near=1e-9, windows=None):
     """Render axis-aligned boxes along per-pixel rays (slab method).
 
     ``dirs`` is (H, W, 3), world-frame, scaled so the camera-frame z
@@ -119,43 +119,62 @@ def render_boxes(origin, dirs, boxes, z_near=1e-9):
     ``(depth, owner)``; pixels hitting nothing get depth 0 and owner -1.
     Ties on entry depth go to the lower box index.
 
-    The boxes are intersected one at a time with the flat (H*W,) rays,
-    keeping the nearest hit so far; a box takes a pixel only when it is
-    strictly nearer, which is the tie rule above. Working memory is O(H*W)
-    whatever the box count: a handful of (H*W,) float64 buffers.
+    ``windows`` is (B, 4) as [v0, v1, u0, u1] with 0 <= v0 <= v1 <= H and
+    0 <= u0 <= u1 <= W, one pixel window per box. The caller guarantees
+    that no ray outside box b's window hits box b; the box is then tested
+    only against the rays ``dirs[v0:v1, u0:u1]``. ``None`` makes every
+    window the whole raster.
+
+    The boxes are intersected one at a time, in index order, with the rays
+    of their windows, keeping the nearest hit so far; a box takes a pixel
+    only when it is strictly nearer, which is the tie rule above. Working
+    memory is the (H, W) depth and owner rasters plus six float64 buffers
+    the size of the largest window, whatever the box count.
     """
     origin = np.ascontiguousarray(origin, dtype=np.float64)
     dirs = np.ascontiguousarray(dirs, dtype=np.float64)
     boxes = np.ascontiguousarray(boxes, dtype=np.float64).reshape(-1, 6)
     z_near = float(z_near)
     h, w = dirs.shape[0], dirs.shape[1]
-    axes = [np.ascontiguousarray(dirs[:, :, k]).reshape(h * w) for k in range(3)]
-    parallel = [np.flatnonzero(d == 0.0) for d in axes]
-    best = np.full(h * w, POS_INF)
-    owner = np.full(h * w, -1, np.int64)
-    t1, t2, tmin, tmax, near, far = (np.empty(h * w) for _ in range(6))
-    hit = np.empty(h * w, np.bool_)
-    for b, box in enumerate(boxes):
-        # axis 0 writes the slab interval straight into (tmin, tmax); axes 1
-        # and 2 narrow it in axis order, which fixes the sign of a zero
-        # entry depth (np.maximum of +0.0 and -0.0 depends on the order)
-        for k, (n, f) in enumerate(zip((tmin, near, near), (tmax, far, far))):
-            lo, hi, o = box[k], box[k + 3], origin[k]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(lo - o, axes[k], out=t1)
-                np.divide(hi - o, axes[k], out=t2)
-            np.minimum(t1, t2, out=n)
-            np.maximum(t1, t2, out=f)
-            inside = lo <= o <= hi
-            n[parallel[k]] = NEG_INF if inside else POS_INF
-            f[parallel[k]] = POS_INF if inside else NEG_INF
-            if k:
-                np.maximum(tmin, near, out=tmin)
-                np.minimum(tmax, far, out=tmax)
-        np.less_equal(tmin, tmax, out=hit)
-        hit &= tmin > z_near
-        hit &= tmin < best
-        np.copyto(best, tmin, where=hit)
-        owner[hit] = b
-    depth = np.where(owner >= 0, best, 0.0)
-    return depth.reshape(h, w), owner.reshape(h, w)
+    if windows is None:
+        windows = [(0, h, 0, w)] * len(boxes)
+    windows = np.asarray(windows, dtype=np.int64)
+    if windows.shape != (len(boxes), 4):
+        raise ValueError(f"windows must be {len(boxes)} [v0, v1, u0, u1] rows, "
+                         f"got shape {windows.shape}")
+    v0, v1, u0, u1 = windows.T
+    if not np.all((0 <= v0) & (v0 <= v1) & (v1 <= h) & (0 <= u0) & (u0 <= u1) & (u1 <= w)):
+        raise ValueError(f"windows must lie inside the {h}x{w} raster")
+    best = np.full((h, w), POS_INF)
+    owner = np.full((h, w), -1, np.int64)
+    buffers = [np.empty(int(np.max((v1 - v0) * (u1 - u0), initial=0))) for _ in range(6)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for b, (box, (v0, v1, u0, u1)) in enumerate(zip(boxes, windows.tolist())):
+            shape = (v1 - v0, u1 - u0)
+            t1, t2, tmin, tmax, near, far = (buf[:shape[0] * shape[1]].reshape(shape)
+                                             for buf in buffers)
+            # axis 0 writes the slab interval straight into (tmin, tmax); axes
+            # 1 and 2 narrow it in axis order, which fixes the sign of a zero
+            # entry depth (np.maximum of +0.0 and -0.0 depends on the order)
+            for k, (n, f) in enumerate(zip((tmin, near, near), (tmax, far, far))):
+                lo, hi, o = box[k], box[k + 3], origin[k]
+                d = dirs[v0:v1, u0:u1, k]
+                np.divide(lo - o, d, out=t1)
+                np.divide(hi - o, d, out=t2)
+                np.minimum(t1, t2, out=n)
+                np.maximum(t1, t2, out=f)
+                inside = lo <= o <= hi
+                parallel = d == 0.0
+                np.copyto(n, NEG_INF if inside else POS_INF, where=parallel)
+                np.copyto(f, POS_INF if inside else NEG_INF, where=parallel)
+                if k:
+                    np.maximum(tmin, near, out=tmin)
+                    np.minimum(tmax, far, out=tmax)
+            best_win = best[v0:v1, u0:u1]
+            hit = tmin <= tmax
+            hit &= tmin > z_near
+            hit &= tmin < best_win
+            np.copyto(best_win, tmin, where=hit)
+            owner[v0:v1, u0:u1][hit] = b
+    best[owner < 0] = 0.0
+    return best, owner

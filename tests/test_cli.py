@@ -14,7 +14,8 @@ import pytest
 from conftest import make_intrinsics, voxel_set
 import geovos
 from geovos import instance3d
-from geovos.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
+from geovos.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _look_at_pose,
+                        boxworld_preset, main)
 from geovos.geometry import CameraFrame, CameraPose, PointCloud, depth_agreement_score
 from geovos.ingest import Scene, load_scene, load_tracks, save_scene, save_tracks
 from geovos.instance3d import MergeConfig, run_pipeline
@@ -22,6 +23,50 @@ from geovos.metrics import MaskTrack
 
 TINY_MERGER = {"selected_layers": ["encoder", 4], "c_in": 4, "c_mid": 4,
                "c_out": 2, "c_f2d": 2, "heads": 2, "ffn_ratio": 2}
+
+
+def numpy_look_at_pose(eye, target, up=(0.0, 0.0, 1.0)):
+    """``cli._look_at_pose`` as it was written with ``np.cross``."""
+    eye = np.asarray(eye, dtype=np.float64)
+    fwd = np.asarray(target, dtype=np.float64) - eye
+    fwd = fwd / np.linalg.norm(fwd)
+    right = np.cross(fwd, np.asarray(up, dtype=np.float64))
+    if np.linalg.norm(right) < 1e-8:
+        right = np.cross(fwd, np.array([0.0, 1.0, 0.0]))
+    right = right / np.linalg.norm(right)
+    down = np.cross(fwd, right)
+    return CameraPose(np.stack([right, down, fwd], axis=1), eye)
+
+
+class TestLookAtPose:
+    """The scalar cross products give the ``np.cross`` poses bit for bit."""
+
+    @staticmethod
+    def assert_same_pose(eye, target, up=(0.0, 0.0, 1.0)):
+        got, want = _look_at_pose(eye, target, up), numpy_look_at_pose(eye, target, up)
+        assert got.rotation.tobytes() == want.rotation.tobytes()
+        assert got.translation.tobytes() == want.translation.tobytes()
+
+    @pytest.mark.parametrize("preset", ["two-cubes", "two-cubes-touching", "one-box"])
+    def test_presets(self, preset):
+        boxes, cams = boxworld_preset(preset, 32)
+        center = np.mean([b.center for b in boxes], axis=0)
+        for pose, _ in cams:
+            self.assert_same_pose(pose.translation, center)
+
+    def test_random_eyes_and_targets(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            eye, target = rng.normal(scale=rng.choice([0.1, 3.0, 100.0]), size=(2, 3))
+            self.assert_same_pose(eye, target)
+            self.assert_same_pose(eye, target, up=tuple(rng.normal(size=3)))
+
+    @pytest.mark.parametrize("eye, target", [((0.0, 0.0, 3.0), (0.0, 0.0, 0.0)),
+                                             ((1.0, 2.0, -1.0), (1.0, 2.0, 4.0)),
+                                             ((0.0, 0.0, 1e-9), (0.0, 0.0, 0.0))])
+    def test_degenerate_up(self, eye, target):
+        # looking along up: the cross product with up vanishes, y is used
+        self.assert_same_pose(eye, target)
 
 
 @pytest.fixture(scope="module")
@@ -372,13 +417,13 @@ def _short_dmap(command):
     return run
 
 
-def _bad_pose(command, entry, detail):
-    """``command`` on the scene after a rotation entry of its pose file 0001
-    became the bytes ``entry``."""
+def _bad_pose(command, entry, detail, at=1):
+    """``command`` on the scene after the token ``at`` (a rotation entry) of
+    its pose file 0001 became the bytes ``entry`` (a list for a slice)."""
     def run(d):
         pose = d / "pose" / "0001.txt"
         tokens = pose.read_bytes().split()
-        tokens[1] = entry
+        tokens[at] = entry
         pose.write_bytes(b" ".join(tokens) + b"\n")
         return _scene_args(command, d), [f"{pose}: {detail}"]
     return run
@@ -667,6 +712,9 @@ CORRUPTIONS = {
     "pipeline-pose-nan": _bad_pose("pipeline", b"nan", "non-finite pose entry"),
     "sample-pose-inf": _bad_pose("sample", b"-inf", "non-finite pose entry"),
     "merge-pose-not-utf8": _bad_pose("merge", b"\xff0.5", "non-numeric pose entry"),
+    # finite rows whose Gram product overflows: numpy warned on stderr first
+    "sample-pose-overflow": _bad_pose("sample", b"1e200 1e200 0 0 -1e200 1e200 0 0".split(),
+                                      "rotation block not orthonormal", at=slice(0, 8)),
     **JSON_SUPERPOINT_CORRUPTIONS,
     **NPZ_CORRUPTIONS,
     "pipeline-dangling-gt-point-id": _edit_json("instances.json", _dangling_gt_id,

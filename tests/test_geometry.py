@@ -34,6 +34,19 @@ class TestTypes:
         with pytest.raises(ValueError):
             CameraPose(refl, np.zeros(3))
 
+    @pytest.mark.parametrize("rows", [
+        [[1e200, 1e200, 0.0], [-1e200, 1e200, 0.0], [0.0, 0.0, 1.0]],  # Gram overflows
+        [[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # NaN > tol is False
+    ])
+    def test_orthonormality_error_is_inf_when_not_finite(self, rows):
+        with np.errstate(all="raise"):  # and it warns of nothing
+            assert geometry.orthonormality_error(np.array(rows)) == np.inf
+
+    def test_pose_rejects_overflowing_rotation(self):
+        rows = [[1e200, 1e200, 0.0], [-1e200, 1e200, 0.0], [0.0, 0.0, 1.0]]
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="not orthonormal"):
+            CameraPose(np.array(rows), np.zeros(3))
+
     def test_point_cloud_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             PointCloud(np.array([[0.0, 0.0, np.nan]]))

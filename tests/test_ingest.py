@@ -10,7 +10,8 @@ import pytest
 
 from conftest import (make_intrinsics, naive_load_dmap, naive_load_mask_pgm, naive_load_pose,
                       random_pose, random_rotation)
-from geovos.cli import boxworld_preset
+from geovos import ingest
+from geovos.cli import _look_at_pose, boxworld_preset
 from geovos.geometry import CameraFrame, CameraPose, back_project
 from geovos.ingest import (DMAP_MAGIC, BadMagicError, BadMaskError, BadPoseError, Box,
                            FormatVersionError, IngestError, LengthMismatchError, ManifestError,
@@ -793,6 +794,42 @@ class TestBoxWorld:
         box = Box((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))
         with pytest.raises(ValueError, match="inside"):
             generate_boxworld([box], [(CameraPose.identity(), intr)])
+
+    @staticmethod
+    def ring_of_16(resolution=512):
+        # 16 cubes on a 4 x 4 grid at 1.2 m pitch, three cameras on a ring
+        boxes = [Box(((c - 1.5) * 1.2, (r - 1.5) * 1.2, 0.25), (0.5, 0.5, 0.5))
+                 for r in range(4) for c in range(4)]
+        intr = make_intrinsics(fx=float(resolution), fy=float(resolution),
+                               width=resolution, height=resolution)
+        eyes = [(6.0 * np.cos(a), 6.0 * np.sin(a), 2.5) for a in (0.3, 2.4, 4.5)]
+        return boxes, [(_look_at_pose(eye, (0.0, 0.0, 0.25)), intr) for eye in eyes]
+
+    @pytest.mark.parametrize("scene", ["two-cubes", "two-cubes-touching", "one-box",
+                                       "ring-of-16"])
+    def test_windows_leave_the_world_unchanged(self, scene, monkeypatch):
+        boxes, cams = (self.ring_of_16() if scene == "ring-of-16"
+                       else boxworld_preset(scene, 64))
+        windowed = generate_boxworld(boxes, cams)
+        pose, intr = cams[0]
+        windows = ingest._box_windows(np.stack([b.bounds() for b in boxes]), intr, pose)
+        areas = (windows[:, 1] - windows[:, 0]) * (windows[:, 3] - windows[:, 2])
+        assert np.all(areas < intr.width * intr.height)  # the windows do cut the work
+        monkeypatch.setattr(ingest, "_box_windows", lambda bounds, intr, pose: np.tile(
+            [0, intr.height, 0, intr.width], (len(bounds), 1)))
+        whole = generate_boxworld(boxes, cams)
+        for f1, f2, o1, o2 in zip(windowed.scene.frames, whole.scene.frames,
+                                  windowed.owners, whole.owners):
+            assert f1.depth.tobytes() == f2.depth.tobytes()
+            np.testing.assert_array_equal(o1, o2)
+            assert sorted(f1.masks) == sorted(f2.masks)
+            for k in f1.masks:
+                np.testing.assert_array_equal(f1.masks[k], f2.masks[k])
+        assert windowed.scene.scene_points.tobytes() == whole.scene.scene_points.tobytes()
+        np.testing.assert_array_equal(windowed.scene.superpoints, whole.scene.superpoints)
+        for a, b in zip(windowed.gt_instances.instances, whole.gt_instances.instances):
+            np.testing.assert_array_equal(a.point_ids, b.point_ids)
+        assert len(windowed.scene.scene_points) > 0
 
     def test_deterministic(self):
         boxes, cams = boxworld_preset("two-cubes", 16)

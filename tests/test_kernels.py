@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_intrinsics, naive_render_boxes
-from geovos import kernels
-from geovos.geometry import DEFAULT_Z_NEAR
+from conftest import make_intrinsics, naive_render_boxes, random_pose
+from geovos import ingest, kernels
+from geovos.geometry import DEFAULT_Z_NEAR, CameraIntrinsics, CameraPose
 
 
 def test_render_axis_parallel_rays():
@@ -99,6 +99,128 @@ class TestRenderMatchesBroadcast:
         depth, owner = assert_renders_like_broadcast(origin, dirs, boxes,
                                                      z_near=np.nextafter(2.0, 0.0))
         assert owner[0, 0] == 0 and depth[0, 0] == 2.0
+
+
+def window_scene(seed):
+    """A seeded pinhole camera (non-square raster, fx != fy) and boxes of
+    every kind a window must handle: in view, partly and wholly off the
+    raster, sub-pixel, straddling the camera plane, behind the camera, and
+    face-touching pairs. Even seeds put an axis-aligned camera at the origin
+    with dyadic intrinsics and add a pair whose shared face meets a pixel
+    column at their common front face: equal entry depths. Returns
+    ``(pose, intr, bounds, tie_pair)``, ``tie_pair`` None on odd seeds."""
+    rng = np.random.default_rng(seed)
+    w, h = (int(n) for n in rng.integers(17, 48, size=2))
+    if seed % 2 == 0:
+        intr = CameraIntrinsics(fx=16.0, fy=8.0, cx=float(w // 2), cy=float(h // 2),
+                                width=w, height=h)
+        pose = CameraPose.identity()
+    else:
+        fx, fy = rng.uniform(10.0, 60.0, size=2)
+        intr = CameraIntrinsics(fx=float(fx), fy=float(fy), cx=float(rng.uniform(0, w)),
+                                cy=float(rng.uniform(0, h)), width=w, height=h)
+        pose = random_pose(rng, spread=2.0)
+
+    def box(cam_center, size):
+        # world-axis-aligned, centred at a camera-frame point
+        c = pose.to_world(np.asarray(cam_center, np.float64).reshape(1, 3))[0]
+        return np.concatenate([c - np.asarray(size) / 2.0, c + np.asarray(size) / 2.0])
+
+    def seen(u, v, z):
+        # the camera-frame point at depth z on the ray of pixel (u, v)
+        return ((u - intr.cx) / intr.fx * z, (v - intr.cy) / intr.fy * z, z)
+
+    boxes = []
+    for _ in range(6):  # in view
+        z = rng.uniform(1.5, 8.0)
+        boxes.append(box(seen(rng.uniform(0, w), rng.uniform(0, h), z), rng.uniform(0.05, 0.8, 3)))
+    for u, v in [(0.0, rng.uniform(0, h)), (rng.uniform(0, w), h - 1.0)]:  # across the border
+        boxes.append(box(seen(u, v, 4.0), rng.uniform(0.3, 0.8, 3)))
+    boxes.append(box(seen(-3.0 * w, h / 2.0, 4.0), (0.5, 0.5, 0.5)))  # wholly off the raster
+    for _ in range(2):  # sub-pixel
+        boxes.append(box(seen(rng.uniform(0, w), rng.uniform(0, h), 5.0), (1e-3, 1e-3, 1e-3)))
+    for side in (-1.0, 1.0):  # straddling the camera plane, beside the camera
+        boxes.append(box((side * rng.uniform(0.6, 1.0), 0.0, rng.uniform(-0.2, 0.2)),
+                         (0.5, 0.5, 1.0)))
+    boxes.append(box((0.0, 0.0, -rng.uniform(1.5, 8.0)), (1.0, 1.0, 1.0)))  # behind
+    for b in (0, 1):  # a neighbour sharing the +x face of an in-view box
+        lo, hi = boxes[b][:3], boxes[b][3:]
+        boxes.append(np.array([hi[0], lo[1], lo[2], hi[0] + rng.uniform(0.1, 0.5), hi[1], hi[2]]))
+    tie_pair = None
+    if seed % 2 == 0:
+        # front faces at z0 in {1, 2, 4}, shared face x = x0 on the 0.25
+        # lattice: column cx + 16 * x0 / z0 is a whole pixel
+        z0 = float(rng.choice([1.0, 2.0, 4.0]))
+        x0 = 0.25 * float(rng.integers(-2, 3))
+        tie_pair = (len(boxes), len(boxes) + 1)
+        boxes.append(np.array([x0, -0.5, z0, x0 + 0.5, 0.5, z0 + 0.5]))
+        boxes.append(np.array([x0 - 0.5, -0.5, z0, x0, 0.5, z0 + 0.5]))
+    return pose, intr, np.stack(boxes), tie_pair
+
+
+class TestWindowedRender:
+    """``render_boxes`` with ``generate_boxworld``'s pixel windows, on the
+    scenes of ``window_scene``."""
+
+    SEEDS = range(12)
+
+    @staticmethod
+    def render_inputs(seed):
+        pose, intr, bounds, tie_pair = window_scene(seed)
+        dirs = ingest._ray_dirs_world(intr, pose)
+        return pose.translation, dirs, bounds, ingest._box_windows(bounds, intr, pose), tie_pair
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_windowed_render_matches_broadcast(self, seed):
+        origin, dirs, bounds, windows, _ = self.render_inputs(seed)
+        want_depth, want_owner = naive_render_boxes(origin, dirs, bounds)
+        depth, owner = kernels.render_boxes(origin, dirs, bounds, windows=windows)
+        assert depth.tobytes() == want_depth.tobytes()
+        assert owner.dtype == np.int64
+        np.testing.assert_array_equal(owner, want_owner)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_hit_lies_inside_its_window(self, seed):
+        # each box rendered alone, so that pixels where it is occluded (and
+        # so every pixel it owns in the full render) count too
+        origin, dirs, bounds, windows, _ = self.render_inputs(seed)
+        for b, (v0, v1, u0, u1) in enumerate(windows.tolist()):
+            _, alone = naive_render_boxes(origin, dirs, bounds[b:b + 1])
+            vs, us = np.nonzero(alone == 0)
+            assert np.all((v0 <= vs) & (vs < v1) & (u0 <= us) & (us < u1)), b
+
+    def test_scenes_hold_every_window_kind(self):
+        non_square = False
+        for seed in self.SEEDS:
+            origin, dirs, bounds, windows, tie_pair = self.render_inputs(seed)
+            h, w = dirs.shape[:2]
+            areas = (windows[:, 1] - windows[:, 0]) * (windows[:, 3] - windows[:, 2])
+            assert np.any(areas == h * w) and np.any(areas == 0), seed  # behind, off raster
+            assert np.any((0 < areas) & (areas < h * w)), seed
+            non_square |= h != w
+            if tie_pair is not None:
+                (da, oa), (db, ob) = (naive_render_boxes(origin, dirs, bounds[b:b + 1])
+                                      for b in tie_pair)
+                assert np.any((oa == 0) & (ob == 0) & (da == db)), seed  # equal entry depths
+        assert non_square
+
+    def test_box_behind_or_across_camera_plane_gets_whole_raster(self):
+        intr = make_intrinsics(width=12, height=9)
+        bounds = np.array([[-1.0, -1.0, -3.0, 1.0, 1.0, -2.0],  # behind
+                           [2.0, -1.0, -0.5, 3.0, 1.0, 0.5],  # across z = 0
+                           [-0.1, -0.1, 2.0, 0.1, 0.1, 2.2]])  # in front, centred
+        windows = ingest._box_windows(bounds, intr, CameraPose.identity())
+        assert windows.tolist()[:2] == [[0, 9, 0, 12]] * 2
+        assert 0 < windows[2, 0] < windows[2, 1] < 9 and 0 < windows[2, 2] < windows[2, 3] < 12
+
+    @pytest.mark.parametrize("window", [[0, 3, 0, 5], [-1, 2, 0, 2], [0, 2, 2, 1],
+                                        [0, 1, 0, 2, 0]])
+    def test_window_outside_the_raster_rejected(self, window):
+        dirs = np.zeros((2, 2, 3))
+        dirs[..., 2] = 1.0
+        with pytest.raises(ValueError, match="windows"):
+            kernels.render_boxes(np.zeros(3), dirs, np.array([[0.0, 0.0, 1.0, 1.0, 1.0, 2.0]]),
+                                 windows=[window])
 
 
 def test_render_memory_is_a_few_frame_buffers():
