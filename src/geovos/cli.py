@@ -18,9 +18,16 @@ the report.
 
 Exit codes: 0 success, 1 metric/check failure, 2 input error.
 All paths are relative to the current working directory unless absolute.
+
+The ``geovos`` console script and ``python -m geovos.cli`` enter through
+:func:`run`, which runs :func:`main` and then freezes the garbage collector
+(``gc.freeze``), so the interpreter's collections at exit skip every object
+the command left behind; ``main`` itself never freezes, for in-process
+callers.
 """
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -514,5 +521,13 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
 
 
+def run() -> int:
+    """The command-line entry: :func:`main`, then ``gc.freeze()``, which
+    spares the process its shutdown collections."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -15,7 +15,6 @@ between draws (visibility, back-projected masks, rows of overlap ratios)
 lives in its own draw index.
 """
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -62,19 +61,35 @@ class CameraPose:
 
     def __post_init__(self):
         rot = np.asarray(self.rotation, dtype=np.float64)
-        tra = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if rot.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {rot.shape}")
-        if not (np.isfinite(rot).all() and np.isfinite(tra).all()):
-            raise ValueError("pose contains non-finite values")
-        if orthonormality_error(rot) > ROTATION_TOL:
-            raise ValueError("rotation is not orthonormal within 1e-6")
-        if abs(np.linalg.det(rot) - 1.0) > ROTATION_TOL:
-            raise ValueError("rotation determinant is not +1 within 1e-6")
+        tra = np.asarray(self.translation, dtype=np.float64)
+        check_poses(rot[None], tra[None])
+        tra = tra.reshape(3)
         rot.setflags(write=False)
         tra.setflags(write=False)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tra)
+
+    @classmethod
+    def stack(cls, rotations, translations, checks=None) -> list:
+        """The poses ``CameraPose(rotations[i], translations[i])``, checked in
+        one pass over the stacks (:func:`check_poses`, which raises the
+        ``ValueError`` of the first pose that ``CameraPose`` rejects).
+
+        ``checks`` is the ``rotation_checks`` of these very rotations, for a
+        caller that has already computed it. The poses hold read-only views
+        of the two stacks.
+        """
+        rot = np.asarray(rotations, dtype=np.float64)
+        tra = check_poses(rot, np.asarray(translations, dtype=np.float64), checks)
+        rot.setflags(write=False)
+        tra.setflags(write=False)
+        poses = []
+        for r, t in zip(rot, tra):
+            pose = object.__new__(cls)
+            object.__setattr__(pose, "rotation", r)
+            object.__setattr__(pose, "translation", t)
+            poses.append(pose)
+        return poses
 
     @classmethod
     def identity(cls) -> "CameraPose":
@@ -94,13 +109,51 @@ class CameraPose:
         return apply_rigid(points_world, rot, -rot @ self.translation)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def orthonormality_error(rot: np.ndarray) -> float:
-    """The largest entry of ``|rot.T @ rot - I|`` of a 3x3 block, or ``inf``
-    when that is not finite (entries whose Gram product overflows), so that
-    no block escapes a ``> tol`` check through a NaN."""
-    err = float(np.abs(rot.T @ rot - _IDENTITY3).max())
-    return err if math.isfinite(err) else math.inf
+@np.errstate(all="ignore")
+def rotation_checks(rot: np.ndarray) -> tuple:
+    """``(errors, dets)`` of an (n, 3, 3) stack of blocks: per block the
+    largest entry of ``|block.T @ block - I|``, or ``inf`` when that is not
+    finite (entries whose Gram product overflows), so that no block escapes
+    a ``> tol`` check through a NaN; and its determinant.
+
+    Both are computed once per block, with the same products (stacked
+    ``np.matmul``, ``np.linalg.det``) as on each block alone, and warn of
+    nothing.
+    """
+    err = np.abs(np.matmul(rot.swapaxes(-1, -2), rot) - _IDENTITY3).max(axis=(-2, -1))
+    err[~np.isfinite(err)] = np.inf
+    return err, np.linalg.det(rot)
+
+
+def check_poses(rot: np.ndarray, tra: np.ndarray, checks=None) -> np.ndarray:
+    """Check a stack of n float64 poses; returns the translations as (n, 3).
+
+    ``rot`` must be (n, 3, 3) and ``tra`` hold 3 entries per pose. Every
+    pose must be finite, its rotation orthonormal within ROTATION_TOL and
+    of determinant +1 within ROTATION_TOL. Otherwise a ``ValueError`` names
+    what is wrong with the first pose in stack order that fails, with the
+    message that pose gives as ``CameraPose``. ``checks`` is the
+    :func:`rotation_checks` of ``rot`` when the caller has it; otherwise it
+    is computed here, once per pose.
+    """
+    if rot.ndim == 0 or tra.ndim == 0 or len(rot) != len(tra):
+        raise ValueError(f"pose stacks must have one length, got rotations {rot.shape} "
+                         f"and translations {tra.shape}")
+    if tra.size != 3 * len(tra):
+        raise ValueError(f"translation must have 3 entries, got shape {tra.shape[1:]}")
+    tra = tra.reshape(len(tra), 3)
+    if rot.shape[1:] != (3, 3):
+        raise ValueError(f"rotation must be 3x3, got {rot.shape[1:]}")
+    err, det = rotation_checks(rot) if checks is None else checks
+    # a rotation within the tolerance is finite: its error would be inf
+    ok = (err <= ROTATION_TOL) & (np.abs(det - 1.0) <= ROTATION_TOL) & np.isfinite(tra).all(axis=1)
+    if not ok.all():
+        i = ok.argmin()
+        raise ValueError("pose contains non-finite values"
+                         if not (np.isfinite(rot[i]).all() and np.isfinite(tra[i]).all()) else
+                         "rotation is not orthonormal within 1e-6" if err[i] > ROTATION_TOL else
+                         "rotation determinant is not +1 within 1e-6")
+    return tra
 
 
 @dataclass

@@ -48,8 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .geometry import (CameraFrame, CameraIntrinsics, CameraPose, back_project,
-                       orthonormality_error)
+from .geometry import CameraFrame, CameraIntrinsics, CameraPose, back_project, rotation_checks
 from .instance3d import Instance, InstanceSet
 from .metrics import MaskTrack
 
@@ -186,6 +185,12 @@ def save_pose(path, pose: CameraPose):
 
 
 def load_pose(path) -> CameraPose:
+    return _poses([_pose_values(path)], [path])[0]
+
+
+def _pose_values(path) -> list:
+    """The 16 numbers of a pose file, row-major, after the checks that need
+    the file alone; each failure raises BadPoseError naming the file."""
     tokens = _read(path, "pose").split()
     if len(tokens) != 16:
         raise BadPoseError(f"{Path(path)}: expected 16 values, got {len(tokens)}")
@@ -197,18 +202,35 @@ def load_pose(path) -> CameraPose:
         raise BadPoseError(f"{Path(path)}: non-finite pose entry")
     if values[12:] != [0.0, 0.0, 0.0, 1.0]:
         raise BadPoseError(f"{Path(path)}: last row must be exactly 0 0 0 1, got {values[12:]}")
-    m = np.array(values).reshape(4, 4)
-    rot = m[:3, :3]
-    err = orthonormality_error(rot)
-    if err > POSE_FILE_ROTATION_TOL or np.linalg.det(rot) < 0:
-        raise BadPoseError(f"{Path(path)}: rotation block not orthonormal within 1e-4 "
-                           f"(err={err:.2e})")
-    if err > 1e-7:
+    return values
+
+
+def _poses(values: list, paths: list) -> list:
+    """The CameraPoses of pose files given by their ``_pose_values``, whose
+    rotation blocks are checked in one stacked pass, each once.
+
+    A block must be orthonormal within POSE_FILE_ROTATION_TOL with a
+    positive determinant, else BadPoseError names the first such file in
+    order. Blocks off by more than 1e-7 are snapped to the nearest rotation
+    and checked again; ``CameraPose.stack`` then applies the pose checks to
+    the errors and determinants found here.
+    """
+    m = np.array(values, dtype=np.float64).reshape(-1, 4, 4)
+    rot = m[:, :3, :3]
+    err, det = rotation_checks(rot)
+    bad = (err > POSE_FILE_ROTATION_TOL) | (det < 0)
+    if bad.any():
+        i = bad.argmax()
+        raise BadPoseError(f"{Path(paths[i])}: rotation block not orthonormal within 1e-4 "
+                           f"(err={err[i]:.2e})")
+    snap = err > 1e-7
+    if snap.any():
         # snap near-misses to the closest rotation; exactly-saved poses are
         # untouched so the text round-trip stays byte-identical
-        u, _, vt = np.linalg.svd(rot)
-        rot = u @ vt
-    return CameraPose(rot, m[:3, 3])
+        u, _, vt = np.linalg.svd(rot[snap])
+        rot[snap] = u @ vt
+        err[snap], det[snap] = rotation_checks(rot[snap])
+    return CameraPose.stack(rot, m[:, :3, 3], (err, det))
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +606,67 @@ class Scene:
         return {obj: self.track(obj) for obj in self.object_ids}
 
 
-def _intrinsics_from_record(rec: dict, where: str) -> CameraIntrinsics:
+def _intrinsics_from_record(rec: dict, where: str, known: dict) -> CameraIntrinsics:
+    """The intrinsics of a manifest record; ``known`` maps the converted
+    records seen so far to their intrinsics, so that each distinct one is
+    built once."""
     try:
-        return CameraIntrinsics(
-            fx=float(rec["fx"]), fy=float(rec["fy"]),
-            cx=float(rec["cx"]), cy=float(rec["cy"]),
-            width=int(rec["width"]), height=int(rec["height"]),
-        )
+        values = (float(rec["fx"]), float(rec["fy"]), float(rec["cx"]), float(rec["cy"]),
+                  int(rec["width"]), int(rec["height"]))
+        # 0.0 == -0.0, so the signs keep such records apart
+        key = values + tuple(math.copysign(1.0, v) for v in values[:4])
+        intr = known.get(key)
+        if intr is None:
+            intr = known[key] = CameraIntrinsics(*values)
+        return intr
     except KeyError as e:
         raise ManifestError(f"{where}: missing intrinsics field {e}") from None
     except (TypeError, ValueError) as e:
         raise ManifestError(f"{where}: bad intrinsics ({e})") from None
+
+
+def _load_frames(records: list, manifest_path: Path) -> list:
+    """The frames of a manifest's ``frames`` records.
+
+    Each frame's files are read and checked in frame order; the pose files'
+    rotation blocks are then checked together, in one stacked pass
+    (``_poses``), so with several faulty files a later frame's depth or mask
+    error can be named before an earlier frame's bad rotation. What the
+    frames do not keep goes when this returns, before the scene's side
+    files are read.
+    """
+    root = str(manifest_path.parent)
+    intrinsics, pose_values, pose_paths, parts = {}, [], [], []
+    for i, rec in enumerate(records):
+        where = f"{manifest_path}: frames[{i}]"
+        for key in ("depth", "pose", "intrinsics"):
+            if key not in rec:
+                raise ManifestError(f"{where}: missing field '{key}'")
+        for key in ("depth", "pose"):
+            if not isinstance(rec[key], str):
+                raise ManifestError(f"{where}: field '{key}' must be a file name")
+        mask_files = rec.get("masks", {})
+        if not isinstance(mask_files, dict) or \
+                not all(isinstance(rel, str) for rel in mask_files.values()):
+            raise ManifestError(f"{where}: field 'masks' must be an object of file names")
+        intr = _intrinsics_from_record(rec["intrinsics"], where, intrinsics)
+        depth = load_dmap(os.path.join(root, rec["depth"]))
+        if depth.shape != (intr.height, intr.width):
+            raise ManifestError(f"{where}: depth raster is {depth.shape[1]}x{depth.shape[0]}, "
+                                f"intrinsics say {intr.width}x{intr.height}")
+        pose_paths.append(os.path.join(root, rec["pose"]))
+        pose_values.append(_pose_values(pose_paths[-1]))
+        masks = {}
+        for obj_id, rel in sorted(mask_files.items()):
+            mask = load_mask_pgm(os.path.join(root, rel))
+            if mask.shape != (intr.height, intr.width):
+                raise BadMaskError(f"{where}: mask '{obj_id}' is {mask.shape[1]}x{mask.shape[0]}, "
+                                   f"frame is {intr.width}x{intr.height}")
+            masks[obj_id] = mask
+        parts.append((intr, depth, masks))
+    return [CameraFrame(i, intr, pose, depth, masks)
+            for i, ((intr, depth, masks), pose)
+            in enumerate(zip(parts, _poses(pose_values, pose_paths)))]
 
 
 def load_scene(manifest_path) -> Scene:
@@ -615,34 +687,7 @@ def load_scene(manifest_path) -> Scene:
     for key in ("superpoints", "gt_instances"):
         if doc.get(key) is not None and not isinstance(doc[key], str):
             raise ManifestError(f"{manifest_path}: field '{key}' must be a file name or null")
-    root = str(manifest_path.parent)
-    frames = []
-    for i, rec in enumerate(doc["frames"]):
-        where = f"{manifest_path}: frames[{i}]"
-        for key in ("depth", "pose", "intrinsics"):
-            if key not in rec:
-                raise ManifestError(f"{where}: missing field '{key}'")
-        for key in ("depth", "pose"):
-            if not isinstance(rec[key], str):
-                raise ManifestError(f"{where}: field '{key}' must be a file name")
-        mask_files = rec.get("masks", {})
-        if not isinstance(mask_files, dict) or \
-                not all(isinstance(rel, str) for rel in mask_files.values()):
-            raise ManifestError(f"{where}: field 'masks' must be an object of file names")
-        intr = _intrinsics_from_record(rec["intrinsics"], where)
-        depth = load_dmap(os.path.join(root, rec["depth"]))
-        if depth.shape != (intr.height, intr.width):
-            raise ManifestError(f"{where}: depth raster is {depth.shape[1]}x{depth.shape[0]}, "
-                                f"intrinsics say {intr.width}x{intr.height}")
-        pose = load_pose(os.path.join(root, rec["pose"]))
-        masks = {}
-        for obj_id, rel in sorted(mask_files.items()):
-            mask = load_mask_pgm(os.path.join(root, rel))
-            if mask.shape != (intr.height, intr.width):
-                raise BadMaskError(f"{where}: mask '{obj_id}' is {mask.shape[1]}x{mask.shape[0]}, "
-                                   f"frame is {intr.width}x{intr.height}")
-            masks[obj_id] = mask
-        frames.append(CameraFrame(i, intr, pose, depth, masks))
+    frames = _load_frames(doc["frames"], manifest_path)
     scene_points = superpoints = None
     if doc.get("superpoints"):
         sp_path = manifest_path.parent / doc["superpoints"]

@@ -582,7 +582,9 @@ def naive_load_pose(path):
     if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
         raise BadPoseError(f"{path}: last row must be exactly 0 0 0 1, got {m[3].tolist()}")
     rot = m[:3, :3]
-    err = float(np.max(np.abs(rot.T @ rot - np.eye(3))))
+    with np.errstate(all="ignore"):  # an overflowing Gram product is an error of inf
+        err = float(np.max(np.abs(rot.T @ rot - np.eye(3))))
+    err = err if np.isfinite(err) else np.inf
     if err > POSE_FILE_ROTATION_TOL or np.linalg.det(rot) < 0:
         raise BadPoseError(f"{path}: rotation block not orthonormal within 1e-4 (err={err:.2e})")
     if err > 1e-7:

@@ -1,7 +1,9 @@
 """End-to-end command-line runs in temp directories."""
 
+import gc
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import pytest
 
 from conftest import make_intrinsics, voxel_set
 import geovos
-from geovos import instance3d
+from geovos import cli, instance3d
 from geovos.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _look_at_pose,
                         boxworld_preset, main)
 from geovos.geometry import CameraFrame, CameraPose, PointCloud, depth_agreement_score
@@ -804,6 +806,63 @@ def test_cli_import_leaves_out_sampler_and_merger():
                           env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _entry_outcome(entry: str, argv: list, report=None):
+    """Exit code, stdout (wall times masked), stderr and report bytes of one
+    process that runs ``argv`` through ``geovos.cli``'s ``entry``:
+    ``"run"`` as ``python -m geovos.cli``, ``"main"`` called directly."""
+    if entry == "run":
+        cmd = [sys.executable, "-m", "geovos.cli", *argv]
+    else:
+        cmd = [sys.executable, "-c", "import sys; from geovos import cli; "
+               f"sys.argv[1:] = {argv!r}; sys.exit(cli.main())"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=_child_env(), timeout=120)
+    report_bytes = None
+    if report is not None and report.exists():
+        report_bytes = report.read_bytes()
+        report.unlink()
+    return (proc.returncode, re.sub(r"\(\d+\.\d+s\)", "(T)", proc.stdout), proc.stderr,
+            report_bytes)
+
+
+class TestRunEntry:
+    """``cli.run`` (the console script and ``python -m geovos.cli``) is
+    ``main`` followed by ``gc.freeze()``."""
+
+    def test_same_outcome_as_main(self, scene_dir, tmp_path):
+        d = tmp_path / "scene"
+        shutil.copytree(scene_dir, d)
+        report = tmp_path / "report.jsonl"
+        pipeline = ["pipeline", "--scene", str(d / "manifest.json"),
+                    "--masks", str(d / "tracks" / "tracks.json"), "--out", str(report)]
+        codes = []
+        for argv in (["synth", "--out", str(tmp_path / "synth"), "--resolution", "16"],
+                     pipeline):
+            run = _entry_outcome("run", argv, report)
+            assert run == _entry_outcome("main", argv, report)
+            codes.append(run[0])
+        assert run[3]  # the pipeline wrote its report
+        _bad_pose("pipeline", b"nan", "")(d)
+        run = _entry_outcome("run", pipeline, report)
+        assert run == _entry_outcome("main", pipeline, report)
+        assert codes + [run[0]] == [EXIT_OK, EXIT_OK, EXIT_INPUT_ERROR]
+        assert run[2].startswith("error: ") and run[2].count("\n") == 1 and run[3] is None
+
+    def test_run_freezes_after_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or EXIT_INPUT_ERROR)
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        assert cli.run() == EXIT_INPUT_ERROR
+        assert calls == ["main", "freeze"]
+
+    def test_main_does_not_freeze(self, scene_dir, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["pipeline", "--scene", str(scene_dir / "manifest.json"),
+                     "--masks", str(scene_dir / "tracks" / "tracks.json"),
+                     "--out", str(tmp_path / "r.jsonl")]) == EXIT_OK
+        assert main(["sample", "--scene", str(tmp_path / "none.json")]) == EXIT_INPUT_ERROR
+        assert gc.get_freeze_count() == before
 
 
 class TestEvalVos:

@@ -40,7 +40,7 @@ class TestTypes:
     ])
     def test_orthonormality_error_is_inf_when_not_finite(self, rows):
         with np.errstate(all="raise"):  # and it warns of nothing
-            assert geometry.orthonormality_error(np.array(rows)) == np.inf
+            assert geometry.rotation_checks(np.array([rows]))[0][0] == np.inf
 
     def test_pose_rejects_overflowing_rotation(self):
         rows = [[1e200, 1e200, 0.0], [-1e200, 1e200, 0.0], [0.0, 0.0, 1.0]]
@@ -55,6 +55,110 @@ class TestTypes:
         intr = make_intrinsics(width=4, height=4)
         with pytest.raises(ValueError):
             CameraFrame(0, intr, CameraPose.identity(), np.zeros((5, 4), np.float32))
+
+
+def _pose_outcome(make):
+    """What ``make()`` gives: each pose's arrays (dtype, shape, bytes, and
+    whether they are read-only), or the type and text of what it raised."""
+    try:
+        poses = make()
+    except Exception as e:  # noqa: BLE001 - compared between the two constructors
+        return type(e), str(e)
+    return [(a.dtype, a.shape, a.tobytes(), a.flags.writeable)
+            for p in poses for a in (p.rotation, p.translation)]
+
+
+def _pose_cases(rng):
+    """Random float64 (rotation, translation) pairs: valid poses, both sides
+    of the 1e-6 orthonormality and determinant tolerances, reflections,
+    non-finite and overflowing entries."""
+    cases = []
+    for _ in range(60):
+        rot, tra = random_rotation(rng), rng.normal(size=3)
+        kind = int(rng.integers(0, 9))
+        if kind == 1:  # scaled: err ~2e, det ~1+3e, so err or det fails first
+            rot = rot * (1.0 + rng.choice([3e-7, 4e-7, 6e-7, -4e-7]))
+        elif kind == 2:  # one entry moved near the orthonormality tolerance
+            i, j = rng.integers(0, 3, size=2)
+            rot[i, j] += rng.choice([-1, 1]) * 10 ** rng.uniform(-7, -5)
+        elif kind == 3:  # a reflection
+            rot[:, int(rng.integers(0, 3))] *= -1
+        elif kind == 4:
+            rot[tuple(rng.integers(0, 3, size=2))] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == 5:
+            tra[int(rng.integers(0, 3))] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == 6:  # the Gram product overflows
+            rot = np.array([[1e200, 1e200, 0.0], [-1e200, 1e200, 0.0], [0.0, 0.0, 1.0]])
+        elif kind == 7:  # -0.0 entries and a translation of another 3-entry shape
+            rot = np.array([[1.0, -0.0, 0.0], [-0.0, -1.0, -0.0], [0.0, 0.0, -1.0]])
+            tra = tra.reshape([(3, 1), (1, 3), (3,)][int(rng.integers(0, 3))])
+        cases.append((rot, tra))
+    return cases
+
+
+# wrong shapes and types, and other inputs than float64 arrays
+_ODD_POSES = [(np.eye(3)[:2], np.zeros(3)), (np.eye(3).ravel(), np.zeros(3)), (1.0, np.zeros(3)),
+              (np.eye(4), np.zeros(3)), (np.eye(3)[..., None], np.zeros(3)),
+              (np.eye(3), np.zeros(4)), (np.eye(3), np.zeros(2)), (np.eye(3), 0.0),
+              (np.eye(3)[:2], np.zeros(4)), (np.eye(3).tolist(), [0, 0, 0]),
+              (np.eye(3, dtype=np.float32), np.zeros(3, np.int64)), (np.eye(3), ["x", 0, 0]),
+              (np.full((3, 3), np.nan), np.zeros(3)), (-np.eye(3), np.zeros(3))]
+
+
+class TestPoseStack:
+    """``CameraPose`` and ``CameraPose.stack`` run one stacked check."""
+
+    def test_rotation_checks_equal_the_per_block_products(self):
+        # stacked Gram products and determinants, bit for bit the per-block
+        # ones, on contiguous blocks and on the 3x3 views of 4x4 matrices
+        rng = np.random.default_rng(0)
+        near = np.stack([random_rotation(rng) for _ in range(1500)])
+        near += rng.normal(size=near.shape) * 10 ** rng.uniform(-12, -3, size=(1500, 1, 1))
+        matrices = np.zeros((3000, 4, 4))
+        matrices[:, :3, :3] = np.concatenate([near, rng.normal(size=(1500, 3, 3))])
+        for blocks in (matrices[:, :3, :3], np.ascontiguousarray(matrices[:, :3, :3])):
+            err, det = geometry.rotation_checks(blocks)
+            want_err = [np.abs(b.T @ b - np.eye(3)).max() for b in blocks]
+            want_det = [np.linalg.det(b) for b in blocks]
+            assert err.tobytes() == np.array(want_err).tobytes()
+            assert det.tobytes() == np.array(want_det).tobytes()
+
+    def test_stack_of_one_rejects_what_camera_pose_rejects(self):
+        cases = _pose_cases(np.random.default_rng(1)) + _ODD_POSES
+        outcomes = set()
+        for rot, tra in cases:
+            single = _pose_outcome(lambda: [CameraPose(rot, tra)])
+            stacked = _pose_outcome(lambda: CameraPose.stack([rot], [tra]))
+            assert stacked == single, (rot, tra)
+            outcomes.add(single[1] if type(single) is tuple else "ok")
+        assert len(outcomes) >= 8, outcomes  # every kind of fault was met
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stack_raises_for_the_first_pose_camera_pose_rejects(self, seed):
+        rng = np.random.default_rng(seed)
+        cases = [(r, t.reshape(3)) for r, t in _pose_cases(rng)]
+        for _ in range(200):
+            pick = [cases[i] for i in rng.integers(0, len(cases), size=rng.integers(1, 12))]
+            rots, tras = np.stack([r for r, _ in pick]), np.stack([t for _, t in pick])
+            want = _pose_outcome(lambda: [CameraPose(r.copy(), t.copy()) for r, t in pick])
+            assert _pose_outcome(lambda: CameraPose.stack(rots, tras)) == want
+
+    def test_stack_shapes(self):
+        with pytest.raises(ValueError, match=r"^pose stacks must have one length"):
+            CameraPose.stack(np.zeros((2, 3, 3)), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=r"^pose stacks must have one length"):
+            CameraPose.stack(np.eye(3)[0, 0], np.zeros(3))
+        assert CameraPose.stack(np.zeros((0, 3, 3)), np.zeros((0, 3))) == []
+
+    def test_stack_poses_are_read_only(self):
+        rng = np.random.default_rng(2)
+        poses = CameraPose.stack(np.stack([random_rotation(rng) for _ in range(3)]),
+                                 rng.normal(size=(3, 3)))
+        for pose in poses:
+            for a in (pose.rotation, pose.translation):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
+        assert dataclasses.replace(poses[1]).rotation.tobytes() == poses[1].rotation.tobytes()
 
 
 class TestBackProject:

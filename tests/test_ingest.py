@@ -4,15 +4,16 @@ import dataclasses
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import (make_intrinsics, naive_load_dmap, naive_load_mask_pgm, naive_load_pose,
                       random_pose, random_rotation)
-from geovos import ingest
+from geovos import geometry, ingest
 from geovos.cli import _look_at_pose, boxworld_preset
-from geovos.geometry import CameraFrame, CameraPose, back_project
+from geovos.geometry import CameraFrame, CameraPose, back_project, rotation_checks
 from geovos.ingest import (DMAP_MAGIC, BadMagicError, BadMaskError, BadPoseError, Box,
                            FormatVersionError, IngestError, LengthMismatchError, ManifestError,
                            MissingFileError, Scene, _read_json, generate_boxworld, load_dmap,
@@ -322,6 +323,162 @@ class TestReadersMatchOracles:
             _read_json(str(path), "tracks")
         with pytest.raises(MissingFileError, match=f"^superpoints file not found: {npz}$"):
             load_superpoints(str(npz))
+
+
+def _pose_text(rot, tra) -> str:
+    rows = [[*rot[i], tra[i]] for i in range(3)] + [[0.0, 0.0, 0.0, 1.0]]
+    return "".join(" ".join(repr(float(x)) for x in row) + "\n" for row in rows)
+
+
+def _block_at(rng, target) -> np.ndarray:
+    """A random rotation with one entry moved until the orthonormality
+    error (the oracle's ``max |R.T @ R - I|``) is within 1e-15 of
+    ``target``, found by bisection on the offset."""
+    def err(m):
+        return float(np.max(np.abs(m.T @ m - np.eye(3))))
+
+    while True:
+        rot, (i, j) = random_rotation(rng), rng.integers(0, 3, size=2)
+        lo, hi = 0.0, 1.0
+        for _ in range(100):
+            mid = rot.copy()
+            mid[i, j] += (lo + hi) / 2
+            lo, hi = ((lo + hi) / 2, hi) if err(mid) < target else (lo, (lo + hi) / 2)
+        mid = rot.copy()
+        mid[i, j] += hi
+        if abs(err(mid) - target) < 1e-15:
+            return mid
+
+
+def _good_block(rng) -> np.ndarray:
+    """An exact rotation, a near miss that load snaps, or a block within
+    1e-12 of the snap (1e-7) or the reject (1e-4) threshold, on the
+    accepted side of the latter."""
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return random_rotation(rng)
+    if kind == 1:
+        return _block_at(rng, 10 ** rng.uniform(-7, -4))
+    if kind == 2:
+        return _block_at(rng, ingest.POSE_FILE_ROTATION_TOL - rng.uniform(0.0, 1e-12))
+    return _block_at(rng, 1e-7 + rng.uniform(-1e-12, 1e-12))
+
+
+def _bad_block(rng) -> np.ndarray:
+    """A block that load rejects: off by more than 1e-4 (just past it or
+    far), a reflection, or rows whose Gram product overflows."""
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return _block_at(rng, ingest.POSE_FILE_ROTATION_TOL + rng.uniform(1e-14, 1e-12))
+    if kind == 1:
+        return _block_at(rng, 10 ** rng.uniform(-4, -1))
+    if kind == 2:
+        rot = random_rotation(rng)
+        rot[:, int(rng.integers(0, 3))] *= -1
+        return rot
+    return np.array([[1e200, 1e200, 0.0], [-1e200, 1e200, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _pose_scene(path, n: int):
+    """A scene of ``n`` 2x2 frames without masks; its pose files are
+    ``path / "pose" / f"{i:04d}.txt"``."""
+    intr = make_intrinsics(width=2, height=2)
+    frames = [CameraFrame(i, intr, CameraPose.identity(), np.ones((2, 2), np.float32))
+              for i in range(n)]
+    return save_scene(Scene("poses", frames), path)
+
+
+def _load_outcome(manifest):
+    """The poses of ``load_scene`` (rotation and translation bytes), or
+    the type and text of what it raised; it must warn of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            scene = load_scene(manifest)
+        except Exception as e:  # noqa: BLE001 - compared with the oracle's
+            return type(e), str(e)
+    return [(f.pose.rotation.tobytes(), f.pose.translation.tobytes()) for f in scene.frames]
+
+
+class TestScenePoses:
+    """``load_scene`` checks all pose files in one stacked pass and gives
+    what ``naive_load_pose`` gives file by file."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fuzz_against_per_file_oracle(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        for k in range(12):
+            n = int(rng.integers(1, 41))
+            manifest = _pose_scene(tmp_path / f"s{k}", n)
+            paths = [tmp_path / f"s{k}" / "pose" / f"{i:04d}.txt" for i in range(n)]
+            for p in paths:
+                p.write_text(_pose_text(_good_block(rng), rng.normal(size=3)))
+            want = [_outcome(naive_load_pose, p) for p in paths]
+            assert _load_outcome(manifest) == want
+            assert [_outcome(load_pose, p) for p in paths] == want
+            # one bad block: the oracle's error for that file
+            bad = int(rng.integers(0, n))
+            paths[bad].write_text(_pose_text(_bad_block(rng), rng.normal(size=3)))
+            want = _outcome(naive_load_pose, paths[bad])
+            assert want[0] is BadPoseError
+            assert _load_outcome(manifest) == want
+            # a second one: the first in frame order is named
+            other = int(rng.integers(0, n))
+            if other != bad:
+                paths[other].write_text(_pose_text(_bad_block(rng), rng.normal(size=3)))
+                assert _load_outcome(manifest) == \
+                    _outcome(naive_load_pose, paths[min(bad, other)])
+
+    def test_each_pose_checked_once_per_load(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        intr = make_intrinsics(width=2, height=2)
+        frames = [CameraFrame(i, intr, random_pose(rng), np.ones((2, 2), np.float32))
+                  for i in range(240)]
+        manifest = save_scene(Scene("orbit", frames), tmp_path)
+        blocks = []
+
+        def spy(rot):
+            blocks.append(len(rot))
+            return rotation_checks(rot)
+
+        monkeypatch.setattr(geometry, "rotation_checks", spy)
+        monkeypatch.setattr(ingest, "rotation_checks", spy)
+        scene = load_scene(manifest)
+        assert blocks == [240]
+        for a, b in zip(scene.frames, frames):
+            assert a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
+        # snapped blocks are checked once more, after the snap
+        for i in (3, 100, 239):
+            (tmp_path / "pose" / f"{i:04d}.txt").write_text(
+                _pose_text(_block_at(rng, 1e-5), np.zeros(3)))
+        blocks.clear()
+        load_scene(manifest)
+        assert blocks == [240, 3]
+
+    def test_one_intrinsics_per_distinct_record(self, tmp_path):
+        a, b = make_intrinsics(width=2, height=2), make_intrinsics(width=2, height=2, cx=0.0)
+        negative = make_intrinsics(width=2, height=2, cx=-0.0)
+        frames = [CameraFrame(i, intr, CameraPose.identity(), np.ones((2, 2), np.float32))
+                  for i, intr in enumerate([a, b, a, negative, b, negative])]
+        scene = load_scene(save_scene(Scene("intr", frames), tmp_path))
+        got = [f.intrinsics for f in scene.frames]
+        assert got == [a, b, a, negative, b, negative]
+        assert got[0] is got[2] and got[1] is got[4] and got[3] is got[5]
+        assert got[1] is not got[3] and str(got[3].cx) == "-0.0" and str(got[1].cx) == "0.0"
+
+    @pytest.mark.parametrize("record, message", [
+        ({"fx": 1, "fy": 1, "cx": 0, "cy": 0, "width": 2}, "missing intrinsics field 'height'"),
+        ({"fx": "x", "fy": 1, "cx": 0, "cy": 0, "width": 2, "height": 2}, "bad intrinsics"),
+        ({"fx": -1, "fy": 1, "cx": 0, "cy": 0, "width": 2, "height": 2},
+         "bad intrinsics (focal lengths must be positive"),
+    ])
+    def test_intrinsics_errors_name_their_frame(self, tmp_path, record, message):
+        manifest = _pose_scene(tmp_path, 3)
+        doc = json.loads(manifest.read_text())
+        doc["frames"][2]["intrinsics"] = record
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match=re.escape(f"frames[2]: {message}")):
+            load_scene(manifest)
 
 
 class TestSceneRoundtrip:
