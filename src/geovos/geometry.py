@@ -60,8 +60,9 @@ class CameraPose:
     translation: np.ndarray
 
     def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=np.float64)
-        tra = np.asarray(self.translation, dtype=np.float64)
+        # copies: a pose freezes its own arrays, never the caller's
+        rot = np.array(self.rotation, dtype=np.float64)
+        tra = np.array(self.translation, dtype=np.float64)
         check_poses(rot[None], tra[None])
         tra = tra.reshape(3)
         rot.setflags(write=False)
@@ -77,10 +78,11 @@ class CameraPose:
 
         ``checks`` is the ``rotation_checks`` of these very rotations, for a
         caller that has already computed it. The poses hold read-only views
-        of the two stacks.
+        of copies of the two stacks, so the caller's arrays stay writable
+        and no write to them reaches a pose.
         """
-        rot = np.asarray(rotations, dtype=np.float64)
-        tra = check_poses(rot, np.asarray(translations, dtype=np.float64), checks)
+        rot = np.array(rotations, dtype=np.float64)
+        tra = check_poses(rot, np.array(translations, dtype=np.float64), checks)
         rot.setflags(write=False)
         tra.setflags(write=False)
         poses = []
@@ -273,40 +275,28 @@ def back_project(mask: np.ndarray, depth: np.ndarray, intr: CameraIntrinsics):
 
 
 def frustum_overlap_ratio(candidate: CameraFrame, obj_mask: np.ndarray,
-                          reference: CameraFrame,
-                          z_near: float = DEFAULT_Z_NEAR) -> OverlapRatio:
+                          reference: CameraFrame) -> OverlapRatio:
     """Fraction of the candidate's masked 3D points visible to the reference.
 
     The candidate's masked valid-depth pixels are back-projected, moved
     into the reference camera frame and tested against its frustum. The
     denominator counts only valid-depth masked pixels; with an empty
-    denominator the ratio is 0.0 and ``defined`` is False.
+    denominator the ratio is 0.0 and ``defined`` is False. This is the
+    one-candidate case of :func:`frustum_overlap_ratios`.
 
-    This per-pair form is the reference that :func:`frustum_overlap_ratios`,
-    which the sampler runs, equals bit for bit.
+    Raises:
+        ValueError: if the candidate has no depth raster, or a mask or
+        depth shape other than its intrinsics'.
     """
     if candidate.depth is None:
         raise ValueError(f"frame {candidate.frame_id} has no depth raster")
     pc, _ = back_project(obj_mask, candidate.depth, candidate.intrinsics)
-    n = len(pc)
-    if n == 0:
-        return OverlapRatio(0.0, 0, 0)
-    same_camera = (
-        candidate.intrinsics == reference.intrinsics
-        and np.array_equal(candidate.pose.rotation, reference.pose.rotation)
-        and np.array_equal(candidate.pose.translation, reference.pose.translation)
-    )
-    if same_camera:
-        # a pixel's back-projection lies in its own frustum by construction;
-        # skipping the float round trip keeps the self-overlap exactly 1
-        return OverlapRatio(1.0, n, n)
-    rot = reference.pose.rotation.T @ candidate.pose.rotation
-    trans = reference.pose.rotation.T @ (candidate.pose.translation - reference.pose.translation)
-    ri = reference.intrinsics
-    inside = kernels.count_in_frustum(
-        pc.points, rot, trans, ri.fx, ri.fy, ri.cx, ri.cy, ri.width, ri.height, z_near
-    )
-    return OverlapRatio(inside / n, inside, n)
+    same_camera = (candidate.intrinsics == reference.intrinsics
+                   and np.array_equal(candidate.pose.rotation, reference.pose.rotation)
+                   and np.array_equal(candidate.pose.translation, reference.pose.translation))
+    (inside,), (n,) = _inside_counts([pc.points], candidate.pose.rotation[None],
+                                     candidate.pose.translation[None], [same_camera], reference)
+    return OverlapRatio(float(_ratios(inside, n)), int(inside), int(n))
 
 
 FRUSTUM_BLOCK = 1 << 16  # points per block of the shared frustum pass
@@ -317,22 +307,10 @@ FRUSTUM_BLOCK = 1 << 16  # points per block of the shared frustum pass
 FRUSTUM_SOLO_POINTS = 2048
 
 
-def frustum_overlap_ratios(clouds, rotations, translations, same_camera,
-                           reference: CameraFrame) -> np.ndarray:
-    """:func:`frustum_overlap_ratio` of many candidates against one reference.
-
-    ``clouds[i]`` is candidate i's object points in its camera frame (the
-    :func:`back_project` cloud of its masked valid-depth pixels), its pose
-    is ``rotations[i]`` (3, 3) and ``translations[i]`` (3,), and
-    ``same_camera[i]`` says whether its intrinsics and pose equal the
-    reference's. The candidate to reference transforms are composed in one
-    stacked matmul. Clouds of at least FRUSTUM_SOLO_POINTS points are tested
-    one by one, in place; all smaller clouds are tested in one shared pass,
-    in blocks of at most FRUSTUM_BLOCK points, with the coefficients
-    repeated over the clouds' sizes. Both evaluate the per-point expression
-    of ``kernels.count_in_frustum``, so the float64 ratios, in candidate
-    order, equal the per-pair function's bit for bit.
-    """
+def _inside_counts(clouds, rotations, translations, same_camera,
+                   reference: CameraFrame) -> tuple:
+    """``(inside, n)``, int64 per candidate of :func:`frustum_overlap_ratios`:
+    its points in the reference frustum, and all its points."""
     ri = reference.intrinsics
     camera = tuple(float(c) for c in (ri.fx, ri.fy, ri.cx, ri.cy, ri.width, ri.height,
                                         DEFAULT_Z_NEAR))
@@ -343,7 +321,7 @@ def frustum_overlap_ratios(clouds, rotations, translations, same_camera,
     solo = n >= FRUSTUM_SOLO_POINTS
     inside = np.zeros(len(n), np.int64)
     for i in np.flatnonzero(solo).tolist():
-        inside[i] = np.count_nonzero(kernels.frustum_mask(clouds[i], rot[i], trans[i], *camera))
+        inside[i] = kernels.count_in_frustum(clouds[i], rot[i], trans[i], *camera)
     shared = np.where(solo, 0, n)
     ends = np.cumsum(shared)
     starts = ends - shared
@@ -360,8 +338,31 @@ def frustum_overlap_ratios(clouds, rotations, translations, same_camera,
     inside[counted] += np.add.reduceat(ok, starts[counted], dtype=np.int64)
     # a pixel's back-projection lies in its own frustum by construction;
     # skipping the float round trip keeps the self-overlap exactly 1
-    inside = np.where(same_camera, n, inside)
-    return np.where(n == 0, 0.0, inside / np.maximum(n, 1))
+    return np.where(same_camera, n, inside), n
+
+
+def _ratios(inside, n):
+    """``inside / n``, and 0.0 for an empty cloud (which has none inside)."""
+    return inside / np.maximum(n, 1)
+
+
+def frustum_overlap_ratios(clouds, rotations, translations, same_camera,
+                           reference: CameraFrame) -> np.ndarray:
+    """:func:`frustum_overlap_ratio` of many candidates against one reference.
+
+    ``clouds[i]`` is candidate i's object points in its camera frame (the
+    :func:`back_project` cloud of its masked valid-depth pixels), its pose
+    is ``rotations[i]`` (3, 3) and ``translations[i]`` (3,), and
+    ``same_camera[i]`` says whether its intrinsics and pose equal the
+    reference's. The candidate to reference transforms are composed in one
+    stacked matmul. Clouds of at least FRUSTUM_SOLO_POINTS points are counted
+    one by one (``kernels.count_in_frustum``); all smaller clouds are tested
+    in one shared pass, in blocks of at most FRUSTUM_BLOCK points, with the
+    coefficients repeated over the clouds' sizes. Both evaluate the
+    per-point expression of ``kernels.frustum_mask``. Returns the float64
+    ratios in candidate order.
+    """
+    return _ratios(*_inside_counts(clouds, rotations, translations, same_camera, reference))
 
 
 def depth_agreement_score(pc: PointCloud, ref_depth: np.ndarray, intr: CameraIntrinsics,

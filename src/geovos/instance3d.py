@@ -170,23 +170,12 @@ def temporal_overlap2d(track_a: MaskTrack, track_b: MaskTrack):
 
     Precision uses min(|A|, |B|) as the denominator so containment of a
     small mask in a large one scores 1. Returns (0.0, 0.0) when the tracks
-    are never co-visible.
+    are never co-visible. This is the merge's temporal score of two tracks
+    from frame 0 on (``_overlap_series``, ``_suffix_means``).
     """
     if len(track_a) != len(track_b):
         raise ValueError(f"track lengths differ: {len(track_a)} vs {len(track_b)}")
-    ious, precs = [], []
-    for t in range(len(track_a)):
-        if not (track_a.visible(t) and track_b.visible(t)):
-            continue
-        a = track_a.masks[t].astype(bool)
-        b = track_b.masks[t].astype(bool)
-        inter = int(np.count_nonzero(a & b))
-        union = int(np.count_nonzero(a | b))
-        ious.append(inter / union)
-        precs.append(inter / min(int(np.count_nonzero(a)), int(np.count_nonzero(b))))
-    if not ious:
-        return 0.0, 0.0
-    return float(np.mean(ious)), float(np.mean(precs))
+    return _suffix_means(_overlap_series(track_a, track_b), 0)
 
 
 class UnionFind:
@@ -357,9 +346,9 @@ def _pair_intersections(frag: np.ndarray, vox: np.ndarray, n: int, n_vox: int) -
 
 
 def _overlap_series(a: MaskTrack, b: MaskTrack) -> np.ndarray:
-    """(frame, IoU, precision) rows, as temporal_overlap2d computes them, of
-    the frames where tracks ``a`` and ``b`` are both visible: the union is
-    |A| + |B| - |A & B| of co_visible_overlap's integers, so the same floats."""
+    """(frame, IoU, precision) rows of the frames where tracks ``a`` and
+    ``b`` are both visible: the union is |A| + |B| - |A & B| of
+    co_visible_overlap's integers."""
     frames, inter = co_visible_overlap(a, b)
     na, nb = a.areas[frames], b.areas[frames]
     return np.stack([frames, inter / (na + nb - inter), inter / np.minimum(na, nb)])
@@ -367,7 +356,7 @@ def _overlap_series(a: MaskTrack, b: MaskTrack) -> np.ndarray:
 
 def _suffix_means(series: np.ndarray, start: int):
     """Mean IoU and mean precision of the _overlap_series rows from frame
-    ``start`` on, as temporal_overlap2d computes them; (0.0, 0.0) if none."""
+    ``start`` on; (0.0, 0.0) if none."""
     frames, ious, precs = series
     first = np.searchsorted(frames, start)
     if first == len(frames):

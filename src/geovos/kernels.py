@@ -1,7 +1,8 @@
 """Hot numeric kernels, vectorised with numpy.
 
-``frustum_mask`` is the per-point frustum test on its own; ``count_in_frustum``
-counts it and the batched frustum-overlap ratios in ``geometry`` share it.
+``frustum_mask`` is the per-point frustum test that the frustum-overlap
+ratios in ``geometry`` run: on the shared pass of small clouds directly,
+and on each large cloud through ``count_in_frustum``, which counts it.
 ``perfbench/run.py --trace 1`` reports each kernel's time and element count.
 
 Conventions: pixel (u, v) = (column, row), integer coordinates at pixel

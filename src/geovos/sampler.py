@@ -37,9 +37,9 @@ length of the video. Concurrent callers may share a scene: a race on the
 index only repeats the same work.
 
 ``visible_frames`` and ``candidate_ratios`` are called through this module
-when the index misses, and ``frustum_overlap_ratio`` stays importable here
-as the per-pair reference: these are the names the benchmark's tracer
-(``perfbench/tracer.py``) wraps.
+when the index misses, and ``frustum_overlap_ratio``, the one-candidate
+case of the row pass, stays importable here: these are the names the
+benchmark's tracer (``perfbench/tracer.py``) wraps.
 """
 
 import weakref
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .geometry import frustum_overlap_ratio  # noqa: F401  (re-exported per-pair reference)
+from .geometry import frustum_overlap_ratio  # noqa: F401  (re-exported one-pair case)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from geovos.geometry import (CameraFrame, CameraIntrinsics, CameraPose, back_project,
-                             frustum_overlap_ratios)
+from geovos import kernels
+from geovos.geometry import (DEFAULT_Z_NEAR, CameraFrame, CameraIntrinsics, CameraPose,
+                             OverlapRatio, back_project, frustum_overlap_ratios)
 
 
 def make_intrinsics(fx=20.0, fy=20.0, width=16, height=16, cx=None, cy=None):
@@ -137,12 +138,33 @@ def naive_frustum_overlap(candidate: CameraFrame, mask, reference: CameraFrame,
     return (inside / n if n else 0.0), inside, n
 
 
+def pair_frustum_overlap(candidate: CameraFrame, obj_mask, reference: CameraFrame):
+    """``geometry.frustum_overlap_ratio`` computed for one pair on its own:
+    one back-projection, the pose product of this pair alone and one
+    ``kernels.count_in_frustum`` call, with the empty-cloud and same-camera
+    cases answered before any point is tested."""
+    if candidate.depth is None:
+        raise ValueError(f"frame {candidate.frame_id} has no depth raster")
+    pc, _ = back_project(obj_mask, candidate.depth, candidate.intrinsics)
+    n = len(pc)
+    if n == 0:
+        return OverlapRatio(0.0, 0, 0)
+    if (candidate.intrinsics == reference.intrinsics
+            and np.array_equal(candidate.pose.rotation, reference.pose.rotation)
+            and np.array_equal(candidate.pose.translation, reference.pose.translation)):
+        return OverlapRatio(1.0, n, n)
+    rot = reference.pose.rotation.T @ candidate.pose.rotation
+    trans = reference.pose.rotation.T @ (candidate.pose.translation - reference.pose.translation)
+    ri = reference.intrinsics
+    inside = kernels.count_in_frustum(pc.points, rot, trans, ri.fx, ri.fy, ri.cx, ri.cy,
+                                      ri.width, ri.height, DEFAULT_Z_NEAR)
+    return OverlapRatio(inside / n, inside, n)
+
+
 def naive_candidate_ratios(scene, obj_id, reference, cfg):
-    """The per-pair loop over ``frustum_overlap_ratio`` that the batched
+    """The per-pair loop over ``pair_frustum_overlap`` that the batched
     ``sampler.candidate_ratios`` replaced: same candidates, same striding,
     one back-projection per candidate per call, nothing kept between calls."""
-    from geovos.geometry import frustum_overlap_ratio
-
     by_id = {f.frame_id: f for f in scene.frames}
     visible = [f.frame_id for f in scene.frames
                if f.masks.get(obj_id) is not None and f.masks[obj_id].any()]
@@ -153,7 +175,7 @@ def naive_candidate_ratios(scene, obj_id, reference, cfg):
     out = {}
     for fid in cands:
         frame = by_id[fid]
-        out[fid] = frustum_overlap_ratio(frame, frame.masks[obj_id], by_id[reference]).ratio
+        out[fid] = pair_frustum_overlap(frame, frame.masks[obj_id], by_id[reference]).ratio
     return out
 
 
@@ -347,8 +369,28 @@ def forward_track(fragment):
     return MaskTrack((None,) * k + masks[k:])
 
 
+def naive_temporal_overlap2d(track_a, track_b):
+    """Mean IoU and mean precision (over min(|A|, |B|)) of two tracks, one
+    frame at a time on the whole masks, over the frames where both masks
+    are nonempty; (0.0, 0.0) when there is none. The per-frame loop that
+    ``instance3d.temporal_overlap2d`` and the merge's temporal criterion
+    must equal bit for bit."""
+    if len(track_a) != len(track_b):
+        raise ValueError(f"track lengths differ: {len(track_a)} vs {len(track_b)}")
+    ious, precs = [], []
+    for a, b in zip(track_a.masks, track_b.masks):
+        if a is None or b is None or not (a.any() and b.any()):
+            continue
+        inter = int(np.count_nonzero(a & b))
+        ious.append(inter / int(np.count_nonzero(a | b)))
+        precs.append(inter / min(int(np.count_nonzero(a)), int(np.count_nonzero(b))))
+    if not ious:
+        return 0.0, 0.0
+    return float(np.mean(ious)), float(np.mean(precs))
+
+
 def naive_merge_instances(fragments, cfg):
-    from geovos.instance3d import Instance, InstanceSet, UnionFind, temporal_overlap2d
+    from geovos.instance3d import Instance, InstanceSet, UnionFind
 
     if not fragments:
         raise ValueError("merge_instances requires at least one fragment")
@@ -367,8 +409,8 @@ def naive_merge_instances(fragments, cfg):
                 uf.union(i, j)
                 continue
             if fragments[i].track is not None and fragments[j].track is not None:
-                iou, prec = temporal_overlap2d(forward_track(fragments[i]),
-                                               forward_track(fragments[j]))
+                iou, prec = naive_temporal_overlap2d(forward_track(fragments[i]),
+                                                     forward_track(fragments[j]))
                 if iou >= cfg.theta_iou or prec >= cfg.theta_prec:
                     uf.union(i, j)
     groups = {}

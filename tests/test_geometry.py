@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import (batched_ratios, make_intrinsics, naive_back_project, naive_frustum_overlap,
-                      random_pose, random_rotation, random_sampler_scene, random_scene_frames)
+                      pair_frustum_overlap, random_pose, random_rotation, random_sampler_scene,
+                      random_scene_frames)
 from geovos import geometry
 from geovos.geometry import (CameraFrame, CameraIntrinsics, CameraPose, PointCloud,
                              back_project, depth_agreement_score, frustum_overlap_ratio)
@@ -149,6 +150,22 @@ class TestPoseStack:
         with pytest.raises(ValueError, match=r"^pose stacks must have one length"):
             CameraPose.stack(np.eye(3)[0, 0], np.zeros(3))
         assert CameraPose.stack(np.zeros((0, 3, 3)), np.zeros((0, 3))) == []
+
+    def test_poses_copy_what_they_freeze(self):
+        # the caller's arrays stay writable, and writing them (or a view of
+        # them, or an (n, 3) translations stack) changes no pose
+        rng = np.random.default_rng(3)
+        for shape in [(3, 3), (3, 3, 1), (3, 1, 3)]:
+            rots, tras = np.stack([random_rotation(rng) for _ in range(3)]), rng.normal(size=shape)
+            rot, tra = random_rotation(rng), rng.normal(size=3)
+            poses = ([CameraPose(rot, tra)] + [CameraPose(r, t) for r, t in zip(rots, tras)]
+                     + CameraPose.stack(rots, tras))
+            before = _pose_outcome(lambda: poses)
+            for a in (rot, tra, rots, tras, rots[0], tras[0]):
+                assert a.flags.writeable
+            rot[0, 0] = tra[0] = rots[0, 0, 0] = 5.0
+            tras[...] = 7.0
+            assert _pose_outcome(lambda: poses) == before
 
     def test_stack_poses_are_read_only(self):
         rng = np.random.default_rng(2)
@@ -345,7 +362,7 @@ class TestFrustumOverlap:
             scene = random_sampler_scene(np.random.default_rng(seed), n_frames=8)
             cands = [f for f in scene.frames if "obj" in f.masks]
             for ref in scene.frames:
-                want = [frustum_overlap_ratio(c, c.masks["obj"], ref).ratio for c in cands]
+                want = [pair_frustum_overlap(c, c.masks["obj"], ref).ratio for c in cands]
                 got = batched_ratios(cands, "obj", ref)
                 assert got.dtype == np.float64 and got.tolist() == want, f"seed {seed}"
         assert batched_ratios([], "obj", scene.frames[0]).tolist() == []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (forward_track, make_intrinsics, naive_assign_superpoints, naive_eval_ap,
-                      naive_merge_instances, overlap3d, voxel_set)
+                      naive_merge_instances, naive_temporal_overlap2d, overlap3d, voxel_set)
 from geovos.cli import _look_at_pose, boxworld_preset
 from geovos.geometry import CameraIntrinsics, CameraPose, PointCloud
 from geovos.ingest import Box, generate_boxworld
@@ -362,7 +362,7 @@ class TestMergeMatchesOracle:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if frags[i].track is not None and frags[j].track is not None]
         assert hex_pairs(suffix_means(frags[i], frags[j]) for i, j in pairs) == hex_pairs(
-            temporal_overlap2d(forward_track(frags[i]), forward_track(frags[j]))
+            naive_temporal_overlap2d(forward_track(frags[i]), forward_track(frags[j]))
             for i, j in pairs)
         scene_pts = rng.normal(scale=1.5, size=(200, 3))
         labels = rng.integers(0, 12, size=200)
@@ -423,7 +423,7 @@ class TestMergeMatchesOracle:
         frags = [frag(centers([(3 * k, 0, 0)]), (k % (n + 2), "a" if k % 2 else "b"),
                       a if k % 2 else b) for k in range(2 * n + 4)]
         pairs = [(i, j) for i in range(len(frags)) for j in range(i + 1, len(frags))]
-        want = [temporal_overlap2d(forward_track(frags[i]), forward_track(frags[j]))
+        want = [naive_temporal_overlap2d(forward_track(frags[i]), forward_track(frags[j]))
                 for i, j in pairs]
         assert hex_pairs(suffix_means(frags[i], frags[j]) for i, j in pairs) == hex_pairs(want)
         assert len(set(want)) > 10
@@ -439,7 +439,7 @@ class TestMergeMatchesOracle:
             frags = [frag(centers([(0, 0, 0)]), (ka, "a"), a),
                      frag(centers([(5, 5, 5)]), (kb, "b"), b)]
             assert hex_pairs([suffix_means(*frags)]) == \
-                hex_pairs([temporal_overlap2d(*map(forward_track, frags))])
+                hex_pairs([naive_temporal_overlap2d(*map(forward_track, frags))])
             return len(merge_instances(frags, cfg)) == 1
 
         assert linked(0, 0)  # mean IoU over all six frames: (3 * 1 + 3 * 0) / 6 = 0.5

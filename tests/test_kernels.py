@@ -283,3 +283,64 @@ class TestFrustumMask:
         intr = make_intrinsics(width=8, height=8, cx=4.0, cy=4.0)
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
         np.testing.assert_array_equal(self.inside(pts, intr), [True, False])
+
+
+def per_point_count(pts, rot, trans, fx, fy, cx, cy, width, height, z_near):
+    """How many points land in the frustum, tested one point at a time."""
+    r, t = rot.tolist(), trans.tolist()
+    count = 0
+    for px, py, pz in pts.tolist():
+        x = r[0][0] * px + r[0][1] * py + r[0][2] * pz + t[0]
+        y = r[1][0] * px + r[1][1] * py + r[1][2] * pz + t[1]
+        z = r[2][0] * px + r[2][1] * py + r[2][2] * pz + t[2]
+        if z > z_near:
+            u = fx * x / z + cx
+            v = fy * y / z + cy
+            count += 0.0 <= u < width and 0.0 <= v < height
+    return count
+
+
+class TestCountInFrustum:
+    """``count_in_frustum`` against the per-point count."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_points_with_non_finite_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        intr = make_intrinsics(fx=float(rng.uniform(5, 30)), fy=float(rng.uniform(5, 30)),
+                               width=int(rng.integers(4, 40)), height=int(rng.integers(4, 40)))
+        pose = random_pose(rng)
+        camera = (intr.fx, intr.fy, intr.cx, intr.cy, intr.width, intr.height, DEFAULT_Z_NEAR)
+        # points whose images spread over twice the raster, a few behind the camera
+        z = rng.uniform(-0.5, 5.0, size=500)
+        u = rng.uniform(-0.5, 1.5, size=500) * intr.width
+        v = rng.uniform(-0.5, 1.5, size=500) * intr.height
+        cam = np.stack([(u - intr.cx) * z / intr.fx, (v - intr.cy) * z / intr.fy, z], axis=1)
+        pts = (cam - pose.translation) @ pose.rotation  # rotation @ p + translation = cam
+        bad = rng.random(pts.shape) < 0.02
+        pts[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
+        finite = np.isfinite(pts).all(axis=1)
+        assert 0 < finite.sum() < len(pts)
+        with np.errstate(invalid="ignore"):  # 0 * inf in the transform
+            got = kernels.count_in_frustum(pts, pose.rotation, pose.translation, *camera)
+            assert kernels.count_in_frustum(pts[~finite], pose.rotation, pose.translation,
+                                            *camera) == 0
+        assert type(got) is int and 0 < got < finite.sum()
+        assert got == per_point_count(pts, pose.rotation, pose.translation, *camera)
+
+    def test_boundaries(self):
+        # identity transform, cx = cy = 0: u = 8 x / z and v = 6 y / z exactly
+        camera = (8.0, 6.0, 0.0, 0.0, 8, 6, DEFAULT_Z_NEAR)
+        inside = [[0.0, 0.0, 2 * DEFAULT_Z_NEAR],  # u = v = 0
+                  [0.0, 0.5, 1.0],  # u = 0
+                  [0.5, 0.0, 1.0]]  # v = 0
+        outside = [[0.0, 0.0, DEFAULT_Z_NEAR],  # z == z_near
+                   [1.0, 0.5, 1.0],  # u == width
+                   [0.5, 1.0, 1.0],  # v == height
+                   [np.nan, 0.0, 1.0], [0.0, 0.0, np.nan], [0.0, 0.0, np.inf], [np.inf, 0.0, 1.0]]
+        rot, trans = np.eye(3), np.zeros(3)
+        with np.errstate(invalid="ignore"):
+            assert kernels.count_in_frustum(np.array(inside), rot, trans, *camera) == 3
+            assert kernels.count_in_frustum(np.array(outside), rot, trans, *camera) == 0
+            for p in inside + outside:
+                assert kernels.count_in_frustum(np.array([p]), rot, trans, *camera) == \
+                    per_point_count(np.array([p]), rot, trans, *camera)
