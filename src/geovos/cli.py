@@ -7,8 +7,11 @@ construction and scoring), ``eval-vos`` (track metrics), ``gradcheck``
 
 The 3D commands run only the stages their reports need: ``lift`` lifts and
 scores depth agreement, ``merge`` lifts, merges and votes, and ``pipeline``
-adds AP to that. ``sample`` and ``gradcheck`` import the sampler and the
-feature merger when they run, so no other command loads them.
+adds AP to that. Only ``merge`` and ``pipeline`` read a scene's side files
+(superpoints and ground-truth instances), so ``sample`` and ``lift`` run on
+a scene whose side files are missing or bad. ``sample`` and ``gradcheck``
+import the sampler and the feature merger when they run, so no other
+command loads them.
 
 Reports are line-oriented JSON with a versioned schema: a header line
 (schema, command, config echo), one line per item, one aggregate line.
@@ -235,10 +238,17 @@ def cmd_sample(args) -> int:
 # 3D pipeline pieces
 
 
-def _pipeline_inputs(args):
+def _pipeline_inputs(args, side_files: bool):
     """Scene, tracks (the scene's own without --masks), merge config and
-    config echo of a lift, merge or pipeline run."""
+    config echo of a lift, merge or pipeline run.
+
+    With ``side_files`` (merge and pipeline, which vote and score against
+    them) the scene's superpoints and ground truth are read and checked
+    right after its frames, before the tracks; lift reads neither.
+    """
     scene = ingest.load_scene(args.scene)
+    if side_files:
+        scene.gt_instances  # the first access reads both side files
     tracks = ingest.load_tracks(args.masks, scene) if args.masks else scene.tracks()
     cfg = _load_config(args.merge_config, MergeConfig)
     echo = {"scene": str(args.scene), "masks": str(args.masks) if args.masks else None,
@@ -276,7 +286,7 @@ def _instance_records(result):
 
 def cmd_lift(args) -> int:
     t0 = time.perf_counter()
-    scene, tracks, cfg, echo = _pipeline_inputs(args)
+    scene, tracks, cfg, echo = _pipeline_inputs(args, side_files=False)
     fragments, rejections = lift_all(scene, tracks, cfg, keyframe_stride=args.stride)
     score_depth(scene.frames, fragments, cfg.eps_rel)
     report = RunReport("lift", echo)
@@ -312,7 +322,7 @@ def _cmd_instances(args, command: str) -> int:
     instances; ``pipeline`` adds the fragment count and, when the scene has
     ground truth, AP."""
     t0 = time.perf_counter()
-    scene, tracks, cfg, echo = _pipeline_inputs(args)
+    scene, tracks, cfg, echo = _pipeline_inputs(args, side_files=True)
     result = run_pipeline(scene, tracks, cfg, keyframe_stride=args.stride)
     report = RunReport(command, echo)
     for w in result.warnings:

@@ -39,6 +39,7 @@ import math
 import os
 import re
 import struct
+import threading
 import zipfile
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -142,7 +143,7 @@ def save_mask_pgm(path, mask: np.ndarray):
     if mask.ndim != 2:
         raise ValueError(f"mask must be 2-D, got {mask.shape}")
     h, w = mask.shape
-    body = np.where(mask.astype(bool), 255, 0).astype(np.uint8)
+    body = mask.astype(bool).view(np.uint8) * np.uint8(255)
     Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode() + body.tobytes())
 
 
@@ -574,6 +575,39 @@ def load_tracks(path, scene=None) -> dict:
 # scenes
 
 
+_SIDE_FIELDS = ("scene_points", "superpoints", "gt_instances")
+_SIDE_FILE_KEYS = ("superpoints", "gt_instances")  # the manifest fields naming side files
+_SIDE_LOCK = threading.Lock()  # one first read of a scene's side files at a time
+
+
+class _SideField:
+    """A Scene field that a loaded scene reads from its side files when it
+    is first accessed.
+
+    An in-memory scene holds its value in the instance ``__dict__``, which
+    this non-data descriptor never overrides. ``load_scene`` leaves the three
+    side fields out of that dict and keeps the manifest path and the two
+    side-file names under ``_side_files`` instead; the first access of any
+    of them then reads and checks both files (``_read_side_files``) and puts
+    all three values into the dict at once, under a lock, so concurrent
+    callers see one set of values. A read error propagates as the
+    IngestError it is, and the next access reads again.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, scene, owner=None):
+        if scene is None:
+            return None  # the field's default
+        state = vars(scene)
+        with _SIDE_LOCK:
+            if self.name not in state:
+                state.update(_read_side_files(*state["_side_files"]))
+                del state["_side_files"]
+        return state[self.name]
+
+
 @dataclass(frozen=True, eq=False)
 class Scene:
     """A loaded scene: dense frames plus optional 3D ground truth.
@@ -583,13 +617,19 @@ class Scene:
     (``dataclasses.replace``); scenes compare and hash by identity, so
     whatever a caller keeps per scene (the sampler's draw index) can never
     go stale.
+
+    A scene from ``load_scene`` reads its side files (superpoints and
+    ground-truth instances) on the first access of ``scene_points``,
+    ``superpoints`` or ``gt_instances``, and keeps all three values; until
+    then it holds only their paths, so it pickles and copies as it is.
+    ``dataclasses.replace`` reads every field, so it reads them too.
     """
 
     scene_id: str
     frames: tuple
-    scene_points: np.ndarray | None = None
-    superpoints: np.ndarray | None = None
-    gt_instances: InstanceSet | None = None
+    scene_points: np.ndarray | None = _SideField()
+    superpoints: np.ndarray | None = _SideField()
+    gt_instances: InstanceSet | None = _SideField()
 
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))
@@ -670,10 +710,15 @@ def _load_frames(records: list, manifest_path: Path) -> list:
 
 
 def load_scene(manifest_path) -> Scene:
-    """Load and fully validate a scene manifest.
+    """Load a scene manifest and every frame file it names.
 
-    Every referenced file is read; type errors name the offending file and
-    field.
+    The manifest and every frame's depth, pose and mask files are read and
+    checked here; type errors name the offending file and field. The side
+    files (``superpoints`` and ``gt_instances``) are only named here: the
+    scene reads and checks both on the first access of ``scene_points``,
+    ``superpoints`` or ``gt_instances`` (see ``Scene``), with the same
+    errors. So ``merge`` and ``pipeline``, which vote and score against
+    them, read them, while ``sample`` and ``lift`` read neither.
     """
     manifest_path = Path(manifest_path)
     doc = _read_json(manifest_path, "manifest")
@@ -684,13 +729,32 @@ def load_scene(manifest_path) -> Scene:
         raise ManifestError(f"{manifest_path}: missing field 'frames'")
     if not isinstance(doc["frames"], list) or not all(isinstance(r, dict) for r in doc["frames"]):
         raise ManifestError(f"{manifest_path}: field 'frames' must be a list of objects")
-    for key in ("superpoints", "gt_instances"):
+    for key in _SIDE_FILE_KEYS:
         if doc.get(key) is not None and not isinstance(doc[key], str):
             raise ManifestError(f"{manifest_path}: field '{key}' must be a file name or null")
     frames = _load_frames(doc["frames"], manifest_path)
+    scene = Scene(str(doc.get("scene_id", manifest_path.stem)), frames)
+    side_files = [doc.get(key) or None for key in _SIDE_FILE_KEYS]
+    if any(side_files):
+        state = vars(scene)
+        for name in _SIDE_FIELDS:
+            del state[name]
+        state["_side_files"] = (manifest_path, *side_files)
+    return scene
+
+
+def _read_side_files(manifest_path: Path, sp_name, gt_name) -> dict:
+    """The three side fields of the scene of ``manifest_path`` whose side
+    files are named ``sp_name`` and ``gt_name`` (each a name relative to
+    the manifest, or None), read and checked in that order.
+
+    The superpoint labels must form a partition, and every ground-truth
+    point id must index the scene points; both errors are ManifestErrors
+    naming the manifest.
+    """
     scene_points = superpoints = None
-    if doc.get("superpoints"):
-        sp_path = manifest_path.parent / doc["superpoints"]
+    if sp_name:
+        sp_path = manifest_path.parent / sp_name
         scene_points, labels = load_superpoints(sp_path)
         try:
             from .instance3d import SuperpointPartition
@@ -701,16 +765,16 @@ def load_scene(manifest_path) -> Scene:
                                 f"{e}") from None
         superpoints = labels
     gt_instances = None
-    if doc.get("gt_instances"):
-        gt_instances = load_instances(manifest_path.parent / doc["gt_instances"])
+    if gt_name:
+        gt_instances = load_instances(manifest_path.parent / gt_name)
         if scene_points is not None:
             n = scene_points.shape[0]
             for k, inst in enumerate(gt_instances.instances):
                 if inst.point_ids.size and inst.point_ids.max() >= n:
                     raise ManifestError(f"{manifest_path}: gt_instances[{k}] references "
                                         f"point {int(inst.point_ids.max())}, scene has {n}")
-    return Scene(str(doc.get("scene_id", manifest_path.stem)), frames,
-                 scene_points, superpoints, gt_instances)
+    return {"scene_points": scene_points, "superpoints": superpoints,
+            "gt_instances": gt_instances}
 
 
 def save_scene(scene: Scene, out_dir) -> Path:

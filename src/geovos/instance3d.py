@@ -711,8 +711,7 @@ def run_pipeline(scene, tracks: dict, cfg: MergeConfig, keyframe_stride: int = 1
     fragments, rejections = lift_all(scene, tracks, cfg, keyframe_stride)
     if not fragments:
         return PipelineResult([], rejections, None, False, ["no fragments lifted"])
-    vote = (getattr(scene, "superpoints", None) is not None
-            and getattr(scene, "scene_points", None) is not None)
+    vote = scene.superpoints is not None and scene.scene_points is not None
     index = voxel_index(fragments, cfg.voxel_size, scene.scene_points if vote else None)
     instances = merge_instances(fragments, cfg, index=index)
     if not vote:

@@ -19,7 +19,8 @@ from geovos import cli, instance3d
 from geovos.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _look_at_pose,
                         boxworld_preset, main)
 from geovos.geometry import CameraFrame, CameraPose, PointCloud, depth_agreement_score
-from geovos.ingest import Scene, load_scene, load_tracks, save_scene, save_tracks
+from geovos.ingest import (ManifestError, Scene, load_scene, load_tracks, save_scene,
+                           save_tracks)
 from geovos.instance3d import MergeConfig, run_pipeline
 from geovos.metrics import MaskTrack
 
@@ -380,6 +381,46 @@ class TestStages:
                     "sources": [[int(k), str(o)] for k, o in inst.sources],
                     "voxels": np.unique(keys, axis=0).tolist()}
             assert line == json.dumps({"item": item}, sort_keys=True, separators=(",", ":"))
+
+
+class TestSideFiles:
+    """Only merge and pipeline read superpoints.npz and instances.json."""
+
+    @pytest.fixture
+    def broken(self, scene_dir, tmp_path):
+        """The scene with a truncated superpoints.npz and no instances.json."""
+        d = tmp_path / "broken"
+        shutil.copytree(scene_dir, d)
+        sp = d / "superpoints.npz"
+        sp.write_bytes(sp.read_bytes()[:-100])
+        (d / "instances.json").unlink()
+        return d
+
+    @pytest.mark.parametrize("command", ["sample", "lift"])
+    def test_sample_and_lift_as_on_the_intact_scene(self, scene_dir, broken, tmp_path,
+                                                   command):
+        extra = {"sample": ["--n", "3", "--mode", "mixed", "--draws", "12", "--seed", "4"],
+                 "lift": ["--masks", str(scene_dir / "tracks" / "tracks.json")]}[command]
+        reports = []
+        for d in (scene_dir, broken):
+            out = tmp_path / f"{d.name}.jsonl"
+            assert main([command, "--scene", str(d / "manifest.json"), *extra,
+                         "--out", str(out)]) == EXIT_OK
+            reports.append(read_lines(out)[1:])
+        assert reports[0] == reports[1] and len(reports[0]) > 2
+
+    @pytest.mark.parametrize("command", ["merge", "pipeline"])
+    def test_merge_and_pipeline_name_the_bad_file(self, broken, capsys, command):
+        assert main([command, "--scene", str(broken / "manifest.json"),
+                     "--masks", str(broken / "tracks" / "tracks.json")]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {broken / 'superpoints.npz'}: "
+                                                   f"not an npz archive"), err
+
+    def test_run_pipeline_raises_rather_than_skip_the_vote(self, broken):
+        scene = load_scene(broken / "manifest.json")  # reads no side file
+        with pytest.raises(ManifestError, match=re.escape(str(broken / "superpoints.npz"))):
+            run_pipeline(scene, scene.tracks(), MergeConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """File formats, manifests, and the synthetic box world."""
 
+import copy
 import dataclasses
 import json
+import pickle
 import re
 import struct
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -21,6 +26,7 @@ from geovos.ingest import (DMAP_MAGIC, BadMagicError, BadMaskError, BadPoseError
                            load_superpoints, load_tracks, save_dmap, save_instances,
                            save_mask_pgm, save_pose, save_scene, save_tracks)
 from geovos.metrics import MaskTrack
+from geovos.sampler import SamplerConfig, sample_fov
 
 
 class TestDmap:
@@ -82,6 +88,24 @@ class TestMaskPgm:
         save_mask_pgm(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
         np.testing.assert_array_equal(loaded, mask)
+
+    @pytest.mark.parametrize("mask", [
+        np.array([[True, False, True]]),
+        np.array([[0, 1, 2], [255, 0, 7]], np.int64),
+        np.array([[0, 1], [2, 255]], np.uint8),
+        np.array([[0.0, 0.5, -1.0], [np.nan, -0.0, np.inf]]),
+        np.zeros((5, 3), bool),
+        np.zeros((0, 4), np.int32),
+        np.eye(7, 3, dtype=np.int16)[::2],  # strided rows
+        np.asfortranarray(np.arange(15).reshape(3, 5) % 3),
+        (np.arange(35).reshape(5, 7) % 4 == 1).T,
+    ])
+    def test_bytes_as_written_by_where(self, tmp_path, mask):
+        p = tmp_path / "m.pgm"
+        save_mask_pgm(p, mask)
+        h, w = mask.shape
+        body = np.where(mask.astype(bool), 255, 0).astype(np.uint8)
+        assert p.read_bytes() == f"P5\n{w} {h}\n255\n".encode() + body.tobytes()
 
     def test_wrong_maxval(self, tmp_path):
         p = tmp_path / "m.pgm"
@@ -581,6 +605,117 @@ class TestScene:
         assert fewer != scene and fewer.object_ids == ("b",)
         assert type(fewer.frames) is tuple and fewer.frames[0] is scene.frames[0]
         assert scene.object_ids == ("a", "b") and len(scene.frames) == 3
+
+
+class TestSideFilesOnFirstUse:
+    """A loaded scene reads superpoints.npz and instances.json on the first
+    access of scene_points, superpoints or gt_instances, not in load_scene."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        world = generate_boxworld(*boxworld_preset("two-cubes", 16))
+        return world, save_scene(world.scene, tmp_path)
+
+    @staticmethod
+    def assert_side_values(scene, world):
+        np.testing.assert_array_equal(scene.scene_points, world.scene.scene_points)
+        np.testing.assert_array_equal(scene.superpoints, world.scene.superpoints)
+        assert len(scene.gt_instances) == len(world.gt_instances)
+        for a, b in zip(scene.gt_instances.instances, world.gt_instances.instances):
+            np.testing.assert_array_equal(a.point_ids, b.point_ids)
+
+    def test_frames_and_draws_without_side_files(self, saved):
+        world, manifest = saved
+        scene = load_scene(manifest)
+        sp, gt = manifest.parent / "superpoints.npz", manifest.parent / "instances.json"
+        sp_bytes = sp.read_bytes()
+        sp.unlink()
+        gt.unlink()
+        assert len(scene.frames) == 6 and scene.object_ids == ("box0", "box1")
+        draw = sample_fov(scene, SamplerConfig(n_frames=4), np.random.default_rng(0), "box0")
+        assert len(draw.frames) == 4
+        # superpoints first, as load_scene read them; getattr's default
+        # must not swallow the error
+        with pytest.raises(MissingFileError, match=re.escape(str(sp))):
+            getattr(scene, "superpoints", None)
+        sp.write_bytes(sp_bytes)
+        # a failed read is retried on the next access
+        with pytest.raises(MissingFileError, match=re.escape(str(gt))):
+            scene.gt_instances
+        with pytest.raises(MissingFileError, match="instances.json"):
+            scene.scene_points
+
+    def test_read_errors_as_load_scene_raised_them(self, saved):
+        world, manifest = saved
+        doc = json.loads((manifest.parent / "instances.json").read_text())
+        doc["instances"][0]["point_ids"].append(10**6)
+        (manifest.parent / "instances.json").write_text(json.dumps(doc))
+        scene = load_scene(manifest)
+        with pytest.raises(ManifestError,
+                           match=f"^{re.escape(str(manifest))}: gt_instances\\[0\\] references "
+                                 f"point 1000000, scene has "):
+            scene.scene_points
+
+    def test_replace_keeps_side_values(self, saved):
+        world, manifest = saved
+        loaded = load_scene(manifest)
+        fewer = dataclasses.replace(loaded, frames=loaded.frames[:2])
+        assert len(fewer.frames) == 2
+        self.assert_side_values(fewer, world)
+        assert fewer.gt_instances is loaded.gt_instances
+
+    @pytest.mark.parametrize("copy_of", ["pickle", "deepcopy"])
+    def test_pickle_and_deepcopy(self, saved, copy_of):
+        world, manifest = saved
+        duplicate = {"pickle": lambda s: pickle.loads(pickle.dumps(s)),
+                     "deepcopy": copy.deepcopy}[copy_of]
+        loaded = load_scene(manifest)
+        deferred = len(pickle.dumps(loaded))
+        before = duplicate(loaded)  # holds the side files' paths only
+        self.assert_side_values(loaded, world)
+        assert len(pickle.dumps(loaded)) > deferred + world.scene.scene_points.nbytes
+        after = duplicate(loaded)
+        for name in ("superpoints.npz", "instances.json"):
+            (manifest.parent / name).unlink()
+        self.assert_side_values(after, world)
+        with pytest.raises(MissingFileError):
+            before.superpoints
+        assert len(before.frames) == len(after.frames) == 6
+
+    def test_concurrent_first_access_reads_once(self, saved, monkeypatch):
+        world, manifest = saved
+        scene = load_scene(manifest)
+        calls = []
+        read = ingest.load_superpoints
+
+        def slow_read(path):
+            calls.append(path)
+            time.sleep(0.05)  # long enough for every other thread to arrive
+            return read(path)
+
+        monkeypatch.setattr(ingest, "load_superpoints", slow_read)
+        names = ("gt_instances", "scene_points", "superpoints") * 3
+        start, seen = threading.Barrier(len(names)), []
+
+        def first_access(name):
+            start.wait()
+            getattr(scene, name)
+            seen.append((scene.scene_points, scene.superpoints, scene.gt_instances))
+
+        threads = [threading.Thread(target=first_access, args=(n,)) for n in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1 and len(seen) == len(names)
+        assert all(a is b for values in seen for a, b in zip(values, seen[0]))
+        self.assert_side_values(scene, world)
 
 
 class TestTracksFile:
