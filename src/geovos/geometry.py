@@ -158,16 +158,27 @@ def check_poses(rot: np.ndarray, tra: np.ndarray, checks=None) -> np.ndarray:
     return tra
 
 
+class NonFiniteError(ValueError):
+    """A point cloud holds a non-finite coordinate."""
+
+
+NON_FINITE = "point cloud contains non-finite coordinates"
+
+
 @dataclass
 class PointCloud:
-    """Finite 3D points, (N, 3) float64."""
+    """Finite 3D points, (N, 3) float64.
+
+    Raises:
+        NonFiniteError: if a coordinate is not finite.
+    """
 
     points: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
         if not np.all(np.isfinite(pts)):
-            raise ValueError("point cloud contains non-finite coordinates")
+            raise NonFiniteError(NON_FINITE)
         self.points = pts
 
     def __len__(self) -> int:

@@ -33,6 +33,7 @@ occlusion ordering, ground-truth 3D instances over the lifted scene
 points, and per-box mask tracks. It is fully deterministic.
 """
 
+import contextlib
 import io
 import json
 import math
@@ -338,15 +339,17 @@ def save_superpoints(path, points: np.ndarray, labels: np.ndarray):
 def _load_superpoints_npz(path: Path):
     """(points, labels) of an npz written by save_superpoints; every other
     content raises ManifestError naming the file and the array."""
-    try:
-        if _read(path, "superpoints", 4) not in _ZIP_MAGIC:
-            raise ValueError("not a zip archive")
-        npz = np.load(path, allow_pickle=False)
-    except _NPZ_ERRORS as e:
-        raise ManifestError(f"{path}: not an npz archive of arrays 'points' and 'labels' "
-                            f"({e})") from None
     arrays = {}
-    with npz:
+    # np.load reads an open file that the stack closes, also when np.load raises
+    with contextlib.ExitStack() as stack:
+        try:
+            if _read(path, "superpoints", 4) not in _ZIP_MAGIC:
+                raise ValueError("not a zip archive")
+            npz = stack.enter_context(np.load(stack.enter_context(open(path, "rb")),
+                                              allow_pickle=False))
+        except _NPZ_ERRORS as e:
+            raise ManifestError(f"{path}: not an npz archive of arrays 'points' and 'labels' "
+                                f"({e})") from None
         if sorted(npz.files) != sorted(_SUPERPOINT_ARRAYS):
             raise ManifestError(f"{path}: arrays must be exactly 'points' and 'labels', "
                                 f"got {sorted(npz.files)}")

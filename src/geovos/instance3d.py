@@ -28,7 +28,8 @@ from operator import is_
 import numpy as np
 
 from . import kernels
-from .geometry import CameraIntrinsics, CameraPose, PointCloud, back_project, depth_agreement_score
+from .geometry import (CameraIntrinsics, CameraPose, NonFiniteError, PointCloud, back_project,
+                       depth_agreement_score)
 from .metrics import MaskTrack, co_visible_overlap
 
 AP_BAND = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
@@ -154,14 +155,22 @@ def lift_fragment(mask: np.ndarray, depth: np.ndarray, pose: CameraPose,
 
     Rejections (empty eroded mask, no valid depth under the mask) come back
     as a LiftResult with a reason, not an exception.
+
+    Raises:
+        ValueError: naming the frame and object of ``source`` when a point,
+            in the camera or the world frame, is not finite.
     """
     eroded = erode(mask, cfg.erosion_radius)
     if not eroded.any():
         return LiftResult(None, "empty mask after erosion")
-    pc, skipped = back_project(eroded, depth, intr)
-    if len(pc) == 0:
-        return LiftResult(None, "no valid depth under eroded mask", skipped)
-    world = PointCloud(pose.to_world(pc.points))
+    try:
+        pc, skipped = back_project(eroded, depth, intr)
+        if len(pc) == 0:
+            return LiftResult(None, "no valid depth under eroded mask", skipped)
+        with np.errstate(over="ignore", invalid="ignore"):
+            world = PointCloud(pose.to_world(pc.points))
+    except NonFiniteError as e:
+        raise ValueError(f"frame {source[0]}: object {source[1]!r}: {e}") from None
     return LiftResult(Fragment(world, source, track), None, skipped)
 
 

@@ -1,9 +1,19 @@
 """Hot numeric kernels, vectorised with numpy.
 
+``backproject_masks`` lifts the masked valid-depth pixels of many
+(mask, depth) items that share one camera in one pass: the FOV sampler
+back-projects a row's candidates with it, one call per camera.
+``backproject_mask`` is its one-item case, which ``geometry.back_project``
+(the lift, the one-candidate overlap ratio, box-world set-up) calls. The two
+evaluate one copy of the per-pixel expression; it warns of nothing, and an
+overflow past the float64 range gives non-finite points, which the callers
+that know the frame and object reject.
+
 ``frustum_mask`` is the per-point frustum test that the frustum-overlap
 ratios in ``geometry`` run: on the shared pass of small clouds directly,
 and on each large cloud through ``count_in_frustum``, which counts it.
-``perfbench/run.py --trace 1`` reports each kernel's time and element count.
+``perfbench/run.py --trace 1`` reports each kernel's time and element count;
+its tracer wraps ``backproject_mask`` but not ``backproject_masks``.
 
 Conventions: pixel (u, v) = (column, row), integer coordinates at pixel
 centers; rasters indexed ``[v, u]``; depths are metric and a depth value is
@@ -21,21 +31,88 @@ def backproject_mask(mask, depth, fx, fy, cx, cy):
 
     Returns ``(points, skipped)`` where points is (N, 3) float64 in
     row-major pixel order and skipped counts masked pixels with invalid
-    depth. Only the masked depths are cast to float64.
+    depth. This is the one-item case of :func:`backproject_masks`, with the
+    same expression and the same non-finite points on overflow.
     """
     mask = np.asarray(mask, dtype=np.bool_)
+    flat, d = _masked(mask, depth)
+    pts, _ = _lift(flat, d.astype(np.float64), mask.shape[1], fx, fy, cx, cy)
+    return pts, flat.size - len(pts)
+
+
+def backproject_masks(masks, depths, fx, fy, cx, cy):
+    """Lift the masked valid-depth pixels of many (mask, depth raster) items
+    that share one camera to camera-frame points, in one pass.
+
+    Every mask has the width of the others, and each item's depth raster
+    the shape of its mask. Per item the masked pixels are found and their
+    depths gathered; then one validity test and one evaluation of the
+    per-pixel expression run over the pixels of all items.
+
+    Returns ``(points, counts, skipped)``: points is (N, 3) float64, the
+    items' points one after the other, each item's in row-major pixel
+    order; ``counts[i]`` and ``skipped[i]`` (int64) are item i's points and
+    its masked pixels with invalid depth. Only the masked depths are cast
+    to float64.
+
+    Raises:
+        ValueError: if the masks differ in width.
+    """
+    flats, gathered, width = [], [], None
+    for mask, depth in zip(masks, depths, strict=True):
+        mask = np.asarray(mask, dtype=np.bool_)
+        width = mask.shape[1] if width is None else width
+        if mask.shape[1] != width:
+            raise ValueError(f"masks differ in width: {mask.shape[1]} vs {width}")
+        flat, d = _masked(mask, depth)
+        flats.append(flat)
+        gathered.append(d)
+    sizes = np.fromiter(map(len, flats), np.int64, len(flats))
+    if not flats:
+        return np.zeros((0, 3)), sizes, sizes
+    pts, valid = _lift(np.concatenate(flats),
+                       np.concatenate(gathered, dtype=np.float64, casting="unsafe"),
+                       width, fx, fy, cx, cy)
+    counts = sizes
+    if valid is not None:
+        counts = np.zeros_like(sizes)
+        some = sizes > 0
+        counts[some] = np.add.reduceat(valid, (np.cumsum(sizes) - sizes)[some], dtype=np.int64)
+    return pts, counts, sizes - counts
+
+
+def _masked(mask, depth):
+    """``(flat, d)``: the row-major indices of a bool mask's pixels and the
+    depth raster's values there; ``np.flatnonzero`` and ``np.take`` as
+    method calls, which skip their Python wrappers."""
+    flat = mask.ravel().nonzero()[0]
+    return flat, np.asarray(depth).take(flat)
+
+
+@np.errstate(all="ignore")
+def _lift(flat, d, width, fx, fy, cx, cy):
+    """``(points, valid)``: the camera-frame points of the pixels at
+    row-major indices ``flat`` of a raster ``width`` wide whose float64
+    depths ``d`` are valid, and the validity of each pixel (None when all
+    are valid).
+
+    Each pixel (u, v) with valid depth d gives ``((u - cx) * d / fx,
+    (v - cy) * d / fy, d)``. The expression warns of nothing: a result
+    past the float64 range is a non-finite point, which the caller checks.
+    """
     fx, fy, cx, cy = float(fx), float(fy), float(cx), float(cy)
-    flat = np.flatnonzero(mask)  # row-major; far cheaper than a 2-D np.nonzero
-    vs, us = np.divmod(flat, mask.shape[1])
-    d = np.take(depth, flat).astype(np.float64)
-    valid = np.isfinite(d) & (d > 0.0)
-    skipped = int(valid.size - np.count_nonzero(valid))
-    us, vs, d = us[valid], vs[valid], d[valid]
+    valid = np.isfinite(d)
+    valid &= d > 0.0
+    if np.count_nonzero(valid) == valid.size:
+        valid = None
+    else:
+        flat, d = flat[valid], d[valid]
+    vs, us = np.divmod(flat, width)
     pts = np.empty((d.size, 3), np.float64)
     pts[:, 0] = (us - cx) * d / fx
     pts[:, 1] = (vs - cy) * d / fy
     pts[:, 2] = d
-    return pts, skipped
+    return pts, valid
 
 
 def frustum_mask(pts, rot, trans, fx, fy, cx, cy, width, height, z_near):
@@ -46,10 +123,11 @@ def frustum_mask(pts, rot, trans, fx, fy, cx, cy, width, height, z_near):
     IEEE expression.
     """
     px, py, pz = pts[:, 0], pts[:, 1], pts[:, 2]
-    x = rot[0, 0] * px + rot[0, 1] * py + rot[0, 2] * pz + trans[0]
-    y = rot[1, 0] * px + rot[1, 1] * py + rot[1, 2] * pz + trans[1]
-    z = rot[2, 0] * px + rot[2, 1] * py + rot[2, 2] * pz + trans[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # points near the float64 limit overflow to non-finite, which never count
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = rot[0, 0] * px + rot[0, 1] * py + rot[0, 2] * pz + trans[0]
+        y = rot[1, 0] * px + rot[1, 1] * py + rot[1, 2] * pz + trans[1]
+        z = rot[2, 0] * px + rot[2, 1] * py + rot[2, 2] * pz + trans[2]
         u = fx * x / z + cx
         v = fy * y / z + cy
         return (z > z_near) & (u >= 0.0) & (u < width) & (v >= 0.0) & (v < height)

@@ -20,21 +20,26 @@ frame-id map and, per object, the visible frame ids, found by one
 ``mask.any()`` pass over the frames at the object's first draw; so
 continuous and random draws never back-project. With them it stacks, from
 the poses alone, the visible frames' rotations and translations (~115 bytes
-per visible frame). Each candidate's mask is back-projected the first time
-the frame is a FOV candidate (read-only, 24 bytes per masked valid-depth
-pixel). Per reference frame the index keeps the row of candidate ratios
-that the first FOV draw from it finds: the candidates' pose slices are
-composed against the reference in one stacked matmul, compared with the
-reference's pose for the same-camera shortcut, and all their points are
-tested against the reference frustum in one array pass
-(``geometry.frustum_overlap_ratios``). A row is kept for the latest
-``max_candidates`` of that reference, ~64 bytes per candidate (a dict entry
-and its float) plus ~10 per tau in use (the eligible pool and the
-ineligible candidates best first). A warm draw finds the index in one
-weak-map lookup and does Python work only for its batch, plus a C-level
-copy of the row into ``SampleResult.ratios``: no step of it grows with the
-length of the video. Concurrent callers may share a scene: a race on the
-index only repeats the same work.
+per visible frame). Per reference frame the index keeps the row of
+candidate ratios that the first FOV draw from it finds. That row pass first
+checks that every candidate not back-projected yet has a depth raster, then
+back-projects all of them in one batched pass per camera
+(``kernels.backproject_masks``, in runs of at most ``BACKPROJECT_CHUNK``
+masked pixels) and keeps each one's points as a read-only view of its run's
+array (24 bytes per masked valid-depth pixel), so a frame is back-projected
+once per (scene, object) whatever the references it serves. Then the
+candidates' pose slices are composed against the reference in one stacked
+matmul, compared with the reference's pose for the same-camera shortcut,
+and all their points are tested against the reference frustum in one array
+pass (``geometry.frustum_overlap_ratios``). A row is kept for the latest
+``max_candidates`` of that reference, ~74 bytes per candidate at one tau (a
+dict entry, its float and the pool lists, measured with ``tracemalloc``):
+per tau in use the eligible pool and the ineligible candidates best first.
+A warm draw finds the index in one weak-map lookup and does Python work
+only for its batch, plus a C-level copy of the row into
+``SampleResult.ratios``: no step of it grows with the length of the video.
+Concurrent callers may share a scene: a race on the index only repeats the
+same work.
 
 ``visible_frames`` and ``candidate_ratios`` are called through this module
 when the index misses, and ``frustum_overlap_ratio``, the one-candidate
@@ -47,8 +52,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
+from . import geometry, kernels
 from .geometry import frustum_overlap_ratio  # noqa: F401  (re-exported one-pair case)
+
+# Masked pixels per batched back-projection call of a row miss: bounds the
+# pass's transient arrays, ~75 bytes a masked pixel beyond the 24 it keeps.
+BACKPROJECT_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -147,22 +156,64 @@ class _ObjectIndex:
         row = self.rows.get(reference)
         return row if row is not None and row.max_candidates == max_candidates else None
 
-    def cloud(self, i: int, by_id, obj_id) -> np.ndarray:
-        """The camera-frame points of the object's mask in the frame at
-        position i (read-only), back-projected the first time it is asked for.
+    def clouds(self, pos: list, by_id, obj_id) -> list:
+        """The camera-frame points (read-only) of the object's masks in the
+        frames at positions ``pos``, in that order.
+
+        The frames whose points are not kept yet are back-projected and
+        kept: ``kernels.backproject_masks`` runs once per camera
+        (intrinsics) over them, in runs of at most BACKPROJECT_CHUNK masked
+        pixels (a frame with more is a run of its own), and each frame keeps
+        a read-only view of its run's points.
 
         Raises:
-            ValueError: when the frame has no depth raster.
+            ValueError: at the first such frame, in ``pos`` order, that has
+                no depth raster (before any pixel is read), else at the first
+                whose points are not all finite (none of those is kept).
         """
-        points = self.points[i]
-        if points is None:
-            f = by_id[self.visible[i]]
+        points = self.points
+        missing = [i for i in pos if points[i] is None]
+        frames = [by_id[self.visible[i]] for i in missing]
+        for f in frames:
             if f.depth is None:
                 raise ValueError(f"frame {f.frame_id} has no depth raster")
-            points = geometry.back_project(f.masks[obj_id], f.depth, f.intrinsics)[0].points
-            points.setflags(write=False)
-            self.points[i] = points
-        return points
+        cameras = {}
+        for k, f in enumerate(frames):
+            cameras.setdefault(f.intrinsics, []).append(k)
+        bad = []
+        for intr, ks in cameras.items():
+            masks = [frames[k].masks[obj_id] for k in ks]
+            for lo, hi in _runs(masks):
+                pts, counts, _ = kernels.backproject_masks(
+                    masks[lo:hi], [frames[k].depth for k in ks[lo:hi]],
+                    intr.fx, intr.fy, intr.cx, intr.cy)
+                pts.setflags(write=False)
+                finite = np.isfinite(pts).all()
+                ends = np.cumsum(counts).tolist()
+                for k, start, end in zip(ks[lo:hi], [0] + ends, ends):
+                    if finite or np.isfinite(pts[start:end]).all():
+                        points[missing[k]] = pts[start:end]
+                    else:
+                        bad.append(k)
+        if bad:
+            f = frames[min(bad)]
+            raise ValueError(f"frame {f.frame_id}: object {obj_id!r}: {geometry.NON_FINITE}")
+        return [points[i] for i in pos]
+
+
+def _runs(masks: list):
+    """``(lo, hi)`` bounds that cut ``masks``, in order, into runs of at most
+    BACKPROJECT_CHUNK masked pixels together; a mask with more is a run of
+    its own."""
+    lo, pixels = 0, 0
+    for hi, mask in enumerate(masks):
+        n = int(np.count_nonzero(mask))
+        if hi > lo and pixels + n > BACKPROJECT_CHUNK:
+            yield lo, hi
+            lo, pixels = hi, 0
+        pixels += n
+    if masks:
+        yield lo, len(masks)
 
 
 class _DrawIndex:
@@ -235,8 +286,7 @@ def candidate_ratios(scene, obj_id, reference: int, cfg: SamplerConfig) -> dict:
         if len(pos) > cfg.max_candidates:
             pos = pos[np.unique(np.linspace(0, len(pos) - 1, cfg.max_candidates).round()
                                 .astype(int))]
-        # in candidate order, so the first frame without depth raises first
-        clouds = [index.cloud(i, draws.by_id, obj_id) for i in pos.tolist()]
+        clouds = index.clouds(pos.tolist(), draws.by_id, obj_id)
         ref = draws.by_id[reference]
         rotations, translations = index.rotations[pos], index.translations[pos]
         same_camera = (np.all(rotations == ref.pose.rotation, axis=(1, 2))

@@ -838,6 +838,24 @@ def test_corrupt_input_exit_2(scene_dir, json_scene_dir, tmp_path, case):
         assert name in err[0], (name, err[0])
 
 
+@pytest.mark.parametrize("command", ["lift", "pipeline", "sample"])
+def test_non_finite_points_exit_2_naming_the_frame(scene_dir, tmp_path, command):
+    """A principal point that sends frame 2's back-projected points past the
+    float64 range: one stderr line that names the frame, no numpy warning."""
+    d = tmp_path / "scene"
+    shutil.copytree(scene_dir, d)
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["frames"][2]["intrinsics"]["cx"] = -1e308
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    proc = subprocess.run([sys.executable, "-m", "geovos.cli", *_scene_args(command, d)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1, err
+    assert re.fullmatch(r"error: frame 2: object 'box\d': point cloud contains non-finite "
+                        r"coordinates", err[0]), err
+
+
 def test_cli_import_leaves_out_sampler_and_merger():
     """The 3D commands load neither the sampler nor the feature merger:
     ``sample`` and ``gradcheck`` import them when they run."""

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import json
 import pickle
 import re
@@ -865,6 +866,23 @@ class TestTracksFile:
         save_superpoints(p1, np.zeros((0, 3)), np.zeros(0, np.int64))
         points, loaded = load_superpoints(p1)
         assert points.shape == (0, 3) and loaded.shape == (0,)
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda path: path.write_bytes(path.read_bytes()[:-100]),
+        lambda path: path.write_text("points, labels\n"),
+    ], ids=["truncated", "not-a-zip"])
+    def test_bad_superpoints_npz_closes_its_file(self, tmp_path, rewrite):
+        from geovos.ingest import save_superpoints
+        path = tmp_path / "sp.npz"
+        save_superpoints(path, np.zeros((40, 3)), np.zeros(40, np.int64))
+        rewrite(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ManifestError, match="not an npz archive"):
+                load_superpoints(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)], \
+            [str(w.message) for w in caught]
 
     def test_superpoints_reader_by_suffix(self, tmp_path):
         from geovos.ingest import load_superpoints, save_superpoints

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,22 @@ class TestLiftFragment:
         res = lift_fragment(mask, np.ones((8, 8)), CameraPose.identity(), intr,
                             MergeConfig(erosion_radius=2))
         assert not res.ok and "erosion" in res.reason
+
+
+    @pytest.mark.parametrize("where", ["camera", "world"])
+    def test_non_finite_points_name_the_source(self, where):
+        # at depth 4 the camera-frame x passes the float64 range; at depth
+        # 0.9 x and y stay finite and the 45 degree turn about z overflows
+        intr = make_intrinsics(fx=1.0, fy=1.0, width=4, height=4, cx=-1.7e308, cy=-1.7e308)
+        c = math.sqrt(0.5)
+        pose = CameraPose(np.array([[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]]), np.zeros(3))
+        depth = np.full((4, 4), 4.0 if where == "camera" else 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^frame 7: object 'sq': point cloud contains "
+                                                 "non-finite coordinates$"):
+                lift_fragment(np.ones((4, 4), bool), depth, pose, intr,
+                              MergeConfig(erosion_radius=0), source=(7, "sq"))
 
 
 class TestOverlap3d:

@@ -1,11 +1,12 @@
 """Kernel behaviour that no geometry oracle covers."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import make_intrinsics, naive_render_boxes, random_pose
+from conftest import make_intrinsics, naive_back_project, naive_render_boxes, random_pose
 from geovos import ingest, kernels
 from geovos.geometry import DEFAULT_Z_NEAR, CameraIntrinsics, CameraPose
 
@@ -250,6 +251,72 @@ def test_erode_radius_validation():
         kernels.erode_mask(np.ones((3, 3), bool), -1)
 
 
+class TestBackprojectMasks:
+    """The batched back-projection against the per-pixel loop, item by item."""
+
+    SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -1.5])
+
+    def random_items(self, rng, intr):
+        """0-5 items of one width and random heights; their depths mix the
+        special values, float32 and float64; some masks are empty, some
+        cover no valid depth."""
+        items = []
+        for _ in range(int(rng.integers(0, 6))):
+            h = int(rng.integers(1, 12))
+            depth = rng.uniform(0.1, 8.0, size=(h, intr.width))
+            bad = rng.random(depth.shape) < rng.uniform(0.0, 0.5)
+            depth[bad] = rng.choice(self.SPECIALS, size=int(bad.sum()))
+            mask = rng.random(depth.shape) < rng.uniform(0.0, 1.0)
+            if rng.random() < 0.2:
+                depth[mask] = np.nan
+            if rng.random() < 0.3:  # a strided view
+                mask = np.repeat(mask, 2, axis=1)[:, ::2]
+            items.append((mask, depth.astype(rng.choice([np.float32, np.float64]))))
+        return items
+
+    def test_matches_per_pixel_loop(self):
+        seen = dict(empty_mask=0, no_valid_depth=0, overflow=0, items=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the kernel warns of nothing
+            for seed in range(60):
+                rng = np.random.default_rng(seed)
+                w = int(rng.integers(1, 14))
+                # every fifth seed puts the principal point where points overflow
+                cx = -1e308 if seed % 5 == 4 else float(rng.uniform(-2, w + 2))
+                intr = make_intrinsics(fx=float(rng.uniform(0.5, 40)),
+                                       fy=float(rng.uniform(5, 40)), width=w, height=1, cx=cx,
+                                       cy=float(rng.uniform(-2, 14)))
+                items = self.random_items(rng, intr)
+                camera = (intr.fx, intr.fy, intr.cx, intr.cy)
+                pts, counts, skipped = kernels.backproject_masks(
+                    [m for m, _ in items], [d for _, d in items], *camera)
+                want = [naive_back_project(m, d, make_intrinsics(
+                    fx=intr.fx, fy=intr.fy, width=w, height=m.shape[0], cx=intr.cx, cy=intr.cy))
+                    for m, d in items]
+                assert pts.dtype == np.float64 and pts.shape == (sum(len(p) for p, _ in want), 3)
+                assert pts.tobytes() == b"".join(p.tobytes() for p, _ in want), f"seed {seed}"
+                assert counts.dtype == skipped.dtype == np.int64
+                assert counts.tolist() == [len(p) for p, _ in want], f"seed {seed}"
+                assert skipped.tolist() == [k for _, k in want], f"seed {seed}"
+                for (m, d), (p, k) in zip(items, want):  # the one-item case
+                    one, one_skipped = kernels.backproject_mask(m, d, *camera)
+                    assert one.tobytes() == p.tobytes() and one_skipped == k
+                    seen["empty_mask"] += not m.any()
+                    seen["no_valid_depth"] += m.any() and not len(p)
+                seen["overflow"] += not np.isfinite(pts).all()
+                seen["items"] += len(items) > 1
+        assert all(seen.values()), seen
+
+    def test_no_items(self):
+        pts, counts, skipped = kernels.backproject_masks([], [], 1.0, 1.0, 0.0, 0.0)
+        assert pts.shape == (0, 3) and counts.shape == skipped.shape == (0,)
+
+    def test_masks_of_other_widths_raise(self):
+        with pytest.raises(ValueError, match="^masks differ in width: 5 vs 4$"):
+            kernels.backproject_masks([np.ones((3, 4), bool), np.ones((3, 5), bool)],
+                                      [np.ones((3, 4)), np.ones((3, 5))], 1.0, 1.0, 0.0, 0.0)
+
+
 class TestFrustumMask:
     """Frustum membership boundaries under the identity transform."""
 
@@ -283,6 +350,18 @@ class TestFrustumMask:
         intr = make_intrinsics(width=8, height=8, cx=4.0, cy=4.0)
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
         np.testing.assert_array_equal(self.inside(pts, intr), [True, False])
+
+    def test_overflowing_transform_warns_of_nothing(self):
+        # finite points whose rotated coordinates pass the float64 range
+        intr = make_intrinsics(width=8, height=8)
+        c = np.sqrt(0.5)
+        rot = np.array([[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]])
+        pts = np.array([[1.7e308, 1.7e308, 1.0], [0.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels.frustum_mask(pts, rot, np.zeros(3), intr.fx, intr.fy, intr.cx,
+                                       intr.cy, intr.width, intr.height, DEFAULT_Z_NEAR)
+        assert got.tolist() == [False, True]
 
 
 def per_point_count(pts, rot, trans, fx, fy, cx, cy, width, height, z_near):

@@ -2,14 +2,17 @@
 
 import dataclasses
 import gc
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 from conftest import (make_cluster_scene, make_intrinsics, mixed_intrinsics_scene,
-                      naive_candidate_ratios, naive_sample, naive_frustum_overlap,
-                      random_sampler_scene, random_scene_frames, small_rotation)
+                      naive_back_project, naive_candidate_ratios, naive_sample,
+                      naive_frustum_overlap, random_sampler_scene, random_scene_frames,
+                      small_rotation)
 from geovos import geometry, kernels, sampler
 from geovos.geometry import CameraFrame, CameraPose
 from geovos.ingest import Scene
@@ -30,6 +33,19 @@ def make_gapped_scene(visible_ids, n_frames=16, width=8):
             masks["obj"] = np.ones((width, width), bool)
         frames.append(CameraFrame(fid, intr, CameraPose.identity(), depth, masks))
     return Scene("gapped", frames)
+
+
+def batched_items(monkeypatch) -> list:
+    """Wraps ``kernels.backproject_masks``: the returned list gets, per call,
+    the list of masks (the items) that the call received."""
+    calls = []
+    original = kernels.backproject_masks
+
+    def wrapper(masks, depths, *camera):
+        calls.append(list(masks))
+        return original(masks, depths, *camera)
+    monkeypatch.setattr(kernels, "backproject_masks", wrapper)
+    return calls
 
 
 def replaced(scene, changes: dict):
@@ -276,12 +292,13 @@ class TestVisibility:
     def test_never_back_projects(self, monkeypatch):
         calls = []
         monkeypatch.setattr(kernels, "backproject_mask", lambda *a: calls.append(a))
+        batched = batched_items(monkeypatch)
         scene = random_sampler_scene(np.random.default_rng(5), n_frames=10)
         cfg = SamplerConfig(n_frames=2)
         assert visible_frames(scene, "obj")
         sample_continuous(scene, cfg, rng=0, obj_id="obj")
         sample_random(scene, cfg, rng=0, obj_id="obj")
-        assert calls == []
+        assert calls == [] and batched == []
 
 
 class TestBatchedRatios:
@@ -355,15 +372,14 @@ class TestBatchedRatios:
         cfg = SamplerConfig(n_frames=3)
         with pytest.raises(ValueError) as want:
             naive_candidate_ratios(scene, "wall", 0, cfg)
-        calls = []
-        original = kernels.backproject_mask
-        monkeypatch.setattr(kernels, "backproject_mask",
-                            lambda *a: calls.append(1) or original(*a))
+        calls = batched_items(monkeypatch)
         with pytest.raises(ValueError, match="^frame 3 has no depth raster$") as got:
             candidate_ratios(scene, "wall", 0, cfg)
         assert str(got.value) == str(want.value)
-        # candidates 1 and 2 were back-projected, 4 after the raise was not
-        assert len(calls) == 2
+        # the depth check runs before any pixel work: no candidate, before
+        # frame 3 or after it, was back-projected or kept
+        assert calls == []
+        assert sampler._draw_index(scene).object(scene, "wall")[1].points == [None] * 6
         # the reference itself needs no depth
         scene = replaced(scene, {5: {"depth": full.frames[0].depth}})
         assert list(candidate_ratios(scene, "wall", 3, cfg).items()) == \
@@ -371,15 +387,14 @@ class TestBatchedRatios:
 
     def test_back_projects_only_strided_candidates(self, monkeypatch):
         scene = make_gapped_scene(range(12), n_frames=12)
-        calls = []
-        original = kernels.backproject_mask
-        monkeypatch.setattr(kernels, "backproject_mask",
-                            lambda *a: calls.append(1) or original(*a))
+        calls = batched_items(monkeypatch)
         cfg = SamplerConfig(n_frames=2, max_candidates=3)
         ratios = candidate_ratios(scene, "obj", 0, cfg)
-        assert len(ratios) == 3 and len(calls) == 3
+        # one call, whose items are the strided candidates' masks, in order
+        assert len(ratios) == 3 and len(calls) == 1
+        assert list(map(id, calls[0])) == [id(scene.frames[fid].masks["obj"]) for fid in ratios]
         candidate_ratios(scene, "obj", 0, cfg)
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     def test_replaced_scene_gets_its_own_index(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -393,15 +408,12 @@ class TestBatchedRatios:
         changes[3] = {"masks": {}}
         changed = replaced(scene, changes)
         twin = dataclasses.replace(scene)  # the very same frames
-        calls = []
-        original = kernels.backproject_mask
-        monkeypatch.setattr(kernels, "backproject_mask",
-                            lambda *a: calls.append(1) or original(*a))
+        calls = batched_items(monkeypatch)
         for new in (changed, twin):
             calls.clear()
             got = list(candidate_ratios(new, "obj", ref, cfg).items())
             # every candidate back-projected again: no old row or points read
-            assert len(calls) == len(got)
+            assert sum(map(len, calls)) == len(got)
             assert got == list(naive_candidate_ratios(new, "obj", ref, cfg).items())
         assert got == before
         calls.clear()
@@ -487,11 +499,132 @@ class TestMixedIntrinsics:
         assert list(got.items()) == list(naive_candidate_ratios(scene, "obj", 0, cfg).items())
 
 
+def special_depth_scene(rng, n_frames):
+    """``mixed_intrinsics_scene`` (two or three cameras) with NaN, infinite,
+    zero and negative depths in float32 or float64, some frames whose mask
+    covers no valid depth, and sometimes one frame past the first without
+    a depth raster."""
+    scene = mixed_intrinsics_scene(rng, n_frames)
+    changes = {}
+    for i, f in enumerate(scene.frames):
+        depth = f.depth.astype(rng.choice([np.float32, np.float64]))
+        bad = rng.random(depth.shape) < 0.2
+        depth[bad] = rng.choice([np.nan, np.inf, 0.0, -1.0], size=int(bad.sum()))
+        if i > 3 and rng.random() < 0.2:
+            depth[f.masks["obj"]] = rng.choice([np.nan, 0.0, -2.0])
+        changes[i] = {"depth": depth}
+    if rng.random() < 0.3:
+        changes[int(rng.integers(1, n_frames))] = {"depth": None}
+    return replaced(scene, changes)
+
+
+class TestBatchedBackProjection:
+    """A row miss back-projects its missing candidates in one batched pass
+    per camera; the kept clouds and the rows match the per-pixel and
+    per-pair oracles."""
+
+    SEEDS = range(40)
+
+    @pytest.mark.parametrize("chunk, splits", [(sampler.BACKPROJECT_CHUNK, False), (40, True)],
+                             ids=["default", "split"])
+    def test_clouds_and_rows_match_oracles(self, monkeypatch, chunk, splits):
+        monkeypatch.setattr(sampler, "BACKPROJECT_CHUNK", chunk)
+        calls = batched_items(monkeypatch)
+        seen = dict(cameras=0, strided=0, no_valid_depth=0, no_depth=0, split=0)
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            scene = special_depth_scene(rng, n_frames=int(rng.integers(6, 14)))
+            frame_of = {id(f.masks["obj"]): f for f in scene.frames}
+            visible = visible_frames(scene, "obj")
+            cfg = SamplerConfig(n_frames=2, max_candidates=int(rng.integers(1, len(visible) + 1)))
+            seen["strided"] += len(visible) - 1 > cfg.max_candidates
+            seen["cameras"] += len({f.intrinsics for f in scene.frames}) > 1
+            for ref in visible:
+                calls.clear()
+                try:
+                    got = list(candidate_ratios(scene, "obj", ref, cfg).items())
+                except ValueError as e:
+                    got = str(e)
+                    # raised before any pixel work: no candidate was touched
+                    assert calls == [], f"seed {seed}, reference {ref}"
+                    seen["no_depth"] += 1
+                try:
+                    want = list(naive_candidate_ratios(scene, "obj", ref, cfg).items())
+                except ValueError as e:
+                    want = str(e)
+                assert got == want, f"seed {seed}, reference {ref}"
+                for call in calls:  # one camera per call
+                    assert len({frame_of[id(m)].intrinsics for m in call}) == 1
+                cameras = {frame_of[id(m)].intrinsics for call in calls for m in call}
+                seen["split"] += len(calls) > len(cameras)
+            index = sampler._draw_index(scene).object(scene, "obj")[1]
+            for fid, points in zip(index.visible, index.points):
+                if points is not None:
+                    f = scene.frames[fid]
+                    want, _ = naive_back_project(f.masks["obj"], f.depth, f.intrinsics)
+                    assert points.tobytes() == want.tobytes(), f"seed {seed}, frame {fid}"
+                    assert not points.flags.writeable
+                    seen["no_valid_depth"] += not len(points)
+        assert bool(seen.pop("split")) == splits and all(seen.values()), seen
+
+    def test_non_finite_points_name_first_candidate(self):
+        # cameras B and C put the principal point where points overflow at
+        # depth 4 but not at depth 1; C is met first (frame 1), so its bad
+        # frame 5 is found before B's frame 3, which comes first in the row
+        a = make_intrinsics(width=6, height=6)
+        b = make_intrinsics(fx=2.0, width=6, height=6, cx=-1e308)
+        c = make_intrinsics(fx=1.0, width=6, height=6, cx=-1e308)
+        cameras = {0: (a, 2.0), 1: (c, 1.0), 2: (a, 2.0), 3: (b, 4.0), 4: (a, 2.0), 5: (c, 4.0)}
+        scene = Scene("overflow", [
+            CameraFrame(fid, intr, CameraPose(np.eye(3), [0.1 * fid, 0.0, 0.0]),
+                        np.full((6, 6), depth), {"obj": np.ones((6, 6), bool)})
+            for fid, (intr, depth) in cameras.items()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^frame 3: object 'obj': point cloud contains "
+                                                 "non-finite coordinates$"):
+                candidate_ratios(scene, "obj", 0, SamplerConfig(n_frames=2))
+        # the finite clouds are kept, the non-finite ones are not
+        index = sampler._draw_index(scene).object(scene, "obj")[1]
+        assert [p is not None for p in index.points] == [False, True, True, False, True, False]
+
+    def test_transient_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        # twelve 128x128 masks of ~16k masked pixels each; with one mask per
+        # run the pass holds ~1.2 MB beyond the ~4.3 MB of points it keeps
+        # (~74 bytes a masked pixel), where one run over all would hold ~12 MB
+        size, chunk = 128, 1 << 14
+        monkeypatch.setattr(sampler, "BACKPROJECT_CHUNK", chunk)
+        rng = np.random.default_rng(4)
+        intr = make_intrinsics(width=size, height=size)
+        frames = []
+        for fid in range(12):
+            depth = rng.uniform(0.5, 5.0, size=(size, size)).astype(np.float32)
+            depth[rng.random(depth.shape) < 0.05] = np.nan
+            mask = np.ones((size, size), bool)
+            mask[:2] = False
+            frames.append(CameraFrame(fid, intr, CameraPose(np.eye(3), [0.1 * fid, 0.0, 0.0]),
+                                      depth, {"obj": mask}))
+        scene = Scene("large", frames)
+        index = sampler._draw_index(scene).object(scene, "obj")[1]
+        by_id = sampler._draw_index(scene).by_id
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            clouds = index.clouds(list(range(1, 12)), by_id, "obj")
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(c.nbytes for c in clouds)
+        assert now - before >= kept > 11 * 15000 * 24
+        assert peak - before - kept < 112 * size * size, (peak - before - kept)
+
+
 def object_points(scene, obj_id, frame_id):
     """The points that the scene's draw index keeps for one frame's mask."""
     draws = sampler._draw_index(scene)
     index = draws.object(scene, obj_id)[1]
-    return index.cloud(index.visible.index(frame_id), draws.by_id, obj_id)
+    return index.clouds([index.visible.index(frame_id)], draws.by_id, obj_id)[0]
 
 
 def masked_scene(seed=0, n_frames=3, size=6):
@@ -514,15 +647,14 @@ class TestObjectPoints:
 
     def test_backprojects_once_per_frame(self, monkeypatch):
         scene = masked_scene(n_frames=6)
-        calls = []
-        original = kernels.backproject_mask
-        monkeypatch.setattr(kernels, "backproject_mask",
-                            lambda *a: calls.append(1) or original(*a))
+        calls = batched_items(monkeypatch)
         cfg = SamplerConfig(n_frames=2)
         for ref in range(6):  # every frame is a candidate of five references
             candidate_ratios(scene, "obj", ref, cfg)
         kept = [object_points(scene, "obj", fid) for fid in range(6)]
-        assert len(calls) == 6
+        # each frame's mask was an item once: five in the first row, frame 0 in the second
+        items = [id(mask) for call in calls for mask in call]
+        assert sorted(items) == sorted(id(f.masks["obj"]) for f in scene.frames)
         for frame, points in zip(scene.frames, kept):
             assert object_points(scene, "obj", frame.frame_id) is points
             np.testing.assert_array_equal(points, geometry.back_project(
@@ -798,7 +930,8 @@ class TestDrawIndex:
                 break
         assert references == visible
         calls = TestRowMemo.count_passes(monkeypatch)
-        calls.update(visible_frames=0, candidate_ratios=0, backproject_mask=0)
+        calls.update(visible_frames=0, candidate_ratios=0, backproject_mask=0,
+                     backproject_masks=0)
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -811,6 +944,7 @@ class TestDrawIndex:
         counted(sampler, "visible_frames")
         counted(sampler, "candidate_ratios")
         counted(kernels, "backproject_mask")
+        counted(kernels, "backproject_masks")
         # the same frames, in a tuple that counts every read of itself
         frames = CountedFrames(scene.frames)
         object.__setattr__(scene, "frames", frames)
