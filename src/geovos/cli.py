@@ -375,7 +375,10 @@ def cmd_eval_vos(args) -> int:
     subset = select_subset(gt, cfg)
     per_track = {}
     for obj in sorted(gt):
-        scores = track_metrics(pred[obj], gt[obj])
+        try:
+            scores = track_metrics(pred[obj], gt[obj])
+        except ValueError as e:  # lengths or mask shapes differ
+            raise ValueError(f"{args.pred}: track '{obj}': {e}") from None
         per_track[obj] = scores
         report.items.append({
             "track": obj,

@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .geometry import CameraFrame, CameraIntrinsics, CameraPose, back_project, rotation_checks
+from .geometry import CameraFrame, CameraIntrinsics, CameraPose, PointCloud, rotation_checks
 from .instance3d import Instance, InstanceSet
 from .metrics import MaskTrack
 
@@ -917,6 +917,13 @@ def generate_boxworld(boxes, cameras, resolution=None) -> BoxWorld:
     lies at camera depth <= 0 or projects to a non-finite pixel. No ray
     outside a window hits its box, so the output is the same, byte for
     byte, as a render of every box over every ray.
+
+    A frame's scene points are the pixels of the boxes it sees, lifted by
+    one ``kernels.backproject_masks`` call (box by box in index order, each
+    box's pixels in row-major order) and moved to the world frame at once.
+    Superpoints split each box's points by octant around its center,
+    numbered in (box, octant) order; a box's ground-truth point ids are its
+    points in scene order, and its superpoint ids the labels those carry.
     """
     bounds = np.stack([b.bounds() for b in boxes])
     for i in range(len(boxes)):
@@ -925,10 +932,7 @@ def generate_boxworld(boxes, cameras, resolution=None) -> BoxWorld:
             hi = np.minimum(bounds[i, 3:], bounds[j, 3:])
             if np.all(lo < hi):
                 raise ValueError(f"boxes {i} and {j} intersect")
-    frames = []
-    owners = []
-    all_points = []
-    all_owner_ids = []
+    frames, owners, points, box_ids = [], [], [], []
     for fid, (pose, intr) in enumerate(cameras):
         if resolution is not None and (intr.width, intr.height) != tuple(resolution):
             raise ValueError(f"camera {fid} is {intr.width}x{intr.height}, "
@@ -937,51 +941,35 @@ def generate_boxworld(boxes, cameras, resolution=None) -> BoxWorld:
         for b, bb in enumerate(bounds):
             if np.all(origin > bb[:3]) and np.all(origin < bb[3:]):
                 raise ValueError(f"camera {fid} origin lies inside box {b}")
-        dirs = _ray_dirs_world(intr, pose)
-        depth64, owner = kernels.render_boxes(origin, dirs, bounds,
-                                              windows=_box_windows(bounds, intr, pose))
+        depth64, owner = kernels.render_boxes(origin, _ray_dirs_world(intr, pose), bounds,
+                                              _box_windows(bounds, intr, pose))
         depth = depth64.astype(np.float32)
-        masks = {}
-        for b in range(len(boxes)):
-            m = owner == b
-            if not m.any():
-                continue
-            masks[f"box{b}"] = m
-            pc, _ = back_project(m, depth, intr)
-            all_points.append(pose.to_world(pc.points))
-            all_owner_ids.append(np.full(len(pc), b, np.int64))
+        seen = np.flatnonzero(np.bincount(owner.ravel() + 1, minlength=len(boxes) + 1)[1:])
+        masks = {f"box{b}": owner == b for b in seen.tolist()}
+        pts, counts, _ = kernels.backproject_masks(masks.values(), [depth] * len(seen),
+                                                   intr.fx, intr.fy, intr.cx, intr.cy)
+        # non-finite camera-frame points raise, as a lift's would
+        points.append(pose.to_world(PointCloud(pts).points))
+        box_ids.append(np.repeat(seen, counts))
         frames.append(CameraFrame(fid, intr, pose, depth, masks))
         owners.append(owner)
-    if all_points:
-        scene_points = np.concatenate(all_points)
-        owner_ids = np.concatenate(all_owner_ids)
-    else:
-        scene_points = np.zeros((0, 3), np.float64)
-        owner_ids = np.zeros(0, np.int64)
+    scene_points = np.concatenate(points) if points else np.zeros((0, 3))
+    box_ids = np.concatenate(box_ids) if box_ids else np.zeros(0, np.int64)
 
-    # superpoints: each box's points split by octant around the box center
-    centers = np.asarray([b.center for b in boxes], dtype=np.float64)
-    sp_labels = np.full(scene_points.shape[0], -1, np.int64)
-    next_id = 0
-    for b in range(len(boxes)):
-        sel = np.nonzero(owner_ids == b)[0]
-        if sel.size == 0:
-            continue
-        rel = scene_points[sel] > centers[b]
-        octant = rel[:, 0] * 4 + rel[:, 1] * 2 + rel[:, 2] * 1
-        for oc in np.unique(octant):
-            sp_labels[sel[octant == oc]] = next_id
-            next_id += 1
-
+    # superpoints: each box's points split by octant around the box center,
+    # numbered in (box, octant) order
+    centers = np.asarray([b.center for b in boxes], np.float64)
+    octant = (scene_points > centers[box_ids]) @ (4, 2, 1)
+    keys, sp_labels = np.unique(box_ids * 8 + octant, return_inverse=True)
+    # per box, its points (ascending) and the range of its superpoint ids
+    per_box = np.split(np.argsort(box_ids, kind="stable"),
+                       np.cumsum(np.bincount(box_ids, minlength=len(boxes)))[:-1])
+    sp_ends = np.searchsorted(keys // 8, np.arange(len(boxes) + 1))
     gt_instances = InstanceSet([
-        Instance(
-            fragments=[],
-            confidence=1.0,
-            superpoint_ids=frozenset(int(s) for s in np.unique(sp_labels[owner_ids == b]))
-            if np.any(owner_ids == b) else frozenset(),
-            point_ids=np.nonzero(owner_ids == b)[0].astype(np.int64),
-        )
-        for b in range(len(boxes))
+        Instance(fragments=[], confidence=1.0,
+                 superpoint_ids=frozenset(range(sp_ends[b], sp_ends[b + 1])),
+                 point_ids=ids)
+        for b, ids in enumerate(per_box)
     ])
     gt_tracks = {
         f"box{b}": MaskTrack([f.masks.get(f"box{b}") for f in frames])

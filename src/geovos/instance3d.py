@@ -21,6 +21,7 @@ merge_instances and assign_superpoints build an index of their own.
 Evaluation follows the usual scan-benchmark AP protocol on point sets.
 """
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import is_
@@ -47,8 +48,11 @@ class MergeConfig:
     eps_rel: float = 0.05
 
     def __post_init__(self):
-        if self.voxel_size <= 0:
-            raise ValueError("voxel_size must be > 0")
+        # NaN fails both comparisons, and JSON configs may hold Infinity or NaN
+        if not 0 < self.voxel_size < math.inf:
+            raise ValueError(f"voxel_size must be finite and > 0, got {self.voxel_size}")
+        if not 0 <= self.eps_rel < math.inf:
+            raise ValueError(f"eps_rel must be finite and >= 0, got {self.eps_rel}")
         for name in ("theta_3d", "theta_iou", "theta_prec"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -2,9 +2,10 @@
 
 ``backproject_masks`` lifts the masked valid-depth pixels of many
 (mask, depth) items that share one camera in one pass: the FOV sampler
-back-projects a row's candidates with it, one call per camera.
+back-projects a row's candidates with it, one call per camera, and
+box-world set-up the boxes a frame sees, one call per frame.
 ``backproject_mask`` is its one-item case, which ``geometry.back_project``
-(the lift, the one-candidate overlap ratio, box-world set-up) calls. The two
+(the lift, the one-candidate overlap ratio) calls. The two
 evaluate one copy of the per-pixel expression; it warns of nothing, and an
 overflow past the float64 range gives non-finite points, which the callers
 that know the frame and object reject.
@@ -189,7 +190,7 @@ def erode_mask(mask, radius):
     return out
 
 
-def render_boxes(origin, dirs, boxes, z_near=1e-9, windows=None):
+def render_boxes(origin, dirs, boxes, windows, z_near=1e-9):
     """Render axis-aligned boxes along per-pixel rays (slab method).
 
     ``dirs`` is (H, W, 3), world-frame, scaled so the camera-frame z
@@ -201,8 +202,7 @@ def render_boxes(origin, dirs, boxes, z_near=1e-9, windows=None):
     ``windows`` is (B, 4) as [v0, v1, u0, u1] with 0 <= v0 <= v1 <= H and
     0 <= u0 <= u1 <= W, one pixel window per box. The caller guarantees
     that no ray outside box b's window hits box b; the box is then tested
-    only against the rays ``dirs[v0:v1, u0:u1]``. ``None`` makes every
-    window the whole raster.
+    only against the rays ``dirs[v0:v1, u0:u1]``.
 
     The boxes are intersected one at a time, in index order, with the rays
     of their windows, keeping the nearest hit so far; a box takes a pixel
@@ -215,8 +215,6 @@ def render_boxes(origin, dirs, boxes, z_near=1e-9, windows=None):
     boxes = np.ascontiguousarray(boxes, dtype=np.float64).reshape(-1, 6)
     z_near = float(z_near)
     h, w = dirs.shape[0], dirs.shape[1]
-    if windows is None:
-        windows = [(0, h, 0, w)] * len(boxes)
     windows = np.asarray(windows, dtype=np.int64)
     if windows.shape != (len(boxes), 4):
         raise ValueError(f"windows must be {len(boxes)} [v0, v1, u0, u1] rows, "

@@ -538,6 +538,53 @@ def naive_render_boxes(origin, dirs, boxes, z_near=1e-9):
 
 
 # ---------------------------------------------------------------------------
+# box-world lifting oracle: the per-box loops that ``generate_boxworld`` ran
+# before it lifted each frame in one batched pass and labelled all points
+# from one sort
+
+
+def naive_boxworld_lift(boxes, frames, owners):
+    """``(scene_points, superpoints, gt)`` of a rendered box world.
+
+    Per frame and per box in index order, the box's owned pixels are
+    back-projected and moved to the world frame; each box's points are split
+    by octant around its center, numbered box by box and octant by octant.
+    ``gt`` holds per box ``(point_ids, superpoint_ids)``.
+    """
+    all_points, all_owner_ids = [], []
+    for frame, owner in zip(frames, owners):
+        for b in range(len(boxes)):
+            m = owner == b
+            if not m.any():
+                continue
+            pc, _ = back_project(m, frame.depth, frame.intrinsics)
+            all_points.append(frame.pose.to_world(pc.points))
+            all_owner_ids.append(np.full(len(pc), b, np.int64))
+    if all_points:
+        scene_points = np.concatenate(all_points)
+        owner_ids = np.concatenate(all_owner_ids)
+    else:
+        scene_points = np.zeros((0, 3), np.float64)
+        owner_ids = np.zeros(0, np.int64)
+    centers = np.asarray([b.center for b in boxes], dtype=np.float64)
+    sp_labels = np.full(scene_points.shape[0], -1, np.int64)
+    next_id = 0
+    for b in range(len(boxes)):
+        sel = np.nonzero(owner_ids == b)[0]
+        if sel.size == 0:
+            continue
+        rel = scene_points[sel] > centers[b]
+        octant = rel[:, 0] * 4 + rel[:, 1] * 2 + rel[:, 2] * 1
+        for oc in np.unique(octant):
+            sp_labels[sel[octant == oc]] = next_id
+            next_id += 1
+    gt = [(np.nonzero(owner_ids == b)[0].astype(np.int64),
+           frozenset(int(s) for s in np.unique(sp_labels[owner_ids == b])))
+          for b in range(len(boxes))]
+    return scene_points, sp_labels, gt
+
+
+# ---------------------------------------------------------------------------
 # file-reader oracles: the byte-at-a-time readers that ``ingest`` replaced,
 # each path checked with ``is_file`` before it is read. A non-finite pose
 # entry, a pose file that is not UTF-8, a PGM header that ends at its maxval

@@ -789,6 +789,16 @@ CORRUPTIONS = {
     "pipeline-merge-config-string-value": _merge_config("pipeline", '{"voxel_size": "0.1"}',
                                                         "'voxel_size' must be a number"),
     **{f"{c}-merge-config-tiny-voxel": _tiny_voxel(c) for c in ("merge", "pipeline")},
+    "pipeline-merge-config-infinite-voxel": _merge_config(
+        "pipeline", '{"voxel_size": Infinity}', "voxel_size must be finite and > 0, got inf"),
+    "pipeline-merge-config-nan-voxel": _merge_config(
+        "pipeline", '{"voxel_size": NaN}', "voxel_size must be finite and > 0, got nan"),
+    "lift-merge-config-negative-eps-rel": _merge_config(
+        "lift", '{"eps_rel": -1}', "eps_rel must be finite and >= 0, got -1"),
+    "lift-merge-config-nan-eps-rel": _merge_config(
+        "lift", '{"eps_rel": NaN}', "eps_rel must be finite and >= 0, got nan"),
+    "pipeline-merge-config-infinite-eps-rel": _merge_config(
+        "pipeline", '{"eps_rel": Infinity}', "eps_rel must be finite and >= 0, got inf"),
     **{f"{c}-stride-zero": _stride_zero(c) for c in _3D},
     "gradcheck-config-list": _gradcheck_config("[1, 2]", "list"),
     "gradcheck-config-invalid-json": _gradcheck_config("{", "invalid JSON"),
@@ -958,14 +968,16 @@ class TestEvalVos:
         pr_p = save_tracks({"o": MaskTrack([m])}, tmp_path / "pr")
         code = main(["eval-vos", "--pred", str(pr_p), "--gt", str(gt_p)])
         assert code == EXIT_INPUT_ERROR
-        assert "lengths differ" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {pr_p}: track 'o': track lengths differ: pred 1 vs gt 2" in err
 
     def test_mask_sizes_differ_exit_2(self, tmp_path, capsys):
         gt_p = save_tracks({"o": MaskTrack([np.ones((4, 4), bool)])}, tmp_path / "gt")
         pr_p = save_tracks({"o": MaskTrack([np.ones((5, 5), bool)])}, tmp_path / "pr")
         code = main(["eval-vos", "--pred", str(pr_p), "--gt", str(gt_p)])
         assert code == EXIT_INPUT_ERROR
-        assert "mask shapes differ: (5, 5) vs (4, 4)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {pr_p}: track 'o': mask shapes differ: (5, 5) vs (4, 4)" in err
 
 
 class TestGradcheck:

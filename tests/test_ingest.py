@@ -15,8 +15,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (make_intrinsics, naive_load_dmap, naive_load_mask_pgm, naive_load_pose,
-                      random_pose, random_rotation)
+from conftest import (make_intrinsics, naive_boxworld_lift, naive_load_dmap, naive_load_mask_pgm,
+                      naive_load_pose, random_pose, random_rotation)
 from geovos import geometry, ingest
 from geovos.cli import _look_at_pose, boxworld_preset
 from geovos.geometry import CameraFrame, CameraPose, back_project, rotation_checks
@@ -1149,3 +1149,57 @@ class TestBoxWorld:
             np.testing.assert_array_equal(f1.depth, f2.depth)
         np.testing.assert_array_equal(w1.scene.scene_points, w2.scene.scene_points)
         np.testing.assert_array_equal(w1.scene.superpoints, w2.scene.superpoints)
+
+    @staticmethod
+    def random_layout(rng):
+        """1-4 disjoint boxes and 1-3 cameras of one 4-40 px intrinsics,
+        placed about the origin; half the time the last box sits behind
+        camera 0."""
+        res = int(rng.integers(4, 41))
+        intr = make_intrinsics(fx=res * rng.uniform(0.5, 2.0), fy=res * rng.uniform(0.5, 2.0),
+                               width=res, height=res)
+        eyes = rng.normal(size=(int(rng.integers(1, 4)), 3))
+        eyes *= rng.uniform(3.0, 5.0, (len(eyes), 1)) / np.linalg.norm(eyes, axis=1, keepdims=True)
+        cams = [(_look_at_pose(eye, rng.uniform(-0.5, 0.5, 3)), intr) for eye in eyes]
+        while True:
+            n = int(rng.integers(1, 5))
+            centers = rng.uniform(-1.5, 1.5, (n, 3))
+            if rng.random() < 0.5:
+                pose = cams[0][0]
+                centers[-1] = pose.translation - rng.uniform(1.0, 2.0) * pose.rotation[:, 2]
+            sizes = rng.uniform(0.2, 1.0, (n, 3))
+            lo, hi = centers - sizes / 2, centers + sizes / 2
+            apart = [not np.all(np.maximum(lo[i], lo[j]) < np.minimum(hi[i], hi[j]))
+                     for i in range(n) for j in range(i + 1, n)]
+            clear = [not np.any(np.all((eye > lo) & (eye < hi), axis=1)) for eye in eyes]
+            if all(apart) and all(clear):
+                return [Box(tuple(c), tuple(s)) for c, s in zip(centers, sizes)], cams
+
+    def test_lifting_matches_the_per_box_oracle(self):
+        """Scene points, superpoints and ground truth equal, byte for byte,
+        those of the per-box loops in conftest, on the touching-cubes preset
+        and random layouts; unseen boxes and boxes behind a camera occur."""
+        rng = np.random.default_rng(28)
+        layouts = [boxworld_preset("two-cubes-touching", 24)]
+        layouts += [self.random_layout(rng) for _ in range(60)]
+        unseen = behind = 0
+        for boxes, cams in layouts:
+            world = generate_boxworld(boxes, cams)
+            points, labels, gt = naive_boxworld_lift(boxes, world.scene.frames, world.owners)
+            scene = world.scene
+            assert scene.scene_points.dtype == points.dtype
+            assert scene.scene_points.shape == points.shape
+            assert scene.scene_points.tobytes() == points.tobytes()
+            assert scene.superpoints.dtype == np.int64
+            np.testing.assert_array_equal(scene.superpoints, labels)
+            for inst, (point_ids, superpoint_ids) in zip(world.gt_instances.instances, gt,
+                                                         strict=True):
+                assert inst.point_ids.dtype == np.int64
+                np.testing.assert_array_equal(inst.point_ids, point_ids)
+                assert inst.superpoint_ids == superpoint_ids
+            unseen += sum(all(m is None for m in t.masks) for t in world.gt_tracks.values())
+            corners = np.stack([b.bounds()[ingest._BOX_CORNERS] for b in boxes])
+            behind += sum(np.any(np.all(pose.to_camera(corners.reshape(-1, 3))[:, 2]
+                                        .reshape(len(boxes), 8) <= 0, axis=1))
+                          for pose, _ in cams)
+        assert unseen > 0 and behind > 0

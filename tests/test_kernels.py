@@ -11,19 +11,24 @@ from geovos import ingest, kernels
 from geovos.geometry import DEFAULT_Z_NEAR, CameraIntrinsics, CameraPose
 
 
+def whole_raster(dirs, boxes):
+    """One window per box, each the whole raster of ``dirs``."""
+    return np.tile([0, dirs.shape[0], 0, dirs.shape[1]], (len(boxes), 1))
+
+
 def test_render_axis_parallel_rays():
     # rays with exact zero components exercise the parallel-slab branch
     origin = np.array([0.5, 0.5, -2.0])
     dirs = np.zeros((2, 2, 3))
     dirs[..., 2] = 1.0
     boxes = np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
-    depth, owner = kernels.render_boxes(origin, dirs, boxes, 1e-9)
+    depth, owner = kernels.render_boxes(origin, dirs, boxes, whole_raster(dirs, boxes), 1e-9)
     assert np.all(depth == 2.0) and np.all(owner == 0)
 
 
 def assert_renders_like_broadcast(origin, dirs, boxes, z_near=1e-9):
     want_depth, want_owner = naive_render_boxes(origin, dirs, boxes, z_near)
-    depth, owner = kernels.render_boxes(origin, dirs, boxes, z_near)
+    depth, owner = kernels.render_boxes(origin, dirs, boxes, whole_raster(dirs, boxes), z_near)
     assert depth.tobytes() == want_depth.tobytes()
     assert owner.dtype == want_owner.dtype == np.int64
     np.testing.assert_array_equal(owner, want_owner)
@@ -238,7 +243,7 @@ def test_render_memory_is_a_few_frame_buffers():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        depth, owner = kernels.render_boxes(origin, dirs, boxes)
+        depth, owner = kernels.render_boxes(origin, dirs, boxes, whole_raster(dirs, boxes))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
