@@ -93,14 +93,7 @@ def _load_config(path, cls, defaults=None):
     kind: a number for a float, an integer for an int, a list for a tuple
     (taken as the tuple). Each error names the path.
     """
-    doc = {}
-    if path:
-        try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: invalid JSON ({e})") from None
-        if not isinstance(doc, dict):
-            raise ValueError(f"{path}: config must be a JSON object, got {type(doc).__name__}")
+    doc = ingest._read_json(path, "config") if path else {}
     kinds = {f.name: _KINDS[type(f.default)] for f in fields(cls)}
     for key, value in doc.items():
         if key not in kinds:
@@ -317,14 +310,14 @@ def cmd_eval_3d(args) -> int:
     return EXIT_OK
 
 
-def _cmd_instances(args, command: str) -> int:
-    """``merge`` and ``pipeline``: lift, merge and vote, then report the
-    instances; ``pipeline`` adds the fragment count and, when the scene has
-    ground truth, AP."""
+def _cmd_instances(args) -> int:
+    """``merge`` and ``pipeline`` (``args.command``): lift, merge and vote,
+    then report the instances; ``pipeline`` adds the fragment count and,
+    when the scene has ground truth, AP."""
     t0 = time.perf_counter()
     scene, tracks, cfg, echo = _pipeline_inputs(args, side_files=True)
     result = run_pipeline(scene, tracks, cfg, keyframe_stride=args.stride)
-    report = RunReport(command, echo)
+    report = RunReport(args.command, echo)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     agg = {
@@ -334,7 +327,7 @@ def _cmd_instances(args, command: str) -> int:
     }
     if result.instances is not None:
         report.items = _instance_records(result)
-    if command == "pipeline":
+    if args.command == "pipeline":
         agg["n_fragments"] = len(result.fragments)
         if scene.gt_instances is not None:
             if result.voted and result.instances is not None:
@@ -347,14 +340,6 @@ def _cmd_instances(args, command: str) -> int:
     report.aggregate = agg
     _finish(report, args.out, t0)
     return EXIT_OK
-
-
-def cmd_merge(args) -> int:
-    return _cmd_instances(args, "merge")
-
-
-def cmd_pipeline(args) -> int:
-    return _cmd_instances(args, "pipeline")
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn, help_text in [
         ("lift", cmd_lift, "lift tracked masks into 3D fragments"),
-        ("merge", cmd_merge, "lift and merge fragments into instances"),
+        ("merge", _cmd_instances, "lift and merge fragments into instances"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scene", required=True)
@@ -503,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merge-config", default=None, dest="merge_config")
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_pipeline)
+    p.set_defaults(fn=_cmd_instances)
 
     p = sub.add_parser("eval-vos", help="track IoU / positive IoU / successful IoU")
     p.add_argument("--pred", required=True, help="predicted tracks JSON")

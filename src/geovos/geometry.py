@@ -25,7 +25,6 @@ import numpy as np
 from . import kernels
 
 DEFAULT_Z_NEAR = 1e-4
-DEFAULT_EPS_REL = 0.05
 
 ROTATION_TOL = 1e-6
 _IDENTITY3 = np.eye(3)
@@ -377,7 +376,7 @@ def frustum_overlap_ratios(clouds, rotations, translations, same_camera,
 
 
 def depth_agreement_score(pc: PointCloud, ref_depth: np.ndarray, intr: CameraIntrinsics,
-                          eps_rel: float = DEFAULT_EPS_REL) -> float:
+                          eps_rel: float) -> float:
     """Fraction of reference-frame points agreeing with a depth raster.
 
     A point agrees iff its nearest pixel is inside the raster with valid

@@ -42,7 +42,7 @@ import re
 import struct
 import threading
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -845,9 +845,7 @@ class Box:
 @dataclass
 class BoxWorld:
     scene: Scene
-    gt_instances: InstanceSet
     gt_tracks: dict
-    owners: list = field(default_factory=list)
 
 
 def _ray_dirs_world(intr: CameraIntrinsics, pose: CameraPose) -> np.ndarray:
@@ -907,9 +905,10 @@ def generate_boxworld(boxes, cameras, resolution=None) -> BoxWorld:
             camera's intrinsics.
 
     Returns:
-        BoxWorld with the scene (float32 depth, per-box masks), ground
-        truth instances over the lifted scene points, per-box mask tracks,
-        and per-frame owner rasters.
+        BoxWorld with the scene (float32 depth, per-box masks, and ground
+        truth instances over the lifted scene points) and per-box mask
+        tracks. A frame's ``box{b}`` masks are disjoint: each pixel goes to
+        the nearest box its ray hits.
 
     Each frame is rendered with one pixel window per box (``_box_windows``):
     the bounding rectangle of the box's projected corners widened by at
@@ -932,7 +931,7 @@ def generate_boxworld(boxes, cameras, resolution=None) -> BoxWorld:
             hi = np.minimum(bounds[i, 3:], bounds[j, 3:])
             if np.all(lo < hi):
                 raise ValueError(f"boxes {i} and {j} intersect")
-    frames, owners, points, box_ids = [], [], [], []
+    frames, points, box_ids = [], [], []
     for fid, (pose, intr) in enumerate(cameras):
         if resolution is not None and (intr.width, intr.height) != tuple(resolution):
             raise ValueError(f"camera {fid} is {intr.width}x{intr.height}, "
@@ -952,7 +951,6 @@ def generate_boxworld(boxes, cameras, resolution=None) -> BoxWorld:
         points.append(pose.to_world(PointCloud(pts).points))
         box_ids.append(np.repeat(seen, counts))
         frames.append(CameraFrame(fid, intr, pose, depth, masks))
-        owners.append(owner)
     scene_points = np.concatenate(points) if points else np.zeros((0, 3))
     box_ids = np.concatenate(box_ids) if box_ids else np.zeros(0, np.int64)
 
@@ -975,5 +973,4 @@ def generate_boxworld(boxes, cameras, resolution=None) -> BoxWorld:
         f"box{b}": MaskTrack([f.masks.get(f"box{b}") for f in frames])
         for b in range(len(boxes))
     }
-    scene = Scene("boxworld", frames, scene_points, sp_labels, gt_instances)
-    return BoxWorld(scene, gt_instances, gt_tracks, owners)
+    return BoxWorld(Scene("boxworld", frames, scene_points, sp_labels, gt_instances), gt_tracks)

@@ -191,28 +191,6 @@ def temporal_overlap2d(track_a: MaskTrack, track_b: MaskTrack):
     return _suffix_means(_overlap_series(track_a, track_b), 0)
 
 
-class UnionFind:
-    """Array union-find with path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-
 # Voxel columns per block of the fragment x voxel incidence: bounds the
 # dense block at about _BLOCK_CELLS cells whatever the scene size.
 _BLOCK_CELLS = 1 << 20
@@ -324,14 +302,25 @@ def voxel_index(fragments: list, voxel_size: float, scene_points=None) -> VoxelI
     a table over the box, in O(points + cells); otherwise they are sorted.
 
     Raises:
-        ValueError: as voxel_keys.
+        ValueError: as voxel_keys, prefixed with the first point set whose
+        keys leave int64: ``frame K: object 'O'`` for a fragment, in
+        fragment order, else ``scene points``.
     """
     sets = [f.points.points for f in fragments]
     sizes = [len(p) for p in sets]
     if scene_points is not None:
         sets.append(np.asarray(scene_points, dtype=np.float64).reshape(-1, 3))
-    keys, ids = _rank_keys(voxel_keys(np.concatenate(sets) if sets else np.zeros((0, 3)),
-                                      voxel_size))
+    try:
+        all_keys = voxel_keys(np.concatenate(sets) if sets else np.zeros((0, 3)), voxel_size)
+    except ValueError as e:
+        names = [f"frame {f.source[0]}: object {f.source[1]!r}" for f in fragments]
+        for name, points in zip(names + ["scene points"], sets):
+            try:
+                voxel_keys(points, voxel_size)
+            except ValueError:
+                raise ValueError(f"{name}: {e}") from None
+        raise
+    keys, ids = _rank_keys(all_keys)
     n_frag_points, n_voxels = sum(sizes), len(keys)
     owner = np.repeat(np.arange(len(sizes)), sizes)
     pairs = _distinct(owner * n_voxels + ids[:n_frag_points], len(sizes) * n_voxels)
@@ -472,9 +461,10 @@ def merge_instances(fragments: list, cfg: MergeConfig,
     group_track = [track[m[0]] for m in members]
     group_starts = [{start[i] for i in m.tolist()} for m in members]
 
-    uf, series = UnionFind(len(groups)), {}
+    # each group's component, labelled by its smallest group index
+    label, series = list(range(len(groups))), {}
     for a, b in combinations(range(len(groups)), 2):
-        if uf.find(a) == uf.find(b):
+        if label[a] == label[b]:
             continue
         linked = _voxel_link(groups[a], groups[b], sizes, cfg.theta_3d)
         if not linked and group_track[a] is not None and group_track[b] is not None:
@@ -483,10 +473,11 @@ def merge_instances(fragments: list, cfg: MergeConfig,
                 series[pair] = _overlap_series(tracks[pair[0]], tracks[pair[1]])
             linked = _temporal_link(series[pair], group_starts[a], group_starts[b], cfg)
         if linked:
-            uf.union(a, b)
+            keep, drop = sorted((label[a], label[b]))
+            label = [keep if x == drop else x for x in label]
     components: dict[int, list[int]] = {}
     for i, g in enumerate(gid.tolist()):
-        components.setdefault(uf.find(g), []).append(i)
+        components.setdefault(label[g], []).append(i)
     ordered = list(components.values())  # by first member, which is the smallest
     totals = [sum(fragments[i].n_points for i in grp) for grp in ordered]
     top = max(totals)

@@ -390,7 +390,7 @@ def naive_temporal_overlap2d(track_a, track_b):
 
 
 def naive_merge_instances(fragments, cfg):
-    from geovos.instance3d import Instance, InstanceSet, UnionFind
+    from geovos.instance3d import Instance, InstanceSet
 
     if not fragments:
         raise ValueError("merge_instances requires at least one fragment")
@@ -401,21 +401,30 @@ def naive_merge_instances(fragments, cfg):
             raise ValueError(f"track lengths differ: {lengths[0]} vs {length}")
     n = len(fragments)
     voxels = [voxel_set(f.points.points, cfg.voxel_size) for f in fragments]
-    uf = UnionFind(n)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        parent[find(i)] = find(j)
+
     for i in range(n):
         for j in range(i + 1, n):
             score3d = len(voxels[i] & voxels[j]) / min(len(voxels[i]), len(voxels[j]))
             if score3d >= cfg.theta_3d:
-                uf.union(i, j)
+                union(i, j)
                 continue
             if fragments[i].track is not None and fragments[j].track is not None:
                 iou, prec = naive_temporal_overlap2d(forward_track(fragments[i]),
                                                      forward_track(fragments[j]))
                 if iou >= cfg.theta_iou or prec >= cfg.theta_prec:
-                    uf.union(i, j)
+                    union(i, j)
     groups = {}
     for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
+        groups.setdefault(find(i), []).append(i)
     ordered = sorted(groups.values(), key=min)
     totals = [sum(fragments[i].n_points for i in grp) for grp in ordered]
     top = max(totals)
@@ -543,19 +552,19 @@ def naive_render_boxes(origin, dirs, boxes, z_near=1e-9):
 # from one sort
 
 
-def naive_boxworld_lift(boxes, frames, owners):
+def naive_boxworld_lift(boxes, frames):
     """``(scene_points, superpoints, gt)`` of a rendered box world.
 
-    Per frame and per box in index order, the box's owned pixels are
+    Per frame and per box in index order, the box's mask pixels are
     back-projected and moved to the world frame; each box's points are split
     by octant around its center, numbered box by box and octant by octant.
     ``gt`` holds per box ``(point_ids, superpoint_ids)``.
     """
     all_points, all_owner_ids = [], []
-    for frame, owner in zip(frames, owners):
+    for frame in frames:
         for b in range(len(boxes)):
-            m = owner == b
-            if not m.any():
+            m = frame.masks.get(f"box{b}")
+            if m is None:
                 continue
             pc, _ = back_project(m, frame.depth, frame.intrinsics)
             all_points.append(frame.pose.to_world(pc.points))

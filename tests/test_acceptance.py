@@ -149,7 +149,7 @@ def test_criterion_5_end_to_end_pipeline():
     world = generate_boxworld(boxes, cams, resolution=(64, 64))
     res = run_pipeline(world.scene, world.gt_tracks, cfg)
     two_ok = len(res.instances) == 2 and res.voted
-    scores = eval_ap(res.instances, world.gt_instances)
+    scores = eval_ap(res.instances, world.scene.gt_instances)
     ap_ok = all(abs(scores[k] - 1.0) <= 1e-9 for k in ("ap", "ap50", "ap25"))
 
     boxes_t, cams_t = boxworld_preset("two-cubes-touching", 64)

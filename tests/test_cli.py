@@ -19,8 +19,8 @@ from geovos import cli, instance3d
 from geovos.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _look_at_pose,
                         boxworld_preset, main)
 from geovos.geometry import CameraFrame, CameraPose, PointCloud, depth_agreement_score
-from geovos.ingest import (ManifestError, Scene, load_scene, load_tracks, save_scene,
-                           save_tracks)
+from geovos.ingest import (ManifestError, Scene, load_dmap, load_scene, load_tracks, save_dmap,
+                           save_scene, save_tracks)
 from geovos.instance3d import MergeConfig, run_pipeline
 from geovos.metrics import MaskTrack
 
@@ -711,6 +711,41 @@ def _tiny_voxel(command):
     return run
 
 
+def _config_file(command, content, detail):
+    """``command`` with a config file of the bytes ``content`` (no file when
+    None); the error names the file in ``detail``'s braces."""
+    def run(d):
+        cfg = d / "config.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        flag = (["gradcheck", "--config"] if command == "gradcheck"
+                else _scene_args(command, d) + ["--merge-config"])
+        return flag + [str(cfg)], [detail.format(cfg)]
+    return run
+
+
+def _frame_0_keys_past_int64(edit):
+    """pipeline on the scene after ``edit(d)`` sent frame 0's lifted points
+    past int64 voxel keys; frame 0's first fragment is box1's (box0's mask
+    erodes to nothing there)."""
+    def run(d):
+        edit(d)
+        return _scene_args("pipeline", d), [
+            "error: frame 0: object 'box1': voxel_size 0.05 puts a voxel key outside int64"]
+    return run
+
+
+def _tiny_fx(d):
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["frames"][0]["intrinsics"]["fx"] = 1e-300
+    (d / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _huge_depth(d):
+    path = d / "depth" / "0000.dmap"
+    save_dmap(path, np.full_like(load_dmap(path), 1e31))
+
+
 def _stride_zero(command):
     def run(d):
         return _scene_args(command, d) + ["--stride", "0"], ["stride must be >= 1, got 0"]
@@ -799,6 +834,12 @@ CORRUPTIONS = {
         "lift", '{"eps_rel": NaN}', "eps_rel must be finite and >= 0, got nan"),
     "pipeline-merge-config-infinite-eps-rel": _merge_config(
         "pipeline", '{"eps_rel": Infinity}', "eps_rel must be finite and >= 0, got inf"),
+    "pipeline-merge-config-not-utf8": _config_file("pipeline", b"\xff{}",
+                                                   "error: {}: invalid JSON ("),
+    "pipeline-merge-config-missing": _config_file("pipeline", None,
+                                                  "error: config file not found: {}"),
+    "pipeline-tiny-fx-keys-past-int64": _frame_0_keys_past_int64(_tiny_fx),
+    "pipeline-huge-depth-keys-past-int64": _frame_0_keys_past_int64(_huge_depth),
     **{f"{c}-stride-zero": _stride_zero(c) for c in _3D},
     "gradcheck-config-list": _gradcheck_config("[1, 2]", "list"),
     "gradcheck-config-invalid-json": _gradcheck_config("{", "invalid JSON"),
@@ -814,6 +855,10 @@ CORRUPTIONS = {
     "gradcheck-config-zero-heads": _gradcheck_config('{"heads": 0}', "heads must be >= 1"),
     "gradcheck-config-zero-c-mid": _gradcheck_config('{"c_mid": 0}', "c_mid must be >= 1"),
     "gradcheck-config-zero-c-f2d": _gradcheck_config('{"c_f2d": 0}', "c_f2d must be >= 1"),
+    "gradcheck-config-not-utf8": _config_file("gradcheck", b"\xff{}",
+                                              "error: {}: invalid JSON ("),
+    "gradcheck-config-missing": _config_file("gradcheck", None,
+                                             "error: config file not found: {}"),
     "sample-negative-seed": _flag("sample", "--seed", "-1"),
     "gradcheck-negative-seed": _flag("gradcheck", "--seed", "-1"),
     "gradcheck-nan-threshold": _flag("gradcheck", "--threshold", "nan"),

@@ -452,7 +452,7 @@ class TestDepthAgreement:
         depth = rng.uniform(0.5, 4.0, size=(16, 16))
         mask = rng.random((16, 16)) < 0.7
         pc, _ = back_project(mask, depth, intr)
-        assert depth_agreement_score(pc, depth, intr) == 1.0
+        assert depth_agreement_score(pc, depth, intr, eps_rel=0.05) == 1.0
 
     def test_offset_misses_tolerance(self):
         intr = make_intrinsics()
@@ -489,4 +489,5 @@ class TestDepthAgreement:
     def test_empty_cloud_raises(self):
         intr = make_intrinsics()
         with pytest.raises(ValueError):
-            depth_agreement_score(PointCloud(np.zeros((0, 3))), np.ones((16, 16)), intr)
+            depth_agreement_score(PointCloud(np.zeros((0, 3))), np.ones((16, 16)), intr,
+                                  eps_rel=0.05)

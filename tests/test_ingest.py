@@ -546,7 +546,8 @@ class TestSceneRoundtrip:
                 np.testing.assert_array_equal(a.masks[k], b.masks[k])
         np.testing.assert_allclose(scene.scene_points, world.scene.scene_points)
         np.testing.assert_array_equal(scene.superpoints, world.scene.superpoints)
-        for a, b in zip(scene.gt_instances.instances, world.gt_instances.instances):
+        for a, b in zip(scene.gt_instances.instances,
+                        world.scene.gt_instances.instances):
             np.testing.assert_array_equal(a.point_ids, b.point_ids)
 
     def test_missing_depth_file_named(self, tmp_path):
@@ -621,8 +622,9 @@ class TestSideFilesOnFirstUse:
     def assert_side_values(scene, world):
         np.testing.assert_array_equal(scene.scene_points, world.scene.scene_points)
         np.testing.assert_array_equal(scene.superpoints, world.scene.superpoints)
-        assert len(scene.gt_instances) == len(world.gt_instances)
-        for a, b in zip(scene.gt_instances.instances, world.gt_instances.instances):
+        assert len(scene.gt_instances) == len(world.scene.gt_instances)
+        for a, b in zip(scene.gt_instances.instances,
+                        world.scene.gt_instances.instances):
             np.testing.assert_array_equal(a.point_ids, b.point_ids)
 
     def test_frames_and_draws_without_side_files(self, saved):
@@ -1060,21 +1062,21 @@ class TestBoxWorld:
         far = Box((0.0, 0.0, 2.5), (1.0, 1.0, 1.0))
         world = generate_boxworld([far, near], [(pose, intr)])  # far listed first
         frame = world.scene.frames[0]
-        owner = world.owners[0]
-        center = owner[7, 7]
-        assert center == 1  # the near box despite its later index
-        assert frame.depth[7, 7] == np.float32(1.0)
+        far_mask, near_mask = frame.masks["box0"], frame.masks["box1"]
+        assert not (far_mask & near_mask).any()
+        # the near box despite its later index
+        assert near_mask[7, 7] and frame.depth[7, 7] == np.float32(1.0)
         # pixel (4, 4) looks past the near box but into the far one
-        assert owner[4, 4] == 0 and frame.depth[4, 4] == np.float32(2.0)
+        assert far_mask[4, 4] and frame.depth[4, 4] == np.float32(2.0)
 
     def test_depth_self_consistency_on_surface(self):
         boxes, cams = boxworld_preset("two-cubes", 32)
         world = generate_boxworld(boxes, cams)
         bounds = [b.bounds() for b in boxes]
-        for frame, owner in zip(world.scene.frames, world.owners):
+        for frame in world.scene.frames:
             for b, bb in enumerate(bounds):
-                mask = owner == b
-                if not mask.any():
+                mask = frame.masks.get(f"box{b}")
+                if mask is None:
                     continue
                 pc, _ = back_project(mask, frame.depth, frame.intrinsics)
                 pts = frame.pose.to_world(pc.points)
@@ -1097,7 +1099,7 @@ class TestBoxWorld:
         a = Box((0.0, 0.0, 2.0), (1.0, 1.0, 1.0))
         b = Box((1.0, 0.0, 2.0), (1.0, 1.0, 1.0))
         world = generate_boxworld([a, b], [(CameraPose.identity(), intr)])
-        assert len(world.gt_instances.instances) == 2
+        assert len(world.scene.gt_instances.instances) == 2
 
     def test_camera_inside_box_rejected(self):
         intr = make_intrinsics(width=8, height=8)
@@ -1128,16 +1130,15 @@ class TestBoxWorld:
         monkeypatch.setattr(ingest, "_box_windows", lambda bounds, intr, pose: np.tile(
             [0, intr.height, 0, intr.width], (len(bounds), 1)))
         whole = generate_boxworld(boxes, cams)
-        for f1, f2, o1, o2 in zip(windowed.scene.frames, whole.scene.frames,
-                                  windowed.owners, whole.owners):
+        for f1, f2 in zip(windowed.scene.frames, whole.scene.frames):
             assert f1.depth.tobytes() == f2.depth.tobytes()
-            np.testing.assert_array_equal(o1, o2)
             assert sorted(f1.masks) == sorted(f2.masks)
             for k in f1.masks:
                 np.testing.assert_array_equal(f1.masks[k], f2.masks[k])
         assert windowed.scene.scene_points.tobytes() == whole.scene.scene_points.tobytes()
         np.testing.assert_array_equal(windowed.scene.superpoints, whole.scene.superpoints)
-        for a, b in zip(windowed.gt_instances.instances, whole.gt_instances.instances):
+        for a, b in zip(windowed.scene.gt_instances.instances,
+                        whole.scene.gt_instances.instances):
             np.testing.assert_array_equal(a.point_ids, b.point_ids)
         assert len(windowed.scene.scene_points) > 0
 
@@ -1185,14 +1186,14 @@ class TestBoxWorld:
         unseen = behind = 0
         for boxes, cams in layouts:
             world = generate_boxworld(boxes, cams)
-            points, labels, gt = naive_boxworld_lift(boxes, world.scene.frames, world.owners)
+            points, labels, gt = naive_boxworld_lift(boxes, world.scene.frames)
             scene = world.scene
             assert scene.scene_points.dtype == points.dtype
             assert scene.scene_points.shape == points.shape
             assert scene.scene_points.tobytes() == points.tobytes()
             assert scene.superpoints.dtype == np.int64
             np.testing.assert_array_equal(scene.superpoints, labels)
-            for inst, (point_ids, superpoint_ids) in zip(world.gt_instances.instances, gt,
+            for inst, (point_ids, superpoint_ids) in zip(scene.gt_instances.instances, gt,
                                                          strict=True):
                 assert inst.point_ids.dtype == np.int64
                 np.testing.assert_array_equal(inst.point_ids, point_ids)

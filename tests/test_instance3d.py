@@ -231,7 +231,9 @@ class TestMergeInstances:
         frags = [frag([[0.0, 0.0, 0.0]], (0, "a")), frag([[9.0, 0.0, 0.0]], (0, "b"))]
         assert len(merge_instances(frags, MergeConfig())) == 2
         for size in (1e-20, 1e-320):  # the second overflows the division itself
-            with pytest.raises(ValueError, match=f"^voxel_size {size} puts a voxel key"):
+            # the error names the first fragment whose keys leave int64
+            with pytest.raises(ValueError,
+                               match=f"^frame 0: object 'b': voxel_size {size} puts a voxel key"):
                 merge_instances(frags, MergeConfig(voxel_size=size))
 
     def test_co_visible_masks_of_other_shapes_raise(self):
@@ -514,6 +516,15 @@ class TestMergeExactnessTraps:
         track = MaskTrack([m, m, None, None])
         self.assert_components(two_fragments(track, track, keyframes=(0, 3)), cfg, n_instances)
 
+    def test_later_edge_joins_two_components_of_two_groups(self):
+        # untracked fragments a, b, c, d are groups 0-3 and voxel runs along x;
+        # pairs in order link a-c, then b-d, then c-d, which joins {a, c} and {b, d}
+        a, b, c, d = (frag(centers([(x, 0, 0) for x in range(lo, lo + 4)]), (i, "o"))
+                      for i, lo in enumerate((0, 8, 2, 5)))
+        cfg = MergeConfig(voxel_size=1.0)
+        self.assert_components([a, b, c, d], cfg, 1)
+        self.assert_components([a, b, c], cfg, 2)
+
     def test_track_lengths_are_checked_even_when_every_pair_links_in_3d(self):
         m = np.ones((4, 4), bool)
         frags = two_fragments(MaskTrack([m, m]), MaskTrack([m, m, m]), shared_points=True)
@@ -676,6 +687,14 @@ class TestVoxelIndex:
             assert index.voxels_of([]).shape == (0, 3)
         with pytest.raises(ValueError, match="not in the voxel index"):
             index.voxels_of([frag(points[:1])])
+
+    def test_key_past_int64_names_the_first_set_that_leaves_it(self):
+        near, far = [[0.5, 0.5, 0.5]], [[0.0, -1e19, 0.0]]
+        frags = [frag(near, (0, "a")), frag(far, (2, "b")), frag(far, (1, "c"))]
+        with pytest.raises(ValueError, match=r"^frame 2: object 'b': voxel_size 1.0 puts"):
+            voxel_index(frags, 1.0, far)
+        with pytest.raises(ValueError, match=r"^scene points: voxel_size 1.0 puts"):
+            voxel_index(frags[:1], 1.0, far)
 
     def test_distinct_and_cells(self):
         rng = np.random.default_rng(3)
