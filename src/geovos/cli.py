@@ -412,7 +412,7 @@ def cmd_gradcheck(args) -> int:
     cfg = _load_config(args.config, MergerConfig, {
         "selected_layers": ("encoder", 4, 7, 11), "c_in": 8, "c_mid": 8,
         "c_out": 4, "c_f2d": 4, "heads": 2})
-    report_obj = grad_check(cfg, seed=args.seed, corrupt=args.self_test_corrupt)
+    report_obj = grad_check(cfg, seed=args.seed)
     failed = report_obj.failures(args.threshold)
     report = RunReport("gradcheck", {
         "seed": args.seed, "threshold": args.threshold,
@@ -503,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=1e-3)
     p.add_argument("--out", default=None)
-    p.add_argument("--self-test-corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_gradcheck)
 
     return parser

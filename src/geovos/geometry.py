@@ -43,8 +43,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError(f"focal lengths must be positive and finite, got fx={self.fx}, "
+                             f"fy={self.fy}")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"image size must be >= 1, got {self.width}x{self.height}")
         if not (np.isfinite(self.cx) and np.isfinite(self.cy)):

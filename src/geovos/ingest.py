@@ -652,18 +652,28 @@ class Scene:
 def _intrinsics_from_record(rec: dict, where: str, known: dict) -> CameraIntrinsics:
     """The intrinsics of a manifest record; ``known`` maps the converted
     records seen so far to their intrinsics, so that each distinct one is
-    built once."""
+    built once. The pixel fields must be JSON numbers and the raster size
+    JSON integers: a bool, a string or a fractional size is refused, not
+    converted."""
     try:
-        values = (float(rec["fx"]), float(rec["fy"]), float(rec["cx"]), float(rec["cy"]),
-                  int(rec["width"]), int(rec["height"]))
+        values = []
+        for k in ("fx", "fy", "cx", "cy", "width", "height"):
+            v, integer = rec[k], k in ("width", "height")
+            if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+                raise TypeError(f"field '{k}' must be {'an integer' if integer else 'a number'}, "
+                                f"got {json.dumps(v)}")
+            values.append(v if integer else float(v))
         # 0.0 == -0.0, so the signs keep such records apart
-        key = values + tuple(math.copysign(1.0, v) for v in values[:4])
+        key = tuple(values) + tuple(math.copysign(1.0, v) for v in values[:4])
         intr = known.get(key)
         if intr is None:
             intr = known[key] = CameraIntrinsics(*values)
         return intr
     except KeyError as e:
         raise ManifestError(f"{where}: missing intrinsics field {e}") from None
+    except OverflowError:  # an integer past the float range
+        raise ManifestError(f"{where}: bad intrinsics (field '{k}' is too large for a float)") \
+            from None
     except (TypeError, ValueError) as e:
         raise ManifestError(f"{where}: bad intrinsics ({e})") from None
 

@@ -571,7 +571,7 @@ def _ap_at(ious: np.ndarray, threshold: float) -> float:
     return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
 
 
-def eval_ap(pred: InstanceSet, gt: InstanceSet, band=AP_BAND) -> dict:
+def eval_ap(pred: InstanceSet, gt: InstanceSet) -> dict:
     """Class-agnostic AP of predicted vs ground-truth instances.
 
     Predictions are sorted by confidence (descending, stable) and greedily
@@ -582,7 +582,7 @@ def eval_ap(pred: InstanceSet, gt: InstanceSet, band=AP_BAND) -> dict:
     ground-truth sets that it cannot hold are kept apart; a prediction
     counts its intersections from the labels of its cells, plus those kept
     memberships whose cells it marks in one reused boolean table. Returns
-    {"ap": mean over ``band``, "ap50": t=0.5, "ap25": t=0.25}.
+    {"ap": mean over AP_BAND, "ap50": t=0.5, "ap25": t=0.25}.
 
     Raises:
         ValueError: if the ground-truth set is empty or point ids are
@@ -620,9 +620,9 @@ def eval_ap(pred: InstanceSet, gt: InstanceSet, band=AP_BAND) -> dict:
         marked[own] = False
         union = p.size + gt_sizes - inter
         np.divide(inter, union, out=row, where=union > 0)
-    aps = {t: _ap_at(ious, t) for t in set(band) | {0.5, 0.25}}
+    aps = {t: _ap_at(ious, t) for t in set(AP_BAND) | {0.5, 0.25}}
     return {
-        "ap": float(np.mean([aps[t] for t in band])),
+        "ap": float(np.mean([aps[t] for t in AP_BAND])),
         "ap50": aps[0.5],
         "ap25": aps[0.25],
     }

@@ -578,15 +578,13 @@ def desk_inputs(cfg: MergerConfig, hw=(4, 4), seed=0):
     }
 
 
-def grad_check(cfg: MergerConfig, seed: int = 0, hw=(4, 4), h: float = 1e-5,
-               corrupt: bool = False) -> GradCheckReport:
+def grad_check(cfg: MergerConfig, seed: int = 0, hw=(4, 4), h: float = 1e-5) -> GradCheckReport:
     """Compare analytic gradients of sum(output) with central differences.
 
     Every parameter tensor and every input raster of a seeded random
     instance is perturbed elementwise (step ``h``); the report carries the
     per-tensor max relative error (max absolute gradient difference over
-    the max gradient magnitude in that tensor). ``corrupt=True`` is a test
-    hook that perturbs one analytic gradient so the check must fail.
+    the max gradient magnitude in that tensor).
     """
     params = MergerParams.init(cfg, seed)
     inputs = desk_inputs(cfg, hw, seed + 1)
@@ -624,8 +622,6 @@ def grad_check(cfg: MergerConfig, seed: int = 0, hw=(4, 4), h: float = 1e-5,
             lm = loss()
             flat[idx] = orig
             fd_flat[idx] = (lp - lm) / (2.0 * h)
-        if corrupt and name == "param:proj.w":
-            analytic = analytic + 0.5 * (1.0 + np.abs(analytic))
         per_tensor[name] = _tensor_rel_err(analytic, fd)
     max_err = max(per_tensor.values()) if per_tensor else 0.0
     return GradCheckReport(per_tensor, max_err, len(per_tensor), seed)

@@ -11,35 +11,36 @@ not visibility.
 Every sampler is deterministic given (scene, config, seed) and pure given
 an owned generator; concurrent callers need independent generator states.
 
-Cost: the sampler keeps one draw index per scene, and nothing else keeps
-anything for it. The index lives in a module-level weak-key map, so it goes
-when its scene goes; scenes and their frames are immutable and hash by
-identity, so an index can never go stale: a changed scene is a new scene
-(``dataclasses.replace``) and gets an index of its own. The index holds the
-frame-id map and, per object, the visible frame ids, found by one
-``mask.any()`` pass over the frames at the object's first draw; so
-continuous and random draws never back-project. With them it stacks, from
-the poses alone, the visible frames' rotations and translations (~115 bytes
-per visible frame). Per reference frame the index keeps the row of
-candidate ratios that the first FOV draw from it finds. That row pass first
-checks that every candidate not back-projected yet has a depth raster, then
-back-projects all of them in one batched pass per camera
-(``kernels.backproject_masks``, in runs of at most ``BACKPROJECT_CHUNK``
-masked pixels) and keeps each one's points as a read-only view of its run's
-array (24 bytes per masked valid-depth pixel), so a frame is back-projected
-once per (scene, object) whatever the references it serves. Then the
-candidates' pose slices are composed against the reference in one stacked
-matmul, compared with the reference's pose for the same-camera shortcut,
-and all their points are tested against the reference frustum in one array
-pass (``geometry.frustum_overlap_ratios``). A row is kept for the latest
+Cost: the sampler keeps one draw index per object of a scene, and nothing
+else keeps anything for it. The indexes live in a module-level weak-key map
+from each scene to ``{obj_id: _ObjectIndex}``, so they go when their scene
+goes; scenes and their frames are immutable and hash by identity, so an
+index can never go stale: a changed scene is a new scene
+(``dataclasses.replace``) and gets indexes of its own. An object's index is
+made at its first draw by one ``mask.any()`` pass over the frames; it keeps
+the visible frames by position, with their ids, so continuous and random
+draws never back-project. With them it stacks, from the poses alone, the
+visible frames' rotations and translations (~115 bytes per visible frame).
+Per reference frame the index keeps the row of candidate ratios that the
+first FOV draw from it finds. That row pass first checks that every
+candidate not back-projected yet has a depth raster, then back-projects all
+of them in one batched pass per camera (``kernels.backproject_masks``, in
+runs of at most ``BACKPROJECT_CHUNK`` masked pixels) and keeps each one's
+points as a read-only view of its run's array (24 bytes per masked
+valid-depth pixel), so a frame is back-projected once per (scene, object)
+whatever the references it serves. Then the candidates' pose slices are
+composed against the reference in one stacked matmul, compared with the
+reference's pose for the same-camera shortcut, and all their points are
+tested against the reference frustum in one array pass
+(``geometry.frustum_overlap_ratios``). A row is a plain
+``(max_candidates, ratios, {tau: (pool, rest)})`` tuple, kept for the latest
 ``max_candidates`` of that reference, ~74 bytes per candidate at one tau (a
 dict entry, its float and the pool lists, measured with ``tracemalloc``):
 per tau in use the eligible pool and the ineligible candidates best first.
-A warm draw finds the index in one weak-map lookup and does Python work
-only for its batch, plus a C-level copy of the row into
-``SampleResult.ratios``: no step of it grows with the length of the video.
-Concurrent callers may share a scene: a race on the index only repeats the
-same work.
+A warm draw finds its index in two lookups and does Python work only for
+its batch, plus a C-level copy of the row into ``SampleResult.ratios``: no
+step of it grows with the length of the video. Concurrent callers may share
+a scene: a race on an index only repeats the same work.
 
 ``visible_frames`` and ``candidate_ratios`` are called through this module
 when the index misses, and ``frustum_overlap_ratio``, the one-candidate
@@ -116,47 +117,31 @@ def _as_rng(rng, cfg: SamplerConfig) -> np.random.Generator:
     return rng
 
 
-class _Row:
-    """The candidate ratios of one reference and ``max_candidates``, and
-    per tau the eligible pool and the ineligible candidates best first."""
-
-    __slots__ = ("max_candidates", "ratios", "pools")
-
-    def __init__(self, max_candidates: int, ratios: dict):
-        self.max_candidates, self.ratios, self.pools = max_candidates, ratios, {}
-
-    def pool(self, tau: float) -> tuple:
-        pools = self.pools.get(tau)
-        if pools is None:
-            ratios = self.ratios
-            pool = [fid for fid, r in ratios.items() if r > tau]
-            rest = sorted((fid for fid, r in ratios.items() if not r > tau),
-                          key=lambda fid: (-ratios[fid], fid))
-            pools = self.pools[tau] = (pool, rest)
-        return pools
-
-
 class _ObjectIndex:
-    """One object's visible frames: their ids and poses as arrays by
-    position, their back-projected points, and the object's rows by
-    reference frame."""
+    """One object's visible frames by position: the frames, their ids, their
+    poses as arrays and their back-projected points; and the object's rows
+    by reference frame id, each ``(max_candidates, ratios, {tau: (pool,
+    rest)})``."""
 
-    __slots__ = ("visible", "ids", "rotations", "translations", "points", "rows")
+    __slots__ = ("frames", "visible", "ids", "rotations", "translations", "points", "rows")
 
-    def __init__(self, frames: list):
-        self.visible = [f.frame_id for f in frames]
+    def __init__(self, scene, obj_id):
+        by_id = {f.frame_id: f for f in scene.frames}
+        # through the module attribute, which a tracer may wrap
+        self.frames = [by_id[fid] for fid in visible_frames(scene, obj_id)]
+        self.visible = [f.frame_id for f in self.frames]
         self.ids = np.array(self.visible, np.int64)
-        self.rotations = np.array([f.pose.rotation for f in frames]).reshape(-1, 3, 3)
-        self.translations = np.array([f.pose.translation for f in frames]).reshape(-1, 3)
-        self.points = [None] * len(frames)
+        self.rotations = np.array([f.pose.rotation for f in self.frames]).reshape(-1, 3, 3)
+        self.translations = np.array([f.pose.translation for f in self.frames]).reshape(-1, 3)
+        self.points = [None] * len(self.frames)
         self.rows = {}
 
     def row(self, reference: int, max_candidates: int):
         """The reference's row if it was computed for ``max_candidates``, else None."""
         row = self.rows.get(reference)
-        return row if row is not None and row.max_candidates == max_candidates else None
+        return row if row is not None and row[0] == max_candidates else None
 
-    def clouds(self, pos: list, by_id, obj_id) -> list:
+    def clouds(self, pos: list, obj_id) -> list:
         """The camera-frame points (read-only) of the object's masks in the
         frames at positions ``pos``, in that order.
 
@@ -173,7 +158,7 @@ class _ObjectIndex:
         """
         points = self.points
         missing = [i for i in pos if points[i] is None]
-        frames = [by_id[self.visible[i]] for i in missing]
+        frames = [self.frames[i] for i in missing]
         for f in frames:
             if f.depth is None:
                 raise ValueError(f"frame {f.frame_id} has no depth raster")
@@ -216,48 +201,41 @@ def _runs(masks: list):
         yield lo, len(masks)
 
 
-class _DrawIndex:
-    """What draws from one scene share: its frames by id and its objects' indexes."""
-
-    __slots__ = ("by_id", "objects")
-
-    def __init__(self, frames):
-        self.by_id = {f.frame_id: f for f in frames}
-        self.objects = {}
-
-    def object(self, scene, obj_id):
-        """``(obj_id, its index)``; ``obj_id=None`` is the first object id.
-
-        Raises:
-            ValueError: for ``obj_id=None`` when no frame holds a mask.
-        """
-        if obj_id is None:
-            if not scene.object_ids:
-                raise ValueError("scene has no object masks")
-            obj_id = scene.object_ids[0]
-        index = self.objects.get(obj_id)
-        if index is None:
-            visible = visible_frames(scene, obj_id)
-            index = self.objects[obj_id] = _ObjectIndex([self.by_id[fid] for fid in visible])
-        return obj_id, index
+def _pools(row: tuple, tau: float) -> tuple:
+    """The row's eligible pool at tau and its ineligible candidates best first."""
+    _, ratios, pools = row
+    got = pools.get(tau)
+    if got is None:
+        pool = [fid for fid, r in ratios.items() if r > tau]
+        rest = sorted((fid for fid, r in ratios.items() if not r > tau),
+                      key=lambda fid: (-ratios[fid], fid))
+        got = pools[tau] = (pool, rest)
+    return got
 
 
-_INDEXES = weakref.WeakKeyDictionary()  # scene -> its _DrawIndex
+_INDEXES = weakref.WeakKeyDictionary()  # scene -> {obj_id: _ObjectIndex}
 
 
-def _draw_index(scene) -> _DrawIndex:
-    """The scene's draw index, made at the scene's first draw."""
-    index = _INDEXES.get(scene)
+def _object_index(scene, obj_id, n_frames: int = 0) -> tuple:
+    """``(obj_id, its index)``, made at the object's first draw;
+    ``obj_id=None`` is the first object id.
+
+    Raises:
+        ValueError: for ``obj_id=None`` when no frame holds a mask, or when
+            fewer than n_frames frames show the object.
+    """
+    if obj_id is None:
+        if not scene.object_ids:
+            raise ValueError("scene has no object masks")
+        obj_id = scene.object_ids[0]
+    objects = _INDEXES.get(scene)
+    if objects is None:
+        objects = _INDEXES[scene] = {}
+    index = objects.get(obj_id)
     if index is None:
-        index = _INDEXES[scene] = _DrawIndex(scene.frames)
-    return index
-
-
-def _object_index(scene, cfg: SamplerConfig, obj_id) -> tuple:
-    """``(obj_id, its index)`` once at least n_frames frames show the object."""
-    obj_id, index = _draw_index(scene).object(scene, obj_id)
-    if len(index.visible) < cfg.n_frames:
-        raise ValueError(f"need {cfg.n_frames} object-visible frames, "
+        index = objects[obj_id] = _ObjectIndex(scene, obj_id)
+    if len(index.visible) < n_frames:
+        raise ValueError(f"need {n_frames} object-visible frames, "
                          f"scene has {len(index.visible)}")
     return obj_id, index
 
@@ -272,32 +250,34 @@ def candidate_ratios(scene, obj_id, reference: int, cfg: SamplerConfig) -> dict:
     """Frustum-overlap ratio of every other visible frame w.r.t. a reference.
 
     Long videos are capped at cfg.max_candidates uniformly strided
-    candidates to bound cost. The row of ratios is kept in the scene's draw
+    candidates to bound cost. The row of ratios is kept in the object's draw
     index; every call returns a new dict.
 
     Raises:
         ValueError: at the first candidate without a depth raster.
     """
-    draws = _draw_index(scene)
-    _, index = draws.object(scene, obj_id)
+    obj_id, index = _object_index(scene, obj_id)
     row = index.row(reference, cfg.max_candidates)
     if row is None:
         pos = np.flatnonzero(index.ids != reference)
         if len(pos) > cfg.max_candidates:
             pos = pos[np.unique(np.linspace(0, len(pos) - 1, cfg.max_candidates).round()
                                 .astype(int))]
-        clouds = index.clouds(pos.tolist(), draws.by_id, obj_id)
-        ref = draws.by_id[reference]
+        clouds = index.clouds(pos.tolist(), obj_id)
+        if reference in index.visible:
+            ref = index.frames[index.visible.index(reference)]
+        else:  # a reference that does not show the object: the last frame of that id
+            ref = {f.frame_id: f for f in scene.frames}[reference]
         rotations, translations = index.rotations[pos], index.translations[pos]
         same_camera = (np.all(rotations == ref.pose.rotation, axis=(1, 2))
                        & np.all(translations == ref.pose.translation, axis=1))
         for k in np.flatnonzero(same_camera).tolist():  # the reference's pose: rare
-            same_camera[k] = draws.by_id[index.visible[pos[k]]].intrinsics == ref.intrinsics
+            same_camera[k] = index.frames[pos[k]].intrinsics == ref.intrinsics
         ratios = geometry.frustum_overlap_ratios(clouds, rotations, translations, same_camera,
                                                  ref)
-        row = index.rows[reference] = _Row(cfg.max_candidates,
-                                           dict(zip(index.ids[pos].tolist(), ratios.tolist())))
-    return dict(row.ratios)
+        row = index.rows[reference] = (cfg.max_candidates,
+                                       dict(zip(index.ids[pos].tolist(), ratios.tolist())), {})
+    return dict(row[1])
 
 
 def sample_continuous(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult:
@@ -309,7 +289,7 @@ def sample_continuous(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> Sampl
         ValueError: when fewer than n_frames visible frames exist (the
         message carries the available count).
     """
-    visible = _object_index(scene, cfg, obj_id)[1].visible
+    visible = _object_index(scene, obj_id, cfg.n_frames)[1].visible
     rng = _as_rng(rng, cfg)
     start = int(rng.integers(0, len(visible) - cfg.n_frames + 1))
     window = visible[start:start + cfg.n_frames]
@@ -319,7 +299,7 @@ def sample_continuous(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> Sampl
 def sample_random(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult:
     """n_frames drawn uniformly without replacement among visible frames;
     the first draw is the reference."""
-    visible = _object_index(scene, cfg, obj_id)[1].visible
+    visible = _object_index(scene, obj_id, cfg.n_frames)[1].visible
     rng = _as_rng(rng, cfg)
     draw = rng.choice(len(visible), size=cfg.n_frames, replace=False)
     frames = [visible[i] for i in draw.tolist()]
@@ -344,7 +324,7 @@ def sample_fov(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult
     if cfg.max_candidates < cfg.n_frames - 1:
         raise ValueError(f"FOV draws need max_candidates >= n_frames - 1 = {cfg.n_frames - 1}, "
                          f"got {cfg.max_candidates}")
-    obj_id, index = _object_index(scene, cfg, obj_id)
+    obj_id, index = _object_index(scene, obj_id, cfg.n_frames)
     rng = _as_rng(rng, cfg)
     reference = index.visible[int(rng.integers(0, len(index.visible)))]
     row = index.row(reference, cfg.max_candidates)
@@ -352,7 +332,7 @@ def sample_fov(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult
         # through the module attribute, which a tracer may wrap; the call stores the row
         candidate_ratios(scene, obj_id, reference, cfg)
         row = index.row(reference, cfg.max_candidates)
-    pool, rest = row.pool(cfg.tau)
+    pool, rest = _pools(row, cfg.tau)
     need = cfg.n_frames - 1
     if len(pool) >= need:
         draw = rng.choice(len(pool), size=need, replace=False)
@@ -363,7 +343,7 @@ def sample_fov(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult
         chosen = [pool[i] for i in perm.tolist()]
         fallback = rest[: need - len(pool)]
     return SampleResult(reference, [reference] + chosen + fallback, "fov",
-                        ratios=dict(row.ratios), fallback_frames=fallback)
+                        ratios=dict(row[1]), fallback_frames=fallback)
 
 
 def sample_mixed(scene, cfg: SamplerConfig, rng=None, obj_id=None) -> SampleResult:

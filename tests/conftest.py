@@ -468,10 +468,8 @@ def naive_assign_superpoints(instances, partition, scene_points, voxel_size):
 # IoU computed where the loop needs it
 
 
-def naive_eval_ap(pred, gt, band=None):
+def naive_eval_ap(pred, gt):
     from geovos.instance3d import AP_BAND
-
-    band = AP_BAND if band is None else band
 
     def point_iou(a, b):
         inter = np.intersect1d(a, b, assume_unique=True).size
@@ -508,8 +506,9 @@ def naive_eval_ap(pred, gt, band=None):
     gt_sets = [np.unique(i.point_ids) for i in gt.instances]
     order = sorted(range(len(pred)), key=lambda k: (-pred.instances[k].confidence, k))
     pred_sets = [np.unique(pred.instances[k].point_ids) for k in order]
-    aps = {t: ap_at(pred_sets, gt_sets, t) for t in set(band) | {0.5, 0.25}}
-    return {"ap": float(np.mean([aps[t] for t in band])), "ap50": aps[0.5], "ap25": aps[0.25]}
+    aps = {t: ap_at(pred_sets, gt_sets, t) for t in set(AP_BAND) | {0.5, 0.25}}
+    return {"ap": float(np.mean([aps[t] for t in AP_BAND])), "ap50": aps[0.5],
+            "ap25": aps[0.25]}
 
 
 # ---------------------------------------------------------------------------
@@ -689,3 +688,22 @@ def naive_load_pose(path):
         u, _, vt = np.linalg.svd(rot)
         rot = u @ vt
     return CameraPose(rot, m[:3, 3])
+
+
+# ---------------------------------------------------------------------------
+# gradient check: a wrong analytic gradient that the check must catch
+
+
+def perturb_proj_w_gradient(monkeypatch):
+    """Make ``merger.merge_features_with_grads`` return a wrong ``proj.w``
+    gradient, so that ``grad_check`` must fail at ``param:proj.w``."""
+    from geovos import merger
+
+    original = merger.merge_features_with_grads
+
+    def perturbed(*args, **kwargs):
+        out, grads, igrads = original(*args, **kwargs)
+        grads.proj_w = grads.proj_w + 0.5 * (1.0 + np.abs(grads.proj_w))
+        return out, grads, igrads
+
+    monkeypatch.setattr(merger, "merge_features_with_grads", perturbed)

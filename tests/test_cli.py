@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_intrinsics, voxel_set
+from conftest import make_intrinsics, perturb_proj_w_gradient, voxel_set
 import geovos
 from geovos import cli, instance3d
 from geovos.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _look_at_pose,
@@ -746,6 +746,17 @@ def _huge_depth(d):
     save_dmap(path, np.full_like(load_dmap(path), 1e31))
 
 
+def _frame_0_intrinsics(command, field, value, detail):
+    """``command`` on the scene after frame 0's intrinsics field ``field``
+    became ``value``: exit 2 naming the frame and the field."""
+    def run(d):
+        manifest = json.loads((d / "manifest.json").read_text())
+        manifest["frames"][0]["intrinsics"][field] = value
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        return _scene_args(command, d), [f"manifest.json: frames[0]: bad intrinsics ({detail}"]
+    return run
+
+
 def _stride_zero(command):
     def run(d):
         return _scene_args(command, d) + ["--stride", "0"], ["stride must be >= 1, got 0"]
@@ -840,6 +851,17 @@ CORRUPTIONS = {
                                                   "error: config file not found: {}"),
     "pipeline-tiny-fx-keys-past-int64": _frame_0_keys_past_int64(_tiny_fx),
     "pipeline-huge-depth-keys-past-int64": _frame_0_keys_past_int64(_huge_depth),
+    # frame 0's intrinsics: an infinite focal length, a pixel field that is no JSON
+    # number or past the float range, a raster size that is no JSON integer
+    **{f"{c}-{name}": _frame_0_intrinsics(c, field, value, detail)
+       for c in ("lift", "pipeline", "sample")
+       for name, field, value, detail in [
+           ("infinite-fx", "fx", float("inf"),
+            "focal lengths must be positive and finite, got fx=inf"),
+           ("fractional-width", "width", 32.7, "field 'width' must be an integer, got 32.7"),
+           ("string-fx", "fx", "32", 'field \'fx\' must be a number, got "32"'),
+           ("bool-width", "width", True, "field 'width' must be an integer, got true"),
+           ("fx-past-float", "fx", 10**400, "field 'fx' is too large for a float")]},
     **{f"{c}-stride-zero": _stride_zero(c) for c in _3D},
     "gradcheck-config-list": _gradcheck_config("[1, 2]", "list"),
     "gradcheck-config-invalid-json": _gradcheck_config("{", "invalid JSON"),
@@ -1045,12 +1067,15 @@ class TestGradcheck:
         cfg.write_text(json.dumps(TINY_MERGER))
         assert main(["gradcheck", "--config", str(cfg), "--seed", "1"]) == EXIT_OK
 
-    def test_corrupt_hook_fails(self, tmp_path):
+    def test_corrupt_hook_fails(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(TINY_MERGER))
-        code = main(["gradcheck", "--config", str(cfg), "--seed", "1",
-                     "--self-test-corrupt"])
+        perturb_proj_w_gradient(monkeypatch)
+        out = tmp_path / "report.jsonl"
+        code = main(["gradcheck", "--config", str(cfg), "--seed", "1", "--out", str(out)])
         assert code == EXIT_CHECK_FAILED
+        aggregate = json.loads(out.read_text().splitlines()[-1])["aggregate"]
+        assert aggregate["failed_tensors"] == ["param:proj.w"]
 
     def test_same_seed_identical_report(self, tmp_path):
         cfg = tmp_path / "cfg.json"

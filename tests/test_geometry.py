@@ -23,6 +23,9 @@ class TestTypes:
             CameraIntrinsics(fx=1, fy=1, cx=0, cy=0, width=0, height=4)
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=1, fy=1, cx=np.nan, cy=0, width=4, height=4)
+        for fx, fy in ((np.inf, 1), (1, np.inf), (np.nan, 1)):
+            with pytest.raises(ValueError, match="^focal lengths must be positive and finite"):
+                CameraIntrinsics(fx=fx, fy=fy, cx=0, cy=0, width=4, height=4)
 
     def test_pose_rejects_non_orthonormal(self):
         bad = np.eye(3)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import perturb_proj_w_gradient
 from geovos.merger import (AttnParams, MergerConfig, MergerParams, MlpParams,
                            attention, build_pe3d, desk_inputs, grad_check,
                            merge_features, merge_features_with_grads, softmax_rows)
@@ -284,6 +285,7 @@ class TestGradCheck:
         b = grad_check(cfg, seed=5, hw=(2, 2))
         assert a.per_tensor == b.per_tensor
 
-    def test_corrupt_hook_fails(self):
-        report = grad_check(MergerConfig(**SMALL), seed=0, hw=(2, 2), corrupt=True)
-        assert "param:proj.w" in report.failures(1e-3)
+    def test_corrupt_hook_fails(self, monkeypatch):
+        perturb_proj_w_gradient(monkeypatch)
+        report = grad_check(MergerConfig(**SMALL), seed=0, hw=(2, 2))
+        assert list(report.failures(1e-3)) == ["param:proj.w"]

@@ -366,6 +366,26 @@ class TestBatchedRatios:
         fov = sum(isinstance(d, dict) and d["mode"] == "fov" for d in batched)
         assert fov > 1000 and len(passes) < fov / 3, (fov, len(passes))
 
+    def test_reference_that_does_not_show_the_object(self):
+        # such a reference is the last scene frame of its id, as the oracle
+        # finds every frame: frame 3 without its mask; then a later unmasked
+        # frame under id 3, and one under the visible id 0, each posed as
+        # frame 1, so that only candidate 1 sees all it shows
+        full = make_cluster_scene(width=8, fx=8.0)
+        cfg = SamplerConfig(n_frames=2)
+        masked = replaced(full, {3: {"masks": {}}})
+
+        def plus(scene, frame_id):
+            return dataclasses.replace(scene, frames=scene.frames + (
+                dataclasses.replace(full.frames[1], frame_id=frame_id, masks={}),))
+
+        for scene, reference, whole in ((masked, 3, [5]), (plus(masked, 3), 3, [1]),
+                                        (plus(full, 0), 0, [1])):
+            got = candidate_ratios(scene, "wall", reference, cfg)
+            assert list(got.items()) == \
+                list(naive_candidate_ratios(scene, "wall", reference, cfg).items())
+            assert [fid for fid, r in got.items() if r == 1.0] == whole
+
     def test_candidate_without_depth_raises_same_message(self, monkeypatch):
         full = make_cluster_scene(width=8, fx=8.0)
         scene = replaced(full, dict.fromkeys((3, 5), {"depth": None}))
@@ -379,7 +399,7 @@ class TestBatchedRatios:
         # the depth check runs before any pixel work: no candidate, before
         # frame 3 or after it, was back-projected or kept
         assert calls == []
-        assert sampler._draw_index(scene).object(scene, "wall")[1].points == [None] * 6
+        assert sampler._object_index(scene, "wall")[1].points == [None] * 6
         # the reference itself needs no depth
         scene = replaced(scene, {5: {"depth": full.frames[0].depth}})
         assert list(candidate_ratios(scene, "wall", 3, cfg).items()) == \
@@ -557,7 +577,7 @@ class TestBatchedBackProjection:
                     assert len({frame_of[id(m)].intrinsics for m in call}) == 1
                 cameras = {frame_of[id(m)].intrinsics for call in calls for m in call}
                 seen["split"] += len(calls) > len(cameras)
-            index = sampler._draw_index(scene).object(scene, "obj")[1]
+            index = sampler._object_index(scene, "obj")[1]
             for fid, points in zip(index.visible, index.points):
                 if points is not None:
                     f = scene.frames[fid]
@@ -585,7 +605,7 @@ class TestBatchedBackProjection:
                                                  "non-finite coordinates$"):
                 candidate_ratios(scene, "obj", 0, SamplerConfig(n_frames=2))
         # the finite clouds are kept, the non-finite ones are not
-        index = sampler._draw_index(scene).object(scene, "obj")[1]
+        index = sampler._object_index(scene, "obj")[1]
         assert [p is not None for p in index.points] == [False, True, True, False, True, False]
 
     def test_transient_memory_is_bounded_by_the_chunk(self, monkeypatch):
@@ -605,13 +625,12 @@ class TestBatchedBackProjection:
             frames.append(CameraFrame(fid, intr, CameraPose(np.eye(3), [0.1 * fid, 0.0, 0.0]),
                                       depth, {"obj": mask}))
         scene = Scene("large", frames)
-        index = sampler._draw_index(scene).object(scene, "obj")[1]
-        by_id = sampler._draw_index(scene).by_id
+        index = sampler._object_index(scene, "obj")[1]
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            clouds = index.clouds(list(range(1, 12)), by_id, "obj")
+            clouds = index.clouds(list(range(1, 12)), "obj")
             now, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -619,12 +638,40 @@ class TestBatchedBackProjection:
         assert now - before >= kept > 11 * 15000 * 24
         assert peak - before - kept < 112 * size * size, (peak - before - kept)
 
+    def test_row_memory_per_entry_is_bounded(self):
+        # once every cloud is kept, each further row costs its ratio dict (an
+        # entry and a float a candidate) and, at one tau, its two pool lists:
+        # ~74 bytes per (reference, candidate) entry
+        intr = make_intrinsics(fx=4.0, fy=4.0, width=4, height=4)
+        scene = Scene("rows", [
+            CameraFrame(fid, intr, CameraPose(np.eye(3), [0.05 * fid, 0.0, 0.0]),
+                        np.full((4, 4), 2.0), {"obj": np.ones((4, 4), bool)})
+            for fid in range(60)])
+        cfg = SamplerConfig(n_frames=2)
+        index = sampler._object_index(scene, "obj")[1]
+        for ref in (0, 1):  # between them, these rows back-project every frame
+            candidate_ratios(scene, "obj", ref, cfg)
+        assert all(points is not None for points in index.points)
+        refs = index.visible[2:]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for ref in refs:
+                candidate_ratios(scene, "obj", ref, cfg)
+                pool, rest = sampler._pools(index.row(ref, cfg.max_candidates), cfg.tau)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert pool and rest  # the ratios straddle tau
+        entries = sum(len(index.rows[ref][1]) for ref in refs)
+        assert entries == 58 * 59
+        assert grown / entries < 100, grown / entries
+
 
 def object_points(scene, obj_id, frame_id):
     """The points that the scene's draw index keeps for one frame's mask."""
-    draws = sampler._draw_index(scene)
-    index = draws.object(scene, obj_id)[1]
-    return index.clouds([index.visible.index(frame_id)], draws.by_id, obj_id)[0]
+    index = sampler._object_index(scene, obj_id)[1]
+    return index.clouds([index.visible.index(frame_id)], obj_id)[0]
 
 
 def masked_scene(seed=0, n_frames=3, size=6):
