@@ -9,7 +9,11 @@ The 3D commands run only the stages their reports need: ``lift`` lifts and
 scores depth agreement, ``merge`` lifts, merges and votes, and ``pipeline``
 adds AP to that. Only ``merge`` and ``pipeline`` read a scene's side files
 (superpoints and ground-truth instances), so ``sample`` and ``lift`` run on
-a scene whose side files are missing or bad. ``sample`` and ``gradcheck``
+a scene whose side files are missing or bad. A scene's mask files are read
+on first use too: ``sample`` reads those of the object it draws for,
+``pipeline`` without ``--masks`` reads all of them (the scene's own tracks),
+and ``lift``, ``merge`` and ``pipeline --masks`` read none, so a bad mask
+file stops only a command that reads it. ``sample`` and ``gradcheck``
 import the sampler and the feature merger when they run, so no other
 command loads them.
 

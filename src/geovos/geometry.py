@@ -194,6 +194,19 @@ def _read_only(raster: np.ndarray) -> np.ndarray:
     return raster
 
 
+class LazyMasks(Mapping):
+    """Base of a read-only mapping of masks that reads each one on its first
+    access (a loaded scene's frames hold one, see ``ingest.load_scene``).
+
+    A subclass returns every mask read-only and of size ``shape`` (rows,
+    columns), or raises; a frame keeps such a mapping as it is and never
+    iterates its values.
+    """
+
+    __slots__ = ()
+    shape: tuple
+
+
 @dataclass(frozen=True, eq=False)
 class CameraFrame:
     """One observation: intrinsics, pose, depth raster, per-object masks.
@@ -206,6 +219,11 @@ class CameraFrame:
     nothing derived from its rasters. Not covered: a write through some
     other view of a raster's memory made before the raster was handed to
     the frame.
+
+    In-memory masks are checked against the intrinsics and frozen here. A
+    :class:`LazyMasks` (a loaded frame's) is kept as it is, once its
+    ``shape`` matches: it reads, checks and freezes each mask on that mask's
+    first access, so a replaced frame shares it and reads no mask.
     """
 
     frame_id: int
@@ -220,20 +238,25 @@ class CameraFrame:
             raise ValueError(
                 f"frame {self.frame_id}: depth shape {self.depth.shape} != intrinsics {shape}"
             )
-        for obj, mask in self.masks.items():
-            if mask.shape != shape:
-                raise ValueError(
-                    f"frame {self.frame_id}: mask '{obj}' shape {mask.shape} != intrinsics {shape}"
-                )
-        masks = {obj: _read_only(mask) for obj, mask in self.masks.items()}
+        if isinstance(self.masks, LazyMasks):
+            if self.masks.shape != shape:
+                raise ValueError(f"frame {self.frame_id}: masks shape {self.masks.shape} "
+                                 f"!= intrinsics {shape}")
+        else:
+            for obj, mask in self.masks.items():
+                if mask.shape != shape:
+                    raise ValueError(f"frame {self.frame_id}: mask '{obj}' shape {mask.shape} "
+                                     f"!= intrinsics {shape}")
+            masks = {obj: _read_only(mask) for obj, mask in self.masks.items()}
+            object.__setattr__(self, "masks", MappingProxyType(masks))
         if self.depth is not None:
             object.__setattr__(self, "depth", _read_only(self.depth))
-        object.__setattr__(self, "masks", MappingProxyType(masks))
 
     def __reduce__(self):
-        # a mapping proxy cannot be pickled or copied: rebuild from a plain dict
-        return type(self), (self.frame_id, self.intrinsics, self.pose, self.depth,
-                            dict(self.masks))
+        # a mapping proxy cannot be pickled or copied: rebuild from a plain dict;
+        # lazy masks pickle themselves, unread masks as their paths
+        masks = self.masks if isinstance(self.masks, LazyMasks) else dict(self.masks)
+        return type(self), (self.frame_id, self.intrinsics, self.pose, self.depth, masks)
 
 
 class OverlapRatio(NamedTuple):

@@ -50,7 +50,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .geometry import CameraFrame, CameraIntrinsics, CameraPose, PointCloud, rotation_checks
+from .geometry import (CameraFrame, CameraIntrinsics, CameraPose, LazyMasks, PointCloud,
+                       rotation_checks)
 from .instance3d import Instance, InstanceSet
 from .metrics import MaskTrack
 
@@ -611,6 +612,53 @@ class _SideField:
         return state[self.name]
 
 
+class _MaskFiles(LazyMasks):
+    """A loaded frame's masks: the manifest's ``{obj_id: path}``, each PGM
+    read (``load_mask_pgm``), checked against the frame's size and kept,
+    read-only, on the first access of its key.
+
+    A failed read raises the IngestError that reading every mask in
+    ``load_scene`` raised, keeps nothing, and the next access reads again.
+    Concurrent first accesses of a key may each read the file, but all
+    return the one array kept (``dict.setdefault``). ``load_mask_pgm`` is
+    looked up by name at each read, so a wrapper put on it later sees every
+    read. Membership, iteration and ``len`` read no file; a pickle or copy
+    holds the paths and the masks read so far.
+    """
+
+    __slots__ = ("_paths", "shape", "_where", "_read")
+
+    def __init__(self, paths: dict, shape: tuple, where: str, read=None):
+        self._paths, self.shape, self._where = paths, shape, where
+        self._read = {}
+        for obj_id, mask in (read or {}).items():
+            mask.setflags(write=False)  # an unpickled copy
+            self._read[obj_id] = mask
+
+    def __getitem__(self, obj_id):
+        mask = self._read.get(obj_id)
+        if mask is None:
+            mask = load_mask_pgm(self._paths[obj_id])
+            if mask.shape != self.shape:
+                raise BadMaskError(f"{self._where}: mask '{obj_id}' is {mask.shape[1]}x"
+                                   f"{mask.shape[0]}, frame is {self.shape[1]}x{self.shape[0]}")
+            mask.setflags(write=False)
+            mask = self._read.setdefault(obj_id, mask)
+        return mask
+
+    def __contains__(self, obj_id):
+        return obj_id in self._paths
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self):
+        return len(self._paths)
+
+    def __reduce__(self):
+        return type(self), (self._paths, self.shape, self._where, self._read)
+
+
 @dataclass(frozen=True, eq=False)
 class Scene:
     """A loaded scene: dense frames plus optional 3D ground truth.
@@ -625,7 +673,10 @@ class Scene:
     ground-truth instances) on the first access of ``scene_points``,
     ``superpoints`` or ``gt_instances``, and keeps all three values; until
     then it holds only their paths, so it pickles and copies as it is.
-    ``dataclasses.replace`` reads every field, so it reads them too.
+    ``dataclasses.replace`` reads every field, so it reads them too. Its
+    frames read each mask file on that mask's first access (``_MaskFiles``):
+    ``object_ids`` reads none, ``track(obj_id)`` reads that object's and
+    ``tracks()`` all of them.
     """
 
     scene_id: str
@@ -681,12 +732,13 @@ def _intrinsics_from_record(rec: dict, where: str, known: dict) -> CameraIntrins
 def _load_frames(records: list, manifest_path: Path) -> list:
     """The frames of a manifest's ``frames`` records.
 
-    Each frame's files are read and checked in frame order; the pose files'
-    rotation blocks are then checked together, in one stacked pass
-    (``_poses``), so with several faulty files a later frame's depth or mask
-    error can be named before an earlier frame's bad rotation. What the
-    frames do not keep goes when this returns, before the scene's side
-    files are read.
+    Each frame's depth and pose files are read and checked in frame order;
+    the pose files' rotation blocks are then checked together, in one
+    stacked pass (``_poses``), so with several faulty files a later frame's
+    depth error can be named before an earlier frame's bad rotation. Mask
+    files are only named here: each frame reads a mask on its first access
+    (``_MaskFiles``). What the frames do not keep goes when this returns,
+    before the scene's side files are read.
     """
     root = str(manifest_path.parent)
     intrinsics, pose_values, pose_paths, parts = {}, [], [], []
@@ -698,6 +750,9 @@ def _load_frames(records: list, manifest_path: Path) -> list:
         for key in ("depth", "pose"):
             if not isinstance(rec[key], str):
                 raise ManifestError(f"{where}: field '{key}' must be a file name")
+        if not isinstance(rec["intrinsics"], dict):
+            raise ManifestError(f"{where}: field 'intrinsics' must be an object, "
+                                f"got {json.dumps(rec['intrinsics'])}")
         mask_files = rec.get("masks", {})
         if not isinstance(mask_files, dict) or \
                 not all(isinstance(rel, str) for rel in mask_files.values()):
@@ -709,13 +764,9 @@ def _load_frames(records: list, manifest_path: Path) -> list:
                                 f"intrinsics say {intr.width}x{intr.height}")
         pose_paths.append(os.path.join(root, rec["pose"]))
         pose_values.append(_pose_values(pose_paths[-1]))
-        masks = {}
-        for obj_id, rel in sorted(mask_files.items()):
-            mask = load_mask_pgm(os.path.join(root, rel))
-            if mask.shape != (intr.height, intr.width):
-                raise BadMaskError(f"{where}: mask '{obj_id}' is {mask.shape[1]}x{mask.shape[0]}, "
-                                   f"frame is {intr.width}x{intr.height}")
-            masks[obj_id] = mask
+        masks = _MaskFiles({obj_id: os.path.join(root, rel)
+                            for obj_id, rel in sorted(mask_files.items())},
+                           (intr.height, intr.width), where)
         parts.append((intr, depth, masks))
     return [CameraFrame(i, intr, pose, depth, masks)
             for i, ((intr, depth, masks), pose)
@@ -723,11 +774,16 @@ def _load_frames(records: list, manifest_path: Path) -> list:
 
 
 def load_scene(manifest_path) -> Scene:
-    """Load a scene manifest and every frame file it names.
+    """Load a scene manifest and the depth and pose files of its frames.
 
-    The manifest and every frame's depth, pose and mask files are read and
-    checked here; type errors name the offending file and field. The side
-    files (``superpoints`` and ``gt_instances``) are only named here: the
+    The manifest and every frame's depth and pose files are read and
+    checked here; type errors name the offending file and field. The mask
+    files are only named here: a frame reads and checks a mask on its first
+    access (``_MaskFiles``), with the errors a read here would raise. So
+    ``sample`` reads the masks of the object it draws for, ``pipeline``
+    without ``--masks`` reads every mask (``Scene.tracks``), and ``lift``,
+    ``merge`` and ``pipeline --masks`` read none. The side files
+    (``superpoints`` and ``gt_instances``) are only named here too: the
     scene reads and checks both on the first access of ``scene_points``,
     ``superpoints`` or ``gt_instances`` (see ``Scene``), with the same
     errors. So ``merge`` and ``pipeline``, which vote and score against

@@ -17,7 +17,9 @@ from each scene to ``{obj_id: _ObjectIndex}``, so they go when their scene
 goes; scenes and their frames are immutable and hash by identity, so an
 index can never go stale: a changed scene is a new scene
 (``dataclasses.replace``) and gets indexes of its own. An object's index is
-made at its first draw by one ``mask.any()`` pass over the frames; it keeps
+made at its first draw by one ``mask.any()`` pass over the frames, which is
+also when a loaded scene reads that object's mask files, and no other
+object's (``ingest.load_scene`` reads each mask on first use); it keeps
 the visible frames by position, with their ids, so continuous and random
 draws never back-project. With them it stacks, from the poses alone, the
 visible frames' rotations and translations (~115 bytes per visible frame).

@@ -20,7 +20,7 @@ from geovos.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, _look_at_p
                         boxworld_preset, main)
 from geovos.geometry import CameraFrame, CameraPose, PointCloud, depth_agreement_score
 from geovos.ingest import (ManifestError, Scene, load_dmap, load_scene, load_tracks, save_dmap,
-                           save_scene, save_tracks)
+                           save_mask_pgm, save_scene, save_tracks)
 from geovos.instance3d import MergeConfig, run_pipeline
 from geovos.metrics import MaskTrack
 
@@ -423,6 +423,57 @@ class TestSideFiles:
             run_pipeline(scene, scene.tracks(), MergeConfig())
 
 
+SCENE_MASK_FAULTS = ("truncated-raster", "missing-file", "wrong-size")
+
+
+def _break_scene_mask(d, fault) -> str:
+    """Break the scene's frame 2 box0 mask file by ``fault``; returns the
+    stderr line of a command that reads it."""
+    path = d / "mask" / "0002_box0.pgm"
+    if fault == "truncated-raster":
+        path.write_bytes(path.read_bytes()[:-1])
+        return f"error: {path}: expected 1024 raster bytes, got 1023"
+    if fault == "missing-file":
+        path.unlink()
+        return f"error: mask file not found: {path}"
+    save_mask_pgm(path, np.ones((16, 32), bool))
+    return f"error: {d / 'manifest.json'}: frames[2]: mask 'box0' is 32x16, frame is 32x32"
+
+
+class TestSceneMasks:
+    """A scene's mask files are read on first use: a faulty one stops only a
+    command that reads it (a draw for its object, pipeline without --masks;
+    see the scene-mask rows of CORRUPTIONS)."""
+
+    @pytest.mark.parametrize("fault", SCENE_MASK_FAULTS)
+    @pytest.mark.parametrize("command", ["sample", "lift", "merge", "pipeline"])
+    def test_unread_mask_leaves_the_report_byte_identical(self, scene_dir, tmp_path, command,
+                                                          fault):
+        d = tmp_path / "scene"
+        shutil.copytree(scene_dir, d)
+        out = tmp_path / "report.jsonl"
+        extra = (["--obj", "box1", "--n", "3", "--mode", "mixed", "--draws", "12", "--seed", "4"]
+                 if command == "sample" else ["--masks", str(d / "tracks" / "tracks.json")])
+        argv = [command, "--scene", str(d / "manifest.json"), *extra, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        intact = out.read_bytes()
+        out.unlink()
+        _break_scene_mask(d, fault)
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == intact
+
+
+def _scene_mask_fault(command, fault):
+    """``command`` on the scene with frame 2's box0 mask file broken: sample
+    draws for box0 (the first object), pipeline runs on the scene's own
+    tracks (no --masks)."""
+    def run(d):
+        line = _break_scene_mask(d, fault)
+        args = _scene_args(command, d)
+        return (args if command == "sample" else args[:3]), [line]
+    return run
+
+
 # ---------------------------------------------------------------------------
 # corrupt inputs: every case gets its own copy of the scene and returns the
 # command line plus the strings its one stderr line must name
@@ -757,6 +808,18 @@ def _frame_0_intrinsics(command, field, value, detail):
     return run
 
 
+def _frame_0_intrinsics_record(command, value):
+    """``command`` on the scene after frame 0's intrinsics became ``value``,
+    which is no JSON object."""
+    def run(d):
+        manifest = json.loads((d / "manifest.json").read_text())
+        manifest["frames"][0]["intrinsics"] = value
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        return _scene_args(command, d), [f"manifest.json: frames[0]: field 'intrinsics' must be "
+                                         f"an object, got {json.dumps(value)}"]
+    return run
+
+
 def _stride_zero(command):
     def run(d):
         return _scene_args(command, d) + ["--stride", "0"], ["stride must be >= 1, got 0"]
@@ -862,6 +925,12 @@ CORRUPTIONS = {
            ("string-fx", "fx", "32", 'field \'fx\' must be a number, got "32"'),
            ("bool-width", "width", True, "field 'width' must be an integer, got true"),
            ("fx-past-float", "fx", 10**400, "field 'fx' is too large for a float")]},
+    **{f"{c}-intrinsics-{name}": _frame_0_intrinsics_record(c, value)
+       for c in ("lift", "pipeline", "sample")
+       for name, value in [("list", [32]), ("string", "x"), ("null", None)]},
+    # frame 2's box0 mask file, which a draw for box0 and pipeline without --masks read
+    **{f"{c}-scene-mask-{fault}": _scene_mask_fault(c, fault)
+       for c in ("sample", "pipeline") for fault in SCENE_MASK_FAULTS},
     **{f"{c}-stride-zero": _stride_zero(c) for c in _3D},
     "gradcheck-config-list": _gradcheck_config("[1, 2]", "list"),
     "gradcheck-config-invalid-json": _gradcheck_config("{", "invalid JSON"),

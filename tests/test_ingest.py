@@ -27,7 +27,7 @@ from geovos.ingest import (DMAP_MAGIC, BadMagicError, BadMaskError, BadPoseError
                            load_superpoints, load_tracks, save_dmap, save_instances,
                            save_mask_pgm, save_pose, save_scene, save_tracks)
 from geovos.metrics import MaskTrack
-from geovos.sampler import SamplerConfig, sample_fov
+from geovos.sampler import SamplerConfig, sample_fov, sample_mixed
 
 
 class TestDmap:
@@ -496,6 +496,9 @@ class TestScenePoses:
         ({"fx": "x", "fy": 1, "cx": 0, "cy": 0, "width": 2, "height": 2}, "bad intrinsics"),
         ({"fx": -1, "fy": 1, "cx": 0, "cy": 0, "width": 2, "height": 2},
          "bad intrinsics (focal lengths must be positive"),
+        ([32], "field 'intrinsics' must be an object, got [32]"),
+        ("x", 'field \'intrinsics\' must be an object, got "x"'),
+        (None, "field 'intrinsics' must be an object, got null"),
     ])
     def test_intrinsics_errors_name_their_frame(self, tmp_path, record, message):
         manifest = _pose_scene(tmp_path, 3)
@@ -719,6 +722,146 @@ class TestSideFilesOnFirstUse:
         assert len(calls) == 1 and len(seen) == len(names)
         assert all(a is b for values in seen for a, b in zip(values, seen[0]))
         self.assert_side_values(scene, world)
+
+
+class TestMasksOnFirstUse:
+    """A loaded frame reads each mask file on the first access of its key,
+    with the checks and errors that reading it in load_scene had."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        world = generate_boxworld(*boxworld_preset("two-cubes", 16))
+        return world, save_scene(world.scene, tmp_path)
+
+    @staticmethod
+    def spy(monkeypatch, delay=0.0):
+        """The paths that ``ingest.load_mask_pgm`` reads from now on."""
+        reads, read = [], ingest.load_mask_pgm
+
+        def spy(path):
+            reads.append(str(path))
+            time.sleep(delay)
+            return read(path)
+
+        monkeypatch.setattr(ingest, "load_mask_pgm", spy)
+        return reads
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_masks_match_the_per_file_oracle(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        for k in range(6):
+            manifest = save_scene(generate_boxworld(*TestBoxWorld.random_layout(rng)).scene,
+                                  tmp_path / f"s{k}")
+            records = json.loads(manifest.read_text())["frames"]
+            scene = load_scene(manifest)
+            for frame, rec in zip(scene.frames, records, strict=True):
+                assert list(frame.masks) == sorted(rec["masks"]) and "box9" not in frame.masks
+                for obj_id, rel in rec["masks"].items():
+                    mask, want = frame.masks[obj_id], naive_load_mask_pgm(manifest.parent / rel)
+                    assert (mask.dtype, mask.shape) == (want.dtype, want.shape)
+                    assert mask.tobytes() == want.tobytes()
+                    assert not mask.flags.writeable and frame.masks[obj_id] is mask
+                assert frame.masks.get("box9") is None
+
+    @pytest.mark.parametrize("fault", ["missing-file", "bad-magic", "truncated-header",
+                                       "short-raster", "wrong-size"])
+    def test_fault_raised_at_first_access(self, saved, fault):
+        world, manifest = saved
+        path = manifest.parent / "mask" / "0002_box0.pgm"
+        intact = path.read_bytes()
+        if fault == "missing-file":
+            path.unlink()
+            want = MissingFileError, f"mask file not found: {path}"
+        elif fault == "bad-magic":
+            path.write_bytes(b"P6" + intact[2:])
+            want = BadMaskError, f"{path}: not a binary PGM (P5) file"
+        elif fault == "truncated-header":
+            path.write_bytes(b"P5\n16 16")
+            want = BadMaskError, f"{path}: truncated PGM header"
+        elif fault == "short-raster":
+            path.write_bytes(intact[:-1])
+            want = LengthMismatchError, f"{path}: expected 256 raster bytes, got 255"
+        else:
+            save_mask_pgm(path, np.ones((8, 12), bool))
+            want = BadMaskError, f"{manifest}: frames[2]: mask 'box0' is 12x8, frame is 16x16"
+        scene = load_scene(manifest)  # names the file, reads none
+        masks = scene.frames[2].masks
+        assert scene.object_ids == ("box0", "box1") and "box0" in masks and len(masks) == 2
+        np.testing.assert_array_equal(masks["box1"], world.scene.frames[2].masks["box1"])
+        for _ in range(2):  # a failed read keeps nothing: the next access reads again
+            with pytest.raises(IngestError) as err:
+                masks["box0"]
+            assert (type(err.value), str(err.value)) == want
+        path.write_bytes(intact)
+        np.testing.assert_array_equal(masks["box0"], world.scene.frames[2].masks["box0"])
+
+    def test_replace_reads_no_mask(self, saved, monkeypatch):
+        world, manifest = saved
+        scene = load_scene(manifest)
+        reads = self.spy(monkeypatch)
+        frame = scene.frames[1]
+        moved = dataclasses.replace(frame, depth=frame.depth * 2)
+        assert moved.masks is frame.masks and sorted(moved.masks) == ["box0", "box1"]
+        with pytest.raises(ValueError, match=re.escape("masks shape (16, 16) != intrinsics")):
+            dataclasses.replace(frame, intrinsics=make_intrinsics(width=8, height=8), depth=None)
+        assert reads == []
+        np.testing.assert_array_equal(moved.masks["box0"], world.scene.frames[1].masks["box0"])
+        assert frame.masks["box0"] is moved.masks["box0"] and len(reads) == 1
+
+    @pytest.mark.parametrize("copy_of", ["pickle", "deepcopy"])
+    def test_pickle_and_deepcopy(self, saved, copy_of):
+        world, manifest = saved
+        duplicate = {"pickle": lambda s: pickle.loads(pickle.dumps(s)),
+                     "deepcopy": copy.deepcopy}[copy_of]
+        scene = load_scene(manifest)
+        scene.frames[0].masks["box0"]  # one mask read before the copy, the rest not
+        copied = duplicate(scene)
+        for a, b in zip(copied.frames, world.scene.frames, strict=True):
+            assert list(a.masks) == list(b.masks)
+            for obj_id in b.masks:
+                np.testing.assert_array_equal(a.masks[obj_id], b.masks[obj_id])
+                assert not a.masks[obj_id].flags.writeable
+        # the copy keeps the mask read before it, and reads the others from their files
+        again = duplicate(scene)
+        for path in (manifest.parent / "mask").iterdir():
+            path.unlink()
+        np.testing.assert_array_equal(again.frames[0].masks["box0"],
+                                      world.scene.frames[0].masks["box0"])
+        with pytest.raises(MissingFileError, match="0000_box1.pgm"):
+            again.frames[0].masks["box1"]
+
+    def test_a_sample_session_reads_its_objects_masks_once(self, saved, monkeypatch):
+        world, manifest = saved
+        records = json.loads(manifest.read_text())["frames"]
+        scene = load_scene(manifest)
+        reads = self.spy(monkeypatch)
+        cfg, rng = SamplerConfig(n_frames=4), np.random.default_rng(0)
+        for obj_id in ("box1", "box0"):
+            before = len(reads)
+            for _ in range(30):
+                sample_mixed(scene, cfg, rng, obj_id)
+            want = [str(manifest.parent / rec["masks"][obj_id]) for rec in records
+                    if obj_id in rec["masks"]]
+            assert sorted(reads[before:]) == sorted(want) and len(want) == 6
+
+    def test_concurrent_first_access_returns_one_array(self, saved, monkeypatch):
+        world, manifest = saved
+        masks = load_scene(manifest).frames[3].masks
+        reads = self.spy(monkeypatch, delay=0.05)  # every thread arrives during a read
+        start, seen = threading.Barrier(8), []
+
+        def first_access():
+            start.wait()
+            seen.append(masks["box1"])
+
+        threads = [threading.Thread(target=first_access) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads) and len(seen) == 8 and reads
+        assert all(mask is masks["box1"] for mask in seen)
+        np.testing.assert_array_equal(seen[0], world.scene.frames[3].masks["box1"])
 
 
 class TestTracksFile:
