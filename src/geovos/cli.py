@@ -5,17 +5,17 @@ selection), ``lift`` / ``merge`` / ``eval-3d`` / ``pipeline`` (3D instance
 construction and scoring), ``eval-vos`` (track metrics), ``gradcheck``
 (feature-merger derivative verification).
 
-The 3D commands run only the stages their reports need: ``lift`` lifts and
-scores depth agreement, ``merge`` lifts, merges and votes, and ``pipeline``
-adds AP to that. Only ``merge`` and ``pipeline`` read a scene's side files
-(superpoints and ground-truth instances), so ``sample`` and ``lift`` run on
-a scene whose side files are missing or bad. A scene's mask files are read
-on first use too: ``sample`` reads those of the object it draws for,
-``pipeline`` without ``--masks`` reads all of them (the scene's own tracks),
-and ``lift``, ``merge`` and ``pipeline --masks`` read none, so a bad mask
-file stops only a command that reads it. ``sample`` and ``gradcheck``
-import the sampler and the feature merger when they run, so no other
-command loads them.
+The 3D commands take one argument set and run only the stages their
+reports need: ``lift`` lifts and scores depth agreement, ``merge`` lifts,
+merges and votes, and ``pipeline`` adds AP to that. Only ``merge`` and
+``pipeline`` read a scene's side files (superpoints and ground-truth
+instances), so ``sample`` and ``lift`` run on a scene whose side files are
+missing or bad. A scene's mask files are read on first use too: ``sample``
+reads those of the object it draws for, a 3D command without ``--masks``
+reads all of them (the scene's own tracks) and one with ``--masks`` none,
+so a bad mask file stops only a command that reads it. ``sample`` and
+``gradcheck`` import the sampler and the feature merger when they run, so
+no other command loads them.
 
 Reports are line-oriented JSON with a versioned schema: a header line
 (schema, command, config echo), one line per item, one aggregate line.
@@ -253,15 +253,6 @@ def _pipeline_inputs(args, side_files: bool):
     return scene, tracks, cfg, echo
 
 
-def _fragment_record(frag) -> dict:
-    return {
-        "source": [int(frag.source[0]), str(frag.source[1])],
-        "n_points": frag.n_points,
-        "depth_agreement": frag.depth_agreement,
-        "points": frag.points.points.tolist(),
-    }
-
-
 def _instance_records(result):
     """One record per instance of a pipeline result: superpoint and point
     ids when voted, else the instance's distinct voxel keys in
@@ -287,13 +278,9 @@ def cmd_lift(args) -> int:
     fragments, rejections = lift_all(scene, tracks, cfg, keyframe_stride=args.stride)
     score_depth(scene.frames, fragments, cfg.eps_rel)
     report = RunReport("lift", echo)
-    report.items = [_fragment_record(f) for f in fragments]
-    if args.points_dir:
-        points_dir = Path(args.points_dir)
-        points_dir.mkdir(parents=True, exist_ok=True)
-        for f in fragments:
-            ingest.save_pointset(points_dir / f"{f.source[0]:04d}_{f.source[1]}.json",
-                                 f.points.points)
+    report.items = [{"source": [int(f.source[0]), str(f.source[1])], "n_points": f.n_points,
+                     "depth_agreement": f.depth_agreement, "points": f.points.points.tolist()}
+                    for f in fragments]
     report.aggregate = {
         "n_fragments": len(fragments),
         "rejections": [{"keyframe": int(k), "obj": str(o), "reason": r}
@@ -303,13 +290,20 @@ def cmd_lift(args) -> int:
     return EXIT_OK
 
 
+def _ap_scores(pred, gt, where: str) -> dict:
+    """``eval_ap``'s scores, rounded; an empty ``gt`` is an input error
+    naming ``where``, the file or field that holds it."""
+    if not len(gt):
+        raise ValueError(f"{where}: eval_ap requires a nonempty ground-truth set")
+    return {k: round(v, 10) for k, v in eval_ap(pred, gt).items()}
+
+
 def cmd_eval_3d(args) -> int:
     t0 = time.perf_counter()
     pred = ingest.load_instances(args.pred)
     gt = ingest.load_instances(args.gt)
-    scores = eval_ap(pred, gt)
     report = RunReport("eval-3d", {"pred": str(args.pred), "gt": str(args.gt)})
-    report.aggregate = {k: round(v, 10) for k, v in scores.items()}
+    report.aggregate = _ap_scores(pred, gt, str(args.gt))
     _finish(report, args.out, t0)
     return EXIT_OK
 
@@ -335,8 +329,8 @@ def _cmd_instances(args) -> int:
         agg["n_fragments"] = len(result.fragments)
         if scene.gt_instances is not None:
             if result.voted and result.instances is not None:
-                scores = eval_ap(result.instances, scene.gt_instances)
-                agg.update({k: round(v, 10) for k, v in scores.items()})
+                agg.update(_ap_scores(result.instances, scene.gt_instances,
+                                      f"{args.scene}: field 'gt_instances'"))
             elif result.instances is None:
                 agg.update({"ap": 0.0, "ap50": 0.0, "ap25": 0.0})
             else:
@@ -468,16 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, help_text in [
         ("lift", cmd_lift, "lift tracked masks into 3D fragments"),
         ("merge", _cmd_instances, "lift and merge fragments into instances"),
+        ("pipeline", _cmd_instances, "lift + merge + vote + eval-3d"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scene", required=True)
-        p.add_argument("--masks", required=True, help="tracks JSON path")
+        p.add_argument("--masks", default=None, help="tracks JSON (default: scene GT masks)")
         p.add_argument("--merge-config", default=None, dest="merge_config")
         p.add_argument("--stride", type=int, default=1, help="keyframe stride")
         p.add_argument("--out", default=None)
-        if name == "lift":
-            p.add_argument("--points-dir", default=None, dest="points_dir",
-                           help="also write one point-set JSON per fragment")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("eval-3d", help="AP of predicted vs ground-truth instances")
@@ -485,14 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="ground-truth instances JSON")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_eval_3d)
-
-    p = sub.add_parser("pipeline", help="lift + merge + vote + eval-3d")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--masks", default=None, help="tracks JSON (default: scene GT masks)")
-    p.add_argument("--merge-config", default=None, dest="merge_config")
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_instances)
 
     p = sub.add_parser("eval-vos", help="track IoU / positive IoU / successful IoU")
     p.add_argument("--pred", required=True, help="predicted tracks JSON")

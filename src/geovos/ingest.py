@@ -42,7 +42,7 @@ import re
 import struct
 import threading
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -59,7 +59,6 @@ MANIFEST_SCHEMA = "geovos.scene/1"
 SUPERPOINTS_SCHEMA = "geovos.superpoints/1"
 INSTANCES_SCHEMA = "geovos.instances/1"
 TRACKS_SCHEMA = "geovos.tracks/1"
-POINTSET_SCHEMA = "geovos.points/1"
 
 DMAP_MAGIC = b"DMAP"
 DMAP_VERSION = 1
@@ -240,28 +239,23 @@ def _poses(values: list, paths: list) -> list:
 # JSON side files
 
 
-JSON_BLOCK = 4096  # array entries (or rows) encoded per call of the C encoder
+JSON_BLOCK = 4096  # array entries encoded per call of the C encoder
 
 
-def _blocks(arr: np.ndarray, pad: str, rows: bool):
+def _blocks(arr: np.ndarray, pad: str):
     """Pieces of the indented list ``arr.tolist()`` of a non-empty 1-D
-    array, or of a 2-D array of non-empty rows, at indentation ``pad``.
+    array at indentation ``pad``.
 
     Each block of JSON_BLOCK entries is converted with ``tolist()`` and
     encoded by one call of the C encoder (``json.dumps`` without
-    ``indent``), whose ``", "`` and ``"], ["`` separators are swapped for the
-    indented ones; no number can contain them.
+    ``indent``), whose ``", "`` separators are swapped for the indented
+    ones; no number can contain them.
     """
     inner = pad + "  "
     yield "[" + inner
     for lo in range(0, len(arr), JSON_BLOCK):
-        text = json.dumps(arr[lo:lo + JSON_BLOCK].tolist())
-        if rows:
-            text = text[2:-2].replace("], [", f"{inner}],{inner}[{inner}  ")
-            text = f"[{inner}  " + text.replace(", ", f",{inner}  ") + f"{inner}]"
-        else:
-            text = text[1:-1].replace(", ", "," + inner)
-        yield ("," + inner if lo else "") + text
+        text = json.dumps(arr[lo:lo + JSON_BLOCK].tolist())[1:-1]
+        yield ("," + inner if lo else "") + text.replace(", ", "," + inner)
     yield pad + "]"
 
 
@@ -269,14 +263,14 @@ def _chunks(obj, pad: str):
     """Pieces of ``json.dumps(obj, indent=2)`` written at indentation ``pad``,
     a numpy array taken as its ``tolist()``.
 
-    A non-empty 1-D or 2-D number array goes block by block
-    (:func:`_blocks`). Other lists and str-keyed dicts recurse; every other
-    value is the plain encoder's output, re-indented to ``pad``.
+    A non-empty 1-D number array goes block by block (:func:`_blocks`).
+    Other lists and str-keyed dicts recurse; every other value is the plain
+    encoder's output, re-indented to ``pad``.
     """
     inner = pad + "  "
     if isinstance(obj, np.ndarray):
-        if obj.ndim in (1, 2) and obj.size and obj.dtype.kind in "biuf":
-            yield from _blocks(obj, pad, obj.ndim == 2)
+        if obj.ndim == 1 and obj.size and obj.dtype.kind in "biuf":
+            yield from _blocks(obj, pad)
             return
         obj = obj.tolist()
     if type(obj) is list and obj:
@@ -491,21 +485,6 @@ def load_instances(path) -> InstanceSet:
     return InstanceSet(out)
 
 
-def save_pointset(path, points: np.ndarray):
-    """Write a bare world-frame point set (the fragment exchange format)."""
-    _write_json(path, {
-        "schema": POINTSET_SCHEMA,
-        "points": np.asarray(points, dtype=np.float64).reshape(-1, 3),
-    })
-
-
-def load_pointset(path) -> np.ndarray:
-    doc = _read_json(path, "point set")
-    if doc.get("schema") != POINTSET_SCHEMA:
-        raise ManifestError(f"{path}: schema must be {POINTSET_SCHEMA}")
-    return _points(doc, path)
-
-
 def save_tracks(tracks: dict, out_dir, name="tracks.json"):
     """Write mask tracks: one PGM per visible frame plus a JSON index."""
     out_dir = Path(out_dir)
@@ -672,7 +651,8 @@ class Scene:
     A scene from ``load_scene`` reads its side files (superpoints and
     ground-truth instances) on the first access of ``scene_points``,
     ``superpoints`` or ``gt_instances``, and keeps all three values; until
-    then it holds only their paths, so it pickles and copies as it is.
+    then it holds only their paths, so it pickles and copies as it is, and
+    its ``repr`` shows each unread one as ``<unread>``.
     ``dataclasses.replace`` reads every field, so it reads them too. Its
     frames read each mask file on that mask's first access (``_MaskFiles``):
     ``object_ids`` reads none, ``track(obj_id)`` reads that object's and
@@ -687,6 +667,11 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))
+
+    def __repr__(self):
+        state = vars(self)
+        return "Scene(" + ", ".join(f"{f.name}={state[f.name]!r}" if f.name in state
+                                    else f"{f.name}=<unread>" for f in fields(self)) + ")"
 
     @cached_property
     def object_ids(self) -> tuple:
@@ -780,9 +765,9 @@ def load_scene(manifest_path) -> Scene:
     checked here; type errors name the offending file and field. The mask
     files are only named here: a frame reads and checks a mask on its first
     access (``_MaskFiles``), with the errors a read here would raise. So
-    ``sample`` reads the masks of the object it draws for, ``pipeline``
-    without ``--masks`` reads every mask (``Scene.tracks``), and ``lift``,
-    ``merge`` and ``pipeline --masks`` read none. The side files
+    ``sample`` reads the masks of the object it draws for, a 3D command
+    (``lift``, ``merge``, ``pipeline``) without ``--masks`` reads every mask
+    (``Scene.tracks``) and one with ``--masks`` none. The side files
     (``superpoints`` and ``gt_instances``) are only named here too: the
     scene reads and checks both on the first access of ``scene_points``,
     ``superpoints`` or ``gt_instances`` (see ``Scene``), with the same

@@ -223,7 +223,8 @@ def _object_index(scene, obj_id, n_frames: int = 0) -> tuple:
     ``obj_id=None`` is the first object id.
 
     Raises:
-        ValueError: for ``obj_id=None`` when no frame holds a mask, or when
+        ValueError: for ``obj_id=None`` when no frame holds a mask, for an
+            ``obj_id`` that none does (when the index is made), or when
             fewer than n_frames frames show the object.
     """
     if obj_id is None:
@@ -235,6 +236,9 @@ def _object_index(scene, obj_id, n_frames: int = 0) -> tuple:
         objects = _INDEXES[scene] = {}
     index = objects.get(obj_id)
     if index is None:
+        if obj_id not in scene.object_ids:
+            raise ValueError(f"object {obj_id!r} has no mask in any frame (scene objects: "
+                             f"{', '.join(scene.object_ids) or 'none'})")
         index = objects[obj_id] = _ObjectIndex(scene, obj_id)
     if len(index.visible) < n_frames:
         raise ValueError(f"need {n_frames} object-visible frames, "

@@ -210,17 +210,35 @@ class TestPipeline:
         assert code == EXIT_OK
         assert read_lines(merge_out)[-1]["aggregate"]["n_instances"] == 2
 
-    def test_lift_writes_pointsets(self, scene_dir, tmp_path):
-        from geovos.ingest import load_pointset
-        pts_dir = tmp_path / "pts"
-        code = main(["lift", "--scene", str(scene_dir / "manifest.json"),
-                     "--masks", str(scene_dir / "tracks" / "tracks.json"),
-                     "--points-dir", str(pts_dir)])
-        assert code == EXIT_OK
-        files = sorted(pts_dir.glob("*.json"))
-        assert files
-        pts = load_pointset(files[0])
-        assert pts.shape[1] == 3 and pts.shape[0] > 0
+    @pytest.mark.parametrize("command", ["lift", "merge", "pipeline"])
+    def test_masks_default_to_the_scene_tracks(self, scene_dir, tmp_path, command):
+        # the synth scene's tracks file holds its own masks: the item and
+        # aggregate lines are the same bytes; the header echoes "masks": null
+        manifest, masks = scene_dir / "manifest.json", scene_dir / "tracks" / "tracks.json"
+        reports = []
+        for extra in ([], ["--masks", str(masks)]):
+            out = tmp_path / f"{command}-{len(extra)}.jsonl"
+            assert main([command, "--scene", str(manifest), *extra,
+                         "--out", str(out)]) == EXIT_OK
+            reports.append(out.read_text().splitlines())
+        (own_header, *own), (given_header, *given) = reports
+        assert own == given and len(own) > 1
+        own_header, given_header = json.loads(own_header), json.loads(given_header)
+        assert own_header["config"]["masks"] is None
+        assert given_header["config"]["masks"] == str(masks)
+        own_header["config"]["masks"] = str(masks)
+        assert own_header == given_header
+
+    def test_merge_with_empty_ground_truth(self, scene_dir, tmp_path):
+        # merge reads instances.json but scores no AP against it
+        d = tmp_path / "scene"
+        shutil.copytree(scene_dir, d)
+        (d / "instances.json").write_text(json.dumps({"schema": "geovos.instances/1",
+                                                      "instances": []}))
+        out = tmp_path / "m.jsonl"
+        assert main(["merge", "--scene", str(d / "manifest.json"), "--out", str(out)]) == EXIT_OK
+        agg = read_lines(out)[-1]["aggregate"]
+        assert agg["n_instances"] == 2 and agg["voted"]
 
     def test_lift_stride_two_lifts_even_keyframes(self, scene_dir, tmp_path):
         def keyframes(stride):
@@ -442,8 +460,8 @@ def _break_scene_mask(d, fault) -> str:
 
 class TestSceneMasks:
     """A scene's mask files are read on first use: a faulty one stops only a
-    command that reads it (a draw for its object, pipeline without --masks;
-    see the scene-mask rows of CORRUPTIONS)."""
+    command that reads it (a draw for its object, a 3D command without
+    --masks; see the scene-mask rows of CORRUPTIONS)."""
 
     @pytest.mark.parametrize("fault", SCENE_MASK_FAULTS)
     @pytest.mark.parametrize("command", ["sample", "lift", "merge", "pipeline"])
@@ -465,7 +483,7 @@ class TestSceneMasks:
 
 def _scene_mask_fault(command, fault):
     """``command`` on the scene with frame 2's box0 mask file broken: sample
-    draws for box0 (the first object), pipeline runs on the scene's own
+    draws for box0 (the first object), a 3D command runs on the scene's own
     tracks (no --masks)."""
     def run(d):
         line = _break_scene_mask(d, fault)
@@ -834,6 +852,21 @@ def _flag(command, flag, value):
     return run
 
 
+def _empty_gt(command):
+    """``command`` with ground truth that holds no instance: eval-3d's --gt
+    file, the pipeline scene's instances.json."""
+    def run(d):
+        gt = d / "instances.json"
+        gt.write_text(json.dumps({"schema": "geovos.instances/1", "instances": []}))
+        if command == "eval-3d":
+            argv, where = ["eval-3d", "--pred", str(_instances_file(d / "pred.json", [0, 1])),
+                           "--gt", str(gt)], gt
+        else:
+            argv, where = _scene_args(command, d), f"{d / 'manifest.json'}: field 'gt_instances'"
+        return argv, [f"error: {where}: eval_ap requires a nonempty ground-truth set"]
+    return run
+
+
 _3D = ("pipeline", "lift", "merge")
 
 # run on the scene of json_scene_dir: its superpoints.json is read as JSON
@@ -928,9 +961,9 @@ CORRUPTIONS = {
     **{f"{c}-intrinsics-{name}": _frame_0_intrinsics_record(c, value)
        for c in ("lift", "pipeline", "sample")
        for name, value in [("list", [32]), ("string", "x"), ("null", None)]},
-    # frame 2's box0 mask file, which a draw for box0 and pipeline without --masks read
+    # frame 2's box0 mask file, which a draw for box0 and a 3D command without --masks read
     **{f"{c}-scene-mask-{fault}": _scene_mask_fault(c, fault)
-       for c in ("sample", "pipeline") for fault in SCENE_MASK_FAULTS},
+       for c in ("sample", *_3D) for fault in SCENE_MASK_FAULTS},
     **{f"{c}-stride-zero": _stride_zero(c) for c in _3D},
     "gradcheck-config-list": _gradcheck_config("[1, 2]", "list"),
     "gradcheck-config-invalid-json": _gradcheck_config("{", "invalid JSON"),
@@ -950,6 +983,10 @@ CORRUPTIONS = {
                                               "error: {}: invalid JSON ("),
     "gradcheck-config-missing": _config_file("gradcheck", None,
                                              "error: config file not found: {}"),
+    "sample-unknown-object": lambda d: (
+        _scene_args("sample", d) + ["--obj", "nope"],
+        ["error: object 'nope' has no mask in any frame (scene objects: box0, box1)"]),
+    **{f"{c}-empty-gt": _empty_gt(c) for c in ("eval-3d", "pipeline")},
     "sample-negative-seed": _flag("sample", "--seed", "-1"),
     "gradcheck-negative-seed": _flag("gradcheck", "--seed", "-1"),
     "gradcheck-nan-threshold": _flag("gradcheck", "--threshold", "nan"),

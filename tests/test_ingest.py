@@ -670,6 +670,23 @@ class TestSideFilesOnFirstUse:
         self.assert_side_values(fewer, world)
         assert fewer.gt_instances is loaded.gt_instances
 
+    def test_repr_reads_no_side_file(self, saved, monkeypatch):
+        world, manifest = saved
+        scene = load_scene(manifest)
+        for name in ("superpoints.npz", "instances.json"):
+            (manifest.parent / name).unlink()
+        calls = []
+        for name in ("load_superpoints", "load_instances"):
+            monkeypatch.setattr(ingest, name, lambda path, _name=name: calls.append(_name))
+        text = repr(scene)
+        assert not calls
+        assert text == (f"Scene(scene_id={scene.scene_id!r}, frames={scene.frames!r}, "
+                        f"scene_points=<unread>, superpoints=<unread>, gt_instances=<unread>)")
+        s = world.scene  # in memory: the dataclass repr
+        assert repr(s) == (f"Scene(scene_id={s.scene_id!r}, frames={s.frames!r}, "
+                           f"scene_points={s.scene_points!r}, superpoints={s.superpoints!r}, "
+                           f"gt_instances={s.gt_instances!r})")
+
     @pytest.mark.parametrize("copy_of", ["pickle", "deepcopy"])
     def test_pickle_and_deepcopy(self, saved, copy_of):
         world, manifest = saved
@@ -982,17 +999,6 @@ class TestTracksFile:
         with pytest.raises(ManifestError, match=re.escape(named)):
             load_instances(p)
 
-    def test_pointset_roundtrip(self, tmp_path):
-        from geovos.ingest import load_pointset, save_pointset
-        rng = np.random.default_rng(5)
-        pts = rng.normal(size=(17, 3))
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_pointset(p1, pts)
-        loaded = load_pointset(p1)
-        save_pointset(p2, loaded)
-        assert p1.read_bytes() == p2.read_bytes()
-        np.testing.assert_array_equal(loaded, pts)
-
     def test_superpoints_npz_roundtrip(self, tmp_path):
         from geovos.ingest import load_superpoints, save_superpoints
         rng = np.random.default_rng(3)
@@ -1056,7 +1062,7 @@ class TestTracksFile:
             "points-string", "points-int-and-bool", "points-float-and-bool",
             "points-string-row", "points-number-row", "points-object-coordinate"])
     def test_superpoints_malformed_field(self, tmp_path, field, value):
-        from geovos.ingest import load_pointset, load_superpoints
+        from geovos.ingest import load_superpoints
         doc = {"schema": "geovos.superpoints/1", "points": [[0.0, 1.0, 2.0]], "labels": [0],
                field: value}
         p = tmp_path / "sp.json"
@@ -1064,29 +1070,26 @@ class TestTracksFile:
         with pytest.raises(ManifestError) as err:
             load_superpoints(p)
         assert str(err.value).startswith(f"{p}: field '{field}' must be ")
-        if field == "points":
-            p.write_text(json.dumps({"schema": "geovos.points/1", "points": value}))
-            with pytest.raises(ManifestError, match=re.escape(f"{p}: field 'points' must be ")):
-                load_pointset(p)
 
     def test_superpoints_accept_int_coordinates_and_empty(self, tmp_path):
-        from geovos.ingest import load_pointset, load_superpoints
+        from geovos.ingest import load_superpoints
         p = tmp_path / "sp.json"
         p.write_text(json.dumps({"schema": "geovos.superpoints/1",
                                  "points": [[1, 2, 3], [0.5, -1, 2**40]], "labels": [3, 0]}))
         points, labels = load_superpoints(p)
         assert points.dtype == np.float64 and points.tolist() == [[1, 2, 3], [0.5, -1, 2**40]]
         assert labels.dtype == np.int64 and labels.tolist() == [3, 0]
-        p.write_text(json.dumps({"schema": "geovos.points/1", "points": []}))
-        assert load_pointset(p).shape == (0, 3)
+        p.write_text(json.dumps({"schema": "geovos.superpoints/1", "points": [], "labels": []}))
+        points, labels = load_superpoints(p)
+        assert points.shape == (0, 3) and labels.shape == (0,)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
     def test_point_lists_as_written_elementwise(self, tmp_path, dtype):
         # tolist() writes the same bytes as converting coordinate by coordinate
-        from geovos.ingest import save_pointset
+        from geovos.ingest import _write_json
         pts = (np.random.default_rng(7).normal(size=(11, 3)) * 100).astype(dtype)
-        save_pointset(tmp_path / "p.json", pts)
-        want = {"schema": "geovos.points/1", "points": [[float(c) for c in p] for p in pts]}
+        _write_json(tmp_path / "p.json", {"points": pts.astype(np.float64)})
+        want = {"points": [[float(c) for c in p] for p in pts]}
         assert (tmp_path / "p.json").read_text() == json.dumps(want, indent=2) + "\n"
 
 
