@@ -290,20 +290,25 @@ def cmd_lift(args) -> int:
     return EXIT_OK
 
 
-def _ap_scores(pred, gt, where: str) -> dict:
-    """``eval_ap``'s scores, rounded; an empty ``gt`` is an input error
-    naming ``where``, the file or field that holds it."""
+def _ap_scores(pred, gt) -> dict:
+    """``eval_ap``'s scores, rounded."""
+    return {k: round(v, 10) for k, v in eval_ap(pred, gt).items()}
+
+
+def _check_gt(gt, where: str) -> None:
+    """An empty ground-truth set is an input error naming ``where``, the
+    file or field that holds it: AP against it is undefined."""
     if not len(gt):
         raise ValueError(f"{where}: eval_ap requires a nonempty ground-truth set")
-    return {k: round(v, 10) for k, v in eval_ap(pred, gt).items()}
 
 
 def cmd_eval_3d(args) -> int:
     t0 = time.perf_counter()
     pred = ingest.load_instances(args.pred)
     gt = ingest.load_instances(args.gt)
+    _check_gt(gt, str(args.gt))
     report = RunReport("eval-3d", {"pred": str(args.pred), "gt": str(args.gt)})
-    report.aggregate = _ap_scores(pred, gt, str(args.gt))
+    report.aggregate = _ap_scores(pred, gt)
     _finish(report, args.out, t0)
     return EXIT_OK
 
@@ -311,9 +316,13 @@ def cmd_eval_3d(args) -> int:
 def _cmd_instances(args) -> int:
     """``merge`` and ``pipeline`` (``args.command``): lift, merge and vote,
     then report the instances; ``pipeline`` adds the fragment count and,
-    when the scene has ground truth, AP."""
+    when the scene has ground truth, AP. An empty ground-truth set stops
+    ``pipeline`` before the run, whatever the run would lift."""
     t0 = time.perf_counter()
     scene, tracks, cfg, echo = _pipeline_inputs(args, side_files=True)
+    gt = scene.gt_instances if args.command == "pipeline" else None
+    if gt is not None:
+        _check_gt(gt, f"{args.scene}: field 'gt_instances'")
     result = run_pipeline(scene, tracks, cfg, keyframe_stride=args.stride)
     report = RunReport(args.command, echo)
     for w in result.warnings:
@@ -327,10 +336,9 @@ def _cmd_instances(args) -> int:
         report.items = _instance_records(result)
     if args.command == "pipeline":
         agg["n_fragments"] = len(result.fragments)
-        if scene.gt_instances is not None:
+        if gt is not None:
             if result.voted and result.instances is not None:
-                agg.update(_ap_scores(result.instances, scene.gt_instances,
-                                      f"{args.scene}: field 'gt_instances'"))
+                agg.update(_ap_scores(result.instances, gt))
             elif result.instances is None:
                 agg.update({"ap": 0.0, "ap50": 0.0, "ap25": 0.0})
             else:

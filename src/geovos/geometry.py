@@ -339,10 +339,73 @@ FRUSTUM_BLOCK = 1 << 16  # points per block of the shared frustum pass
 # ~25 us plus ~18 ns a point, so the two break even near 2,000 points
 # (clouds of 40-20,000 points, 2-vCPU x86 VM, numpy 2.4).
 FRUSTUM_SOLO_POINTS = 2048
+# The box test's margin: a box decides a candidate only if it clears each
+# frustum form by BOX_MARGIN of the form's magnitude (~10^6 times the
+# rounding of the per-point expression) plus BOX_FLOOR (far above the
+# rounding of subnormal products); past BOX_LIMIT a form decides nothing.
+BOX_MARGIN = 1e-9
+BOX_FLOOR = 1e-290
+BOX_LIMIT = 1e290
 
 
-def _inside_counts(clouds, rotations, translations, same_camera,
-                   reference: CameraFrame) -> tuple:
+def cloud_bounds(points: np.ndarray, counts) -> np.ndarray:
+    """The boxes, (len(counts), 2, 3), of the consecutive clouds that
+    ``points`` (N, 3) holds, ``counts[i]`` points each: per cloud its
+    per-axis min (row 0) and max (row 1), found with one ``reduceat`` per
+    bound. An empty cloud's box is ``(inf, -inf)`` on every axis."""
+    counts = np.asarray(counts, np.int64)
+    boxes = np.empty((len(counts), 2, 3))
+    boxes[:, 0], boxes[:, 1] = np.inf, -np.inf
+    some = counts > 0
+    if some.any():
+        starts = (np.cumsum(counts) - counts)[some]
+        boxes[some, 0] = np.minimum.reduceat(points, starts, axis=0)
+        boxes[some, 1] = np.maximum.reduceat(points, starts, axis=0)
+    return boxes
+
+
+@np.errstate(all="ignore")
+def _box_verdicts(boxes, rot, trans, camera: tuple) -> tuple:
+    """``(inside, outside)``, bool per candidate: its box (``boxes``, see
+    :func:`cloud_bounds`, in its camera frame, moved by ``rot``, ``trans``)
+    lies inside all five half-spaces of the ``camera`` frustum, or wholly
+    outside one.
+
+    The half-spaces z > z_near, u >= 0, u < W, v >= 0 and v < H are
+    multiplied through by z into linear forms of the reference camera's
+    (x, y, z), such as ``fx * x + cx * z >= 0``. Over a box a form ranges
+    over its value at the box centre plus or minus the absolute form times
+    the half-extent. A verdict needs that range to clear zero by the
+    margin: BOX_MARGIN of the form's magnitude, the sum of the absolute
+    values of its addends at the box's farthest corner, plus a floor far
+    below any pixel. The rounding of ``kernels.frustum_mask`` stays a few
+    units in the last place of that magnitude, whatever the depth it
+    divides by: once the computed z is positive, the computed u and v keep
+    the bounds of the multiplied-through forms. A point at or below z_near
+    is outside whatever its u and v, so a box wholly outside one u or v
+    form is outside in front of the camera and behind it alike. A box whose
+    magnitude nears the float64 range, or a non-finite box, gets no verdict.
+    """
+    fx, fy, cx, cy, width, height, z_near = camera
+    forms = np.array([[0.0, fx, -fx, 0.0, 0.0], [0.0, 0.0, 0.0, fy, -fy],
+                      [1.0, cx, width - cx, cy, height - cy]])  # columns over (x, y, z)
+    scales = np.array([[0.0, fx, fx, 0.0, 0.0], [0.0, 0.0, 0.0, fy, fy],
+                       [1.0, abs(cx), abs(cx) + width, abs(cy), abs(cy) + height]])
+    lows, highs = boxes[:, 0], boxes[:, 1]
+    centre, half = (lows + highs) * 0.5, (highs - lows) * 0.5
+    mid = (np.einsum("kij,kj->ki", rot, centre) + trans) @ forms
+    mid[:, 0] -= z_near
+    # each form's coefficients along the candidate's axes, then times the half-extents
+    coef = np.abs(rot.transpose(0, 2, 1).reshape(-1, 3) @ forms).reshape(len(rot), 3, 5)
+    spread = np.einsum("kcj,kc->kj", coef, half)
+    reach = np.einsum("kij,kj->ki", np.abs(rot), np.maximum(-lows, highs)) + np.abs(trans)
+    margin = (reach @ scales + [z_near, 0.0, 0.0, 0.0, 0.0]) * BOX_MARGIN + BOX_FLOOR
+    margin[margin > BOX_LIMIT] = np.inf  # no step came near overflow
+    return (mid - spread > margin).all(axis=1), (mid + spread < -margin).any(axis=1)
+
+
+def _inside_counts(clouds, rotations, translations, same_camera, reference: CameraFrame,
+                   bounds=None) -> tuple:
     """``(inside, n)``, int64 per candidate of :func:`frustum_overlap_ratios`:
     its points in the reference frustum, and all its points."""
     ri = reference.intrinsics
@@ -351,7 +414,30 @@ def _inside_counts(clouds, rotations, translations, same_camera,
     ref_rot, ref_trans = reference.pose.rotation, reference.pose.translation
     rot = np.matmul(ref_rot.T, rotations)
     trans = np.matmul(ref_rot.T, (translations - ref_trans)[..., None])[..., 0]
-    n = np.fromiter(map(len, clouds), np.int64, len(clouds))
+    if bounds is None:
+        n = np.fromiter(map(len, clouds), np.int64, len(clouds))
+        boxes = cloud_bounds(np.concatenate(clouds) if len(clouds) else np.zeros((0, 3)), n)
+    else:
+        n, boxes = bounds
+    inside_box, outside_box = _box_verdicts(boxes, rot, trans, camera)
+    # a pixel's back-projection lies in its own frustum by construction;
+    # skipping the float round trip keeps the self-overlap exactly 1
+    whole = inside_box | np.asarray(same_camera, bool)
+    inside = np.where(whole, n, 0)
+    test = np.flatnonzero(~(whole | outside_box) & (n > 0))
+    if len(test):
+        picked = test.tolist()
+        inside[test] = _point_counts(clouds(picked) if callable(clouds) else
+                                     [clouds[k] for k in picked],
+                                     n[test], rot[test], trans[test], camera)
+    return inside, n
+
+
+def _point_counts(clouds, n, rot, trans, camera: tuple) -> np.ndarray:
+    """Per cloud, its points that the per-point expression puts in the
+    frustum: clouds of at least FRUSTUM_SOLO_POINTS points one call each,
+    the others in one shared pass in blocks of at most FRUSTUM_BLOCK
+    points."""
     solo = n >= FRUSTUM_SOLO_POINTS
     inside = np.zeros(len(n), np.int64)
     for i in np.flatnonzero(solo).tolist():
@@ -370,9 +456,7 @@ def _inside_counts(clouds, rotations, translations, same_camera,
         ok[lo:hi] = kernels.frustum_mask(points[lo:hi], c[:9].reshape(3, 3, -1), c[9:], *camera)
     counted = shared > 0
     inside[counted] += np.add.reduceat(ok, starts[counted], dtype=np.int64)
-    # a pixel's back-projection lies in its own frustum by construction;
-    # skipping the float round trip keeps the self-overlap exactly 1
-    return np.where(same_camera, n, inside), n
+    return inside
 
 
 def _ratios(inside, n):
@@ -381,22 +465,44 @@ def _ratios(inside, n):
 
 
 def frustum_overlap_ratios(clouds, rotations, translations, same_camera,
-                           reference: CameraFrame) -> np.ndarray:
+                           reference: CameraFrame, bounds=None) -> np.ndarray:
     """:func:`frustum_overlap_ratio` of many candidates against one reference.
 
     ``clouds[i]`` is candidate i's object points in its camera frame (the
     :func:`back_project` cloud of its masked valid-depth pixels), its pose
     is ``rotations[i]`` (3, 3) and ``translations[i]`` (3,), and
     ``same_camera[i]`` says whether its intrinsics and pose equal the
-    reference's. The candidate to reference transforms are composed in one
-    stacked matmul. Clouds of at least FRUSTUM_SOLO_POINTS points are counted
-    one by one (``kernels.count_in_frustum``); all smaller clouds are tested
-    in one shared pass, in blocks of at most FRUSTUM_BLOCK points, with the
+    reference's. ``bounds`` is ``(n, boxes)``: per candidate its point
+    count and its cloud's box (:func:`cloud_bounds`), for a caller that
+    keeps them; without it they are found here from the clouds.
+
+    The candidate to reference transforms are composed in one stacked
+    matmul. Then each candidate's box is tested against the reference
+    frustum's five half-spaces (z > z_near, 0 <= u < W, 0 <= v < H), the
+    image bounds made linear by multiplying them through by z
+    (``_box_verdicts``): a box inside all five has all its points inside, a
+    box wholly outside one has none, and any other box leaves its candidate
+    to the per-point pass. A verdict needs the box to clear each form by
+    BOX_MARGIN (1e-9) of the form's magnitude, the absolute sum of its
+    addends at the box's farthest corner. The per-point expression rounds
+    each form by a few units in the last place of that same magnitude
+    (~1e-15 of it), and dividing by z keeps the sign of a form times z, so
+    no point of a decided box can round to the other side: every count
+    stays the exact per-point count, and the ratios are bit-identical.
+
+    Only the clouds of the candidates left to the per-point pass are read,
+    so with ``bounds`` given ``clouds`` may also be a function that returns
+    the clouds of a list of candidate indices, in that order. Of those,
+    clouds of at least FRUSTUM_SOLO_POINTS points are counted one by one
+    (``kernels.count_in_frustum``); all smaller clouds are tested in one
+    shared pass, in blocks of at most FRUSTUM_BLOCK points, with the
     coefficients repeated over the clouds' sizes. Both evaluate the
-    per-point expression of ``kernels.frustum_mask``. Returns the float64
-    ratios in candidate order.
+    per-point expression of ``kernels.frustum_mask``. A same-camera
+    candidate counts all its points. Returns the float64 ratios in
+    candidate order.
     """
-    return _ratios(*_inside_counts(clouds, rotations, translations, same_camera, reference))
+    return _ratios(*_inside_counts(clouds, rotations, translations, same_camera, reference,
+                                   bounds))
 
 
 def depth_agreement_score(pc: PointCloud, ref_depth: np.ndarray, intr: CameraIntrinsics,

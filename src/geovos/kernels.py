@@ -11,8 +11,9 @@ overflow past the float64 range gives non-finite points, which the callers
 that know the frame and object reject.
 
 ``frustum_mask`` is the per-point frustum test that the frustum-overlap
-ratios in ``geometry`` run: on the shared pass of small clouds directly,
-and on each large cloud through ``count_in_frustum``, which counts it.
+ratios in ``geometry`` run on the clouds whose bounding box straddles the
+frustum: on the shared pass of small clouds directly, and on each large
+cloud through ``count_in_frustum``, which counts it.
 ``perfbench/run.py --trace 1`` reports each kernel's time and element count;
 its tracer wraps ``backproject_mask`` but not ``backproject_masks``.
 

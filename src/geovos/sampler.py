@@ -19,30 +19,38 @@ index can never go stale: a changed scene is a new scene
 (``dataclasses.replace``) and gets indexes of its own. An object's index is
 made at its first draw by one ``mask.any()`` pass over the frames, which is
 also when a loaded scene reads that object's mask files, and no other
-object's (``ingest.load_scene`` reads each mask on first use); it keeps
-the visible frames by position, with their ids, so continuous and random
-draws never back-project. With them it stacks, from the poses alone, the
-visible frames' rotations and translations (~115 bytes per visible frame).
-Per reference frame the index keeps the row of candidate ratios that the
-first FOV draw from it finds. That row pass first checks that every
-candidate not back-projected yet has a depth raster, then back-projects all
-of them in one batched pass per camera (``kernels.backproject_masks``, in
-runs of at most ``BACKPROJECT_CHUNK`` masked pixels) and keeps each one's
-points as a read-only view of its run's array (24 bytes per masked
-valid-depth pixel), so a frame is back-projected once per (scene, object)
-whatever the references it serves. Then the candidates' pose slices are
-composed against the reference in one stacked matmul, compared with the
-reference's pose for the same-camera shortcut, and all their points are
-tested against the reference frustum in one array pass
-(``geometry.frustum_overlap_ratios``). A row is a plain
-``(max_candidates, ratios, {tau: (pool, rest)})`` tuple, kept for the latest
-``max_candidates`` of that reference, ~74 bytes per candidate at one tau (a
-dict entry, its float and the pool lists, measured with ``tracemalloc``):
-per tau in use the eligible pool and the ineligible candidates best first.
-A warm draw finds its index in two lookups and does Python work only for
-its batch, plus a C-level copy of the row into ``SampleResult.ratios``: no
-step of it grows with the length of the video. Concurrent callers may share
-a scene: a race on an index only repeats the same work.
+object's (``ingest.load_scene`` reads each mask on first use); it keeps the
+visible frames by position, with their ids, so continuous and random draws
+never back-project. With them it stacks, from the poses alone, the visible
+frames' rotations and translations (~115 bytes per visible frame), and
+makes room for each one's point count and bounding box (56 bytes), so that
+a new index takes ~190 bytes per visible frame (``tracemalloc``, 240
+frames). Per reference frame the index keeps the row of candidate ratios
+that the first FOV draw from it finds. That row pass first checks that
+every candidate not back-projected yet has a depth raster, then
+back-projects all of them in one batched pass per camera
+(``kernels.backproject_masks``, in runs of at most ``BACKPROJECT_CHUNK``
+masked pixels) and keeps each one's points as a read-only view of its run's
+array (24 bytes per masked valid-depth pixel), with their count and
+axis-aligned box (one ``np.minimum/maximum.reduceat`` per run,
+``geometry.cloud_bounds``), so a frame is back-projected once per (scene,
+object) whatever the references it serves. Then the candidates' pose slices
+are composed against the reference in one stacked matmul and compared with
+the reference's pose for the same-camera shortcut, and each candidate's box
+is tested against the reference frustum
+(``geometry.frustum_overlap_ratios``): a box inside it counts all its
+points, a box wholly outside it none, and only the candidates whose box
+straddles it have their points read and tested, in one array pass. On a
+box-world orbit every box is decided, so a warm row miss tests no point. A
+row is a plain ``(max_candidates, ratios, {tau: (pool, rest)})`` tuple,
+kept for the latest ``max_candidates`` of that reference, ~74 bytes per
+candidate at one tau (a dict entry, its float and the pool lists, measured
+with ``tracemalloc``): per tau in use the eligible pool and the ineligible
+candidates best first. A warm draw finds its index in two lookups and does
+Python work only for its batch, plus a C-level copy of the row into
+``SampleResult.ratios``: no step of it grows with the length of the video.
+Concurrent callers may share a scene: a race on an index only repeats the
+same work.
 
 ``visible_frames`` and ``candidate_ratios`` are called through this module
 when the index misses, and ``frustum_overlap_ratio``, the one-candidate
@@ -121,11 +129,13 @@ def _as_rng(rng, cfg: SamplerConfig) -> np.random.Generator:
 
 class _ObjectIndex:
     """One object's visible frames by position: the frames, their ids, their
-    poses as arrays and their back-projected points; and the object's rows
-    by reference frame id, each ``(max_candidates, ratios, {tau: (pool,
+    poses as arrays, their back-projected points and, for those, their point
+    counts and bounding boxes (``geometry.cloud_bounds``); and the object's
+    rows by reference frame id, each ``(max_candidates, ratios, {tau: (pool,
     rest)})``."""
 
-    __slots__ = ("frames", "visible", "ids", "rotations", "translations", "points", "rows")
+    __slots__ = ("frames", "visible", "ids", "rotations", "translations", "points", "counts",
+                 "boxes", "rows")
 
     def __init__(self, scene, obj_id):
         by_id = {f.frame_id: f for f in scene.frames}
@@ -136,6 +146,8 @@ class _ObjectIndex:
         self.rotations = np.array([f.pose.rotation for f in self.frames]).reshape(-1, 3, 3)
         self.translations = np.array([f.pose.translation for f in self.frames]).reshape(-1, 3)
         self.points = [None] * len(self.frames)
+        self.counts = np.zeros(len(self.frames), np.int64)
+        self.boxes = np.zeros((len(self.frames), 2, 3))
         self.rows = {}
 
     def row(self, reference: int, max_candidates: int):
@@ -145,13 +157,19 @@ class _ObjectIndex:
 
     def clouds(self, pos: list, obj_id) -> list:
         """The camera-frame points (read-only) of the object's masks in the
-        frames at positions ``pos``, in that order.
+        frames at positions ``pos``, in that order (:meth:`keep` first)."""
+        self.keep(pos, obj_id)
+        return [self.points[i] for i in pos]
 
-        The frames whose points are not kept yet are back-projected and
-        kept: ``kernels.backproject_masks`` runs once per camera
-        (intrinsics) over them, in runs of at most BACKPROJECT_CHUNK masked
-        pixels (a frame with more is a run of its own), and each frame keeps
-        a read-only view of its run's points.
+    def keep(self, pos: list, obj_id):
+        """Back-project and keep the object's masks in the frames at
+        positions ``pos`` whose points are not kept yet.
+
+        ``kernels.backproject_masks`` runs once per camera (intrinsics) over
+        them, in runs of at most BACKPROJECT_CHUNK masked pixels (a frame
+        with more is a run of its own); each frame keeps a read-only view of
+        its run's points, and its point count and bounding box, found with
+        one ``geometry.cloud_bounds`` per run.
 
         Raises:
             ValueError: at the first such frame, in ``pos`` order, that has
@@ -176,6 +194,9 @@ class _ObjectIndex:
                     intr.fx, intr.fy, intr.cx, intr.cy)
                 pts.setflags(write=False)
                 finite = np.isfinite(pts).all()
+                at = [missing[k] for k in ks[lo:hi]]
+                self.counts[at] = counts
+                self.boxes[at] = geometry.cloud_bounds(pts, counts)
                 ends = np.cumsum(counts).tolist()
                 for k, start, end in zip(ks[lo:hi], [0] + ends, ends):
                     if finite or np.isfinite(pts[start:end]).all():
@@ -185,7 +206,6 @@ class _ObjectIndex:
         if bad:
             f = frames[min(bad)]
             raise ValueError(f"frame {f.frame_id}: object {obj_id!r}: {geometry.NON_FINITE}")
-        return [points[i] for i in pos]
 
 
 def _runs(masks: list):
@@ -269,18 +289,20 @@ def candidate_ratios(scene, obj_id, reference: int, cfg: SamplerConfig) -> dict:
         if len(pos) > cfg.max_candidates:
             pos = pos[np.unique(np.linspace(0, len(pos) - 1, cfg.max_candidates).round()
                                 .astype(int))]
-        clouds = index.clouds(pos.tolist(), obj_id)
+        index.keep(pos.tolist(), obj_id)
         if reference in index.visible:
             ref = index.frames[index.visible.index(reference)]
         else:  # a reference that does not show the object: the last frame of that id
             ref = {f.frame_id: f for f in scene.frames}[reference]
         rotations, translations = index.rotations[pos], index.translations[pos]
-        same_camera = (np.all(rotations == ref.pose.rotation, axis=(1, 2))
-                       & np.all(translations == ref.pose.translation, axis=1))
-        for k in np.flatnonzero(same_camera).tolist():  # the reference's pose: rare
-            same_camera[k] = index.frames[pos[k]].intrinsics == ref.intrinsics
-        ratios = geometry.frustum_overlap_ratios(clouds, rotations, translations, same_camera,
-                                                 ref)
+        same_camera = np.all(translations == ref.pose.translation, axis=1)
+        for k in np.flatnonzero(same_camera).tolist():  # the reference's place: rare
+            same_camera[k] = (np.array_equal(rotations[k], ref.pose.rotation)
+                              and index.frames[pos[k]].intrinsics == ref.intrinsics)
+        # only the candidates that no box decides read their points
+        ratios = geometry.frustum_overlap_ratios(
+            lambda ks: index.clouds(pos[ks].tolist(), obj_id), rotations, translations,
+            same_camera, ref, bounds=(index.counts[pos], index.boxes[pos]))
         row = index.rows[reference] = (cfg.max_candidates,
                                        dict(zip(index.ids[pos].tolist(), ratios.tolist())), {})
     return dict(row[1])

@@ -102,7 +102,32 @@ def read_lines(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture(scope="module")
+def demo_parent(tmp_path_factory):
+    """A directory holding ``demo``, the ``geovos synth`` default scene."""
+    out = tmp_path_factory.mktemp("demo")
+    assert main(["synth", "--out", str(out / "demo")]) == EXIT_OK
+    return out
+
+
 class TestSample:
+    @pytest.mark.parametrize("name, args", [("fov", ["--mode", "fov"]),
+                                            ("mixed", ["--mode", "mixed"]),
+                                            ("fov-box1", ["--mode", "fov", "--obj", "box1"])])
+    def test_reports_equal_the_committed_bytes(self, demo_parent, tmp_path, monkeypatch, name,
+                                               args):
+        # tests/data/sample-NAME.jsonl: these very runs, from the scene's
+        # directory, before the row pass tested boxes (the header echoes
+        # the relative scene path)
+        monkeypatch.chdir(demo_parent)
+        out = tmp_path / "r.jsonl"
+        assert main(["sample", "--scene", "demo/manifest.json", *args, "--n", "4",
+                     "--draws", "50", "--seed", "3", "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (DATA / f"sample-{name}.jsonl").read_bytes()
+
     def test_seeded_run_reproducible_bytes(self, scene_dir, tmp_path):
         manifest = scene_dir / "manifest.json"
         outs = []
@@ -852,9 +877,10 @@ def _flag(command, flag, value):
     return run
 
 
-def _empty_gt(command):
+def _empty_gt(command, lifts_nothing=False):
     """``command`` with ground truth that holds no instance: eval-3d's --gt
-    file, the pipeline scene's instances.json."""
+    file, the pipeline scene's instances.json; with ``lifts_nothing`` the
+    pipeline runs on tracks whose one track is absent from all 6 frames."""
     def run(d):
         gt = d / "instances.json"
         gt.write_text(json.dumps({"schema": "geovos.instances/1", "instances": []}))
@@ -862,7 +888,10 @@ def _empty_gt(command):
             argv, where = ["eval-3d", "--pred", str(_instances_file(d / "pred.json", [0, 1])),
                            "--gt", str(gt)], gt
         else:
-            argv, where = _scene_args(command, d), f"{d / 'manifest.json'}: field 'gt_instances'"
+            masks = save_tracks({"box0": MaskTrack([None] * 6)}, d / "absent") \
+                if lifts_nothing else None
+            argv = _scene_args(command, d, masks=masks)
+            where = f"{d / 'manifest.json'}: field 'gt_instances'"
         return argv, [f"error: {where}: eval_ap requires a nonempty ground-truth set"]
     return run
 
@@ -987,6 +1016,7 @@ CORRUPTIONS = {
         _scene_args("sample", d) + ["--obj", "nope"],
         ["error: object 'nope' has no mask in any frame (scene objects: box0, box1)"]),
     **{f"{c}-empty-gt": _empty_gt(c) for c in ("eval-3d", "pipeline")},
+    "pipeline-empty-gt-no-fragment": _empty_gt("pipeline", lifts_nothing=True),
     "sample-negative-seed": _flag("sample", "--seed", "-1"),
     "gradcheck-negative-seed": _flag("gradcheck", "--seed", "-1"),
     "gradcheck-nan-threshold": _flag("gradcheck", "--threshold", "nan"),

@@ -9,8 +9,10 @@ import pytest
 
 from conftest import (batched_ratios, make_intrinsics, naive_back_project, naive_frustum_overlap,
                       pair_frustum_overlap, random_pose, random_rotation, random_sampler_scene,
-                      random_scene_frames)
-from geovos import geometry
+                      random_scene_frames, small_rotation)
+from geovos import geometry, kernels
+from geovos.cli import _look_at_pose
+from geovos.ingest import Box, generate_boxworld
 from geovos.geometry import (CameraFrame, CameraIntrinsics, CameraPose, PointCloud,
                              back_project, depth_agreement_score, frustum_overlap_ratio)
 
@@ -369,6 +371,176 @@ class TestFrustumOverlap:
                 got = batched_ratios(cands, "obj", ref)
                 assert got.dtype == np.float64 and got.tolist() == want, f"seed {seed}"
         assert batched_ratios([], "obj", scene.frames[0]).tolist() == []
+
+
+def per_point_counts(clouds, poses, same_camera, reference):
+    """Per candidate, its points that ``kernels.count_in_frustum`` puts in the
+    reference frustum, through this pair's own pose product; every point of
+    a same-camera candidate."""
+    ri, ref = reference.intrinsics, reference.pose
+    counts = []
+    for cloud, pose, same in zip(clouds, poses, same_camera):
+        if same:
+            counts.append(len(cloud))
+            continue
+        rot = ref.rotation.T @ pose.rotation
+        trans = ref.rotation.T @ (pose.translation - ref.translation)
+        counts.append(kernels.count_in_frustum(cloud, rot, trans, ri.fx, ri.fy, ri.cx, ri.cy,
+                                               ri.width, ri.height, geometry.DEFAULT_Z_NEAR))
+    return counts
+
+
+# per kind of cloud, its pixel (u, v) and depth ranges in the reference
+# camera, given the reference's width and height
+CLOUD_KINDS = {
+    "inside": lambda w, h: ((0.5, w - 0.5), (0.5, h - 0.5), (0.5, 5.0)),
+    "across-u0": lambda w, h: ((-3.0, 3.0), (1.0, h - 1), (0.5, 5.0)),
+    "across-uW": lambda w, h: ((w - 3, w + 3), (1.0, h - 1), (0.5, 5.0)),
+    "across-v0": lambda w, h: ((1.0, w - 1), (-3.0, 3.0), (0.5, 5.0)),
+    "across-vH": lambda w, h: ((1.0, w - 1), (h - 3, h + 3), (0.5, 5.0)),
+    "across-z-near": lambda w, h: ((1.0, w - 1), (1.0, h - 1), (-0.01, 0.01)),
+    "behind": lambda w, h: ((1.0, w - 1), (1.0, h - 1), (-5.0, -0.5)),
+    "far-off": lambda w, h: ((w + 100, w + 1e4), (-1e4, 1e4), (0.5, 50.0)),
+    "far-ahead": lambda w, h: ((0.5, w - 0.5), (0.5, h - 0.5), (1e6, 1e9)),
+}
+
+
+def reference_cloud(rng, intr, kind, n):
+    """``n`` points of a CLOUD_KINDS kind, in the reference camera frame."""
+    u, v, z = (rng.uniform(lo, hi, n) for lo, hi in CLOUD_KINDS[kind](intr.width, intr.height))
+    return np.stack([(u - intr.cx) * z / intr.fx, (v - intr.cy) * z / intr.fy, z], axis=1)
+
+
+class TestBoxCulling:
+    """Each candidate's box is tested against the reference frustum before
+    its points: a box verdict must equal the per-point count, on clouds
+    placed inside, across each of the five planes, exactly on them, behind
+    the camera and far off the frustum."""
+
+    CAMERAS = [make_intrinsics(fx=16.0, fy=16.0, width=16, height=12, cx=8.0, cy=6.0),
+               make_intrinsics(fx=9.0, fy=11.0, width=12, height=12, cx=4.0),
+               make_intrinsics(fx=13.0, fy=13.0, width=16, height=10, cx=-3.0, cy=12.5),
+               make_intrinsics(fx=500.0, fy=500.0, width=640, height=480)]
+
+    @staticmethod
+    def verdicts(clouds, poses, reference):
+        """``(inside, outside)`` of the box test on these clouds and poses."""
+        ri, ref = reference.intrinsics, reference.pose
+        rot = np.matmul(ref.rotation.T, np.array([p.rotation for p in poses]))
+        trans = np.array([ref.rotation.T @ (p.translation - ref.translation) for p in poses])
+        n = [len(c) for c in clouds]
+        camera = (ri.fx, ri.fy, ri.cx, ri.cy, float(ri.width), float(ri.height),
+                  geometry.DEFAULT_Z_NEAR)
+        return geometry._box_verdicts(
+            geometry.cloud_bounds(np.concatenate(clouds).reshape(-1, 3), n), rot, trans,
+            camera)
+
+    def assert_counts(self, clouds, poses, same_camera, reference):
+        """Both call forms of the batched pass against the per-point pass."""
+        want = per_point_counts(clouds, poses, same_camera, reference)
+        rotations = np.array([p.rotation for p in poses]).reshape(-1, 3, 3)
+        translations = np.array([p.translation for p in poses]).reshape(-1, 3)
+        inside, n = geometry._inside_counts(clouds, rotations, translations, same_camera,
+                                            reference)
+        assert inside.tolist() == want and n.tolist() == [len(c) for c in clouds]
+        read = []
+        kept = (n, geometry.cloud_bounds(np.concatenate(clouds).reshape(-1, 3), n))
+        inside, _ = geometry._inside_counts(
+            lambda ks: read.extend(ks) or [clouds[k] for k in ks], rotations, translations,
+            same_camera, reference, kept)
+        assert inside.tolist() == want
+        return read
+
+    @pytest.mark.parametrize("solo", [geometry.FRUSTUM_SOLO_POINTS, 8])
+    def test_counts_equal_the_per_point_pass(self, monkeypatch, solo):
+        monkeypatch.setattr(geometry, "FRUSTUM_SOLO_POINTS", solo)
+        seen = dict.fromkeys(list(CLOUD_KINDS) + ["box-inside", "box-outside", "per-point",
+                                                  "single", "empty", "same-camera"], 0)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            intr = self.CAMERAS[seed % len(self.CAMERAS)]
+            reference = CameraFrame(0, intr, random_pose(rng, spread=2.0))
+            clouds, poses, same = [], [], []
+            for _ in range(int(rng.integers(1, 24))):
+                kind = str(rng.choice(list(CLOUD_KINDS)))
+                n = int(rng.choice([0, 1, int(rng.integers(2, 40))], p=[0.1, 0.2, 0.7]))
+                points = reference_cloud(rng, intr, kind, n)
+                same.append(bool(rng.random() < 0.1))
+                if same[-1]:
+                    pose = reference.pose
+                else:
+                    pose = CameraPose(small_rotation(rng, 0.8) @ reference.pose.rotation,
+                                      reference.pose.translation + rng.normal(size=3))
+                # the candidate's camera-frame points that land where ``kind`` says
+                rot = reference.pose.rotation.T @ pose.rotation
+                trans = reference.pose.rotation.T @ (pose.translation
+                                                     - reference.pose.translation)
+                clouds.append((points - trans) @ rot)
+                poses.append(pose)
+                seen[kind] += n > 0
+                seen["single"] += n == 1
+                seen["empty"] += n == 0
+                seen["same-camera"] += same[-1]
+            read = self.assert_counts(clouds, poses, same, reference)
+            inside, outside = self.verdicts(clouds, poses, reference)
+            seen["box-inside"] += int(inside.sum())
+            seen["box-outside"] += int(outside.sum())
+            seen["per-point"] += len(read)
+            # only the clouds that neither the box nor the same-camera flag decides are read
+            assert read == [k for k, c in enumerate(clouds)
+                            if len(c) and not (inside[k] or outside[k] or same[k])]
+        assert all(seen.values()), seen
+
+    def test_points_exactly_on_a_plane(self):
+        # identity poses: the per-point expression gives u == 0.0, u == W,
+        # v == 0.0, v == H and z == z_near exactly; the first and third count,
+        # the others do not, and no box decides them
+        intr = self.CAMERAS[0]  # fx 16, cx 8, W 16; fy 16, cy 6, H 12
+        reference = CameraFrame(0, intr, CameraPose.identity())
+        z_near = geometry.DEFAULT_Z_NEAR
+        on = {"u0": [-1.0, 0.0, 2.0], "uW": [1.0, 0.0, 2.0], "v0": [0.0, -0.75, 2.0],
+              "vH": [0.0, 0.75, 2.0], "z-near": [0.0, 0.0, z_near]}
+        inside = np.array([[0.1, 0.2, 2.0], [-0.3, 0.1, 1.5]])
+        clouds = [np.array([p] * 3) for p in on.values()]
+        clouds += [np.concatenate([inside, [p]]) for p in on.values()]
+        poses = [CameraPose.identity()] * len(clouds)
+        same = [False] * len(clouds)
+        pts = np.array(list(on.values()))
+        u, v = 16.0 * pts[:, 0] / pts[:, 2] + 8.0, 16.0 * pts[:, 1] / pts[:, 2] + 6.0
+        assert u[:2].tolist() == [0.0, 16.0] and v[2:4].tolist() == [0.0, 12.0]
+        want = [3, 0, 3, 0, 0, 3, 2, 3, 2, 2]
+        assert per_point_counts(clouds, poses, same, reference) == want
+        read = self.assert_counts(clouds, poses, same, reference)
+        assert read == list(range(len(clouds)))
+
+    def test_box_world_orbit_is_decided_by_boxes(self, monkeypatch):
+        # a ring of cameras around one box, each seeing all of it: every
+        # candidate's box lies inside every reference frustum, so no point
+        # is tested, and every ratio is 1
+        box = Box((0.0, 0.0, 0.25), (0.5, 0.5, 0.5))
+        intr = make_intrinsics(fx=48.0, fy=48.0, width=48, height=48)
+        eyes = [(3.0 * np.cos(a), 3.0 * np.sin(a), 0.3 + 0.2 * np.sin(3 * a))
+                for a in np.linspace(0.0, 2 * np.pi, 12, endpoint=False)]
+        cameras = [(_look_at_pose(eye, box.center), intr) for eye in eyes]
+        frames = generate_boxworld([box], cameras).scene.frames
+        clouds = [back_project(f.masks["box0"], f.depth, f.intrinsics)[0].points
+                  for f in frames]
+        assert all(len(c) > 50 for c in clouds)
+        point_passes = []
+        original = geometry._point_counts
+        monkeypatch.setattr(geometry, "_point_counts",
+                            lambda *a: point_passes.append(1) or original(*a))
+        for reference in frames:
+            others = [k for k, f in enumerate(frames) if f is not reference]
+            cand = [clouds[k] for k in others]
+            poses = [frames[k].pose for k in others]
+            inside, outside = self.verdicts(cand, poses, reference)
+            assert inside.all() and not outside.any()
+            assert per_point_counts(cand, poses, [False] * len(cand), reference) == \
+                [len(c) for c in cand]
+            assert batched_ratios([frames[k] for k in others], "box0", reference).tolist() == \
+                [1.0] * len(others)
+        assert point_passes == []
 
 
 def masked_frame(seed=0, size=6):

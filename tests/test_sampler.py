@@ -359,7 +359,7 @@ class TestBatchedRatios:
         passes = []
         original = geometry.frustum_overlap_ratios
         monkeypatch.setattr(geometry, "frustum_overlap_ratios",
-                            lambda *a: passes.append(1) or original(*a))
+                            lambda *a, **k: passes.append(1) or original(*a, **k))
         batched = draws(lambda kind, *a: getattr(sampler, f"sample_{kind}")(*a))
         looped = draws(naive_sample)
         assert batched == looped
@@ -793,9 +793,9 @@ class TestRowMemo:
             calls["frustum_mask"] += 1
             return mask(*a)
 
-        def counted_ratios(*a):
+        def counted_ratios(*a, **k):
             calls["ratios"] += 1
-            return ratios(*a)
+            return ratios(*a, **k)
 
         monkeypatch.setattr(kernels, "frustum_mask", counted_mask)
         monkeypatch.setattr(geometry, "frustum_overlap_ratios", counted_ratios)
